@@ -515,6 +515,11 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a fault in fcplx itself, kept apart from "predicate failed" (1)
+        msg = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+        print(f"internal error: {msg}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -123,13 +123,6 @@ class F2SparseMatrix:
             self.nrows,
         )
 
-    def transpose(self) -> "F2SparseMatrix":
-        rows = [0] * self.nrows
-        for j, c in enumerate(self.columns):
-            for i in c:
-                rows[i] |= 1 << j
-        return F2SparseMatrix([F2Vector(mask=m) for m in rows], self.ncols)
-
     def is_zero(self) -> bool:
         return all(not c for c in self.columns)
 
@@ -212,13 +205,27 @@ def solve_in_span(A: F2SparseMatrix, b: F2Vector, allowed=None):
 
 
 def invert(V: F2SparseMatrix) -> F2SparseMatrix:
-    """Inverse of an invertible square matrix (column-by-column solve)."""
+    """Inverse of an invertible square matrix.
+
+    One column reduction gives V*T = R with distinct pivots.  Taking
+    pivots p in increasing order, if R's column j has pivot p, then
+    T's column j plus the inverse columns q of R's other entries is
+    mapped by V to e_p, so it is column p of the inverse.
+    """
     if V.nrows != V.ncols:
         raise ValueError("only square matrices can be inverted")
-    cols = []
-    for i in range(V.nrows):
-        x = solve_in_span(V, F2Vector(mask=1 << i))
-        if x is None:
+    R, T = column_reduce(V)
+    owner = {}
+    for j, c in enumerate(R.columns):
+        if not c:
             raise ValueError("matrix is singular")
-        cols.append(x)
-    return F2SparseMatrix(cols, V.ncols)
+        owner[c.top()] = j
+    inv = [0] * V.ncols
+    for p in range(V.ncols):
+        j = owner[p]
+        m = T.columns[j].mask
+        for q in R.columns[j]:
+            if q != p:
+                m ^= inv[q]
+        inv[p] = m
+    return F2SparseMatrix([F2Vector(mask=m) for m in inv], V.ncols)

@@ -52,10 +52,6 @@ def diff_op(H: HomComplex) -> F2SparseMatrix:
     return H.complex.diff_matrix()
 
 
-def identity_op(H: HomComplex) -> F2SparseMatrix:
-    return F2SparseMatrix.identity(H.complex.n)
-
-
 class MapSystem:
     """A GF(2)-linear system whose unknowns are filtered maps.
 

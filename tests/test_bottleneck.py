@@ -1,8 +1,14 @@
+import inspect
+import random
+import sys
 from fractions import Fraction
+
+import pytest
 
 from fcplx.barcodes import Bar, Barcode, bottleneck
 from fcplx.rationals import POS_INF
 from fcplx.verify import GenConfig, bottleneck_bruteforce, _random_barcode
+from reference_bottleneck import reference_bottleneck
 
 
 def B(*bars):
@@ -80,3 +86,75 @@ def test_symmetry_and_triangle_inequality_on_samples():
         d23 = bottleneck(b2, b3)[0]
         if d12 != POS_INF and d23 != POS_INF:
             assert d13 <= d12 + d23
+
+
+def test_unknown_rule_is_rejected_before_any_work():
+    inf_only = B((0, Fraction(1), POS_INF))
+    for b1, b2 in [(Barcode(), Barcode()), (inf_only, inf_only),
+                   (B((0, 0, 2)), Barcode())]:
+        with pytest.raises(ValueError, match="unknown short rule"):
+            bottleneck(b1, b2, rule="bogus")
+
+
+def _seeded_pair(rng, n):
+    """n bars over 1-3 degrees, up to a third infinite, and a jittered
+    copy with some finite bars dropped and some added.  In a fifth of
+    the pairs the copy keeps only the infinite bars, so some degrees
+    have finite bars on one side alone."""
+    grid = [Fraction(k, d) for k in range(13) for d in (1, 2, 3)]
+    degrees = range(rng.randint(1, 3))
+    n_inf = rng.randint(0, n // 3)
+    bars = []
+    for k in range(n):
+        lo = rng.choice(grid)
+        hi = POS_INF if k < n_inf else lo + rng.choice(grid)
+        bars.append(Bar(rng.choice(degrees), lo, hi))
+    keep_finite = rng.random() < 0.8
+    other = []
+    for b in bars:
+        if b.is_finite() and (not keep_finite or rng.random() < 0.15):
+            continue
+        eps = rng.choice(grid[:9]) * rng.choice((-1, 1))
+        hi = b.hi if not b.is_finite() else max(b.hi + eps, b.lo + eps)
+        other.append(Bar(b.degree, b.lo + eps, hi))
+    for _ in range(rng.randint(0, n // 5)):
+        lo = rng.choice(grid)
+        other.append(Bar(rng.choice(range(3)), lo, lo + rng.choice(grid)))
+    return Barcode(bars), Barcode(other)
+
+
+def test_value_and_witness_match_the_dense_reference():
+    """Same value, same witness, same types as the extended-graph
+    search it replaced, on 300 seeded pairs of 1-100 bars."""
+    rng = random.Random(20261018)
+    sizes = [1 + k % 20 for k in range(280)] + list(range(24, 101, 4))
+    finite = 0
+    for k, n in enumerate(sizes):
+        b1, b2 = _seeded_pair(rng, n)
+        rule = ("half", "double")[k % 2]
+        got = bottleneck(b1, b2, rule=rule)
+        assert repr(got) == repr(reference_bottleneck(b1, b2, rule=rule))
+        finite += got[0] != POS_INF
+    assert finite >= 250
+
+
+def test_thousand_bars_a_side_without_recursion():
+    """A staircase of overlapping bars makes augmenting paths as long as
+    the barcode; the search must not recurse, so it runs under a
+    recursion limit only a little above the current stack depth."""
+    n = 1000
+    b1 = Barcode(Bar(0, Fraction(i), Fraction(i + n)) for i in range(n))
+    b2 = Barcode(Bar(0, Fraction(2 * i + 1, 2), Fraction(2 * i + 1, 2) + n)
+                 for i in range(n))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        val, wit = bottleneck(b1, b2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert val == Fraction(1, 2)
+    assert len(wit.matched) == n and not wit.short1 and not wit.short2
+    assert sorted(a for a, _ in wit.matched) == list(b1)
+    assert sorted(b for _, b in wit.matched) == list(b2)
+    assert all(max(abs(a.lo - b.lo), abs(a.hi - b.hi)) <= val
+               for a, b in wit.matched)

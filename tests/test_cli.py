@@ -145,3 +145,18 @@ def test_octahedron_command(workdir, capsys):
     assert code == 0, err
     assert "first weight 0 verified true" in out
     assert "second weight 0 verified true" in out
+
+
+@pytest.mark.parametrize("fault", [AssertionError("grid\nincomplete"),
+                                   RecursionError("too deep")])
+def test_internal_faults_exit_three(workdir, capsys, monkeypatch, fault):
+    import fcplx.cli
+
+    def boom(args):
+        raise fault
+
+    monkeypatch.setattr(fcplx.cli, "cmd_bottleneck", boom)
+    code, out, err = run(capsys, "bottleneck", "a.cplx", "b.cplx")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: " + type(fault).__name__)
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,3 +95,23 @@ def test_solution_supports_stay_allowed(cols, allowed):
     assert x is not None
     assert set(x.indices()) <= set(allowed)
     assert M.apply(x) == b
+
+
+def test_invert_random_square_matrices():
+    rng = random.Random(29)
+    singular = 0
+    for n in range(13):
+        for _ in range(20):
+            M = random_matrix(rng, n, n, density=0.5)
+            R, _ = column_reduce(M)
+            if all(R.columns):
+                W = invert(M)
+                assert M.matmul(W) == F2SparseMatrix.identity(n)
+                assert W.matmul(M) == F2SparseMatrix.identity(n)
+            else:
+                singular += 1
+                with pytest.raises(ValueError, match="singular"):
+                    invert(M)
+    assert 0 < singular < 13 * 20
+    with pytest.raises(ValueError, match="square"):
+        invert(F2SparseMatrix.zero(2, 3))
