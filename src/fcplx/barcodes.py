@@ -23,7 +23,6 @@ from .rationals import POS_INF, fmt_scalar, is_finite
 from .complexes import (
     FilteredChainMap,
     FilteredComplex,
-    is_nullhomotopic_within,
     make_complex,
 )
 
@@ -127,6 +126,20 @@ class CanonicalFormWitness:
         U = self.matrix
         D = self.complex.diff_matrix()
         return invert(U).matmul(D).matmul(U)
+
+    def contraction(self) -> F2SparseMatrix:
+        """h = U h' U^-1, where h' sends each paired x to its partner y.
+
+        In the canonical basis dh' + h'd is the identity on every paired
+        generator, so on a complex without infinite bars dh + hd = id.
+        U and U^-1 are unitriangular in (level, index) order and so keep
+        levels; the shift of h is the length of the longest bar.
+        """
+        U = self.matrix
+        Uh = [F2Vector()] * U.ncols
+        for x, y in self.pairs:
+            Uh[x] = U.columns[y]
+        return F2SparseMatrix(Uh, U.nrows).matmul(invert(U))
 
     def check(self) -> bool:
         """Witness invariants: invertible, level-preserving, canonical."""
@@ -242,18 +255,17 @@ def boundary_depth(obj):
 
 def is_r_acyclic(X, r, want_witness=False):
     """No infinite bars and depth <= r; optionally the nullhomotopy of
-    the identity that witnesses it."""
+    the identity that witnesses it, read off the canonical form."""
     r = Fraction(r)
     if r < 0:
         raise ValueError("acyclicity threshold must be >= 0")
-    B = barcode(X)
+    B, wit = canonical_form(X)
     ok = not B.infinite() and boundary_depth(B) <= r
     if not want_witness:
         return ok
     if not ok:
         return False, None
-    h = is_nullhomotopic_within(FilteredChainMap.identity(X), r)
-    return True, h
+    return True, FilteredChainMap(X, X, wit.contraction().columns, -1)
 
 
 def persistence_rank(X, r, s, degree) -> int:

@@ -44,7 +44,6 @@ from .tpc import (
 )
 from .fragmentation import (
     EMPTY_FAMILY,
-    d_frag_upper,
     delta_exact_small,
     delta_upper,
     parse_family,

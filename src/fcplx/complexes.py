@@ -498,6 +498,22 @@ def cone(f: FilteredChainMap, lam=0) -> ConeResult:
 # hom complexes and nullhomotopies
 
 
+def _hom_hits(X, Y):
+    """Per s, the flat positions (s', 0) of every x_s' whose d(x_s')
+    contains x_s; shifted by t they give the h o dX part of column
+    (s, t) of Hom(X, Y)."""
+    hits = [0] * X.n
+    for sp in range(X.n):
+        for s in X.diff[sp]:
+            hits[s] |= 1 << (sp * Y.n)
+    return hits
+
+
+def _hom_column(X, Y, hits, s, t) -> F2Vector:
+    """d(x_s* (x) y_t) = dY o h + h o dX in flat coordinates."""
+    return F2Vector(mask=(Y.diff[t].mask << (s * Y.n)) | (hits[s] << t))
+
+
 class HomComplex:
     """Hom(X, Y) as a filtered complex on elementary maps x* (x) y.
 
@@ -511,37 +527,22 @@ class HomComplex:
     def __init__(self, X: FilteredComplex, Y: FilteredComplex):
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
-        nY = Y.n
         gens = []
         cols = []
-        # rows of d(x_s') containing x_s, per s: precompute
-        hit = [[] for _ in range(X.n)]
-        for sp in range(X.n):
-            for s in X.diff[sp]:
-                hit[s].append(sp)
-        for s in range(X.n):
-            gs = X.gens[s]
-            for t in range(nY):
-                gt = Y.gens[t]
+        hits = _hom_hits(X, Y)
+        for s, gs in enumerate(X.gens):
+            for t, gt in enumerate(Y.gens):
                 gens.append(
                     Generator(
                         f"{gs.gid}>{gt.gid}", gt.degree - gs.degree,
                         gt.ell - gs.ell,
                     )
                 )
-                m = 0
-                for tp in Y.diff[t]:
-                    m |= 1 << (s * nY + tp)
-                for sp in hit[s]:
-                    m |= 1 << (sp * nY + t)
-                cols.append(F2Vector(mask=m))
+                cols.append(_hom_column(X, Y, hits, s, t))
         object.__setattr__(self, "complex", FilteredComplex(gens, cols))
 
     def __setattr__(self, name, value):
         raise AttributeError("HomComplex is immutable")
-
-    def flat(self, s, t) -> int:
-        return s * self.Y.n + t
 
     def encode(self, f: FilteredChainMap) -> F2Vector:
         if f.source != self.X or f.target != self.Y:
@@ -579,16 +580,39 @@ def hom_complex(X, Y) -> HomComplex:
 
 def nullhomotopy(f: FilteredChainMap, bound):
     """An h of degree deg(f)-1 and level <= bound with dh + hd = f,
-    or None if no such homotopy exists.  Decided exactly."""
+    or None if no such homotopy exists.  Decided exactly.
+
+    The system is the one over Hom(X, Y), restricted to the elementary
+    maps h may use: their columns, in flat order, are built directly
+    and solved as a compact matrix, so no other column is made.
+    """
     if f.is_zero():
         return FilteredChainMap.zero(f.source, f.target, f.degree - 1)
-    H = HomComplex(f.source, f.target)
-    allowed = H.gens_with(degree=f.degree - 1, max_level=bound)
-    A = H.complex.diff_matrix()
-    x = solve_in_span(A, H.encode(f), allowed)
+    X, Y = f.source, f.target
+    nY = Y.n
+    hits = _hom_hits(X, Y)
+    by_degree = {}
+    for t, gt in enumerate(Y.gens):
+        by_degree.setdefault(gt.degree, []).append(t)
+    pairs = []
+    cols = []
+    for s, gs in enumerate(X.gens):
+        for t in by_degree.get(gs.degree + f.degree - 1, ()):
+            if Y.gens[t].ell - gs.ell > bound:
+                continue
+            pairs.append((s, t))
+            cols.append(_hom_column(X, Y, hits, s, t))
+    rhs = sum(c.mask << (s * nY) for s, c in enumerate(f.cols))
+    x = solve_in_span(F2SparseMatrix(cols, X.n * nY), F2Vector(mask=rhs))
     if x is None:
         return None
-    return H.decode(x, f.degree - 1)
+    out = [0] * X.n
+    for k in x:
+        s, t = pairs[k]
+        out[s] |= 1 << t
+    return FilteredChainMap(
+        X, Y, [F2Vector(mask=m) for m in out], f.degree - 1
+    )
 
 
 def is_nullhomotopic_within(f: FilteredChainMap, s):

@@ -30,7 +30,6 @@ from .complexes import (
     shift_complex,
     translate,
     translate_inverse,
-    translate_map,
     zero_complex,
 )
 from .barcodes import (
@@ -41,15 +40,13 @@ from .barcodes import (
     bottleneck,
     canonical_form,
     from_barcode,
-    is_r_acyclic,
 )
 from .f2linalg import invert
 from .tpc import (
     TriangleWitness,
     WeightedTriangle,
+    contraction_inverse,
     identity_triangle,
-    is_r_isomorphism,
-    r_inverses,
     sum_triangles,
     octahedron,
     triangle_from_morphism,
@@ -265,11 +262,14 @@ def eta_slot_triangle(X: FilteredComplex, r):
     return tri, TriangleWitness(K.complex, phi, psi)
 
 
-def zero_apex_step(Y, Z, v, W, psi=None):
+def zero_apex_step(Y, Z, v, W):
     """(0, Y, Z) of weight W: attach nothing, pay for the W-iso v."""
     W = Fraction(W)
-    if not is_r_isomorphism(v, W):
+    # one canonical form of cone(v) both decides and inverts v
+    g = contraction_inverse(v, W)
+    if g is None:
         raise ValueError("zero_apex_step needs a W-isomorphism")
+    psi = g.viewed(shift_complex(g.source, W), g.target, 0)
     z = zero_complex()
     tri = WeightedTriangle(
         z, Y, Z,
@@ -278,8 +278,6 @@ def zero_apex_step(Y, Z, v, W, psi=None):
         FilteredChainMap.zero(Z, z),
         W,
     )
-    if psi is None:
-        _, psi = r_inverses(v, W)
     wit = TriangleWitness(Y, v, psi)
     return tri, wit
 
@@ -983,11 +981,13 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
                 K = cone(u, 0)
                 search(_state_of(K.complex), new_used, depth + 1, spent)
         for b in bar_pool:
-            H = from_barcode(Barcode([b]))
             newstate = Barcode(tuple(state) + (b,))
             search(newstate, used, depth + 1, spent + b.length())
 
     search(Barcode(), False, 0, Fraction(0))
+    # search holds itself through its closure; break that cycle so the
+    # memo goes with this frame, not at the next cyclic collection
+    del search
     upper, _ = delta_upper(X, Xp, family)
     value = min(best[0], upper)
     note = "search" if best[0] <= upper else "strategy"

@@ -83,7 +83,7 @@ class MapSystem:
                 raise ValueError("operator does not land in equation space")
         self.equations.append((hom, rhs, list(terms)))
 
-    def solve(self, randomize_rng=None):
+    def solve(self):
         col_owner = []   # (unknown record, flat index within its hom)
         offsets = {}
         for rec in self.unknowns:
@@ -110,15 +110,6 @@ class MapSystem:
         x = solve_in_span(A, F2Vector(mask=b))
         if x is None:
             return None
-        if randomize_rng is not None:
-            from .f2linalg import column_reduce
-
-            R, V = column_reduce(A)
-            m = x.mask
-            for j in range(A.ncols):
-                if not R.column(j) and randomize_rng.getrandbits(1):
-                    m ^= V.column(j).mask
-            x = F2Vector(mask=m)
         out = {}
         for rec in self.unknowns:
             name, hom, degree, allowed = rec

@@ -35,7 +35,7 @@ from .complexes import (
     translate_map,
     zero_complex,
 )
-from .barcodes import barcode, is_r_acyclic
+from .barcodes import barcode, boundary_depth, canonical_form, is_r_acyclic
 from .homsolve import MapSystem, diff_op, postcompose_op, precompose_op
 
 
@@ -74,75 +74,101 @@ def r_equivalent(f, g, r, level=None):
     return homotopic(f, g, level + r) is not None
 
 
-def is_r_isomorphism(f: FilteredChainMap, r) -> bool:
-    """Shift-0 map whose cone has only finite bars of length <= r."""
-    r = Fraction(r)
+def _require_iso_input(f: FilteredChainMap):
     sh = shift_of_map(f)
     if is_finite(sh) and sh > 0:
         raise ValueError("is_r_isomorphism requires a shift-<=0 map")
     if f.degree != 0 or not f.is_closed():
         raise ValueError("is_r_isomorphism requires a closed degree-0 map")
+
+
+def is_r_isomorphism(f: FilteredChainMap, r) -> bool:
+    """Shift-0 map whose cone has only finite bars of length <= r."""
+    r = Fraction(r)
+    _require_iso_input(f)
     return is_r_acyclic(cone(f, 0).complex, r)
 
 
-def _obstructing_bar(K: FilteredComplex, r):
-    for b in barcode(K):
-        if not b.is_finite() or b.length() > r:
-            return b
-    return None
+def contraction_inverse(f: FilteredChainMap, r, rng=None):
+    """g: B -> A, a closed map of shift <= r with g o f ~ id_A and
+    f o g ~ id_B, or None when f: A -> B is not an r-isomorphism.
+
+    g is the B -> A block of the contraction h of cone(f, 0) = B (+) TA
+    read off its canonical form: the blocks of dh + hd = id say that g
+    is closed and that the two diagonal blocks of h are the homotopies
+    f o g ~ id_B and g o f ~ id_A, all of shift <= r.  An rng first
+    conjugates the cone by a random basis change, which draws another
+    contraction and so another inverse.
+    """
+    r = Fraction(r)
+    _require_iso_input(f)
+    if r < 0:
+        raise ValueError("acyclicity threshold must be >= 0")
+    K = cone(f, 0).complex
+    if rng is not None:
+        from .verify import random_basis_change  # verify imports tpc
+
+        K, fwd, back = random_basis_change(K, rng)
+    bars, wit = canonical_form(K)
+    if bars.infinite() or boundary_depth(bars) > r:
+        return None
+    h = wit.contraction()
+    nB = f.target.n
+    if rng is None:
+        cols = h.columns[:nB]
+    else:
+        U = fwd.matrix()
+        cols = [U.apply(h.apply(c)) for c in back.cols[:nB]]
+    return FilteredChainMap(
+        f.target, f.source, [F2Vector(mask=c.mask >> nB) for c in cols], 0
+    )
 
 
 def r_inverses(f: FilteredChainMap, r, rng=None):
     """Left and right r-inverses of an r-isomorphism f: A -> B.
 
     Returns (phi_left: B -> S^-r A, psi_right: S^r B -> A) with
-    phi o f ~ eta and f o psi ~ eta via shift-0 homotopies, built by
-    exact linear solves.  An rng picks a random solution of the
-    (usually underdetermined) systems.
+    phi o f ~ eta and f o psi ~ eta via shift-0 homotopies.  Both carry
+    one matrix, `contraction_inverse(f, r, rng)`, anchored two ways.
     """
     r = Fraction(r)
-    if not is_r_isomorphism(f, r):
-        bad = _obstructing_bar(cone(f, 0).complex, r)
+    g = contraction_inverse(f, r, rng)
+    if g is None:
+        bad = next(b for b in barcode(cone(f, 0).complex)
+                   if not b.is_finite() or b.length() > r)
         raise ValueError(
             f"not an {fmt_scalar(r)}-isomorphism; cone carries bar {bad}"
         )
     A, B = f.source, f.target
-    sA = shift_complex(A, -r)
+    return (g.viewed(B, shift_complex(A, -r), 0),
+            g.viewed(shift_complex(B, r), A, 0))
 
-    sys1 = MapSystem()
-    H_phi = HomComplex(B, sA)
-    H_k = HomComplex(A, sA)
-    sys1.unknown("phi", H_phi, 0, Fraction(0))
-    sys1.unknown("k", H_k, -1, Fraction(0))
-    sys1.equation(
-        H_phi, [(diff_op(H_phi), "phi")],
-        F2Vector(),
-    )
-    sys1.equation(
-        H_k,
-        [(precompose_op(H_phi, f, H_k), "phi"), (diff_op(H_k), "k")],
-        H_k.encode(eta_down(A, r)),
-    )
-    sol1 = sys1.solve(randomize_rng=rng)
-    if sol1 is None:
-        raise AssertionError("left inverse solve failed on a valid input")
 
-    sB = shift_complex(B, r)
-    sys2 = MapSystem()
-    H_psi = HomComplex(sB, A)
-    H_k2 = HomComplex(sB, B)
-    sys2.unknown("psi", H_psi, 0, Fraction(0))
-    sys2.unknown("k", H_k2, -1, Fraction(0))
-    sys2.equation(H_psi, [(diff_op(H_psi), "psi")], F2Vector())
-    sys2.equation(
-        H_k2,
-        [(postcompose_op(H_psi, f, H_k2), "psi"), (diff_op(H_k2), "k")],
-        H_k2.encode(eta(B, r)),
-    )
-    sol2 = sys2.solve(randomize_rng=rng)
-    if sol2 is None:
-        raise AssertionError("right inverse solve failed on a valid input")
-    return sol1["phi"], sol2["psi"]
+def _boundary_above(f: FilteredChainMap):
+    """Hom(X, Y) of f, its differential, f encoded, the degree-(deg f - 1)
+    columns, and above(k): an x on those columns whose boundary equals
+    f on every degree-(deg f) elementary map above level k, or None."""
+    H = HomComplex(f.source, f.target)
+    enc = H.encode(f)
+    D = H.complex.diff_matrix()
+    allowed = H.gens_with(degree=f.degree - 1)
+    allowed_set = set(allowed)
+    rows = H.gens_with(degree=f.degree)
+
+    def above(k):
+        rowmask = 0
+        for i in rows:
+            if H.complex.gens[i].ell > k:
+                rowmask |= 1 << i
+        cols = [
+            F2Vector(mask=D.columns[j].mask & rowmask)
+            if j in allowed_set else F2Vector()
+            for j in range(D.ncols)
+        ]
+        return solve_in_span(F2SparseMatrix(cols, D.nrows),
+                             F2Vector(mask=enc.mask & rowmask), allowed)
+
+    return H, D, enc, allowed, above
 
 
 def spectral_invariant(f: FilteredChainMap):
@@ -154,38 +180,18 @@ def spectral_invariant(f: FilteredChainMap):
     """
     if not f.is_closed():
         raise ValueError("spectral invariant needs a closed map")
-    H = HomComplex(f.source, f.target)
-    enc = H.encode(f)
-    D = H.complex.diff_matrix()
-    allowed = H.gens_with(degree=f.degree - 1)
+    H, D, enc, allowed, above = _boundary_above(f)
     if solve_in_span(D, enc, allowed) is not None:
         return NEG_INF
     levels = sorted(
         {H.complex.gens[i].ell for i in H.gens_with(degree=f.degree)}
     )
-
-    def feasible(k):
-        rowmask = 0
-        for i in H.gens_with(degree=f.degree):
-            if H.complex.gens[i].ell > k:
-                rowmask |= 1 << i
-        b = F2Vector(mask=enc.mask & rowmask)
-        allowed_set = set(allowed)
-        cols = [
-            F2Vector(mask=D.columns[j].mask & rowmask)
-            if j in allowed_set else F2Vector()
-            for j in range(D.ncols)
-        ]
-        return solve_in_span(
-            F2SparseMatrix(cols, D.nrows), b, allowed
-        ) is not None
-
     lo, hi = 0, len(levels) - 1
-    if not feasible(levels[hi]):
+    if above(levels[hi]) is None:
         raise AssertionError("spectral invariant grid incomplete")
     while lo < hi:
         mid = (lo + hi) // 2
-        if feasible(levels[mid]):
+        if above(levels[mid]) is not None:
             hi = mid
         else:
             lo = mid + 1
@@ -202,23 +208,8 @@ def representative_at_level(f: FilteredChainMap, k):
     k = Fraction(k)
     if not is_finite(sh) or sh <= k:
         return f
-    H = HomComplex(f.source, f.target)
-    enc = H.encode(f)
-    D = H.complex.diff_matrix()
-    allowed = H.gens_with(degree=f.degree - 1)
-    rowmask = 0
-    for i in H.gens_with(degree=f.degree):
-        if H.complex.gens[i].ell > k:
-            rowmask |= 1 << i
-    allowed_set = set(allowed)
-    cols = [
-        F2Vector(mask=D.columns[j].mask & rowmask)
-        if j in allowed_set
-        else F2Vector()
-        for j in range(D.ncols)
-    ]
-    x = solve_in_span(F2SparseMatrix(cols, D.nrows), F2Vector(
-        mask=enc.mask & rowmask), allowed)
+    H, D, enc, _, above = _boundary_above(f)
+    x = above(k)
     if x is None:
         raise ValueError(
             f"class of the map has no representative at level {fmt_scalar(k)}"
@@ -438,9 +429,10 @@ def rotate(tri: WeightedTriangle, wit: TriangleWitness,
     if sol is None:
         raise AssertionError("rotation fill failed on a valid triangle")
     phibar = sol["phibar"]
-    if not is_r_acyclic(cone(phibar, 0).complex, r):
-        raise AssertionError("rotation fill is not an r-isomorphism")
-    psibar, _ = r_inverses(phibar, r)
+    try:
+        psibar, _ = r_inverses(phibar, r)
+    except ValueError as exc:
+        raise AssertionError("rotation fill is not an r-isomorphism") from exc
 
     CR = shift_complex(TA, -r)
     u_R = tri.v
@@ -685,16 +677,17 @@ def octahedron(t1, w1, t2, w2):
     for k in range(K1.complex.n):
         pp_cols.append(F2Vector(mask=w1.phi.cols[k].mask << nA))
     phi_prime = FilteredChainMap(B2.complex, Bp.complex, pp_cols, 0)
-    if not is_r_acyclic(cone(phi_prime, 0).complex, r):
-        raise AssertionError("octahedron: cone comparison not an r-iso")
+    try:
+        _, psi2 = r_inverses(phi_prime, r)
+    except ValueError as exc:
+        raise AssertionError(
+            "octahedron: cone comparison not an r-iso") from exc
 
     theta = B2.project.viewed(B2.complex, translate(K1.complex))
     t_map = compose(translate_map(K1.project.viewed(
         K1.complex, translate(E))), theta)
 
     v4 = compose(w2.phi, compose(phi_prime, compose(w_map, G)))
-
-    _, psi2 = r_inverses(phi_prime, r)
     psi3v = w2.psi.viewed(
         shift_complex(B, r + s), shift_complex(Bp.complex, r)
     )

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rationals import POS_INF, fmt_scalar, is_finite
+from .rationals import POS_INF, fmt_scalar
 from .f2linalg import F2Vector
 from .complexes import (
     FilteredChainMap,
@@ -30,7 +30,6 @@ from .complexes import (
     nullhomotopy,
     shift_complex,
     translate,
-    translate_inverse,
     zero_complex,
 )
 from .barcodes import (
@@ -39,7 +38,6 @@ from .barcodes import (
     barcode,
     boundary_depth,
     bottleneck,
-    canonical_form,
     from_barcode,
     is_r_acyclic,
     _short_threshold,
@@ -61,7 +59,6 @@ from .tpc import (
     relax_weight,
     rotate,
     rotate_negative,
-    spectral_invariant,
     stable_weight_upper,
     sum_triangles,
     triangle_from_morphism,
