@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .f2linalg import F2SparseMatrix, F2Vector, invert
+from .f2linalg import F2SparseMatrix, F2Vector, _eliminate, invert
 from .rationals import POS_INF, fmt_scalar, is_finite
 from .complexes import (
     FilteredChainMap,
@@ -185,18 +185,7 @@ def canonical_form(X: FilteredComplex):
 
     cols = [to_pos(X.diff[order[p]]) for p in range(n)]
     track = [1 << p for p in range(n)]
-    owner = {}
-    for p in range(n):
-        c, t = cols[p], track[p]
-        while c:
-            piv = c.bit_length() - 1
-            k = owner.get(piv)
-            if k is None:
-                owner[piv] = p
-                break
-            c ^= cols[k]
-            t ^= track[k]
-        cols[p], track[p] = c, t
+    owner = _eliminate(cols, track)
 
     bars = []
     pairs = []

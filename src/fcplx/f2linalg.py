@@ -140,18 +140,15 @@ class F2SparseMatrix:
         return f"F2SparseMatrix({self.nrows}x{self.ncols})"
 
 
-def column_reduce(M: F2SparseMatrix):
-    """Left-to-right column reduction.
+def _eliminate(cols, track):
+    """Reduce the int masks `cols` left to right in place, mirroring each
+    column addition on `track`; returns {pivot row: column index}.
 
-    Returns (R, V) with R = M*V, V invertible upper-triangular (a
-    product of elementary column additions), and all nonzero columns of
-    R having distinct pivot rows (pivot = largest support index).
+    Column j is cleared of earlier pivots (pivot = largest support
+    index) until it is zero or its pivot is new.
     """
-    cols = [c.mask for c in M.columns]
-    track = [1 << j for j in range(M.ncols)]
-    owner = {}  # pivot row -> column index
-    for j in range(M.ncols):
-        c = cols[j]
+    owner = {}
+    for j, c in enumerate(cols):
         t = track[j]
         while c:
             piv = c.bit_length() - 1
@@ -163,6 +160,19 @@ def column_reduce(M: F2SparseMatrix):
             t ^= track[k]
         cols[j] = c
         track[j] = t
+    return owner
+
+
+def column_reduce(M: F2SparseMatrix):
+    """Left-to-right column reduction.
+
+    Returns (R, V) with R = M*V, V invertible upper-triangular (a
+    product of elementary column additions), and all nonzero columns of
+    R having distinct pivot rows (pivot = largest support index).
+    """
+    cols = [c.mask for c in M.columns]
+    track = [1 << j for j in range(M.ncols)]
+    _eliminate(cols, track)
     R = F2SparseMatrix([F2Vector(mask=m) for m in cols], M.nrows)
     V = F2SparseMatrix([F2Vector(mask=m) for m in track], M.ncols)
     return R, V
@@ -180,27 +190,17 @@ def solve_in_span(A: F2SparseMatrix, b: F2Vector, allowed=None):
     for j in allowed:
         if j < 0 or j >= A.ncols:
             raise ValueError(f"allowed column {j} out of range")
-    pivots = {}  # pivot row -> (column mask, combination mask)
-    for j in allowed:
-        c = A.columns[j].mask
-        t = 1 << j
-        while c:
-            piv = c.bit_length() - 1
-            if piv not in pivots:
-                pivots[piv] = (c, t)
-                break
-            pc, pt = pivots[piv]
-            c ^= pc
-            t ^= pt
+    cols = [A.columns[j].mask for j in allowed]
+    track = [1 << j for j in allowed]
+    owner = _eliminate(cols, track)
     r = b.mask
     comb = 0
     while r:
-        piv = r.bit_length() - 1
-        if piv not in pivots:
+        k = owner.get(r.bit_length() - 1)
+        if k is None:
             return None
-        pc, pt = pivots[piv]
-        r ^= pc
-        comb ^= pt
+        r ^= cols[k]
+        comb ^= track[k]
     return F2Vector(mask=comb)
 
 

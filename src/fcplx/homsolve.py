@@ -4,13 +4,15 @@ The triangle layer repeatedly needs maps satisfying clauses of the form
 "closed", "composite equals something up to a bounded homotopy".  Each
 clause is GF(2)-linear in the unknown maps and homotopies, so a system
 is assembled as one sparse matrix over the flat coordinates of the
-relevant hom complexes and solved exactly.
+relevant hom complexes and solved exactly.  `fill_map` states the one
+system the triangle layer solves: a closed map whose composites with
+given maps agree with given maps up to bounded homotopies.
 """
 
 from __future__ import annotations
 
-from .complexes import FilteredChainMap, HomComplex
-from .f2linalg import F2SparseMatrix, F2Vector, solve_in_span
+from .complexes import FilteredChainMap, HomComplex, _hom_column, _hom_hits
+from .f2linalg import F2SparseMatrix, F2Vector, column_reduce, solve_in_span
 
 
 def postcompose_op(H_in: HomComplex, g: FilteredChainMap,
@@ -122,11 +124,37 @@ class MapSystem:
         return out
 
 
+def fill_map(S, T, pre=(), post=()):
+    """A closed degree-0 map x: S -> T of level <= 0, or None.
+
+    For each (a, b, bound) in `pre`, x o a ~ b with the homotopy in
+    Hom(a.source, T); for each in `post`, a o x ~ b with the homotopy in
+    Hom(S, a.target).  Every homotopy has level <= its bound.  The
+    unknowns are x and then one homotopy per clause, pre before post;
+    the equations are closedness and then the clauses in that order.
+    """
+    system = MapSystem()
+    H = HomComplex(S, T)
+    system.unknown("x", H, 0, 0)
+    system.equation(H, [(diff_op(H), "x")], F2Vector())
+    clauses = [(a, b, bound, HomComplex(a.source, T), precompose_op)
+               for a, b, bound in pre]
+    clauses += [(a, b, bound, HomComplex(S, a.target), postcompose_op)
+                for a, b, bound in post]
+    for k, (a, b, bound, Hk, op) in enumerate(clauses):
+        name = system.unknown(f"h{k}", Hk, -1, bound)
+        system.equation(Hk, [(op(H, a, Hk), "x"), (diff_op(Hk), name)],
+                        Hk.encode(b))
+    sol = system.solve()
+    return None if sol is None else sol["x"]
+
+
 def closed_map_basis(S, T):
     """Basis of the space of closed degree-0 shift-<=0 maps S -> T,
-    as (kernel vectors over legal positions, positions)."""
-    from .f2linalg import column_reduce
+    as (kernel vectors over legal positions, positions).
 
+    The constraint column of position (i, j) is the differential of the
+    elementary map x_i* (x) y_j in Hom(S, T)."""
     positions = []
     for i, gs in enumerate(S.gens):
         for j, gt in enumerate(T.gens):
@@ -134,24 +162,24 @@ def closed_map_basis(S, T):
                 positions.append((i, j))
     if not positions:
         return [], positions
-    DT = T.diff_matrix()
-    DS = S.diff_matrix()
-    constraint_cols = []
-    for i, j in positions:
-        cols = [F2Vector() for _ in range(S.n)]
-        cols[i] = F2Vector([j])
-        M = FilteredChainMap(S, T, cols, 0).matrix()
-        comm = DT.matmul(M)
-        comm2 = M.matmul(DS)
-        mask = 0
-        for c_idx in range(S.n):
-            mask |= (comm.columns[c_idx].mask
-                     ^ comm2.columns[c_idx].mask) << (c_idx * T.n)
-        constraint_cols.append(F2Vector(mask=mask))
-    A = F2SparseMatrix(constraint_cols, S.n * T.n)
+    hits = _hom_hits(S, T)
+    A = F2SparseMatrix([_hom_column(S, T, hits, i, j) for i, j in positions],
+                       S.n * T.n)
     R, V = column_reduce(A)
     kernel = [V.column(j) for j in range(A.ncols) if not R.column(j)]
     return kernel, positions
+
+
+def _map_at(S, T, positions, m):
+    """The degree-0 map S -> T with an entry at each position whose bit
+    is set in m."""
+    cols = [0] * S.n
+    while m:
+        low = m & -m
+        i, j = positions[low.bit_length() - 1]
+        cols[i] |= 1 << j
+        m ^= low
+    return FilteredChainMap(S, T, [F2Vector(mask=c) for c in cols], 0)
 
 
 def enumerate_closed_maps(S, T, cap=4096):
@@ -168,14 +196,7 @@ def enumerate_closed_maps(S, T, cap=4096):
                 m ^= kernel[k].mask
             b >>= 1
             k += 1
-        cols = [0] * S.n
-        mm = m
-        while mm:
-            low = mm & -mm
-            pos = positions[low.bit_length() - 1]
-            cols[pos[0]] |= 1 << pos[1]
-            mm ^= low
-        yield FilteredChainMap(S, T, [F2Vector(mask=c) for c in cols], 0)
+        yield _map_at(S, T, positions, m)
 
 
 def random_closed_map(S, T, rng):
@@ -185,10 +206,4 @@ def random_closed_map(S, T, rng):
     for vec in kernel:
         if rng.getrandbits(1):
             m ^= vec.mask
-    cols = [0] * S.n
-    while m:
-        low = m & -m
-        pos = positions[low.bit_length() - 1]
-        cols[pos[0]] |= 1 << pos[1]
-        m ^= low
-    return FilteredChainMap(S, T, [F2Vector(mask=c) for c in cols], 0)
+    return _map_at(S, T, positions, m)

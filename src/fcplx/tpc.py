@@ -7,6 +7,13 @@ the first map, a map phi from the cone to C whose own cone is r-acyclic
 triangle maps factor through the cone maps up to shift-0 homotopy.
 All verification clauses are decided exactly by linear solves over hom
 complexes; acyclicity is decided by the barcode.
+
+Inverses of r-isomorphisms are read off canonical forms.  Every other
+witness map (the fills in rotation, the octahedron, triangle morphisms
+and weight candidates) is a closed shift-0 map x with two squares that
+commute up to bounded homotopy, found by `homsolve.fill_map(S, T, pre,
+post)`: x o a ~ b for each (a, b, bound) in pre, a o x ~ b for each in
+post, each homotopy of level <= its bound; None when there is no x.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from .complexes import (
     zero_complex,
 )
 from .barcodes import barcode, boundary_depth, canonical_form, is_r_acyclic
-from .homsolve import MapSystem, diff_op, postcompose_op, precompose_op
+from .homsolve import fill_map
 
 
 # ----------------------------------------------------------------------
@@ -405,30 +412,11 @@ def rotate(tri: WeightedTriangle, wit: TriangleWitness,
     A2 = cone(tri.v, 0)
     Tu = translate_map(tri.u)
 
-    sys = MapSystem()
-    H_pb = HomComplex(TA, A2.complex)
-    H_m = HomComplex(K.complex, A2.complex)
-    H_r = HomComplex(TA, TB)
-    sys.unknown("phibar", H_pb, 0, Fraction(0))
-    sys.unknown("hm", H_m, -1, Fraction(0))
-    sys.unknown("hr", H_r, -1, Fraction(0))
-    sys.equation(H_pb, [(diff_op(H_pb), "phibar")], F2Vector())
-    sys.equation(
-        H_m,
-        [(precompose_op(H_pb, K.project, H_m), "phibar"),
-         (diff_op(H_m), "hm")],
-        H_m.encode(compose(A2.include, wit.phi)),
-    )
-    sys.equation(
-        H_r,
-        [(postcompose_op(H_pb, A2.project, H_r), "phibar"),
-         (diff_op(H_r), "hr")],
-        H_r.encode(Tu),
-    )
-    sol = sys.solve()
-    if sol is None:
+    phibar = fill_map(TA, A2.complex,
+                      pre=[(K.project, compose(A2.include, wit.phi), 0)],
+                      post=[(A2.project, Tu, 0)])
+    if phibar is None:
         raise AssertionError("rotation fill failed on a valid triangle")
-    phibar = sol["phibar"]
     try:
         psibar, _ = r_inverses(phibar, r)
     except ValueError as exc:
@@ -468,59 +456,23 @@ def rotate_negative(tri: WeightedTriangle, wit: TriangleWitness):
     w_N = tri.v.viewed(B, shift_complex(C, -r))
     KN = cone(u_N, 0)
 
-    sys = MapSystem()
-    H_phi = HomComplex(KN.complex, B)
-    H_mid = HomComplex(A, B)
-    H_right = HomComplex(KN.complex, K.complex)
-    sys.unknown("phi", H_phi, 0, Fraction(0))
-    sys.unknown("hm", H_mid, -1, Fraction(0))
-    sys.unknown("hr", H_right, -1, Fraction(0))
-    sys.equation(H_phi, [(diff_op(H_phi), "phi")], F2Vector())
-    sys.equation(
-        H_mid,
-        [(precompose_op(H_phi, KN.include, H_mid), "phi"),
-         (diff_op(H_mid), "hm")],
-        H_mid.encode(tri.u),
-    )
-    sys.equation(
-        H_right,
-        [(postcompose_op(H_phi, K.include, H_right), "phi"),
-         (diff_op(H_right), "hr")],
-        H_right.encode(compose(wit.psi, KN.project.viewed(
-            KN.complex, wit.psi.source))),
-    )
-    sol = sys.solve()
-    if sol is None:
+    pK = compose(wit.psi, KN.project.viewed(KN.complex, wit.psi.source))
+    phi_N = fill_map(KN.complex, B, pre=[(KN.include, tri.u, 0)],
+                     post=[(K.include, pK, 0)])
+    if phi_N is None:
         raise AssertionError("negative rotation fill failed")
-    phi_N = sol["phi"]
     if not is_r_acyclic(cone(phi_N, 0).complex, 2 * r):
         raise AssertionError("negative rotation fill is not a 2r-iso")
 
-    sB = shift_complex(B, 2 * r)
-    sys2 = MapSystem()
-    H_psi = HomComplex(sB, KN.complex)
-    H_1 = HomComplex(sB, B)
-    H_2 = HomComplex(sB, shift_complex(C, r))
-    sys2.unknown("psi", H_psi, 0, Fraction(0))
-    sys2.unknown("h1", H_1, -1, Fraction(0))
-    sys2.unknown("h2", H_2, -1, Fraction(0))
-    sys2.equation(H_psi, [(diff_op(H_psi), "psi")], F2Vector())
-    sys2.equation(
-        H_1,
-        [(postcompose_op(H_psi, phi_N, H_1), "psi"), (diff_op(H_1), "h1")],
-        H_1.encode(eta(B, 2 * r)),
-    )
-    pN = KN.project.viewed(KN.complex, shift_complex(C, r))
-    sys2.equation(
-        H_2,
-        [(postcompose_op(H_psi, pN, H_2), "psi"), (diff_op(H_2), "h2")],
-        H_2.encode(tri.v.viewed(sB, shift_complex(C, r))),
-    )
-    sol2 = sys2.solve()
-    if sol2 is None:
+    sB, sC = shift_complex(B, 2 * r), shift_complex(C, r)
+    psi_N = fill_map(sB, KN.complex, post=[
+        (phi_N, eta(B, 2 * r), 0),
+        (KN.project.viewed(KN.complex, sC), tri.v.viewed(sB, sC), 0),
+    ])
+    if psi_N is None:
         raise AssertionError("negative rotation right-inverse solve failed")
     ntri = WeightedTriangle(src, A, B, u_N, tri.u, w_N, 2 * r)
-    nwit = TriangleWitness(KN.complex, phi_N, sol2["psi"])
+    nwit = TriangleWitness(KN.complex, phi_N, psi_N)
     return ntri, nwit
 
 
@@ -697,57 +649,23 @@ def octahedron(t1, w1, t2, w2):
     w4 = compose(t_map, psi_pp).viewed(B, shift_complex(TTE, -(r + s)))
 
     K4 = cone(u4, 0)
-    sysL = MapSystem()
-    H_L = HomComplex(K4.complex, B2.complex)
-    H_a = HomComplex(C, B2.complex)
-    H_b = HomComplex(K4.complex, TTE)
-    sysL.unknown("L", H_L, 0, Fraction(0))
-    sysL.unknown("ha", H_a, -1, Fraction(0))
-    sysL.unknown("hb", H_b, -1, Fraction(0))
-    sysL.equation(H_L, [(diff_op(H_L), "L")], F2Vector())
-    sysL.equation(
-        H_a,
-        [(precompose_op(H_L, K4.include, H_a), "L"), (diff_op(H_a), "ha")],
-        H_a.encode(compose(w_map, G)),
-    )
-    sysL.equation(
-        H_b,
-        [(postcompose_op(H_L, t_map, H_b), "L"), (diff_op(H_b), "hb")],
-        H_b.encode(K4.project.viewed(K4.complex, TTE)),
-    )
-    solL = sysL.solve()
-    if solL is None:
+    p4 = K4.project.viewed(K4.complex, TTE)
+    lam = fill_map(K4.complex, B2.complex,
+                   pre=[(K4.include, compose(w_map, G), 0)],
+                   post=[(t_map, p4, 0)])
+    if lam is None:
         raise AssertionError("octahedron: comparison fill failed")
-    lam = solL["L"]
     phi4 = compose(w2.phi, compose(phi_prime, lam))
     if not is_r_acyclic(cone(phi4, 0).complex, r + s):
         raise AssertionError("octahedron: witness map is not an (r+s)-iso")
 
     sB4 = shift_complex(B, r + s)
-    sys4 = MapSystem()
-    H_psi = HomComplex(sB4, K4.complex)
-    H_c = HomComplex(sB4, B)
-    H_d = HomComplex(sB4, TTE)
-    sys4.unknown("psi", H_psi, 0, Fraction(0))
-    sys4.unknown("hc", H_c, -1, Fraction(0))
-    sys4.unknown("hd", H_d, -1, Fraction(0))
-    sys4.equation(H_psi, [(diff_op(H_psi), "psi")], F2Vector())
-    sys4.equation(
-        H_c,
-        [(postcompose_op(H_psi, phi4, H_c), "psi"), (diff_op(H_c), "hc")],
-        H_c.encode(eta(B, r + s)),
-    )
-    sys4.equation(
-        H_d,
-        [(postcompose_op(H_psi, K4.project.viewed(K4.complex, TTE), H_d),
-          "psi"), (diff_op(H_d), "hd")],
-        H_d.encode(w4.viewed(sB4, TTE)),
-    )
-    sol4 = sys4.solve()
-    if sol4 is None:
+    psi4 = fill_map(sB4, K4.complex, post=[(phi4, eta(B, r + s), 0),
+                                           (p4, w4.viewed(sB4, TTE), 0)])
+    if psi4 is None:
         raise AssertionError("octahedron: right-inverse solve failed")
     d4 = WeightedTriangle(TE, C, B, u4, v4, w4, r + s)
-    wit4 = TriangleWitness(K4.complex, phi4, sol4["psi"])
+    wit4 = TriangleWitness(K4.complex, phi4, psi4)
 
     m4 = translate_map(t1.v).viewed(
         translate(F), shift_complex(translate(X), -s)
@@ -786,20 +704,7 @@ def fill_morphism(t1, w1, t2, w2, f, g):
     C2r = shift_complex(t2.C, -r)
     TA1, TA2 = translate(t1.A), translate(t2.A)
 
-    sys = MapSystem()
-    H_h = HomComplex(t1.C, C2r)
-    H_mid = HomComplex(t1.B, C2r)
-    H_right = HomComplex(t1.C, shift_complex(TA2, -(r + s)))
-    sys.unknown("h", H_h, 0, Fraction(0))
-    sys.unknown("hm", H_mid, -1, r)
-    sys.unknown("hr", H_right, -1, s)
-    sys.equation(H_h, [(diff_op(H_h), "h")], F2Vector())
     rhs_mid = compose(t2.v, g).viewed(t1.B, C2r)
-    sys.equation(
-        H_mid,
-        [(precompose_op(H_h, t1.v, H_mid), "h"), (diff_op(H_mid), "hm")],
-        H_mid.encode(rhs_mid),
-    )
     w2v = t2.w.viewed(C2r, shift_complex(TA2, -(r + s)))
     tfv = translate_map(f).viewed(
         shift_complex(TA1, -r), shift_complex(TA2, -r)
@@ -807,16 +712,11 @@ def fill_morphism(t1, w1, t2, w2, f, g):
     rhs_right = compose(tfv, t1.w).viewed(
         t1.C, shift_complex(TA2, -(r + s))
     )
-    sys.equation(
-        H_right,
-        [(postcompose_op(H_h, w2v, H_right), "h"),
-         (diff_op(H_right), "hr")],
-        H_right.encode(rhs_right),
-    )
-    sol = sys.solve()
-    if sol is None:
+    h = fill_map(t1.C, C2r, pre=[(t1.v, rhs_mid, r)],
+                 post=[(w2v, rhs_right, s)])
+    if h is None:
         raise AssertionError("fill_morphism solve failed on a valid square")
-    return sol["h"]
+    return h
 
 
 # ----------------------------------------------------------------------
@@ -851,58 +751,17 @@ def _witness_candidate(u, v, w, W):
     K = cone(u, 0)
     TA = translate(A)
 
-    sys = MapSystem()
-    H_phi = HomComplex(K.complex, C1)
-    H_1 = HomComplex(u.target, C1)
-    H_2 = HomComplex(K.complex, w.target)
-    sys.unknown("phi", H_phi, 0, Fraction(0))
-    sys.unknown("h1", H_1, -1, Fraction(0))
-    sys.unknown("h2", H_2, -1, W)
-    sys.equation(H_phi, [(diff_op(H_phi), "phi")], F2Vector())
-    sys.equation(
-        H_1,
-        [(precompose_op(H_phi, K.include, H_1), "phi"),
-         (diff_op(H_1), "h1")],
-        H_1.encode(v),
-    )
-    sys.equation(
-        H_2,
-        [(postcompose_op(H_phi, w, H_2), "phi"), (diff_op(H_2), "h2")],
-        H_2.encode(
-            compose(eta_down(TA, W).viewed(TA, w.target), K.project)
-        ),
-    )
-    sol = sys.solve()
-    if sol is None:
+    slack = compose(eta_down(TA, W).viewed(TA, w.target), K.project)
+    phi = fill_map(K.complex, C1, pre=[(K.include, v, 0)],
+                   post=[(w, slack, W)])
+    if phi is None or not is_r_acyclic(cone(phi, 0).complex, W):
         return None
-    phi = sol["phi"]
-    if not is_r_acyclic(cone(phi, 0).complex, W):
-        return None
-
     sC = shift_complex(C1, W)
-    sys2 = MapSystem()
-    H_psi = HomComplex(sC, K.complex)
-    H_3 = HomComplex(sC, C1)
-    H_4 = HomComplex(sC, TA)
-    sys2.unknown("psi", H_psi, 0, Fraction(0))
-    sys2.unknown("h3", H_3, -1, Fraction(0))
-    sys2.unknown("h4", H_4, -1, Fraction(0))
-    sys2.equation(H_psi, [(diff_op(H_psi), "psi")], F2Vector())
-    sys2.equation(
-        H_3,
-        [(postcompose_op(H_psi, phi, H_3), "psi"), (diff_op(H_3), "h3")],
-        H_3.encode(eta(C1, W)),
-    )
-    sys2.equation(
-        H_4,
-        [(postcompose_op(H_psi, K.project, H_4), "psi"),
-         (diff_op(H_4), "h4")],
-        H_4.encode(w.viewed(sC, TA)),
-    )
-    sol2 = sys2.solve()
-    if sol2 is None:
+    psi = fill_map(sC, K.complex, post=[(phi, eta(C1, W), 0),
+                                        (K.project, w.viewed(sC, TA), 0)])
+    if psi is None:
         return None
-    return TriangleWitness(K.complex, phi, sol2["psi"])
+    return TriangleWitness(K.complex, phi, psi)
 
 
 def unstable_weight_upper(u, v, w, grid=None):
