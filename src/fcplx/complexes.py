@@ -83,8 +83,12 @@ class FilteredComplex:
         return lev
 
     def __eq__(self, other):
+        if self is other:
+            return True
+        # equal complexes hash equally, so a hash mismatch settles it
         return (
             isinstance(other, FilteredComplex)
+            and self._hash == other._hash
             and self.gens == other.gens
             and self.diff == other.diff
         )

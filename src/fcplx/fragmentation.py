@@ -154,12 +154,14 @@ def canonical_projection(X: FilteredComplex, target: FilteredComplex):
     return compose(proj, fx)
 
 
-def comparison_map(S: FilteredComplex, T: FilteredComplex):
-    """The in-order bar-matching map S -> T between from_barcode-shaped
-    objects, when every matched generator moves weakly down in level.
-    Returns None when counts differ or some entry would be illegal."""
-    BS = sorted(barcode(S), key=lambda b: (b.degree, b.lo, b.hi))
-    BT = sorted(barcode(T), key=lambda b: (b.degree, b.lo, b.hi))
+def _in_order_pairs(BS: Barcode, BT: Barcode):
+    """The in-order matching of two barcodes: per (degree, infinite?)
+    class, the k-th bar of BS in (degree, lo, hi) order goes to the k-th
+    of BT.  Returns ((s, ks), (t, kt)) pairs of bars and their indices
+    in that order, or None when counts differ or some matched bar would
+    move up in level."""
+    BS = sorted(BS, key=lambda b: (b.degree, b.lo, b.hi))
+    BT = sorted(BT, key=lambda b: (b.degree, b.lo, b.hi))
     if len(BS) != len(BT):
         return None
 
@@ -178,17 +180,26 @@ def comparison_map(S: FilteredComplex, T: FilteredComplex):
         if len(a) != len(b):
             return None
         pairs.extend(zip(a, b))
+    for (bsrc, _), (btgt, _) in pairs:
+        if btgt.lo > bsrc.lo or (bsrc.hi != POS_INF and btgt.hi > bsrc.hi):
+            return None
+    return pairs
+
+
+def comparison_map(S: FilteredComplex, T: FilteredComplex):
+    """The in-order bar-matching map S -> T between from_barcode-shaped
+    objects, when every matched generator moves weakly down in level.
+    Returns None when counts differ or some entry would be illegal."""
+    pairs = _in_order_pairs(barcode(S), barcode(T))
+    if pairs is None:
+        return None
     cols = [F2Vector()] * S.n
     for (bsrc, ksrc), (btgt, ktgt) in pairs:
-        if btgt.lo > bsrc.lo:
-            return None
         if bsrc.hi == POS_INF:
             cols[S.index_of(f"i{ksrc}")] = F2Vector(
                 [T.index_of(f"i{ktgt}")]
             )
         else:
-            if btgt.hi > bsrc.hi:
-                return None
             cols[S.index_of(f"x{ksrc}")] = F2Vector([T.index_of(f"x{ktgt}")])
             cols[S.index_of(f"y{ksrc}")] = F2Vector([T.index_of(f"y{ktgt}")])
     return FilteredChainMap(S, T, cols, 0)
@@ -758,6 +769,36 @@ def _riso_strategy(X, Xp, k):
     return ConeDecomposition(tuple(steps))
 
 
+def _riso_cost(BX: Barcode, BXp: Barcode, k):
+    """The weight of _riso_strategy(X, X', k) from the barcodes alone,
+    or None exactly when that strategy gives no decomposition.
+
+    The weight is the cylinder raise plus depth(cone(m)).  The raise is
+    the depth of the eta_k cone over X': max over the bars of X' of
+    min(k, length), 0 when k = 0.  The comparison m: S^k X' -> X is a
+    sum of single-bar maps s -> t, so cone(m) is the sum of their cones:
+    of depth s.lo - t.lo for infinite bars, the longer of the two bars
+    when t ends before s starts (the map is then zero on persistence),
+    and max(s.lo - t.lo, s.hi - t.hi) otherwise."""
+    k = Fraction(k)
+    pairs = _in_order_pairs(BXp.shifted(k), BX)
+    if pairs is None:
+        return None
+    lift = Fraction(0)
+    if k:
+        lift = max((min(k, b.length()) for b in BXp), default=lift)
+    depth = Fraction(0)
+    for (s, _), (t, _) in pairs:
+        if s.hi == POS_INF:
+            d = s.lo - t.lo
+        elif t.hi <= s.lo:
+            d = max(t.hi - t.lo, s.hi - s.lo)
+        else:
+            d = max(s.lo - t.lo, s.hi - t.hi)
+        depth = max(depth, d)
+    return lift + depth
+
+
 def delta_upper(X, Xp, family: FamilySpec = EMPTY_FAMILY, via=(),
                 grid=None):
     """Certified upper bound for the one-sided fragmentation distance
@@ -766,7 +807,9 @@ def delta_upper(X, Xp, family: FamilySpec = EMPTY_FAMILY, via=(),
     Strategies: the weight-0 slot when barcodes agree; the eta slot for
     pure shifts; raised in-order comparison maps over a finite shift
     grid; the bottleneck-driven matched-pair pipeline; and through-path
-    composition via the objects in `via`.
+    composition via the objects in `via`.  The shift grid is scored
+    from barcodes; only its first lightest shift is built, and only
+    when it beats the bound already held.
     """
     BX, BXp = barcode(X), barcode(Xp)
     best = (POS_INF, None)
@@ -791,8 +834,16 @@ def delta_upper(X, Xp, family: FamilySpec = EMPTY_FAMILY, via=(),
             {Fraction(0)}
             | {a - b for a in levels for b in levels if a - b > 0}
         )
+    k_best = cost_best = None
     for k in grid:
-        consider(_riso_strategy(X, Xp, k))
+        cost = _riso_cost(BX, BXp, k)
+        if cost is not None and (cost_best is None or cost < cost_best):
+            k_best, cost_best = k, cost
+    if cost_best is not None and cost_best < best[0]:
+        D = _riso_strategy(X, Xp, k_best)
+        if D is None or D.total_weight() != cost_best:
+            raise AssertionError("raised comparison built off its score")
+        consider(D)
     bnd, D51, _, _ = prop51_pipeline(X, Xp, family)
     if D51 is not None:
         consider(D51)
@@ -943,6 +994,13 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
         if a < b
     ]
 
+    member_apexes = []
+    for memb in family.members:
+        member_apexes.append(canonical_object(memb))
+        if family.closed_shift:
+            for d in diffs[1:3]:
+                member_apexes.append(from_barcode(barcode(memb).shifted(d)))
+
     best = [POS_INF]
     seen = {}
 
@@ -965,17 +1023,10 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
                     best[0] = candidate
         if depth >= depth_budget:
             return
-        cur = from_barcode(state)
-        apexes = []
-        if not used:
-            apexes.append((slot_state_complex, True))
-        for memb in family.members:
-            apexes.append((canonical_object(memb), used))
-            if family.closed_shift:
-                for d in diffs[1:3]:
-                    apexes.append(
-                        (from_barcode(barcode(memb).shifted(d)), used)
-                    )
+        apexes = [] if used else [(slot_state_complex, True)]
+        apexes += [(apex, used) for apex in member_apexes]
+        if apexes:
+            cur = from_barcode(state)
         for apex, new_used in apexes:
             for u in enumerate_closed_maps(apex, cur, cap=512):
                 K = cone(u, 0)

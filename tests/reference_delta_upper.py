@@ -1,0 +1,61 @@
+"""`delta_upper` as it was before the shift grid was scored from
+barcodes: it builds the raised-comparison decomposition for every shift
+in the grid and keeps the lightest, first one on a tie.
+
+The tests check `fcplx.fragmentation.delta_upper` against it for a
+byte-identical (value, decomposition).  It builds one witnessed
+decomposition per grid shift, so keep inputs small.
+"""
+
+from fractions import Fraction
+
+from fcplx.barcodes import barcode
+from fcplx.fragmentation import (
+    EMPTY_FAMILY,
+    ConeDecomposition,
+    _eta_shift_candidate,
+    _riso_strategy,
+    canonical_object,
+    compose_decompositions,
+    eta_slot_triangle,
+    prop51_pipeline,
+    singleton_decomposition,
+)
+from fcplx.rationals import POS_INF
+
+
+def reference_delta_upper(X, Xp, family=EMPTY_FAMILY, via=(), grid=None):
+    BX, BXp = barcode(X), barcode(Xp)
+    best = (POS_INF, None)
+
+    def consider(D):
+        nonlocal best
+        if D is None:
+            return
+        wgt = D.total_weight()
+        if wgt < best[0]:
+            best = (wgt, D)
+
+    if BX == BXp:
+        consider(singleton_decomposition(canonical_object(Xp)))
+    r = _eta_shift_candidate(BX, BXp)
+    if r is not None:
+        tri, wit = eta_slot_triangle(canonical_object(X), r)
+        consider(ConeDecomposition(((tri, wit),)))
+    if grid is None:
+        levels = sorted({g.ell for Z in (X, Xp) for g in Z.gens})
+        grid = sorted(
+            {Fraction(0)}
+            | {a - b for a in levels for b in levels if a - b > 0}
+        )
+    for k in grid:
+        consider(_riso_strategy(X, Xp, k))
+    bnd, D51, _, _ = prop51_pipeline(X, Xp, family)
+    if D51 is not None:
+        consider(D51)
+    for mid in via:
+        v1, D1 = reference_delta_upper(X, mid, family)
+        v2, D2 = reference_delta_upper(mid, Xp, family)
+        if D1 is not None and D2 is not None:
+            consider(compose_decompositions(D1, mid, D2))
+    return best

@@ -1,0 +1,128 @@
+"""`delta_upper` scores its raised-comparison shift grid from barcodes
+(`_riso_cost`) and builds only the winning shift.  The score must equal
+the weight of the built decomposition at every grid shift, and the
+result must equal, byte for byte, that of the reference that builds
+every shift."""
+
+import random
+from fractions import Fraction
+
+from fcplx import fragmentation
+from fcplx.barcodes import Bar, Barcode, barcode, from_barcode
+from fcplx.fragmentation import _riso_cost, _riso_strategy, delta_upper
+from fcplx.rationals import POS_INF
+from fcplx.verify import GenConfig, gen_complex, random_basis_change
+
+from conftest import serialize
+from reference_delta_upper import reference_delta_upper
+
+CFG = GenConfig(seed=5150)
+LEVELS = tuple(Fraction(n, 4) for n in range(9))
+
+
+def _bars(rng, shapes):
+    """One bar per (degree, infinite?) shape, with random levels.  Bars
+    of length up to 1 on levels up to 2 leave room for a raised bar to
+    start above the end of its match."""
+    bars = []
+    for degree, infinite in shapes:
+        lo = rng.choice(LEVELS)
+        hi = POS_INF if infinite else lo + rng.choice(LEVELS[1:5])
+        bars.append(Bar(degree, lo, hi))
+    return Barcode(bars)
+
+
+def _shapes(rng, n):
+    return [(rng.randrange(2), rng.random() < 0.3) for _ in range(n)]
+
+
+def _scrambled(rng, B):
+    return random_basis_change(from_barcode(B), rng)[0]
+
+
+def _pairs():
+    """Seeded (X, X') pairs: scrambled from_barcode objects of 1-6 bars,
+    half with matching bar shapes (so the in-order comparison exists at
+    some shifts) and half drawn independently, the empty complex against
+    itself and against a few bars, and gen_complex pairs."""
+    rng = random.Random(8128)
+    pairs = []
+    for i in range(48):
+        shapes = _shapes(rng, 1 + i % 6)
+        other = shapes if i % 2 == 0 else _shapes(rng, rng.randint(1, 6))
+        pairs.append((_bars(rng, shapes), _bars(rng, other)))
+    pairs.append((Barcode(), Barcode()))
+    pairs.append((Barcode(), _bars(rng, [(0, False), (1, False)])))
+    pairs.append((Barcode(), _bars(rng, [(0, True)])))
+    out = [(_scrambled(rng, a), _scrambled(rng, b)) for a, b in pairs]
+    for off in range(8):
+        grng = CFG.rng(off)
+        out.append((gen_complex(CFG, grng, max_generators=4),
+                    gen_complex(CFG, grng, max_generators=4)))
+    return out
+
+
+def _both_ways():
+    for X, Y in _pairs():
+        yield X, Y
+        yield Y, X
+
+
+def _grid(X, Xp):
+    levels = sorted({g.ell for Z in (X, Xp) for g in Z.gens})
+    return sorted(
+        {Fraction(0)} | {a - b for a in levels for b in levels if a - b > 0}
+    )
+
+
+def test_score_equals_the_built_weight_at_every_shift():
+    seen = {"none": 0, "disjoint": 0}
+    for X, Xp in _both_ways():
+        BX, BXp = barcode(X), barcode(Xp)
+        for k in _grid(X, Xp):
+            D = _riso_strategy(X, Xp, k)
+            cost = _riso_cost(BX, BXp, k)
+            if D is None:
+                assert cost is None, (BX, BXp, k)
+                seen["none"] += 1
+                continue
+            assert cost == D.total_weight(), (BX, BXp, k)
+            pairs = fragmentation._in_order_pairs(BXp.shifted(k), BX)
+            if any(s.hi != POS_INF and t.hi <= s.lo
+                   for (s, _), (t, _) in pairs):
+                seen["disjoint"] += 1
+    # the inputs reach the refused and the disjoint-interval cases
+    assert seen["none"] and seen["disjoint"]
+
+
+def test_result_is_byte_identical_to_building_every_shift():
+    for X, Xp in _both_ways():
+        assert (serialize(delta_upper(X, Xp))
+                == serialize(reference_delta_upper(X, Xp)))
+    # a triple where the path through mid beats every direct strategy
+    q = Fraction(1, 4)
+    X, mid, Xp = (_scrambled(random.Random(7), Barcode([Bar(0, lo, hi)]))
+                  for lo, hi in ((8 * q, 10 * q), (3 * q, 5 * q),
+                                 (2 * q, 5 * q)))
+    through = delta_upper(X, Xp, via=(mid,))
+    assert through[0] < delta_upper(X, Xp)[0]
+    assert serialize(through) == serialize(
+        reference_delta_upper(X, Xp, via=(mid,)))
+
+
+def test_at_most_two_witnessed_isos_per_call(monkeypatch):
+    """The raised-comparison winner and the pipeline each attach one
+    zero-apex step; building every grid shift would attach one per
+    shift."""
+    calls = []
+    real = fragmentation.zero_apex_step
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(fragmentation, "zero_apex_step", counted)
+    for X, Xp in _both_ways():
+        calls.clear()
+        delta_upper(X, Xp, via=())
+        assert len(calls) <= 2

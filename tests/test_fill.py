@@ -6,14 +6,12 @@ from fractions import Fraction
 
 from fcplx.complexes import (
     FilteredChainMap,
-    FilteredComplex,
     compose,
     homotopic,
     make_complex,
     translate,
 )
 from fcplx.homsolve import fill_map
-from fcplx.rationals import NEG_INF, POS_INF
 from fcplx.tpc import (
     fill_morphism,
     octahedron,
@@ -24,6 +22,8 @@ from fcplx.tpc import (
 )
 from fcplx.verify import GenConfig, gen_triangle, gen_triangle_over
 
+from conftest import serialize
+
 CFG = GenConfig(seed=4242)
 SLACKS = (Fraction(0), Fraction(1, 2), Fraction(1))
 LIMIT_GRID = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
@@ -33,34 +33,6 @@ PARENT_DIGEST = (
 )
 
 
-def _ser(obj):
-    """Exact, repr-free serialization of complexes, maps, triangles,
-    witnesses and containers of them."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return repr(obj)
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, float):
-        assert obj in (NEG_INF, POS_INF)
-        return "-inf" if obj == NEG_INF else "+inf"
-    if isinstance(obj, FilteredComplex):
-        gens = ",".join(f"{g.gid}:{g.degree}:{_ser(g.ell)}" for g in obj.gens)
-        return f"X[{gens}|{','.join(hex(c.mask) for c in obj.diff)}]"
-    if isinstance(obj, FilteredChainMap):
-        cols = ",".join(hex(c.mask) for c in obj.cols)
-        return (f"M[{_ser(obj.source)}>{_ser(obj.target)}"
-                f"|{obj.degree}|{cols}]")
-    if isinstance(obj, dict):
-        return "{" + ",".join(f"{k}={_ser(v)}"
-                              for k, v in sorted(obj.items())) + "}"
-    if hasattr(obj, "__dataclass_fields__"):
-        return type(obj).__name__ + "(" + ",".join(
-            _ser(getattr(obj, f)) for f in obj.__dataclass_fields__) + ")"
-    if isinstance(obj, (tuple, list)):
-        return "(" + ",".join(_ser(x) for x in obj) + ")"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def _outputs(n=200):
     """One line per construction per seeded input: rotate with the
     improvement search, rotate_negative, octahedron, fill_morphism into
@@ -68,16 +40,17 @@ def _outputs(n=200):
     for off in range(n):
         rng = CFG.rng(off)
         t1, w1 = gen_triangle(CFG, rng)
-        yield _ser(rotate(t1, w1, try_improve=True))
-        yield _ser(rotate_negative(t1, w1))
+        yield serialize(rotate(t1, w1, try_improve=True))
+        yield serialize(rotate_negative(t1, w1))
         t2, w2 = gen_triangle_over(t1.C, CFG, rng)
-        yield _ser(octahedron(t1, w1, t2, w2))
+        yield serialize(octahedron(t1, w1, t2, w2))
         t3, w3 = relax_weight(t1, w1, rng.choice(SLACKS))
-        yield _ser(fill_morphism(t1, w1, t3, w3,
-                                 FilteredChainMap.identity(t1.A),
-                                 FilteredChainMap.identity(t1.B)))
+        yield serialize(fill_morphism(t1, w1, t3, w3,
+                                      FilteredChainMap.identity(t1.A),
+                                      FilteredChainMap.identity(t1.B)))
         w_lim = t1.w.viewed(t1.C, translate(t1.A))
-        yield _ser(unstable_weight_upper(t1.u, t1.v, w_lim, grid=LIMIT_GRID))
+        yield serialize(unstable_weight_upper(t1.u, t1.v, w_lim,
+                                              grid=LIMIT_GRID))
 
 
 def _digest():
