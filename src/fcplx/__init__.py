@@ -20,6 +20,7 @@ from .complexes import (
     parse_map,
     shift_complex,
     shift_of_map,
+    sum_complexes,
     translate,
     translate_inverse,
     zero_complex,
@@ -54,6 +55,7 @@ from .tpc import (
     spectral_invariant,
     stable_weight_upper,
     sum_triangles,
+    sum_triangles_many,
     triangle_from_morphism,
     unstable_weight_upper,
     verify_triangle,

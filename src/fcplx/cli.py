@@ -400,6 +400,8 @@ def cmd_check(args):
     text = "".join(rep.to_text() for rep in reports)
     _emit(args, text, {"reports": [rep.to_json() for rep in reports],
                        "ok": ok})
+    if any(rep.fault for rep in reports):
+        return 3  # an internal fault, not a failed claim
     return 0 if ok else 1
 
 

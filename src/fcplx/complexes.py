@@ -333,47 +333,44 @@ class DirectSum(NamedTuple):
     project_right: FilteredChainMap
 
 
-def _disambiguate(left_ids, right_ids):
-    taken = set(left_ids)
+def _disambiguate(*id_lists):
+    """Ids of a disjoint union, in order: an id already taken by an
+    earlier generator is primed until it is free."""
+    taken = set()
     out = []
-    for gid in right_ids:
-        new = gid
-        while new in taken:
-            new = new + "'"
-        taken.add(new)
-        out.append(new)
+    for ids in id_lists:
+        for gid in ids:
+            while gid in taken:
+                gid = gid + "'"
+            taken.add(gid)
+            out.append(gid)
     return out
+
+
+def sum_complexes(parts):
+    """Direct sum of a list of complexes and each part's generator
+    offset.  Bases are concatenated in order and each part's
+    differential is shifted by its offset; the ids are those of the
+    left fold of `direct_sum`."""
+    offsets = []
+    n = 0
+    for p in parts:
+        offsets.append(n)
+        n += p.n
+    nonzero = [p for p in parts if not p.is_zero()]
+    if len(nonzero) <= 1:
+        return (nonzero[0] if nonzero else zero_complex()), offsets
+    ids = _disambiguate(*([g.gid for g in p.gens] for p in parts))
+    gens = [Generator(gid, g.degree, g.ell)
+            for gid, g in zip(ids, (g for p in parts for g in p.gens))]
+    cols = [F2Vector(mask=c.mask << off)
+            for p, off in zip(parts, offsets) for c in p.diff]
+    return FilteredComplex(gens, cols), offsets
 
 
 def direct_sum(X: FilteredComplex, Y: FilteredComplex) -> DirectSum:
     """Disjoint union of bases; colliding right ids get primed."""
-    if X.is_zero():
-        idy = FilteredChainMap.identity(Y)
-        return DirectSum(
-            Y,
-            FilteredChainMap.zero(X, Y),
-            idy,
-            FilteredChainMap.zero(Y, X),
-            idy,
-        )
-    if Y.is_zero():
-        idx = FilteredChainMap.identity(X)
-        return DirectSum(
-            X,
-            idx,
-            FilteredChainMap.zero(Y, X),
-            idx,
-            FilteredChainMap.zero(X, Y),
-        )
-    right_ids = _disambiguate([g.gid for g in X.gens], [g.gid for g in Y.gens])
-    gens = list(X.gens) + [
-        Generator(right_ids[i], g.degree, g.ell) for i, g in enumerate(Y.gens)
-    ]
-    off = X.n
-    cols = list(X.diff) + [
-        F2Vector(mask=c.mask << off) for c in Y.diff
-    ]
-    Z = FilteredComplex(gens, cols)
+    Z, (_, off) = sum_complexes([X, Y])
     inc_l = FilteredChainMap(
         X, Z, [F2Vector(mask=1 << i) for i in range(X.n)], 0
     )
@@ -393,13 +390,6 @@ def direct_sum(X: FilteredComplex, Y: FilteredComplex) -> DirectSum:
         0,
     )
     return DirectSum(Z, inc_l, inc_r, proj_l, proj_r)
-
-
-def map_direct_sum(f, g, sum_src: DirectSum, sum_tgt: DirectSum):
-    """Block-diagonal f (+) g between prepared direct sums."""
-    left = compose(sum_tgt.include_left, compose(f, sum_src.project_left))
-    right = compose(sum_tgt.include_right, compose(g, sum_src.project_right))
-    return left + right
 
 
 # ----------------------------------------------------------------------
@@ -474,11 +464,12 @@ def cone(f: FilteredChainMap, lam=0) -> ConeResult:
             (),
             tuple(range(X.n)),
         )
-    x_ids = _disambiguate(
+    ids = _disambiguate(
         [g.gid for g in Y.gens], ["t." + g.gid for g in X.gens]
     )
     gens = list(Y.gens) + [
-        Generator(x_ids[i], g.degree, g.ell) for i, g in enumerate(tx.gens)
+        Generator(ids[Y.n + i], g.degree, g.ell)
+        for i, g in enumerate(tx.gens)
     ]
     off = Y.n
     cols = list(Y.diff)

@@ -25,9 +25,9 @@ from .complexes import (
     FilteredComplex,
     compose,
     cone,
-    direct_sum,
     make_complex,
     shift_complex,
+    sum_complexes,
     translate,
     translate_inverse,
     zero_complex,
@@ -47,8 +47,9 @@ from .tpc import (
     WeightedTriangle,
     contraction_inverse,
     identity_triangle,
-    sum_triangles,
     octahedron,
+    sum_triangles,
+    sum_triangles_many,
     triangle_from_morphism,
     verify_triangle,
 )
@@ -546,48 +547,6 @@ def merge_slot_decompositions(DA, xprimeA, DB, xprimeB):
     return ConeDecomposition(tuple(steps))
 
 
-
-def _sum_many(parts):
-    """Iterated direct sum with the final inclusion map of every part."""
-    total = zero_complex()
-    folds = []
-    for p in parts:
-        s = direct_sum(total, p)
-        folds.append(s)
-        total = s.complex
-    includes = []
-    for j in range(len(parts)):
-        inc = folds[j].include_right
-        for k in range(j + 1, len(parts)):
-            inc = compose(folds[k].include_left, inc)
-        includes.append(inc)
-    return total, includes
-
-
-def _fold_projections(parts):
-    """Projections of the left-fold direct sum onto each part, matching
-    the fold performed by repeated sum_triangles calls."""
-    folds = []
-    run = parts[0]
-    for obj in parts[1:]:
-        s = direct_sum(run, obj)
-        folds.append(s)
-        run = s.complex
-    total = run
-    projs = []
-    for idx in range(len(parts)):
-        proj = FilteredChainMap.identity(total)
-        out = None
-        for k in range(len(folds) - 1, -1, -1):
-            s = folds[k]
-            if idx == k + 1:
-                out = compose(s.project_right, proj)
-                break
-            proj = compose(s.project_left, proj)
-        projs.append(out if out is not None else proj)
-    return projs
-
-
 # ----------------------------------------------------------------------
 # the matched-pair pipeline
 
@@ -639,18 +598,17 @@ def prop51_pipeline(X, Y, family: FamilySpec = EMPTY_FAMILY):
     tau, wit = bottleneck(BX, BY)
     if tau == POS_INF:
         return POS_INF, None, POS_INF, cap
-    blocks = []  # (slot triangle, witness, H, output, down map, mu)
+    blocks = []  # (slot triangle, witness, down map, output, mu)
     for bx, by in wit.matched:
-        H, u, mu = _pair_block(bx, by)
-        K = cone(u, 0)
-        tri, twit = triangle_from_morphism(u)
+        _, u, mu = _pair_block(bx, by)
+        tri, twit = triangle_from_morphism(u)  # u has shift 0: C = cone(u)
         shifted = from_barcode(Barcode([bx]).shifted(mu))
-        proj = canonical_projection(K.complex, shifted)
+        proj = canonical_projection(tri.C, shifted)
         tgt = from_barcode(Barcode([bx]))
         down = compose(
             FilteredChainMap.identity(tgt).viewed(shifted, tgt), proj
         )
-        blocks.append((tri, twit, H, K.complex, down, tgt, mu))
+        blocks.append((tri, twit, down, tgt, mu))
     shorts_y = list(wit.short2)
     shorts_x = list(wit.short1)
     SX = from_barcode(Barcode(shorts_x))
@@ -662,33 +620,23 @@ def prop51_pipeline(X, Y, family: FamilySpec = EMPTY_FAMILY):
             Barcode([bs]))))
     if not SX.is_zero() or not slot_parts:
         slot_parts.append(identity_triangle(SX))
-    merged = slot_parts[0]
-    for part in slot_parts[1:]:
-        merged = sum_triangles(merged[0], merged[1], part[0], part[1])
+    merged = sum_triangles_many(slot_parts)
     H_tot = merged[0].B
     if not H_tot.is_zero():
         steps.append(acyclic_from_zero_step(H_tot))
     steps.append(merged)
     M_tot = merged[0].C
 
-    # final down move, block-diagonal over the component fold of M_tot
-    n_pairs = len(blocks)
-    targets = [b[5] for b in blocks] + [SX]
-    total, includes = _sum_many(targets)
-    comp_objs = [tri.C for tri, _ in slot_parts]
-    comp_projs = _fold_projections(comp_objs)
-    down_total = FilteredChainMap.zero(M_tot, total)
-    for j in range(len(slot_parts)):
-        if j < n_pairs:
-            dm = compose(blocks[j][4], comp_projs[j])
-            tgt_idx = j
-        elif j < n_pairs + len(shorts_y):
-            continue  # collapsed blocks output zero
-        else:
-            dm = comp_projs[j]  # the X-short carry maps identically
-            tgt_idx = n_pairs
-        down_total = down_total + compose(includes[tgt_idx], dm)
-    W_fin = max([b[6] for b in blocks], default=Fraction(0))
+    # final down move, block-diagonal over the parts of M_tot: each pair
+    # block's down map, then the identity on the X-short carry (the
+    # collapsed Y-shorts have no generators)
+    total, offsets = sum_complexes([b[3] for b in blocks] + [SX])
+    cols = []
+    for (_, _, down, _, _), off in zip(blocks, offsets):
+        cols += [F2Vector(mask=c.mask << off) for c in down.cols]
+    cols += [F2Vector(mask=1 << (offsets[-1] + i)) for i in range(SX.n)]
+    down_total = FilteredChainMap(M_tot, total, cols, 0)
+    W_fin = max([b[4] for b in blocks], default=Fraction(0))
     if not (M_tot.is_zero() and total.is_zero()):
         steps.append(zero_apex_step(M_tot, total, down_total, W_fin))
     D = ConeDecomposition(tuple(steps))
@@ -844,9 +792,8 @@ def delta_upper(X, Xp, family: FamilySpec = EMPTY_FAMILY, via=(),
         if D is None or D.total_weight() != cost_best:
             raise AssertionError("raised comparison built off its score")
         consider(D)
-    bnd, D51, _, _ = prop51_pipeline(X, Xp, family)
-    if D51 is not None:
-        consider(D51)
+    if best[0] > 0:  # nothing beats a weight-0 bound
+        consider(prop51_pipeline(X, Xp, family)[1])
     for mid in via:
         v1, D1 = delta_upper(X, mid, family)
         v2, D2 = delta_upper(mid, Xp, family)

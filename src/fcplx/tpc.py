@@ -29,14 +29,13 @@ from .complexes import (
     HomComplex,
     compose,
     cone,
-    direct_sum,
     eta,
     eta_down,
     homotopic,
-    map_direct_sum,
     nullhomotopy,
     shift_complex,
     shift_of_map,
+    sum_complexes,
     translate,
     translate_inverse,
     translate_map,
@@ -480,71 +479,64 @@ def rotate_negative(tri: WeightedTriangle, wit: TriangleWitness):
 # direct sums of triangles
 
 
+def _block_diagonal(maps, source, target, tgt_off):
+    """The sum of the parts' maps between the sums `source` and
+    `target`: part i's columns, in order, shifted by its target offset.
+    All parts must share one degree."""
+    degrees = {f.degree for f in maps}
+    if len(degrees) > 1:
+        raise ValueError("cannot add maps of different degrees")
+    cols = [F2Vector(mask=c.mask << to)
+            for f, to in zip(maps, tgt_off) for c in f.cols]
+    return FilteredChainMap(source, target, cols, degrees.pop())
+
+
+def sum_triangles_many(parts):
+    """Direct sum of (triangle, witness) parts, built once; the weight
+    is the max of the parts' weights.
+
+    Objects are `sum_complexes` of the parts' objects, so the ids are
+    those of the left fold of binary sums; u, v and w are
+    block-diagonal by offset, each part's w keeping its own matrix into
+    S^-m T SA.  The witness maps each part's cone coordinates (B block,
+    then A block) into the one cone of the summed u.  One part is
+    returned unchanged; parts whose u, v or w degrees differ raise
+    ValueError.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    tris = [t for t, _ in parts]
+    m = max(Fraction(t.weight) for t in tris)
+    SA, offA = sum_complexes([t.A for t in tris])
+    SB, offB = sum_complexes([t.B for t in tris])
+    SC, offC = sum_complexes([t.C for t in tris])
+    u = _block_diagonal([t.u for t in tris], SA, SB, offB)
+    v = _block_diagonal([t.v for t in tris], SB, SC, offC)
+    w = _block_diagonal([t.w for t in tris], SC,
+                        shift_complex(translate(SA), -m), offA)
+    tri = WeightedTriangle(SA, SB, SC, u, v, w, m)
+
+    K = cone(u, 0).complex
+    phi_cols = [None] * K.n
+    psi_cols = []
+    for (t, wit), oa, ob, oc in zip(parts, offA, offB, offC):
+        nb = t.B.n
+        low = (1 << nb) - 1
+        a_at = SB.n + oa  # outer index of the part's first A generator
+        for j, col in enumerate(wit.phi.cols):
+            phi_cols[ob + j if j < nb else a_at + j - nb] = F2Vector(
+                mask=col.mask << oc)
+        for col in wit.psi.cols:
+            psi_cols.append(F2Vector(
+                mask=((col.mask & low) << ob) | ((col.mask >> nb) << a_at)))
+    phi = FilteredChainMap(K, SC, phi_cols, 0)
+    psi = FilteredChainMap(shift_complex(SC, m), K, psi_cols, 0)
+    return tri, TriangleWitness(K, phi, psi)
+
+
 def sum_triangles(t1, w1, t2, w2):
     """Componentwise direct sum; the weight is max of the two."""
-    r, s = Fraction(t1.weight), Fraction(t2.weight)
-    m = max(r, s)
-    SA = direct_sum(t1.A, t2.A)
-    SB = direct_sum(t1.B, t2.B)
-    SC = direct_sum(t1.C, t2.C)
-    u = map_direct_sum(t1.u, t2.u, SA, SB)
-    v = map_direct_sum(t1.v, t2.v, SB, SC)
-    TS = shift_complex(translate(SA.complex), -m)
-    inc_l = translate_map(SA.include_left).viewed(
-        shift_complex(translate(t1.A), -m), TS
-    )
-    inc_r = translate_map(SA.include_right).viewed(
-        shift_complex(translate(t2.A), -m), TS
-    )
-    w1v = t1.w.viewed(t1.C, shift_complex(t1.w.target, r - m))
-    w2v = t2.w.viewed(t2.C, shift_complex(t2.w.target, s - m))
-    w = compose(inc_l, compose(w1v, SC.project_left)) + compose(
-        inc_r, compose(w2v, SC.project_right)
-    )
-    tri = WeightedTriangle(SA.complex, SB.complex, SC.complex, u, v, w, m)
-
-    K = cone(u, 0)
-    K1 = cone(t1.u, 0)
-    K2 = cone(t2.u, 0)
-    n_b1, n_b2 = t1.B.n, t2.B.n
-    n_a1 = t1.A.n
-
-    def outer_index(which, inner_idx):
-        # inner cone coordinates -> outer cone coordinates
-        if which == 1:
-            if inner_idx < n_b1:
-                return inner_idx
-            return SB.complex.n + (inner_idx - n_b1)
-        if inner_idx < n_b2:
-            return n_b1 + inner_idx
-        return SB.complex.n + n_a1 + (inner_idx - n_b2)
-
-    def embed_vec(which, vec):
-        mask = 0
-        for i in vec:
-            mask |= 1 << outer_index(which, i)
-        return F2Vector(mask=mask)
-
-    # phi: K -> SC
-    phi_cols = [None] * K.complex.n
-    for j in range(K1.complex.n):
-        col = w1.phi.cols[j]
-        phi_cols[outer_index(1, j)] = SC.include_left.apply(col)
-    for j in range(K2.complex.n):
-        col = w2.phi.cols[j]
-        phi_cols[outer_index(2, j)] = SC.include_right.apply(col)
-    phi = FilteredChainMap(K.complex, SC.complex, phi_cols, 0)
-
-    # psi: S^m SC -> K
-    psi_cols = [None] * SC.complex.n
-    for c in range(t1.C.n):
-        psi_cols[c] = embed_vec(1, w1.psi.cols[c])
-    for c in range(t2.C.n):
-        psi_cols[t1.C.n + c] = embed_vec(2, w2.psi.cols[c])
-    psi = FilteredChainMap(
-        shift_complex(SC.complex, m), K.complex, psi_cols, 0
-    )
-    return tri, TriangleWitness(K.complex, phi, psi)
+    return sum_triangles_many([(t1, w1), (t2, w2)])
 
 
 # ----------------------------------------------------------------------

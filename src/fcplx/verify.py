@@ -339,6 +339,11 @@ class SuiteReport:
     def ok(self):
         return not self.failures
 
+    @property
+    def fault(self):
+        """A trial raised: a fault in fcplx, not a failed claim."""
+        return any(claim == "exception" for _, claim, _ in self.failures)
+
     def to_text(self):
         lines = [
             f"suite {self.suite}: {self.trials} trials, "
@@ -351,7 +356,7 @@ class SuiteReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self):
-        return {
+        out = {
             "suite": self.suite,
             "trials": self.trials,
             "failures": [
@@ -359,6 +364,9 @@ class SuiteReport:
                 for o, c, p in self.failures
             ],
         }
+        if self.fault:
+            out["fault"] = True
+        return out
 
 
 def _payload(**parts):

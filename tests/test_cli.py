@@ -110,6 +110,36 @@ def test_check_exits_clean_and_writes_cache(workdir, capsys, monkeypatch):
     assert code == 2
 
 
+def test_check_reports_a_raising_trial_as_a_fault(workdir, capsys,
+                                                monkeypatch):
+    from fcplx import verify
+
+    def broken(cfg, rng):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(verify.SUITES, "rotation", broken)
+    code, out, _ = run(capsys, "check", "--suite", "rotation",
+                       "--trials", "2", "--json")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    (report,) = payload["reports"]
+    assert report["fault"] is True
+    assert report["suite"] == "rotation" and report["trials"] == 2
+    assert [(f["offset"], f["claim"]) for f in report["failures"]] == [
+        (0, "exception"), (1, "exception")]
+    assert "ZeroDivisionError: boom" in report["failures"][0]["payload"]
+    # the failed trial stays replayable from its offset
+    with pytest.raises(ZeroDivisionError):
+        verify.replay_trial("rotation", verify.GenConfig(seed=0), 1)
+    # a failed claim is not a fault: exit 1 and no "fault" key
+    monkeypatch.setitem(verify.SUITES, "rotation",
+                        lambda cfg, rng: [("claim", "payload")])
+    code, out, _ = run(capsys, "check", "--suite", "rotation",
+                       "--trials", "1", "--json")
+    assert code == 1 and "fault" not in json.loads(out)["reports"][0]
+
+
 def test_malformed_inputs_exit_two(workdir, capsys):
     code, _, err = run(capsys, "barcode", "missing.cplx")
     assert code == 2

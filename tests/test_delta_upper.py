@@ -126,3 +126,27 @@ def test_at_most_two_witnessed_isos_per_call(monkeypatch):
         calls.clear()
         delta_upper(X, Xp, via=())
         assert len(calls) <= 2
+
+
+def test_no_pipeline_once_a_weight_zero_bound_is_held(monkeypatch):
+    """Equal barcodes give the weight-0 slot first; consider's strict <
+    means nothing can replace it, so the pipeline is not run."""
+    calls = []
+    real = fragmentation.prop51_pipeline
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(fragmentation, "prop51_pipeline", counted)
+    rng = random.Random(2718)
+    for n in range(7):
+        B = _bars(rng, _shapes(rng, n))
+        X, Xp = _scrambled(rng, B), _scrambled(rng, B)
+        value, D = delta_upper(X, Xp)
+        assert value == 0 and D is not None
+        assert serialize((value, D)) == serialize(reference_delta_upper(X, Xp))
+    assert not calls
+    X, Xp = _pairs()[1]  # independent bars: a positive bound
+    assert barcode(X) != barcode(Xp)
+    assert delta_upper(X, Xp)[0] > 0 and calls
