@@ -493,14 +493,32 @@ def cone(f: FilteredChainMap, lam=0) -> ConeResult:
 # hom complexes and nullhomotopies
 
 
-def _hom_hits(X, Y):
-    """Per s, the flat positions (s', 0) of every x_s' whose d(x_s')
-    contains x_s; shifted by t they give the h o dX part of column
-    (s, t) of Hom(X, Y)."""
-    hits = [0] * X.n
-    for sp in range(X.n):
-        for s in X.diff[sp]:
-            hits[s] |= 1 << (sp * Y.n)
+def _hom_pairs(X, Y, degree, bound=None):
+    """The (s, t) of Hom(X, Y) of degree `degree` and, given a bound, of
+    level <= bound, in flat order: the elementary maps x_s* (x) y_t a
+    solve may use."""
+    by_degree = {}
+    for t, gt in enumerate(Y.gens):
+        by_degree.setdefault(gt.degree, []).append(t)
+    pairs = []
+    for s, gs in enumerate(X.gens):
+        ts = by_degree.get(gs.degree + degree, ())
+        if bound is not None:
+            top = gs.ell + bound
+            ts = [t for t in ts if Y.gens[t].ell <= top]
+        pairs.extend((s, t) for t in ts)
+    return pairs
+
+
+def _hom_hits(cols, n, nY):
+    """Per s < n, the flat positions (s', 0) of every s' whose column in
+    `cols` contains s.  Shifted by t they give the h o a part of column
+    (s, t) of Hom(X, Y), for a map a with these columns into X: with
+    a = dX this is the h o dX part of the differential."""
+    hits = [0] * n
+    for sp, c in enumerate(cols):
+        for s in c:
+            hits[s] |= 1 << (sp * nY)
     return hits
 
 
@@ -509,12 +527,33 @@ def _hom_column(X, Y, hits, s, t) -> F2Vector:
     return F2Vector(mask=(Y.diff[t].mask << (s * Y.n)) | (hits[s] << t))
 
 
+def _flat(f: FilteredChainMap) -> int:
+    """f as a mask over the flat coordinates s * |target| + t."""
+    m = 0
+    nY = f.target.n
+    for s, c in enumerate(f.cols):
+        m |= c.mask << (s * nY)
+    return m
+
+
+def _map_at(X, Y, pairs, mask, degree) -> FilteredChainMap:
+    """The map X -> Y with an entry at pairs[k] for each bit k of mask."""
+    cols = [0] * X.n
+    while mask:
+        low = mask & -mask
+        s, t = pairs[low.bit_length() - 1]
+        cols[s] |= 1 << t
+        mask ^= low
+    return FilteredChainMap(X, Y, [F2Vector(mask=c) for c in cols], degree)
+
+
 class HomComplex:
     """Hom(X, Y) as a filtered complex on elementary maps x* (x) y.
 
     Flat index of the pair (s, t) is s * Y.n + t.  An elementary map
     has degree deg(t) - deg(s) and level ell(t) - ell(s); the
-    differential is h -> dY o h + h o dX.
+    differential is h -> dY o h + h o dX.  Solvers build only the
+    slices they use (`_hom_pairs`).
     """
 
     __slots__ = ("X", "Y", "complex")
@@ -524,7 +563,7 @@ class HomComplex:
         object.__setattr__(self, "Y", Y)
         gens = []
         cols = []
-        hits = _hom_hits(X, Y)
+        hits = _hom_hits(X.diff, X.n, Y.n)
         for s, gs in enumerate(X.gens):
             for t, gt in enumerate(Y.gens):
                 gens.append(
@@ -542,20 +581,12 @@ class HomComplex:
     def encode(self, f: FilteredChainMap) -> F2Vector:
         if f.source != self.X or f.target != self.Y:
             raise ValueError("map does not live in this hom complex")
-        m = 0
-        nY = self.Y.n
-        for s, c in enumerate(f.cols):
-            m |= c.mask << (s * nY)
-        return F2Vector(mask=m)
+        return F2Vector(mask=_flat(f))
 
     def decode(self, vec: F2Vector, degree) -> FilteredChainMap:
         nY = self.Y.n
-        cols = [0] * self.X.n
-        for flat in vec:
-            cols[flat // nY] |= 1 << (flat % nY)
-        return FilteredChainMap(
-            self.X, self.Y, [F2Vector(mask=m) for m in cols], degree
-        )
+        flat = [divmod(i, nY) for i in range(self.X.n * nY)]
+        return _map_at(self.X, self.Y, flat, vec.mask, degree)
 
     def gens_with(self, degree=None, max_level=None):
         """Flat indices filtered by degree and level bound."""
@@ -584,30 +615,14 @@ def nullhomotopy(f: FilteredChainMap, bound):
     if f.is_zero():
         return FilteredChainMap.zero(f.source, f.target, f.degree - 1)
     X, Y = f.source, f.target
-    nY = Y.n
-    hits = _hom_hits(X, Y)
-    by_degree = {}
-    for t, gt in enumerate(Y.gens):
-        by_degree.setdefault(gt.degree, []).append(t)
-    pairs = []
-    cols = []
-    for s, gs in enumerate(X.gens):
-        for t in by_degree.get(gs.degree + f.degree - 1, ()):
-            if Y.gens[t].ell - gs.ell > bound:
-                continue
-            pairs.append((s, t))
-            cols.append(_hom_column(X, Y, hits, s, t))
-    rhs = sum(c.mask << (s * nY) for s, c in enumerate(f.cols))
-    x = solve_in_span(F2SparseMatrix(cols, X.n * nY), F2Vector(mask=rhs))
+    hits = _hom_hits(X.diff, X.n, Y.n)
+    pairs = _hom_pairs(X, Y, f.degree - 1, bound)
+    cols = [_hom_column(X, Y, hits, s, t) for s, t in pairs]
+    x = solve_in_span(F2SparseMatrix(cols, X.n * Y.n),
+                      F2Vector(mask=_flat(f)))
     if x is None:
         return None
-    out = [0] * X.n
-    for k in x:
-        s, t = pairs[k]
-        out[s] |= 1 << t
-    return FilteredChainMap(
-        X, Y, [F2Vector(mask=m) for m in out], f.degree - 1
-    )
+    return _map_at(X, Y, pairs, x.mask, f.degree - 1)
 
 
 def is_nullhomotopic_within(f: FilteredChainMap, s):

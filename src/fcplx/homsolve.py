@@ -3,64 +3,39 @@
 The triangle layer repeatedly needs maps satisfying clauses of the form
 "closed", "composite equals something up to a bounded homotopy".  Each
 clause is GF(2)-linear in the unknown maps and homotopies, so a system
-is assembled as one sparse matrix over the flat coordinates of the
-relevant hom complexes and solved exactly.  `fill_map` states the one
-system the triangle layer solves: a closed map whose composites with
-given maps agree with given maps up to bounded homotopies.
+is assembled as one sparse matrix and solved exactly.  Its unknowns
+live on degree and level slices of Hom: a map of level <= 0 on the
+degree-0 elementary maps of level <= 0, a homotopy on the degree -1
+ones under its bound (`complexes._hom_pairs`), so no whole hom complex
+is built.  `fill_map` states the one system the triangle layer solves:
+a closed map whose composites with given maps agree with given maps up
+to bounded homotopies.
 """
 
 from __future__ import annotations
 
-from .complexes import FilteredChainMap, HomComplex, _hom_column, _hom_hits
+from .complexes import (
+    HomComplex,
+    _flat,
+    _hom_column,
+    _hom_hits,
+    _hom_pairs,
+    _map_at,
+)
 from .f2linalg import F2SparseMatrix, F2Vector, column_reduce, solve_in_span
 
 
-def postcompose_op(H_in: HomComplex, g: FilteredChainMap,
-                   H_out: HomComplex) -> F2SparseMatrix:
-    """Matrix of h -> g o h from Hom(X, Y) to Hom(X, Z), g: Y -> Z."""
-    if H_in.X != H_out.X or g.source != H_in.Y or g.target != H_out.Y:
-        raise ValueError("postcompose_op anchors do not match")
-    nY, nZ = H_in.Y.n, H_out.Y.n
-    cols = []
-    for s in range(H_in.X.n):
-        for t in range(nY):
-            m = 0
-            for z in g.cols[t]:
-                m |= 1 << (s * nZ + z)
-            cols.append(F2Vector(mask=m))
-    return F2SparseMatrix(cols, H_out.complex.n)
-
-
-def precompose_op(H_in: HomComplex, g: FilteredChainMap,
-                  H_out: HomComplex) -> F2SparseMatrix:
-    """Matrix of h -> h o g from Hom(X, Y) to Hom(W, Y), g: W -> X."""
-    if H_in.Y != H_out.Y or g.target != H_in.X or g.source != H_out.X:
-        raise ValueError("precompose_op anchors do not match")
-    nY = H_in.Y.n
-    # (h o g)(w) = h(g(w)): coefficient of (w, t) collects h_(s, t)
-    # over s in supp g(w)
-    cols = []
-    for s in range(H_in.X.n):
-        hits = [w for w in range(g.source.n) if s in g.cols[w]]
-        for t in range(nY):
-            m = 0
-            for w in hits:
-                m |= 1 << (w * nY + t)
-            cols.append(F2Vector(mask=m))
-    return F2SparseMatrix(cols, H_out.complex.n)
-
-
-def diff_op(H: HomComplex) -> F2SparseMatrix:
-    return H.complex.diff_matrix()
-
-
 class MapSystem:
-    """A GF(2)-linear system whose unknowns are filtered maps.
+    """A GF(2)-linear system whose unknowns are filtered maps, over
+    whole hom complexes.
 
     Unknowns are declared with a hom complex, a degree and a level
     bound; equations are lists of (operator matrix, unknown name) terms
     plus a right-hand side in some hom complex.  solve() returns a dict
-    of FilteredChainMaps or None.
+    of FilteredChainMaps or None.  The library's solves build only
+    slices of Hom; this general solver is the one the reference solvers
+    in tests/reference_*.py state their systems with, and the
+    benchmark's tracer names `MapSystem.solve`.
     """
 
     def __init__(self):
@@ -133,20 +108,39 @@ def fill_map(S, T, pre=(), post=()):
     unknowns are x and then one homotopy per clause, pre before post;
     the equations are closedness and then the clauses in that order.
     """
-    system = MapSystem()
-    H = HomComplex(S, T)
-    system.unknown("x", H, 0, 0)
-    system.equation(H, [(diff_op(H), "x")], F2Vector())
-    clauses = [(a, b, bound, HomComplex(a.source, T), precompose_op)
-               for a, b, bound in pre]
-    clauses += [(a, b, bound, HomComplex(S, a.target), postcompose_op)
-                for a, b, bound in post]
-    for k, (a, b, bound, Hk, op) in enumerate(clauses):
-        name = system.unknown(f"h{k}", Hk, -1, bound)
-        system.equation(Hk, [(op(H, a, Hk), "x"), (diff_op(Hk), name)],
-                        Hk.encode(b))
-    sol = system.solve()
-    return None if sol is None else sol["x"]
+    xs = _hom_pairs(S, T, 0, 0)
+    # per clause: the homotopy's Hom(X, Y), b, its bound, and the x part
+    # of the clause's rows, one mask per x column
+    blocks = []
+    for a, b, bound in pre:
+        if a.target != S or (b.source, b.target) != (a.source, T):
+            raise ValueError("pre clause anchors do not match")
+        hits = _hom_hits(a.cols, S.n, T.n)
+        blocks.append((a.source, T, b, bound, [hits[s] << t for s, t in xs]))
+    for a, b, bound in post:
+        if a.source != T or (b.source, b.target) != (S, a.target):
+            raise ValueError("post clause anchors do not match")
+        nZ = a.target.n
+        blocks.append((S, a.target, b, bound,
+                       [a.cols[t].mask << (s * nZ) for s, t in xs]))
+    hits = _hom_hits(S.diff, S.n, T.n)
+    cols = [_hom_column(S, T, hits, s, t).mask for s, t in xs]
+    hcols = []
+    rhs = 0
+    base = S.n * T.n
+    for X, Y, b, bound, part in blocks:
+        for k, m in enumerate(part):
+            cols[k] |= m << base
+        hits = _hom_hits(X.diff, X.n, Y.n)
+        hcols += [_hom_column(X, Y, hits, s, t).mask << base
+                  for s, t in _hom_pairs(X, Y, -1, bound)]
+        rhs |= _flat(b) << base
+        base += X.n * Y.n
+    A = F2SparseMatrix([F2Vector(mask=m) for m in cols + hcols], base)
+    x = solve_in_span(A, F2Vector(mask=rhs))
+    if x is None:
+        return None
+    return _map_at(S, T, xs, x.mask & ((1 << len(xs)) - 1), 0)
 
 
 def closed_map_basis(S, T):
@@ -155,31 +149,15 @@ def closed_map_basis(S, T):
 
     The constraint column of position (i, j) is the differential of the
     elementary map x_i* (x) y_j in Hom(S, T)."""
-    positions = []
-    for i, gs in enumerate(S.gens):
-        for j, gt in enumerate(T.gens):
-            if gt.degree == gs.degree and gt.ell <= gs.ell:
-                positions.append((i, j))
+    positions = _hom_pairs(S, T, 0, 0)
     if not positions:
         return [], positions
-    hits = _hom_hits(S, T)
+    hits = _hom_hits(S.diff, S.n, T.n)
     A = F2SparseMatrix([_hom_column(S, T, hits, i, j) for i, j in positions],
                        S.n * T.n)
     R, V = column_reduce(A)
     kernel = [V.column(j) for j in range(A.ncols) if not R.column(j)]
     return kernel, positions
-
-
-def _map_at(S, T, positions, m):
-    """The degree-0 map S -> T with an entry at each position whose bit
-    is set in m."""
-    cols = [0] * S.n
-    while m:
-        low = m & -m
-        i, j = positions[low.bit_length() - 1]
-        cols[i] |= 1 << j
-        m ^= low
-    return FilteredChainMap(S, T, [F2Vector(mask=c) for c in cols], 0)
 
 
 def enumerate_closed_maps(S, T, cap=4096):
@@ -196,7 +174,7 @@ def enumerate_closed_maps(S, T, cap=4096):
                 m ^= kernel[k].mask
             b >>= 1
             k += 1
-        yield _map_at(S, T, positions, m)
+        yield _map_at(S, T, positions, m, 0)
 
 
 def random_closed_map(S, T, rng):
@@ -206,4 +184,4 @@ def random_closed_map(S, T, rng):
     for vec in kernel:
         if rng.getrandbits(1):
             m ^= vec.mask
-    return _map_at(S, T, positions, m)
+    return _map_at(S, T, positions, m, 0)

@@ -26,7 +26,11 @@ from .f2linalg import F2SparseMatrix, F2Vector, solve_in_span
 from .complexes import (
     FilteredChainMap,
     FilteredComplex,
-    HomComplex,
+    _flat,
+    _hom_column,
+    _hom_hits,
+    _hom_pairs,
+    _map_at,
     compose,
     cone,
     eta,
@@ -151,30 +155,25 @@ def r_inverses(f: FilteredChainMap, r, rng=None):
 
 
 def _boundary_above(f: FilteredChainMap):
-    """Hom(X, Y) of f, its differential, f encoded, the degree-(deg f - 1)
-    columns, and above(k): an x on those columns whose boundary equals
-    f on every degree-(deg f) elementary map above level k, or None."""
-    H = HomComplex(f.source, f.target)
-    enc = H.encode(f)
-    D = H.complex.diff_matrix()
-    allowed = H.gens_with(degree=f.degree - 1)
-    allowed_set = set(allowed)
-    rows = H.gens_with(degree=f.degree)
+    """The columns of the degree-(deg f - 1) pairs of Hom(X, Y), the
+    (level, flat bit) of each degree-(deg f) pair, f flattened, and
+    above(k): an x on those columns whose boundary equals f on every
+    degree-(deg f) pair above level k (all of f for k None), or None."""
+    X, Y = f.source, f.target
+    hits = _hom_hits(X.diff, X.n, Y.n)
+    pairs = _hom_pairs(X, Y, f.degree - 1)
+    cols = [_hom_column(X, Y, hits, s, t).mask for s, t in pairs]
+    rows = [(Y.gens[t].ell - X.gens[s].ell, 1 << (s * Y.n + t))
+            for s, t in _hom_pairs(X, Y, f.degree)]
+    enc = _flat(f)
 
     def above(k):
-        rowmask = 0
-        for i in rows:
-            if H.complex.gens[i].ell > k:
-                rowmask |= 1 << i
-        cols = [
-            F2Vector(mask=D.columns[j].mask & rowmask)
-            if j in allowed_set else F2Vector()
-            for j in range(D.ncols)
-        ]
-        return solve_in_span(F2SparseMatrix(cols, D.nrows),
-                             F2Vector(mask=enc.mask & rowmask), allowed)
+        rowmask = -1 if k is None else sum(b for ell, b in rows if ell > k)
+        A = F2SparseMatrix([F2Vector(mask=c & rowmask) for c in cols],
+                           X.n * Y.n)
+        return solve_in_span(A, F2Vector(mask=enc & rowmask))
 
-    return H, D, enc, allowed, above
+    return cols, rows, enc, above
 
 
 def spectral_invariant(f: FilteredChainMap):
@@ -186,12 +185,10 @@ def spectral_invariant(f: FilteredChainMap):
     """
     if not f.is_closed():
         raise ValueError("spectral invariant needs a closed map")
-    H, D, enc, allowed, above = _boundary_above(f)
-    if solve_in_span(D, enc, allowed) is not None:
+    _, rows, _, above = _boundary_above(f)
+    if above(None) is not None:
         return NEG_INF
-    levels = sorted(
-        {H.complex.gens[i].ell for i in H.gens_with(degree=f.degree)}
-    )
+    levels = sorted({ell for ell, _ in rows})
     lo, hi = 0, len(levels) - 1
     if above(levels[hi]) is None:
         raise AssertionError("spectral invariant grid incomplete")
@@ -211,17 +208,21 @@ def representative_at_level(f: FilteredChainMap, k):
         if nullhomotopy(f, POS_INF) is None:
             raise ValueError("only the zero class lives at level -inf")
         return FilteredChainMap.zero(f.source, f.target, f.degree)
-    k = Fraction(k)
+    if is_finite(k):
+        k = Fraction(k)
     if not is_finite(sh) or sh <= k:
         return f
-    H, D, enc, _, above = _boundary_above(f)
+    cols, _, corrected, above = _boundary_above(f)
     x = above(k)
     if x is None:
         raise ValueError(
             f"class of the map has no representative at level {fmt_scalar(k)}"
         )
-    corrected = F2Vector(mask=enc.mask ^ D.apply(x).mask)
-    return H.decode(corrected, f.degree)
+    for j in x:
+        corrected ^= cols[j]
+    nY = f.target.n
+    flat = [divmod(i, nY) for i in range(f.source.n * nY)]
+    return _map_at(f.source, f.target, flat, corrected, f.degree)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,9 @@ from fcplx.complexes import (
     shift_complex,
 )
 from fcplx.f2linalg import F2Vector, solve_in_span
-from fcplx.homsolve import MapSystem, diff_op, postcompose_op, precompose_op
+from fcplx.homsolve import MapSystem
+
+from reference_fill import diff_op, postcompose_op, precompose_op
 
 
 def reference_nullhomotopy(f: FilteredChainMap, bound):

@@ -16,7 +16,7 @@ from fcplx.complexes import (
     translate,
     zero_complex,
 )
-from fcplx.rationals import NEG_INF
+from fcplx.rationals import NEG_INF, POS_INF
 from fcplx.tpc import (
     MorphismClass,
     is_r_isomorphism,
@@ -169,3 +169,11 @@ def test_representative_at_level_moves_shift_down():
     g = representative_at_level(f, sig)
     assert shift_of_map(g) <= sig
     assert homotopic(f, g, 10) is not None
+
+
+def test_every_map_has_a_representative_at_level_inf():
+    # one generator, a map of shift 1: shift <= +inf, so f itself
+    X = interval_free(0)
+    f = FilteredChainMap.identity(X).viewed(X, shift_complex(X, 1))
+    assert shift_of_map(f) == 1
+    assert representative_at_level(f, POS_INF) is f
