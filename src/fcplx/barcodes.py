@@ -219,10 +219,12 @@ def barcode(X: FilteredComplex) -> Barcode:
 
 
 def from_barcode(B: Barcode) -> FilteredComplex:
-    """A concrete complex realizing a barcode, one summand per bar."""
+    """A concrete complex realizing a barcode, one summand per bar, in
+    bar order: `i{k}` for an infinite bar, `x{k}` then `y{k}` with
+    d(y{k}) = x{k} for a finite one."""
     triples = []
     boundaries = {}
-    for k, b in enumerate(sorted(B, key=lambda b: (b.degree, b.lo, b.hi))):
+    for k, b in enumerate(Barcode(B)):
         if b.hi == POS_INF:
             triples.append((f"i{k}", b.degree, b.lo))
         else:
@@ -230,6 +232,17 @@ def from_barcode(B: Barcode) -> FilteredComplex:
             triples.append((f"y{k}", b.degree - 1, b.hi))
             boundaries[f"y{k}"] = [f"x{k}"]
     return make_complex(triples, boundaries)
+
+
+def _summands(B: Barcode):
+    """Per bar of B, in order, the indices of its generators in
+    from_barcode(B): (i,) for an infinite bar, (x, y) for a finite one."""
+    out = []
+    n = 0
+    for b in B:
+        out.append((n,) if b.hi == POS_INF else (n, n + 1))
+        n += len(out[-1])
+    return out
 
 
 def boundary_depth(obj):

@@ -132,6 +132,10 @@ def _parse_bundle(path_str):
         if not line:
             continue
         parts = line.split()
+        if parts[0] in ("f", "weight", "map") and len(parts) < 2:
+            raise InputError(
+                f"{path_str}:{lineno}: {parts[0]} wants an operand"
+            )
         if current is not None:
             if parts[0] == "end":
                 current = None

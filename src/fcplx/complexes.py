@@ -452,18 +452,6 @@ def cone(f: FilteredChainMap, lam=0) -> ConeResult:
             tuple(range(Y.n)),
             (),
         )
-    if Y.is_zero():
-        C = FilteredComplex(
-            tuple(Generator("t." + g.gid, g.degree, g.ell) for g in tx.gens),
-            tx.diff,
-        )
-        return ConeResult(
-            C,
-            FilteredChainMap.zero(Y, C),
-            FilteredChainMap.identity(tx).viewed(C, tx),
-            (),
-            tuple(range(X.n)),
-        )
     ids = _disambiguate(
         [g.gid for g in Y.gens], ["t." + g.gid for g in X.gens]
     )
@@ -707,6 +695,8 @@ def parse_map(text: str, load_complex) -> FilteredChainMap:
         elif parts[0] == "f":
             if source is None:
                 raise ValueError(f"line {lineno}: f before map header")
+            if len(parts) < 2:
+                raise ValueError(f"line {lineno}: f wants a source id")
             pairs[parts[1]] = parts[2:]
         else:
             raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")

@@ -35,6 +35,7 @@ from .complexes import (
 from .barcodes import (
     Bar,
     Barcode,
+    _summands,
     barcode,
     boundary_depth,
     bottleneck,
@@ -47,6 +48,7 @@ from .tpc import (
     WeightedTriangle,
     contraction_inverse,
     identity_triangle,
+    level_grid,
     octahedron,
     sum_triangles,
     sum_triangles_many,
@@ -63,39 +65,42 @@ def canonical_object(X: FilteredComplex) -> FilteredComplex:
     return from_barcode(barcode(X))
 
 
-def _bar_records(witness):
-    """(bar, new-basis indices) per summand, in from_barcode sort order."""
-    X = witness.complex
-    recs = []
-    for x_i, y_j in witness.pairs:
-        b = Bar(X.gens[x_i].degree, X.gens[x_i].ell, X.gens[y_j].ell)
-        recs.append((b, (x_i, y_j)))
-    for g in witness.unpaired:
-        recs.append((Bar(X.gens[g].degree, X.gens[g].ell, POS_INF), (g,)))
-    recs.sort(key=lambda r: (r[0].degree, r[0].lo, r[0].hi))
-    return recs
+def _summand_map(B, W, BT, target):
+    """The map X -> target read off a canonical form (B, W) of X, for a
+    from_barcode-shaped target of barcode BT: each summand of X, in bar
+    order, goes to the next free target summand with the same bar, or
+    to zero.  Returns the map and its assignment {new basis index of X:
+    generator index of the target}."""
+    X = W.complex
+
+    def bar(s):
+        g = X.gens[s[0]]
+        return g.degree, g.ell, X.gens[s[1]].ell if s[1:] else POS_INF
+
+    # a stable sort: equal bars keep the witness's order
+    summands = sorted([*W.pairs, *((g,) for g in W.unpaired)], key=bar)
+    free = {}
+    for b, t in zip(BT, _summands(BT)):
+        free.setdefault(b, []).append(t)
+    assign = {}
+    for b, s in zip(B, summands):
+        if free.get(b):
+            assign.update(zip(s, free[b].pop(0)))
+    cols = []
+    for col in invert(W.matrix).columns:
+        m = 0
+        for nb in col:
+            if nb in assign:
+                m ^= 1 << assign[nb]
+        cols.append(F2Vector(mask=m))
+    return FilteredChainMap(X, target, cols, 0), assign
 
 
 def iso_to_canonical(X: FilteredComplex):
     """Strictly invertible level-preserving chain iso X -> canonical."""
     B, W = canonical_form(X)
     canon = from_barcode(B)
-    recs = _bar_records(W)
-    assign = {}
-    for k, (b, idxs) in enumerate(recs):
-        if b.hi == POS_INF:
-            assign[idxs[0]] = canon.index_of(f"i{k}")
-        else:
-            assign[idxs[0]] = canon.index_of(f"x{k}")
-            assign[idxs[1]] = canon.index_of(f"y{k}")
-    Uinv = invert(W.matrix)
-    cols = []
-    for c in range(X.n):
-        m = 0
-        for nb in Uinv.column(c):
-            m ^= 1 << assign[nb]
-        cols.append(F2Vector(mask=m))
-    fwd = FilteredChainMap(X, canon, cols, 0)
+    fwd, assign = _summand_map(B, W, B, canon)
     back_cols = [None] * canon.n
     for nb, ci in assign.items():
         back_cols[ci] = W.matrix.column(nb)
@@ -105,64 +110,36 @@ def iso_to_canonical(X: FilteredComplex):
 
 def zero_iso_between(X: FilteredComplex, Y: FilteredComplex):
     """A 0-isomorphism X -> Y between barcode-equal objects."""
-    if barcode(X) != barcode(Y):
-        raise ValueError("objects are not barcode-equal")
     fx, _ = iso_to_canonical(X)
     _, by = iso_to_canonical(Y)
+    # from_barcode is injective: equal canonical objects, equal barcodes
+    if fx.target != by.source:
+        raise ValueError("objects are not barcode-equal")
     return compose(by, fx)
 
 
 def canonical_projection(X: FilteredComplex, target: FilteredComplex):
     """0-isomorphism X -> target when X differs from the target only by
     zero-length bars.  The target must be a from_barcode-shaped object."""
-    bx = list(barcode(X))
-    bt = list(barcode(target))
-    for b in bt:
+    B, W = canonical_form(X)
+    BT = barcode(target)
+    bx = list(B)
+    for b in BT:
         try:
             bx.remove(b)
         except ValueError:
             raise ValueError("target bars are not a sub-multiset")
     if any(b.length() != 0 for b in bx):
         raise ValueError("dropped bars must have zero length")
-    fx, _ = iso_to_canonical(X)
-    canon = fx.target
-    # map canonical summands of X onto target summands bar-by-bar
-    remaining = {}
-    for k, b in enumerate(
-        sorted(barcode(target), key=lambda b: (b.degree, b.lo, b.hi))
-    ):
-        remaining.setdefault(b, []).append(k)
-    cols = [F2Vector()] * canon.n
-    for k, b in enumerate(
-        sorted(barcode(X), key=lambda b: (b.degree, b.lo, b.hi))
-    ):
-        slots = remaining.get(b)
-        if not slots:
-            continue
-        kt = slots.pop(0)
-        if b.hi == POS_INF:
-            cols[canon.index_of(f"i{k}")] = F2Vector(
-                [target.index_of(f"i{kt}")]
-            )
-        else:
-            cols[canon.index_of(f"x{k}")] = F2Vector(
-                [target.index_of(f"x{kt}")]
-            )
-            cols[canon.index_of(f"y{k}")] = F2Vector(
-                [target.index_of(f"y{kt}")]
-            )
-    proj = FilteredChainMap(canon, target, cols, 0)
-    return compose(proj, fx)
+    return _summand_map(B, W, BT, target)[0]
 
 
 def _in_order_pairs(BS: Barcode, BT: Barcode):
     """The in-order matching of two barcodes: per (degree, infinite?)
-    class, the k-th bar of BS in (degree, lo, hi) order goes to the k-th
-    of BT.  Returns ((s, ks), (t, kt)) pairs of bars and their indices
-    in that order, or None when counts differ or some matched bar would
-    move up in level."""
-    BS = sorted(BS, key=lambda b: (b.degree, b.lo, b.hi))
-    BT = sorted(BT, key=lambda b: (b.degree, b.lo, b.hi))
+    class, the k-th bar of BS in bar order goes to the k-th of BT.
+    Returns ((s, ks), (t, kt)) pairs of bars and their indices in that
+    order, or None when counts differ or some matched bar would move up
+    in level."""
     if len(BS) != len(BT):
         return None
 
@@ -191,18 +168,15 @@ def comparison_map(S: FilteredComplex, T: FilteredComplex):
     """The in-order bar-matching map S -> T between from_barcode-shaped
     objects, when every matched generator moves weakly down in level.
     Returns None when counts differ or some entry would be illegal."""
-    pairs = _in_order_pairs(barcode(S), barcode(T))
+    BS, BT = barcode(S), barcode(T)
+    pairs = _in_order_pairs(BS, BT)
     if pairs is None:
         return None
+    src, tgt = _summands(BS), _summands(BT)
     cols = [F2Vector()] * S.n
-    for (bsrc, ksrc), (btgt, ktgt) in pairs:
-        if bsrc.hi == POS_INF:
-            cols[S.index_of(f"i{ksrc}")] = F2Vector(
-                [T.index_of(f"i{ktgt}")]
-            )
-        else:
-            cols[S.index_of(f"x{ksrc}")] = F2Vector([T.index_of(f"x{ktgt}")])
-            cols[S.index_of(f"y{ksrc}")] = F2Vector([T.index_of(f"y{ktgt}")])
+    for (_, ksrc), (_, ktgt) in pairs:
+        for i, j in zip(src[ksrc], tgt[ktgt]):
+            cols[i] = F2Vector(mask=1 << j)
     return FilteredChainMap(S, T, cols, 0)
 
 
@@ -231,19 +205,7 @@ class ConeDecomposition:
 
 def singleton_triangle(Xp: FilteredComplex):
     """(T^-1 X', 0, X') of weight 0, ending at the given object itself."""
-    A = translate_inverse(Xp)
-    z = zero_complex()
-    K = cone(FilteredChainMap.zero(A, z), 0)
-    tri = WeightedTriangle(
-        A, z, Xp,
-        FilteredChainMap.zero(A, z),
-        FilteredChainMap.zero(z, Xp),
-        FilteredChainMap.identity(Xp).viewed(Xp, translate(A)),
-        Fraction(0),
-    )
-    phi = FilteredChainMap.identity(Xp).viewed(K.complex, Xp)
-    psi = FilteredChainMap.identity(Xp).viewed(Xp, K.complex)
-    return tri, TriangleWitness(K.complex, phi, psi)
+    return eta_slot_triangle(Xp, 0)
 
 
 def singleton_decomposition(Xp: FilteredComplex) -> ConeDecomposition:
@@ -352,13 +314,12 @@ class FamilySpec:
     def _matches(self, BX: Barcode, BM: Barcode):
         if len(BX) != len(BM):
             return False
-        bx = sorted(BX, key=lambda b: (b.degree, b.lo, b.hi))
-        bm = sorted(BM, key=lambda b: (b.degree, b.lo, b.hi))
-        if not bx:
+        if not BX:
             return True
+        bx, bm = BX.bars[0], BM.bars[0]
         # derive the allowed offsets from the leading bars, then check
-        delta = bx[0].lo - bm[0].lo if self.closed_shift else Fraction(0)
-        kdeg = bx[0].degree - bm[0].degree if self.closed_T else 0
+        delta = bx.lo - bm.lo if self.closed_shift else Fraction(0)
+        kdeg = bx.degree - bm.degree if self.closed_T else 0
         shifted = BM.shifted(delta).degree_translated(-kdeg)
         return BX == shifted
 
@@ -382,6 +343,8 @@ def parse_family(text: str, load_complex) -> FamilySpec:
         if parts[0] == "family":
             seen_header = True
         elif parts[0] == "member":
+            if len(parts) < 2:
+                raise ValueError(f"line {lineno}: member wants a file")
             members.append(load_complex(parts[1]))
         elif parts[0] == "closed-shift":
             closed_shift = True
@@ -701,7 +664,6 @@ def _riso_strategy(X, Xp, k):
     if k == 0:
         steps.append(singleton_triangle(Xpc))
         reached = Xpc
-        down = compose(m, zero_iso_between(reached, Spk))
     else:
         H, u = _cylinder_helper(Xpc, k)
         Ku = cone(u, 0)
@@ -711,9 +673,8 @@ def _riso_strategy(X, Xp, k):
         steps.append(acyclic_from_zero_step(H))
         steps.append(triangle_from_morphism(u))
         reached = Ku.complex
-        down = compose(m, canonical_projection(reached, Spk))
-    final_target = Xc
-    steps.append(zero_apex_step(reached, final_target, down, rk))
+    down = compose(m, canonical_projection(reached, Spk))
+    steps.append(zero_apex_step(reached, Xc, down, rk))
     return ConeDecomposition(tuple(steps))
 
 
@@ -777,11 +738,7 @@ def delta_upper(X, Xp, family: FamilySpec = EMPTY_FAMILY, via=(),
         tri, wit = eta_slot_triangle(canonical_object(X), r)
         consider(ConeDecomposition(((tri, wit),)))
     if grid is None:
-        levels = sorted({g.ell for Z in (X, Xp) for g in Z.gens})
-        grid = sorted(
-            {Fraction(0)}
-            | {a - b for a in levels for b in levels if a - b > 0}
-        )
+        grid = level_grid(X, Xp)
     k_best = cost_best = None
     for k in grid:
         cost = _riso_cost(BX, BXp, k)
@@ -921,10 +878,7 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
     levels = sorted(
         {g.ell for Z in (X, Xp, *family.members) for g in Z.gens}
     )
-    diffs = sorted(
-        {Fraction(0)}
-        | {a - b for a in levels for b in levels if a - b > 0}
-    )
+    diffs = level_grid(X, Xp, *family.members)
     pool_levels = sorted(
         {lv for lv in levels}
         | {lv + d for lv in levels for d in diffs}

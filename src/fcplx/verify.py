@@ -216,15 +216,8 @@ def gen_r_iso(cfg: GenConfig, r, rng: random.Random, source=None):
 def gen_triangle(cfg: GenConfig, rng: random.Random, max_weight=None):
     """Random witnessed triangle: the cone triangle of a random closed
     map, with an optional weight relaxation."""
-    A = gen_complex(cfg, rng, max_generators=3)
-    B = gen_complex(cfg, rng, max_generators=3)
-    f = random_closed_map(A, B, rng)
-    tri, wit = triangle_from_morphism(f)
-    if max_weight is None:
-        max_weight = Fraction(2)
-    slack = [q for q in cfg.filtration_grid if q <= max_weight]
-    s = rng.choice(slack) if slack and rng.random() < 0.7 else Fraction(0)
-    return relax_weight(tri, wit, s)
+    return gen_triangle_over(gen_complex(cfg, rng, max_generators=3), cfg,
+                             rng, max_weight)
 
 
 def gen_triangle_over(base, cfg, rng, max_weight=None):

@@ -1,0 +1,144 @@
+"""The maps between a complex and its canonical object as they were built
+before one summand map read them all off one canonical form.
+
+Each map here re-derives the `from_barcode` layout with `index_of`
+lookups on the summand ids and re-sorts the bars, and
+`canonical_projection` and `zero_iso_between` run several canonical
+forms per call.  The tests check `fcplx.fragmentation` against these for
+`serialize`-equal maps and equal `ValueError` messages.
+"""
+
+from fcplx.barcodes import Bar, barcode, canonical_form, from_barcode
+from fcplx.complexes import FilteredChainMap, compose
+from fcplx.f2linalg import F2Vector, invert
+from fcplx.rationals import POS_INF
+
+
+def _bar_records(witness):
+    """(bar, new-basis indices) per summand, in from_barcode sort order."""
+    X = witness.complex
+    recs = []
+    for x_i, y_j in witness.pairs:
+        b = Bar(X.gens[x_i].degree, X.gens[x_i].ell, X.gens[y_j].ell)
+        recs.append((b, (x_i, y_j)))
+    for g in witness.unpaired:
+        recs.append((Bar(X.gens[g].degree, X.gens[g].ell, POS_INF), (g,)))
+    recs.sort(key=lambda r: (r[0].degree, r[0].lo, r[0].hi))
+    return recs
+
+
+def reference_iso_to_canonical(X):
+    B, W = canonical_form(X)
+    canon = from_barcode(B)
+    recs = _bar_records(W)
+    assign = {}
+    for k, (b, idxs) in enumerate(recs):
+        if b.hi == POS_INF:
+            assign[idxs[0]] = canon.index_of(f"i{k}")
+        else:
+            assign[idxs[0]] = canon.index_of(f"x{k}")
+            assign[idxs[1]] = canon.index_of(f"y{k}")
+    Uinv = invert(W.matrix)
+    cols = []
+    for c in range(X.n):
+        m = 0
+        for nb in Uinv.column(c):
+            m ^= 1 << assign[nb]
+        cols.append(F2Vector(mask=m))
+    fwd = FilteredChainMap(X, canon, cols, 0)
+    back_cols = [None] * canon.n
+    for nb, ci in assign.items():
+        back_cols[ci] = W.matrix.column(nb)
+    back = FilteredChainMap(canon, X, back_cols, 0)
+    return fwd, back
+
+
+def reference_zero_iso_between(X, Y):
+    if barcode(X) != barcode(Y):
+        raise ValueError("objects are not barcode-equal")
+    fx, _ = reference_iso_to_canonical(X)
+    _, by = reference_iso_to_canonical(Y)
+    return compose(by, fx)
+
+
+def reference_canonical_projection(X, target):
+    bx = list(barcode(X))
+    bt = list(barcode(target))
+    for b in bt:
+        try:
+            bx.remove(b)
+        except ValueError:
+            raise ValueError("target bars are not a sub-multiset")
+    if any(b.length() != 0 for b in bx):
+        raise ValueError("dropped bars must have zero length")
+    fx, _ = reference_iso_to_canonical(X)
+    canon = fx.target
+    remaining = {}
+    for k, b in enumerate(
+        sorted(barcode(target), key=lambda b: (b.degree, b.lo, b.hi))
+    ):
+        remaining.setdefault(b, []).append(k)
+    cols = [F2Vector()] * canon.n
+    for k, b in enumerate(
+        sorted(barcode(X), key=lambda b: (b.degree, b.lo, b.hi))
+    ):
+        slots = remaining.get(b)
+        if not slots:
+            continue
+        kt = slots.pop(0)
+        if b.hi == POS_INF:
+            cols[canon.index_of(f"i{k}")] = F2Vector(
+                [target.index_of(f"i{kt}")]
+            )
+        else:
+            cols[canon.index_of(f"x{k}")] = F2Vector(
+                [target.index_of(f"x{kt}")]
+            )
+            cols[canon.index_of(f"y{k}")] = F2Vector(
+                [target.index_of(f"y{kt}")]
+            )
+    proj = FilteredChainMap(canon, target, cols, 0)
+    return compose(proj, fx)
+
+
+def _in_order_pairs(BS, BT):
+    BS = sorted(BS, key=lambda b: (b.degree, b.lo, b.hi))
+    BT = sorted(BT, key=lambda b: (b.degree, b.lo, b.hi))
+    if len(BS) != len(BT):
+        return None
+
+    def keyed(B):
+        out = {}
+        for k, b in enumerate(B):
+            out.setdefault((b.degree, b.hi == POS_INF), []).append((b, k))
+        return out
+
+    ks, kt = keyed(BS), keyed(BT)
+    if set(ks) != set(kt):
+        return None
+    pairs = []
+    for key in ks:
+        a, b = ks[key], kt[key]
+        if len(a) != len(b):
+            return None
+        pairs.extend(zip(a, b))
+    for (bsrc, _), (btgt, _) in pairs:
+        if btgt.lo > bsrc.lo or (bsrc.hi != POS_INF and btgt.hi > bsrc.hi):
+            return None
+    return pairs
+
+
+def reference_comparison_map(S, T):
+    pairs = _in_order_pairs(barcode(S), barcode(T))
+    if pairs is None:
+        return None
+    cols = [F2Vector()] * S.n
+    for (bsrc, ksrc), (btgt, ktgt) in pairs:
+        if bsrc.hi == POS_INF:
+            cols[S.index_of(f"i{ksrc}")] = F2Vector(
+                [T.index_of(f"i{ktgt}")]
+            )
+        else:
+            cols[S.index_of(f"x{ksrc}")] = F2Vector([T.index_of(f"x{ktgt}")])
+            cols[S.index_of(f"y{ksrc}")] = F2Vector([T.index_of(f"y{ktgt}")])
+    return FilteredChainMap(S, T, cols, 0)

@@ -1,0 +1,150 @@
+"""The maps between a complex and its canonical object, read off one
+canonical form by the summand map, side by side with the id-lookup
+builders in `reference_canonical`."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import reference_canonical
+from fcplx import barcodes, fragmentation
+from fcplx.barcodes import Bar, Barcode, from_barcode
+from fcplx.fragmentation import (
+    canonical_projection,
+    comparison_map,
+    iso_to_canonical,
+    zero_iso_between,
+)
+from fcplx.rationals import POS_INF
+from fcplx.verify import random_basis_change
+from reference_canonical import (
+    reference_canonical_projection,
+    reference_comparison_map,
+    reference_iso_to_canonical,
+    reference_zero_iso_between,
+)
+
+from conftest import serialize
+
+# few levels, so that equal bars, and so ties in the summand order, are
+# common
+HALVES = tuple(Fraction(n, 2) for n in range(6))
+
+
+def _bars(rng, nbars):
+    out = []
+    for _ in range(nbars):
+        lo, deg = rng.choice(HALVES), rng.randrange(2)
+        hi = POS_INF if rng.random() < 0.3 else lo + rng.choice(HALVES[1:])
+        out.append(Bar(deg, lo, hi))
+    return out
+
+
+def _zero_length(rng, nbars):
+    return [Bar(rng.randrange(2), lo, lo)
+            for lo in (rng.choice(HALVES) for _ in range(nbars))]
+
+
+def _rebased(rng, bars):
+    return random_basis_change(from_barcode(Barcode(bars)), rng)[0]
+
+
+def _outcome(fn, *args):
+    try:
+        return serialize(fn(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _cases(n):
+    """Per seed: base bars, zero-length bars and X, a random basis of
+    from_barcode of their union."""
+    for seed in range(n):
+        rng = random.Random(seed)
+        base = _bars(rng, rng.randint(0, 7))
+        zeros = _zero_length(rng, rng.randint(0, 3))
+        yield rng, base, zeros, _rebased(rng, base + zeros)
+
+
+def test_summands_index_the_from_barcode_layout():
+    rng = random.Random(5)
+    for _ in range(50):
+        B = Barcode(_bars(rng, rng.randint(0, 9)) + _zero_length(rng, 2))
+        X = from_barcode(B)
+        ids = []
+        for k, (b, idxs) in enumerate(zip(B, barcodes._summands(B))):
+            names = [f"i{k}"] if b.hi == POS_INF else [f"x{k}", f"y{k}"]
+            ids += names
+            assert [X.gens[i].gid for i in idxs] == names
+        assert [g.gid for g in X.gens] == ids
+
+
+def test_maps_match_the_id_lookup_builders():
+    zero_isos, projections, comparisons, dropped = set(), set(), set(), 0
+    for rng, base, zeros, X in _cases(220):
+        assert (serialize(iso_to_canonical(X))
+                == serialize(reference_iso_to_canonical(X)))
+        # an equal barcode in another basis, and a different one
+        for bars in (base + zeros, base + zeros + _bars(rng, 1)):
+            Y = _rebased(rng, bars)
+            got = _outcome(zero_iso_between, X, Y)
+            assert got == _outcome(reference_zero_iso_between, X, Y)
+            zero_isos.add(got if got.startswith("ValueError") else "map")
+        # keep every bar, drop the zero-length ones (legal), drop a bar
+        # of positive length, or ask for a bar X lacks
+        targets = [base + zeros, base, base + zeros + _bars(rng, 1)]
+        if base:
+            targets.append(base[1:] + zeros)
+        for bars in targets:
+            T = from_barcode(Barcode(bars))
+            got = _outcome(canonical_projection, X, T)
+            assert got == _outcome(reference_canonical_projection, X, T)
+            projections.add(got if got.startswith("ValueError") else "map")
+            dropped += bool(zeros) and bars == base
+        S = from_barcode(Barcode(base + zeros).shifted(rng.choice(HALVES)))
+        T = from_barcode(Barcode(_bars(rng, len(base)) + zeros)
+                         if rng.random() < 0.5 else Barcode(base + zeros))
+        got = comparison_map(S, T)
+        assert serialize(got) == serialize(reference_comparison_map(S, T))
+        comparisons.add(got is None)
+    assert zero_isos == {"map", "ValueError: objects are not barcode-equal"}
+    assert projections == {
+        "map",
+        "ValueError: dropped bars must have zero length",
+        "ValueError: target bars are not a sub-multiset",
+    }
+    assert comparisons == {True, False}
+    assert dropped >= 50
+
+
+@pytest.fixture
+def canonical_form_calls(monkeypatch):
+    calls = [0]
+    inner = barcodes.canonical_form
+
+    def counted(X):
+        calls[0] += 1
+        return inner(X)
+
+    for mod in (barcodes, fragmentation, reference_canonical):
+        monkeypatch.setattr(mod, "canonical_form", counted)
+    return calls
+
+
+def test_one_canonical_form_per_complex(canonical_form_calls):
+    calls = canonical_form_calls
+    for rng, base, zeros, X in _cases(40):
+        T = from_barcode(Barcode(base))
+        Y = _rebased(rng, base + zeros)
+        for fn, ref, args, most, parent in (
+            (canonical_projection, reference_canonical_projection, (X, T),
+             2, 5),
+            (zero_iso_between, reference_zero_iso_between, (X, Y), 2, 4),
+        ):
+            calls[0] = 0
+            fn(*args)
+            assert calls[0] <= most
+            calls[0] = 0
+            ref(*args)
+            assert calls[0] == parent

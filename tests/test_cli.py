@@ -4,6 +4,15 @@ import pytest
 
 from fcplx.cli import main
 
+BUNDLE = (
+    "weight 0\n"
+    "complex A tinv.cplx\ncomplex B zero.cplx\ncomplex C a.cplx\n"
+    "map u\nend\nmap v\nend\n"
+    "map w\nf a a\nend\n"
+    "map phi\nf t.a a\nend\n"
+    "map psi\nf a t.a\nend\n"
+)
+
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
@@ -14,14 +23,7 @@ def workdir(tmp_path, monkeypatch):
     (tmp_path / "tinv.cplx").write_text("gen a 1 0\n")
     (tmp_path / "m.map").write_text("map a.cplx b.cplx\nf a a\n")
     (tmp_path / "down.map").write_text("map b.cplx a.cplx\nf a a\n")
-    (tmp_path / "bundle.tri").write_text(
-        "weight 0\n"
-        "complex A tinv.cplx\ncomplex B zero.cplx\ncomplex C a.cplx\n"
-        "map u\nend\nmap v\nend\n"
-        "map w\nf a a\nend\n"
-        "map phi\nf t.a a\nend\n"
-        "map psi\nf a t.a\nend\n"
-    )
+    (tmp_path / "bundle.tri").write_text(BUNDLE)
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
@@ -146,6 +148,27 @@ def test_malformed_inputs_exit_two(workdir, capsys):
     (workdir / "bad.cplx").write_text("gen broken\n")
     code, _, err = run(capsys, "barcode", "bad.cplx")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("name, text, argv, where", [
+    ("fam.txt", "family\nmember\n",
+     ["frag", "a.cplx", "b.cplx", "--family", "fam.txt"], "line 2:"),
+    ("bad.map", "map a.cplx b.cplx\nf\n",
+     ["cone", "bad.map", "--lambda", "1"], "line 2:"),
+    ("bad.tri", BUNDLE.replace("weight 0", "weight"),
+     ["verify-triangle", "bad.tri"], "bad.tri:1:"),
+    ("bad.tri", BUNDLE.replace("map v", "map"),
+     ["verify-triangle", "bad.tri"], "bad.tri:7:"),
+    ("bad.tri", BUNDLE.replace("f a a", "f"),
+     ["verify-triangle", "bad.tri"], "bad.tri:10:"),
+], ids=["family-member", "map-f", "bundle-weight", "bundle-map",
+        "bundle-block-f"])
+def test_directive_without_operand_exits_two(workdir, capsys, name, text,
+                                             argv, where):
+    (workdir / name).write_text(text)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and where in err, err
 
 
 def test_numeric_content_matches_between_modes(workdir, capsys):

@@ -1,4 +1,5 @@
-"""No module of the library imports a name it never uses."""
+"""No module of the library imports a name it never uses, and no private
+top-level function or class goes unused."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,28 @@ def test_no_unused_imports():
     unused = [f"{p.name}:{line}: {name}"
               for p in modules for line, name in _unused_imports(p)]
     assert not unused, unused
+
+
+def _referenced(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_no_unused_private_definitions():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    used = set().union(*map(_referenced, trees.values()))
+    private = [f"{name}:{node.lineno}: {node.name}"
+               for name, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")
+               and not node.name.startswith("__")
+               and node.name not in used]
+    assert trees and not private, private
