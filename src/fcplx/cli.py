@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 a verification or predicate failed, 2
-malformed input.  All numeric output is exact (`p/q` in lowest terms),
-identical between text and --json modes.  The only environment knob is
-FCPLX_CACHE_DIR: when set, `check` drops its suite reports there.
+malformed input, 3 an internal error in fcplx.  All numeric output is
+exact (`p/q` in lowest terms), identical between text and --json modes.
+The only environment knob is FCPLX_CACHE_DIR: when set, `check` drops
+its suite reports there.
 """
 
 from __future__ import annotations
@@ -112,6 +113,9 @@ def _emit(args, text, payload):
 # triangle bundles
 
 
+_BUNDLE_OPERANDS = {"weight": 1, "complex": 2, "map": 1, "end": 0}
+
+
 def _parse_bundle(path_str):
     """Bundle format: `weight <r>`, `complex A|B|C <file>` lines, then
     `map u|v|w|phi|psi` blocks of `f <src> <tgt>...` lines closed by
@@ -132,10 +136,11 @@ def _parse_bundle(path_str):
         if not line:
             continue
         parts = line.split()
-        if parts[0] in ("f", "weight", "map") and len(parts) < 2:
-            raise InputError(
-                f"{path_str}:{lineno}: {parts[0]} wants an operand"
-            )
+        n = len(parts) - 1
+        if (parts[0] == "f" and not n
+                or n != _BUNDLE_OPERANDS.get(parts[0], n)):
+            raise InputError(f"{path_str}:{lineno}: wrong operand count "
+                             f"for {parts[0]}")
         if current is not None:
             if parts[0] == "end":
                 current = None
@@ -149,7 +154,7 @@ def _parse_bundle(path_str):
         if parts[0] == "weight":
             weight = parse_scalar(parts[1])
         elif parts[0] == "complex":
-            if len(parts) != 3 or parts[1] not in ("A", "B", "C"):
+            if parts[1] not in ("A", "B", "C"):
                 raise InputError(f"{path_str}:{lineno}: complex A|B|C file")
             objects[parts[1]] = load(parts[2])
         elif parts[0] == "map":
@@ -192,7 +197,7 @@ def _map_block(name, f):
     return "\n".join(lines)
 
 
-def _triangle_report(tri, wit, ok, failures):
+def _triangle_report(tri, ok, failures):
     lines = [f"weight {fmt_scalar(tri.weight)}",
              f"verified {'true' if ok else 'false'}"]
     if failures:
@@ -276,7 +281,7 @@ def cmd_sigma(args):
 def cmd_verify_triangle(args):
     tri, wit = _parse_bundle(args.bundle)
     ok, failures = verify_triangle(tri, wit)
-    _emit(args, _triangle_report(tri, wit, ok, failures), {
+    _emit(args, _triangle_report(tri, ok, failures), {
         "verified": ok,
         "weight": fmt_scalar(tri.weight),
         "failed_clauses": failures,
@@ -294,7 +299,7 @@ def cmd_rotate(args):
         return 1
     rt, rw = rotate(tri, wit)
     rok, rfail = verify_triangle(rt, rw)
-    text = _triangle_report(rt, rw, rok, rfail)
+    text = _triangle_report(rt, rok, rfail)
     text += "\n".join(
         _map_block(name, m)
         for name, m in (("u", rt.u), ("v", rt.v), ("w", rt.w))

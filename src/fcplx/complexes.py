@@ -510,7 +510,7 @@ def _hom_hits(cols, n, nY):
     return hits
 
 
-def _hom_column(X, Y, hits, s, t) -> F2Vector:
+def _hom_column(Y, hits, s, t) -> F2Vector:
     """d(x_s* (x) y_t) = dY o h + h o dX in flat coordinates."""
     return F2Vector(mask=(Y.diff[t].mask << (s * Y.n)) | (hits[s] << t))
 
@@ -560,7 +560,7 @@ class HomComplex:
                         gt.ell - gs.ell,
                     )
                 )
-                cols.append(_hom_column(X, Y, hits, s, t))
+                cols.append(_hom_column(Y, hits, s, t))
         object.__setattr__(self, "complex", FilteredComplex(gens, cols))
 
     def __setattr__(self, name, value):
@@ -605,7 +605,7 @@ def nullhomotopy(f: FilteredChainMap, bound):
     X, Y = f.source, f.target
     hits = _hom_hits(X.diff, X.n, Y.n)
     pairs = _hom_pairs(X, Y, f.degree - 1, bound)
-    cols = [_hom_column(X, Y, hits, s, t) for s, t in pairs]
+    cols = [_hom_column(Y, hits, s, t) for s, t in pairs]
     x = solve_in_span(F2SparseMatrix(cols, X.n * Y.n),
                       F2Vector(mask=_flat(f)))
     if x is None:

@@ -61,16 +61,11 @@ from .tpc import (
 # canonical isomorphisms between barcode-equal objects
 
 
-def canonical_object(X: FilteredComplex) -> FilteredComplex:
-    return from_barcode(barcode(X))
-
-
-def _summand_map(B, W, BT, target):
-    """The map X -> target read off a canonical form (B, W) of X, for a
-    from_barcode-shaped target of barcode BT: each summand of X, in bar
-    order, goes to the next free target summand with the same bar, or
-    to zero.  Returns the map and its assignment {new basis index of X:
-    generator index of the target}."""
+def _summand_map(B, W, BT):
+    """The map X -> from_barcode(BT) read off a canonical form (B, W) of
+    X: each summand of X, in bar order, goes to the next free target
+    summand with the same bar, or to zero.  Returns the map and its
+    assignment {new basis index of X: generator index of the target}."""
     X = W.complex
 
     def bar(s):
@@ -93,18 +88,17 @@ def _summand_map(B, W, BT, target):
             if nb in assign:
                 m ^= 1 << assign[nb]
         cols.append(F2Vector(mask=m))
-    return FilteredChainMap(X, target, cols, 0), assign
+    return FilteredChainMap(X, from_barcode(BT), cols, 0), assign
 
 
 def iso_to_canonical(X: FilteredComplex):
     """Strictly invertible level-preserving chain iso X -> canonical."""
     B, W = canonical_form(X)
-    canon = from_barcode(B)
-    fwd, assign = _summand_map(B, W, B, canon)
-    back_cols = [None] * canon.n
+    fwd, assign = _summand_map(B, W, B)
+    back_cols = [None] * fwd.target.n
     for nb, ci in assign.items():
         back_cols[ci] = W.matrix.column(nb)
-    back = FilteredChainMap(canon, X, back_cols, 0)
+    back = FilteredChainMap(fwd.target, X, back_cols, 0)
     return fwd, back
 
 
@@ -118,11 +112,10 @@ def zero_iso_between(X: FilteredComplex, Y: FilteredComplex):
     return compose(by, fx)
 
 
-def canonical_projection(X: FilteredComplex, target: FilteredComplex):
-    """0-isomorphism X -> target when X differs from the target only by
-    zero-length bars.  The target must be a from_barcode-shaped object."""
+def canonical_projection(X: FilteredComplex, BT: Barcode):
+    """0-isomorphism X -> from_barcode(BT) when X differs from it only
+    by zero-length bars."""
     B, W = canonical_form(X)
-    BT = barcode(target)
     bx = list(B)
     for b in BT:
         try:
@@ -131,7 +124,7 @@ def canonical_projection(X: FilteredComplex, target: FilteredComplex):
             raise ValueError("target bars are not a sub-multiset")
     if any(b.length() != 0 for b in bx):
         raise ValueError("dropped bars must have zero length")
-    return _summand_map(B, W, BT, target)[0]
+    return _summand_map(B, W, BT)[0]
 
 
 def _in_order_pairs(BS: Barcode, BT: Barcode):
@@ -164,20 +157,20 @@ def _in_order_pairs(BS: Barcode, BT: Barcode):
     return pairs
 
 
-def comparison_map(S: FilteredComplex, T: FilteredComplex):
-    """The in-order bar-matching map S -> T between from_barcode-shaped
-    objects, when every matched generator moves weakly down in level.
-    Returns None when counts differ or some entry would be illegal."""
-    BS, BT = barcode(S), barcode(T)
+def comparison_map(BS: Barcode, BT: Barcode):
+    """The in-order bar-matching map from_barcode(BS) -> from_barcode(BT),
+    when every matched generator moves weakly down in level.  Returns
+    None when counts differ or some entry would be illegal."""
     pairs = _in_order_pairs(BS, BT)
     if pairs is None:
         return None
+    S = from_barcode(BS)
     src, tgt = _summands(BS), _summands(BT)
     cols = [F2Vector()] * S.n
     for (_, ksrc), (_, ktgt) in pairs:
         for i, j in zip(src[ksrc], tgt[ktgt]):
             cols[i] = F2Vector(mask=1 << j)
-    return FilteredChainMap(S, T, cols, 0)
+    return FilteredChainMap(S, from_barcode(BT), cols, 0)
 
 
 # ----------------------------------------------------------------------
@@ -330,33 +323,31 @@ class FamilySpec:
         return any(self._matches(BX, barcode(m)) for m in self.members)
 
 
+_FAMILY_OPERANDS = {"family": 0, "member": 1, "closed-shift": 0,
+                    "closed-T": 0, "with-zero": 0}
+
+
 def parse_family(text: str, load_complex) -> FamilySpec:
     members = []
-    closed_shift = closed_T = False
-    with_zero = False
-    seen_header = False
+    flags = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "family":
-            seen_header = True
-        elif parts[0] == "member":
-            if len(parts) < 2:
-                raise ValueError(f"line {lineno}: member wants a file")
-            members.append(load_complex(parts[1]))
-        elif parts[0] == "closed-shift":
-            closed_shift = True
-        elif parts[0] == "closed-T":
-            closed_T = True
-        elif parts[0] == "with-zero":
-            with_zero = True
-        else:
+        want = _FAMILY_OPERANDS.get(parts[0])
+        if want is None:
             raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
-    if not seen_header:
+        if len(parts) != want + 1:
+            raise ValueError(
+                f"line {lineno}: wrong operand count for {parts[0]}")
+        if parts[0] == "member":
+            members.append(load_complex(parts[1]))
+        flags.add(parts[0])
+    if "family" not in flags:
         raise ValueError("missing family header")
-    return FamilySpec(tuple(members), closed_shift, closed_T, with_zero)
+    return FamilySpec(tuple(members), "closed-shift" in flags,
+                      "closed-T" in flags, "with-zero" in flags)
 
 
 EMPTY_FAMILY = FamilySpec((), with_zero=True)
@@ -548,7 +539,7 @@ def _pair_block(bx: Bar, by: Bar):
     return H, u, mu
 
 
-def prop51_pipeline(X, Y, family: FamilySpec = EMPTY_FAMILY):
+def prop51_pipeline(X, Y):
     """One-sided witnessed bound for building X through the slot Y,
     driven by the exact bottleneck matching of their barcodes.
 
@@ -556,7 +547,10 @@ def prop51_pipeline(X, Y, family: FamilySpec = EMPTY_FAMILY):
     at most (4 * min(#bars) + 1) * d_bot; the decomposition validates
     against any family containing zero.  Returns (inf, None, inf, C)
     when the infinite-bar counts disagree."""
-    BX, BY = barcode(X), barcode(Y)
+    return _pipeline(barcode(X), barcode(Y))
+
+
+def _pipeline(BX: Barcode, BY: Barcode):
     cap = 4 * min(len(BX), len(BY)) + 1
     tau, wit = bottleneck(BX, BY)
     if tau == POS_INF:
@@ -565,12 +559,9 @@ def prop51_pipeline(X, Y, family: FamilySpec = EMPTY_FAMILY):
     for bx, by in wit.matched:
         _, u, mu = _pair_block(bx, by)
         tri, twit = triangle_from_morphism(u)  # u has shift 0: C = cone(u)
-        shifted = from_barcode(Barcode([bx]).shifted(mu))
-        proj = canonical_projection(tri.C, shifted)
         tgt = from_barcode(Barcode([bx]))
-        down = compose(
-            FilteredChainMap.identity(tgt).viewed(shifted, tgt), proj
-        )
+        down = canonical_projection(
+            tri.C, Barcode([bx]).shifted(mu)).viewed(target=tgt)
         blocks.append((tri, twit, down, tgt, mu))
     shorts_y = list(wit.short2)
     shorts_x = list(wit.short1)
@@ -645,13 +636,13 @@ def _cylinder_helper(Xp: FilteredComplex, k):
     return H, u
 
 
-def _riso_strategy(X, Xp, k):
+def _riso_strategy(BX: Barcode, BXp: Barcode, k):
     """Witness delta(X, X') <= k + depth(cone(m)) through the raised
-    comparison m: S^k X' -> X, when the in-order comparison is legal."""
+    comparison m: S^k X' -> X, when the in-order comparison is legal;
+    X and X' are named by their barcodes."""
     k = Fraction(k)
-    Xc = canonical_object(X)
-    Spk = from_barcode(barcode(Xp).shifted(k))
-    m = comparison_map(Spk, Xc)
+    BSpk = BXp.shifted(k)
+    m = comparison_map(BSpk, BX)
     if m is None:
         return None
     Km = cone(m, 0)
@@ -660,21 +651,21 @@ def _riso_strategy(X, Xp, k):
         return None
     rk = boundary_depth(mbar)
     steps = []
-    Xpc = canonical_object(Xp)
+    Xpc = from_barcode(BXp)
     if k == 0:
         steps.append(singleton_triangle(Xpc))
         reached = Xpc
     else:
         H, u = _cylinder_helper(Xpc, k)
         Ku = cone(u, 0)
-        if barcode(Ku.complex).without_zero_length() != barcode(
-                Spk).without_zero_length():
+        if (barcode(Ku.complex).without_zero_length()
+                != BSpk.without_zero_length()):
             return None
         steps.append(acyclic_from_zero_step(H))
         steps.append(triangle_from_morphism(u))
         reached = Ku.complex
-    down = compose(m, canonical_projection(reached, Spk))
-    steps.append(zero_apex_step(reached, Xc, down, rk))
+    down = compose(m, canonical_projection(reached, BSpk))
+    steps.append(zero_apex_step(reached, m.target, down, rk))
     return ConeDecomposition(tuple(steps))
 
 
@@ -732,10 +723,10 @@ def delta_upper(X, Xp, family: FamilySpec = EMPTY_FAMILY, via=(),
             best = (wgt, D)
 
     if BX == BXp:
-        consider(singleton_decomposition(canonical_object(Xp)))
+        consider(singleton_decomposition(from_barcode(BXp)))
     r = _eta_shift_candidate(BX, BXp)
     if r is not None:
-        tri, wit = eta_slot_triangle(canonical_object(X), r)
+        tri, wit = eta_slot_triangle(from_barcode(BX), r)
         consider(ConeDecomposition(((tri, wit),)))
     if grid is None:
         grid = level_grid(X, Xp)
@@ -745,12 +736,12 @@ def delta_upper(X, Xp, family: FamilySpec = EMPTY_FAMILY, via=(),
         if cost is not None and (cost_best is None or cost < cost_best):
             k_best, cost_best = k, cost
     if cost_best is not None and cost_best < best[0]:
-        D = _riso_strategy(X, Xp, k_best)
+        D = _riso_strategy(BX, BXp, k_best)
         if D is None or D.total_weight() != cost_best:
             raise AssertionError("raised comparison built off its score")
         consider(D)
     if best[0] > 0:  # nothing beats a weight-0 bound
-        consider(prop51_pipeline(X, Xp, family)[1])
+        consider(_pipeline(BX, BXp)[1])
     for mid in via:
         v1, D1 = delta_upper(X, mid, family)
         v2, D2 = delta_upper(mid, Xp, family)
@@ -779,12 +770,12 @@ def underline_delta_upper(X, Xp, family: FamilySpec = EMPTY_FAMILY):
     if not BXp and not BX.infinite():
         # attaching everything over the zero apex in one move
         W = boundary_depth(BX)
-        Xc = canonical_object(X)
+        Xc = from_barcode(BX)
         step = zero_apex_step(
             zero_complex(), Xc, FilteredChainMap.zero(zero_complex(), Xc), W
         )
         return W, (step,)
-    m = comparison_map(canonical_object(Xp), canonical_object(X))
+    m = comparison_map(BXp, BX)
     if m is not None:
         K = cone(m, 0)
         b = barcode(K.complex)
@@ -874,7 +865,7 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
     """
     weight_budget = Fraction(weight_budget)
     target_state = _state_of(X)
-    slot_state_complex = translate_inverse(canonical_object(Xp))
+    slot_state_complex = translate_inverse(from_barcode(barcode(Xp)))
     levels = sorted(
         {g.ell for Z in (X, Xp, *family.members) for g in Z.gens}
     )
@@ -897,10 +888,11 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
 
     member_apexes = []
     for memb in family.members:
-        member_apexes.append(canonical_object(memb))
+        BM = barcode(memb)
+        member_apexes.append(from_barcode(BM))
         if family.closed_shift:
             for d in diffs[1:3]:
-                member_apexes.append(from_barcode(barcode(memb).shifted(d)))
+                member_apexes.append(from_barcode(BM.shifted(d)))
 
     best = [POS_INF]
     seen = {}

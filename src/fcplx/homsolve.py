@@ -124,7 +124,7 @@ def fill_map(S, T, pre=(), post=()):
         blocks.append((S, a.target, b, bound,
                        [a.cols[t].mask << (s * nZ) for s, t in xs]))
     hits = _hom_hits(S.diff, S.n, T.n)
-    cols = [_hom_column(S, T, hits, s, t).mask for s, t in xs]
+    cols = [_hom_column(T, hits, s, t).mask for s, t in xs]
     hcols = []
     rhs = 0
     base = S.n * T.n
@@ -132,7 +132,7 @@ def fill_map(S, T, pre=(), post=()):
         for k, m in enumerate(part):
             cols[k] |= m << base
         hits = _hom_hits(X.diff, X.n, Y.n)
-        hcols += [_hom_column(X, Y, hits, s, t).mask << base
+        hcols += [_hom_column(Y, hits, s, t).mask << base
                   for s, t in _hom_pairs(X, Y, -1, bound)]
         rhs |= _flat(b) << base
         base += X.n * Y.n
@@ -153,7 +153,7 @@ def closed_map_basis(S, T):
     if not positions:
         return [], positions
     hits = _hom_hits(S.diff, S.n, T.n)
-    A = F2SparseMatrix([_hom_column(S, T, hits, i, j) for i, j in positions],
+    A = F2SparseMatrix([_hom_column(T, hits, i, j) for i, j in positions],
                        S.n * T.n)
     R, V = column_reduce(A)
     kernel = [V.column(j) for j in range(A.ncols) if not R.column(j)]

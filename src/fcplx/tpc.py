@@ -162,7 +162,7 @@ def _boundary_above(f: FilteredChainMap):
     X, Y = f.source, f.target
     hits = _hom_hits(X.diff, X.n, Y.n)
     pairs = _hom_pairs(X, Y, f.degree - 1)
-    cols = [_hom_column(X, Y, hits, s, t).mask for s, t in pairs]
+    cols = [_hom_column(Y, hits, s, t).mask for s, t in pairs]
     rows = [(Y.gens[t].ell - X.gens[s].ell, 1 << (s * Y.n + t))
             for s, t in _hom_pairs(X, Y, f.degree)]
     enc = _flat(f)
@@ -461,16 +461,11 @@ def rotate_negative(tri: WeightedTriangle, wit: TriangleWitness):
                      post=[(K.include, pK, 0)])
     if phi_N is None:
         raise AssertionError("negative rotation fill failed")
-    if not is_r_acyclic(cone(phi_N, 0).complex, 2 * r):
-        raise AssertionError("negative rotation fill is not a 2r-iso")
-
-    sB, sC = shift_complex(B, 2 * r), shift_complex(C, r)
-    psi_N = fill_map(sB, KN.complex, post=[
-        (phi_N, eta(B, 2 * r), 0),
-        (KN.project.viewed(KN.complex, sC), tri.v.viewed(sB, sC), 0),
-    ])
+    psi_N = _right_inverse(
+        phi_N, 2 * r, KN.project.viewed(KN.complex, shift_complex(C, r)),
+        tri.v)
     if psi_N is None:
-        raise AssertionError("negative rotation right-inverse solve failed")
+        raise AssertionError("negative rotation fill has no 2r right inverse")
     ntri = WeightedTriangle(src, A, B, u_N, tri.u, w_N, 2 * r)
     nwit = TriangleWitness(KN.complex, phi_N, psi_N)
     return ntri, nwit
@@ -649,14 +644,9 @@ def octahedron(t1, w1, t2, w2):
     if lam is None:
         raise AssertionError("octahedron: comparison fill failed")
     phi4 = compose(w2.phi, compose(phi_prime, lam))
-    if not is_r_acyclic(cone(phi4, 0).complex, r + s):
-        raise AssertionError("octahedron: witness map is not an (r+s)-iso")
-
-    sB4 = shift_complex(B, r + s)
-    psi4 = fill_map(sB4, K4.complex, post=[(phi4, eta(B, r + s), 0),
-                                           (p4, w4.viewed(sB4, TTE), 0)])
+    psi4 = _right_inverse(phi4, r + s, p4, w4)
     if psi4 is None:
-        raise AssertionError("octahedron: right-inverse solve failed")
+        raise AssertionError("octahedron: no (r+s) right inverse")
     d4 = WeightedTriangle(TE, C, B, u4, v4, w4, r + s)
     wit4 = TriangleWitness(K4.complex, phi4, psi4)
 
@@ -747,14 +737,22 @@ def _witness_candidate(u, v, w, W):
     slack = compose(eta_down(TA, W).viewed(TA, w.target), K.project)
     phi = fill_map(K.complex, C1, pre=[(K.include, v, 0)],
                    post=[(w, slack, W)])
-    if phi is None or not is_r_acyclic(cone(phi, 0).complex, W):
-        return None
-    sC = shift_complex(C1, W)
-    psi = fill_map(sC, K.complex, post=[(phi, eta(C1, W), 0),
-                                        (K.project, w.viewed(sC, TA), 0)])
+    psi = None if phi is None else _right_inverse(phi, W, K.project, w)
     if psi is None:
         return None
     return TriangleWitness(K.complex, phi, psi)
+
+
+def _right_inverse(phi, W, project, w):
+    """The psi: S^W C -> K of a witness whose comparison phi: K -> C is
+    a W-isomorphism, with phi psi = eta and project psi = w read on
+    S^W C; None when cone(phi) is not W-acyclic or no fill exists."""
+    if not is_r_acyclic(cone(phi, 0).complex, W):
+        return None
+    C = phi.target
+    sC = shift_complex(C, W)
+    return fill_map(sC, phi.source, post=[
+        (phi, eta(C, W), 0), (project, w.viewed(sC, project.target), 0)])
 
 
 def unstable_weight_upper(u, v, w, grid=None):

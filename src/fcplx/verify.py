@@ -68,7 +68,6 @@ from .tpc import (
 from .fragmentation import (
     EMPTY_FAMILY,
     ConeDecomposition,
-    canonical_object,
     delta_upper,
     eta_slot_triangle,
     merge_slot_decompositions,
@@ -595,7 +594,7 @@ def _trial_frag_sum(cfg, rng):
         fails.append(("merged-weight-bound", _payload(
             got=DM.total_weight(), cap=va + vb)))
     tgt = direct_sum(A, B).complex
-    slot = direct_sum(canonical_object(Ap), canonical_object(Bp)).complex
+    slot = direct_sum(Ap, Bp).complex
     ok, _, probs = validate_decomposition(DM, tgt, EMPTY_FAMILY, slot)
     if not ok:
         fails.append(("merged-validates", _payload(problems=probs)))

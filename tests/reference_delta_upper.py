@@ -9,13 +9,12 @@ decomposition per grid shift, so keep inputs small.
 
 from fractions import Fraction
 
-from fcplx.barcodes import barcode
+from fcplx.barcodes import barcode, from_barcode
 from fcplx.fragmentation import (
     EMPTY_FAMILY,
     ConeDecomposition,
     _eta_shift_candidate,
     _riso_strategy,
-    canonical_object,
     compose_decompositions,
     eta_slot_triangle,
     prop51_pipeline,
@@ -37,10 +36,10 @@ def reference_delta_upper(X, Xp, family=EMPTY_FAMILY, via=(), grid=None):
             best = (wgt, D)
 
     if BX == BXp:
-        consider(singleton_decomposition(canonical_object(Xp)))
+        consider(singleton_decomposition(from_barcode(BXp)))
     r = _eta_shift_candidate(BX, BXp)
     if r is not None:
-        tri, wit = eta_slot_triangle(canonical_object(X), r)
+        tri, wit = eta_slot_triangle(from_barcode(BX), r)
         consider(ConeDecomposition(((tri, wit),)))
     if grid is None:
         levels = sorted({g.ell for Z in (X, Xp) for g in Z.gens})
@@ -49,8 +48,8 @@ def reference_delta_upper(X, Xp, family=EMPTY_FAMILY, via=(), grid=None):
             | {a - b for a in levels for b in levels if a - b > 0}
         )
     for k in grid:
-        consider(_riso_strategy(X, Xp, k))
-    bnd, D51, _, _ = prop51_pipeline(X, Xp, family)
+        consider(_riso_strategy(BX, BXp, k))
+    bnd, D51, _, _ = prop51_pipeline(X, Xp)
     if D51 is not None:
         consider(D51)
     for mid in via:

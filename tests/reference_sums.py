@@ -212,7 +212,7 @@ def reference_prop51_pipeline(X, Y, family=EMPTY_FAMILY):
         K = cone(u, 0)
         tri, twit = triangle_from_morphism(u)
         shifted = from_barcode(Barcode([bx]).shifted(mu))
-        proj = canonical_projection(K.complex, shifted)
+        proj = canonical_projection(K.complex, barcode(shifted))
         tgt = from_barcode(Barcode([bx]))
         down = compose(
             FilteredChainMap.identity(tgt).viewed(shifted, tgt), proj)

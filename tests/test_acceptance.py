@@ -32,7 +32,6 @@ from fcplx.complexes import (
 from fcplx.fragmentation import (
     EMPTY_FAMILY,
     ConeDecomposition,
-    canonical_object,
     delta_exact_small,
     delta_upper,
     eta_slot_triangle,
@@ -248,7 +247,7 @@ def test_criterion_08_direct_sums():
         assert DM.total_weight() <= va + vb
         tgt = direct_sum(A, B).complex
         slot = direct_sum(
-            canonical_object(Ap), canonical_object(Bp)).complex
+            from_barcode(barcode(Ap)), from_barcode(barcode(Bp))).complex
         ok, _, probs = validate_decomposition(DM, tgt, EMPTY_FAMILY, slot)
         assert ok, probs
     report(8, "triangle sums take the max weight; summed witnesses give "

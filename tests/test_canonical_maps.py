@@ -9,7 +9,7 @@ import pytest
 
 import reference_canonical
 from fcplx import barcodes, fragmentation
-from fcplx.barcodes import Bar, Barcode, from_barcode
+from fcplx.barcodes import Bar, Barcode, barcode, from_barcode
 from fcplx.fragmentation import (
     canonical_projection,
     comparison_map,
@@ -51,10 +51,15 @@ def _rebased(rng, bars):
 
 
 def _outcome(fn, *args):
+    """The serialized result, each of its maps checked closed, or the
+    ValueError message."""
     try:
-        return serialize(fn(*args))
+        got = fn(*args)
     except ValueError as exc:
         return f"ValueError: {exc}"
+    for m in got if isinstance(got, tuple) else (got,):
+        assert m.is_closed()
+    return serialize(got)
 
 
 def _cases(n):
@@ -83,8 +88,8 @@ def test_summands_index_the_from_barcode_layout():
 def test_maps_match_the_id_lookup_builders():
     zero_isos, projections, comparisons, dropped = set(), set(), set(), 0
     for rng, base, zeros, X in _cases(220):
-        assert (serialize(iso_to_canonical(X))
-                == serialize(reference_iso_to_canonical(X)))
+        assert (_outcome(iso_to_canonical, X)
+                == _outcome(reference_iso_to_canonical, X))
         # an equal barcode in another basis, and a different one
         for bars in (base + zeros, base + zeros + _bars(rng, 1)):
             Y = _rebased(rng, bars)
@@ -98,15 +103,17 @@ def test_maps_match_the_id_lookup_builders():
             targets.append(base[1:] + zeros)
         for bars in targets:
             T = from_barcode(Barcode(bars))
-            got = _outcome(canonical_projection, X, T)
+            got = _outcome(canonical_projection, X, Barcode(bars))
             assert got == _outcome(reference_canonical_projection, X, T)
             projections.add(got if got.startswith("ValueError") else "map")
             dropped += bool(zeros) and bars == base
-        S = from_barcode(Barcode(base + zeros).shifted(rng.choice(HALVES)))
-        T = from_barcode(Barcode(_bars(rng, len(base)) + zeros)
-                         if rng.random() < 0.5 else Barcode(base + zeros))
-        got = comparison_map(S, T)
-        assert serialize(got) == serialize(reference_comparison_map(S, T))
+        BS = Barcode(base + zeros).shifted(rng.choice(HALVES))
+        BT = (Barcode(_bars(rng, len(base)) + zeros)
+              if rng.random() < 0.5 else Barcode(base + zeros))
+        got = comparison_map(BS, BT)
+        assert got is None or got.is_closed()
+        assert serialize(got) == serialize(reference_comparison_map(
+            from_barcode(BS), from_barcode(BT)))
         comparisons.add(got is None)
     assert zero_isos == {"map", "ValueError: objects are not barcode-equal"}
     assert projections == {
@@ -135,16 +142,35 @@ def canonical_form_calls(monkeypatch):
 def test_one_canonical_form_per_complex(canonical_form_calls):
     calls = canonical_form_calls
     for rng, base, zeros, X in _cases(40):
-        T = from_barcode(Barcode(base))
+        BT = Barcode(base)
+        T = from_barcode(BT)
         Y = _rebased(rng, base + zeros)
-        for fn, ref, args, most, parent in (
-            (canonical_projection, reference_canonical_projection, (X, T),
-             2, 5),
-            (zero_iso_between, reference_zero_iso_between, (X, Y), 2, 4),
+        for fn, args, ref, ref_args, most, parent in (
+            (canonical_projection, (X, BT),
+             reference_canonical_projection, (X, T), 1, 5),
+            (zero_iso_between, (X, Y),
+             reference_zero_iso_between, (X, Y), 2, 4),
+            (comparison_map, (BT, BT), reference_comparison_map, (T, T), 0, 2),
         ):
             calls[0] = 0
             fn(*args)
             assert calls[0] <= most
             calls[0] = 0
-            ref(*args)
+            ref(*ref_args)
             assert calls[0] == parent
+
+
+def test_projection_onto_a_barcode_is_closed_in_any_basis():
+    """X and T are one from_barcode object in two random bases.  Naming
+    the target by barcode(T) gives a closed map every time; the
+    reference, handed the object T, trusts it to be laid out as
+    from_barcode lays it out and returns maps that are not closed."""
+    unclosed = 0
+    for seed in range(100):
+        rng = random.Random(seed)
+        base = from_barcode(Barcode(_bars(rng, 4)))
+        X = random_basis_change(base, rng)[0]
+        T = random_basis_change(base, rng)[0]
+        assert canonical_projection(X, barcode(T)).is_closed()
+        unclosed += not reference_canonical_projection(X, T).is_closed()
+    assert unclosed == 59

@@ -171,6 +171,34 @@ def test_directive_without_operand_exits_two(workdir, capsys, name, text,
     assert err.startswith("error: ") and where in err, err
 
 
+FAMILY = "family\nmember a.cplx\nclosed-shift\nclosed-T\nwith-zero\n"
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("fam.txt", FAMILY.replace("family", "family extra"), "fam.txt: line 1:"),
+    ("fam.txt", FAMILY.replace("a.cplx", "a.cplx tinv.cplx"),
+     "fam.txt: line 2:"),
+    ("fam.txt", FAMILY.replace("closed-shift", "closed-shift 3"),
+     "fam.txt: line 3:"),
+    ("fam.txt", FAMILY.replace("closed-T", "closed-T 1"), "fam.txt: line 4:"),
+    ("fam.txt", FAMILY.replace("with-zero", "with-zero now"),
+     "fam.txt: line 5:"),
+    ("bad.tri", BUNDLE.replace("weight 0", "weight 0 5"), "bad.tri:1:"),
+    ("bad.tri", BUNDLE.replace("map u", "map u junk"), "bad.tri:5:"),
+    ("bad.tri", BUNDLE.replace("map u\nend", "map u\nend extra"),
+     "bad.tri:6:"),
+], ids=["family", "family-member", "family-closed-shift", "family-closed-T",
+        "family-with-zero", "bundle-weight", "bundle-map", "bundle-end"])
+def test_directive_with_extra_operands_exits_two(workdir, capsys, name, text,
+                                                 where):
+    (workdir / name).write_text(text)
+    argv = (["frag", "a.cplx", "b.cplx", "--family", name]
+            if name == "fam.txt" else ["verify-triangle", name])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and where in err, err
+
+
 def test_numeric_content_matches_between_modes(workdir, capsys):
     (workdir / "half.cplx").write_text("gen u 0 1/2\n")
     code, out_text, _ = run(capsys, "barcode", "half.cplx")

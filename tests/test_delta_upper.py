@@ -7,7 +7,7 @@ every shift."""
 import random
 from fractions import Fraction
 
-from fcplx import fragmentation
+from fcplx import barcodes, fragmentation, tpc
 from fcplx.barcodes import Bar, Barcode, barcode, from_barcode
 from fcplx.fragmentation import _riso_cost, _riso_strategy, delta_upper
 from fcplx.rationals import POS_INF
@@ -80,7 +80,7 @@ def test_score_equals_the_built_weight_at_every_shift():
     for X, Xp in _both_ways():
         BX, BXp = barcode(X), barcode(Xp)
         for k in _grid(X, Xp):
-            D = _riso_strategy(X, Xp, k)
+            D = _riso_strategy(BX, BXp, k)
             cost = _riso_cost(BX, BXp, k)
             if D is None:
                 assert cost is None, (BX, BXp, k)
@@ -132,21 +132,50 @@ def test_no_pipeline_once_a_weight_zero_bound_is_held(monkeypatch):
     """Equal barcodes give the weight-0 slot first; consider's strict <
     means nothing can replace it, so the pipeline is not run."""
     calls = []
-    real = fragmentation.prop51_pipeline
+    real = fragmentation._pipeline
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(fragmentation, "prop51_pipeline", counted)
+    monkeypatch.setattr(fragmentation, "_pipeline", counted)
     rng = random.Random(2718)
     for n in range(7):
         B = _bars(rng, _shapes(rng, n))
         X, Xp = _scrambled(rng, B), _scrambled(rng, B)
         value, D = delta_upper(X, Xp)
+        # checked before the reference runs: it calls the pipeline itself
+        assert not calls
         assert value == 0 and D is not None
         assert serialize((value, D)) == serialize(reference_delta_upper(X, Xp))
-    assert not calls
+        calls.clear()
     X, Xp = _pairs()[1]  # independent bars: a positive bound
     assert barcode(X) != barcode(Xp)
     assert delta_upper(X, Xp)[0] > 0 and calls
+
+
+def test_one_canonical_form_of_each_input_per_call(monkeypatch):
+    """delta_upper names X and X' by their barcodes, computed once each,
+    on equal, shifted and independent bars."""
+    counts = {}
+    inner = barcodes.canonical_form
+
+    def counted(Z):
+        counts[id(Z)] = counts.get(id(Z), 0) + 1
+        return inner(Z)
+
+    for mod in (barcodes, fragmentation, tpc):
+        monkeypatch.setattr(mod, "canonical_form", counted)
+    rng = random.Random(3141)
+    pairs = []
+    for n in range(1, 7):
+        B = _bars(rng, _shapes(rng, n))
+        pairs.append((_scrambled(rng, B), _scrambled(rng, B)))
+        pairs.append((_scrambled(rng, B),
+                      _scrambled(rng, B.shifted(rng.choice(LEVELS[1:])))))
+    pairs += _pairs()
+    for X, Xp in pairs:
+        for a, b in ((X, Xp), (Xp, X)):
+            counts.clear()
+            delta_upper(a, b)
+            assert counts[id(a)] == 1 and counts[id(b)] == 1

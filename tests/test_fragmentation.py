@@ -24,7 +24,6 @@ from fcplx.fragmentation import (
     EMPTY_FAMILY,
     ConeDecomposition,
     FamilySpec,
-    canonical_object,
     comparison_map,
     compose_decompositions,
     d_frag_upper,
@@ -167,7 +166,8 @@ def test_merge_slot_decompositions_bounds_the_sum():
     assert chain_ok(DM)
     assert DM.total_weight() <= va + vb
     tgt = direct_sum(A, B).complex
-    slot = direct_sum(canonical_object(Ap), canonical_object(Bp)).complex
+    slot = direct_sum(from_barcode(barcode(Ap)),
+                      from_barcode(barcode(Bp))).complex
     ok, _, probs = validate_decomposition(DM, tgt, EMPTY_FAMILY, slot)
     assert ok, probs
 
@@ -319,7 +319,7 @@ def test_zero_iso_between_barcode_equal_objects(rng):
     X = make_complex(
         [("p", 0, 2), ("q", 1, 1), ("r", 1, 0)], {"p": ["q", "r"]}
     )
-    Y = canonical_object(X)
+    Y = from_barcode(barcode(X))
     m = zero_iso_between(X, Y)
     assert is_r_isomorphism(m, 0)
     with pytest.raises(ValueError):
@@ -327,8 +327,8 @@ def test_zero_iso_between_barcode_equal_objects(rng):
 
 
 def test_comparison_map_requires_legal_moves():
-    S = canonical_object(interval_free(2))
-    T = canonical_object(interval_free(1))
+    S = barcode(interval_free(2))
+    T = barcode(interval_free(1))
     m = comparison_map(S, T)
     assert m is not None and is_r_isomorphism(m, 1)
     assert comparison_map(T, S) is None  # would have to move up
@@ -372,8 +372,7 @@ def test_slot_characterization_on_interval_modules():
             a - b for a in levels for b in levels if a - b > 0})
         best = POS_INF
         for k in grid:
-            Sk = from_barcode(barcode(Xp).shifted(k))
-            m = comparison_map(canonical_object(Sk), canonical_object(X))
+            m = comparison_map(barcode(Xp).shifted(k), barcode(X))
             if m is None:
                 continue
             K = barcode(

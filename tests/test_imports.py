@@ -1,5 +1,6 @@
-"""No module of the library imports a name it never uses, and no private
-top-level function or class goes unused."""
+"""No module of the library imports a name it never uses, no private
+top-level function or class goes unused, and no private function has a
+parameter it never reads."""
 
 import ast
 from pathlib import Path
@@ -44,6 +45,10 @@ def _referenced(tree):
     return names
 
 
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def test_no_unused_private_definitions():
     trees = {p.name: ast.parse(p.read_text(), filename=str(p))
              for p in sorted(SRC.glob("*.py"))}
@@ -51,7 +56,22 @@ def test_no_unused_private_definitions():
     private = [f"{name}:{node.lineno}: {node.name}"
                for name, tree in trees.items() for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and node.name.startswith("_")
-               and not node.name.startswith("__")
-               and node.name not in used]
+               and _private(node.name) and node.name not in used]
     assert trees and not private, private
+
+
+def test_no_unused_parameters_of_private_functions():
+    unused = []
+    for p in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text(), filename=str(p))):
+            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and _private(node.name)):
+                continue
+            a = node.args
+            params = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg) if x is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)}
+            unused += [f"{p.name}:{node.lineno}: {node.name}({name})"
+                       for name in params if name not in read]
+    assert not unused, unused
