@@ -420,8 +420,6 @@ class ConeResult(NamedTuple):
     complex: FilteredComplex
     include: FilteredChainMap      # Y -> Cone
     project: FilteredChainMap      # Cone -> Sigma^lam T X
-    y_indices: tuple
-    x_indices: tuple
 
 
 def cone(f: FilteredChainMap, lam=0) -> ConeResult:
@@ -434,6 +432,13 @@ def cone(f: FilteredChainMap, lam=0) -> ConeResult:
     lam = Fraction(lam)
     if f.degree != 0:
         raise ValueError("cone requires a degree-0 map")
+    X, Y = f.source, f.target
+    tx = shift_complex(translate(X), lam)
+    # a map with no columns is closed and of shift -inf
+    if X.is_zero():
+        return ConeResult(
+            Y, FilteredChainMap.identity(Y), FilteredChainMap.zero(Y, tx)
+        )
     if not f.is_closed():
         raise ValueError("cone requires a closed map")
     sh = shift_of_map(f)
@@ -441,16 +446,6 @@ def cone(f: FilteredChainMap, lam=0) -> ConeResult:
         raise ValueError(
             f"cone level too small: lambda = {fmt_scalar(lam)} < "
             f"shift {fmt_scalar(sh)} (deficit {fmt_scalar(sh - lam)})"
-        )
-    X, Y = f.source, f.target
-    tx = shift_complex(translate(X), lam)
-    if X.is_zero():
-        return ConeResult(
-            Y,
-            FilteredChainMap.identity(Y),
-            FilteredChainMap.zero(Y, tx),
-            tuple(range(Y.n)),
-            (),
         )
     ids = _disambiguate(
         [g.gid for g in Y.gens], ["t." + g.gid for g in X.gens]
@@ -473,8 +468,7 @@ def cone(f: FilteredChainMap, lam=0) -> ConeResult:
         [ZERO] * Y.n + [F2Vector(mask=1 << i) for i in range(X.n)],
         0,
     )
-    return ConeResult(C, include, project, tuple(range(Y.n)),
-                      tuple(range(off, off + X.n)))
+    return ConeResult(C, include, project)
 
 
 # ----------------------------------------------------------------------

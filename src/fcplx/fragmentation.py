@@ -47,6 +47,7 @@ from .tpc import (
     TriangleWitness,
     WeightedTriangle,
     contraction_inverse,
+    exact_triangle,
     identity_triangle,
     level_grid,
     octahedron,
@@ -212,41 +213,24 @@ def eta_slot_triangle(X: FilteredComplex, r):
     if r < 0:
         raise ValueError("eta slot triangle needs r >= 0")
     sX = shift_complex(X, r)
-    A = translate_inverse(sX)
-    z = zero_complex()
-    w = FilteredChainMap.identity(X).viewed(
-        X, shift_complex(translate(A), -r)
-    )
-    tri = WeightedTriangle(
-        A, z, X,
-        FilteredChainMap.zero(A, z),
-        FilteredChainMap.zero(z, X),
-        w, r,
-    )
-    K = cone(tri.u, 0)
+    u = FilteredChainMap.zero(translate_inverse(sX), zero_complex())
+    K = cone(u, 0)
     phi = FilteredChainMap.identity(X).viewed(K.complex, X)
     psi = FilteredChainMap.identity(sX).viewed(sX, K.complex)
-    return tri, TriangleWitness(K.complex, phi, psi)
+    return exact_triangle(u, K, phi, psi, r)
 
 
-def zero_apex_step(Y, Z, v, W):
-    """(0, Y, Z) of weight W: attach nothing, pay for the W-iso v."""
+def zero_apex_step(v, W):
+    """(0, Y, Z) of weight W for a W-isomorphism v: Y -> Z: attach
+    nothing, pay for v."""
     W = Fraction(W)
     # one canonical form of cone(v) both decides and inverts v
     g = contraction_inverse(v, W)
     if g is None:
         raise ValueError("zero_apex_step needs a W-isomorphism")
-    psi = g.viewed(shift_complex(g.source, W), g.target, 0)
-    z = zero_complex()
-    tri = WeightedTriangle(
-        z, Y, Z,
-        FilteredChainMap.zero(z, Y),
-        v,
-        FilteredChainMap.zero(Z, z),
-        W,
-    )
-    wit = TriangleWitness(Y, v, psi)
-    return tri, wit
+    u = FilteredChainMap.zero(zero_complex(), v.source)
+    psi = g.viewed(shift_complex(v.target, W), v.source, 0)
+    return exact_triangle(u, cone(u, 0), v, psi, W)
 
 
 def acyclic_from_zero_step(H: FilteredComplex):
@@ -256,18 +240,9 @@ def acyclic_from_zero_step(H: FilteredComplex):
         raise ValueError("attached object must be acyclic")
     W = boundary_depth(B)
     z = zero_complex()
-    tri = WeightedTriangle(
-        z, z, H,
-        FilteredChainMap.zero(z, z),
-        FilteredChainMap.zero(z, H),
-        FilteredChainMap.zero(H, z),
-        W,
-    )
-    wit = TriangleWitness(
-        z, FilteredChainMap.zero(z, H),
-        FilteredChainMap.zero(shift_complex(H, W), z),
-    )
-    return tri, wit
+    u = FilteredChainMap.zero(z, z)
+    return exact_triangle(u, cone(u, 0), FilteredChainMap.zero(z, H),
+                          FilteredChainMap.zero(shift_complex(H, W), z), W)
 
 
 def collapse_acyclic_triangle(Xp: FilteredComplex):
@@ -276,21 +251,11 @@ def collapse_acyclic_triangle(Xp: FilteredComplex):
     if B.infinite():
         raise ValueError("collapsed object must be acyclic")
     W = boundary_depth(B)
-    A = translate_inverse(Xp)
     z = zero_complex()
-    tri = WeightedTriangle(
-        A, z, z,
-        FilteredChainMap.zero(A, z),
-        FilteredChainMap.zero(z, z),
-        FilteredChainMap.zero(z, shift_complex(translate(A), -W)),
-        W,
-    )
-    K = cone(tri.u, 0)
-    wit = TriangleWitness(
-        K.complex, FilteredChainMap.zero(K.complex, z),
-        FilteredChainMap.zero(z, K.complex),
-    )
-    return tri, wit
+    u = FilteredChainMap.zero(translate_inverse(Xp), z)
+    K = cone(u, 0)
+    return exact_triangle(u, K, FilteredChainMap.zero(K.complex, z),
+                          FilteredChainMap.zero(z, K.complex), W)
 
 
 # ----------------------------------------------------------------------
@@ -315,6 +280,10 @@ class FamilySpec:
         kdeg = bx.degree - bm.degree if self.closed_T else 0
         shifted = BM.shifted(delta).degree_translated(-kdeg)
         return BX == shifted
+
+    def has_zero(self) -> bool:
+        """Does the family contain the zero object?"""
+        return self.with_zero or any(not barcode(m) for m in self.members)
 
     def contains(self, X: FilteredComplex) -> bool:
         BX = barcode(X)
@@ -373,25 +342,23 @@ def validate_decomposition(D: ConeDecomposition, target, family: FamilySpec,
         prev = tri.C
     if barcode(prev) != barcode(target):
         problems.append("final object does not match the target")
-    slot_bar = barcode(translate_inverse(xprime))
-    slot_candidates = [
-        k for k, (tri, _) in enumerate(D.steps)
-        if barcode(tri.A) == slot_bar
-    ]
-    ok_lin = False
-    for slot in slot_candidates:
-        if all(
-            family.contains(tri.A)
-            for k, (tri, _) in enumerate(D.steps)
-            if k != slot
-        ):
-            ok_lin = True
-            break
-    if not ok_lin:
+    if not _linearization_ok(D, family, barcode(xprime)):
         problems.append(
             "linearization is not family members plus one slot entry"
         )
     return not problems, D.total_weight(), problems
+
+
+def _linearization_ok(D: ConeDecomposition, family: FamilySpec, BXp):
+    """Is every linearization entry a family member, but for one slot
+    entry barcode-equal to T^-1 X'?  X' is named by its barcode."""
+    slot_bar = BXp.degree_translated(-1)
+    entries = D.linearization()
+    return any(
+        barcode(A) == slot_bar
+        and all(family.contains(E) for k, E in enumerate(entries) if k != i)
+        for i, A in enumerate(entries)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -456,9 +423,8 @@ def compose_decompositions(D1, x_mid, D2):
     DpT = translate_inverse_decomposition(D2)
     if DpT.target() != slot_obj:
         adapter = zero_iso_between(DpT.target(), slot_obj)
-        tri, wit = zero_apex_step(DpT.target(), slot_obj, adapter,
-                                  Fraction(0))
-        DpT = ConeDecomposition(DpT.steps + ((tri, wit),))
+        DpT = ConeDecomposition(
+            DpT.steps + (zero_apex_step(adapter, Fraction(0)),))
     return refine(D1, i, DpT)
 
 
@@ -592,7 +558,7 @@ def _pipeline(BX: Barcode, BY: Barcode):
     down_total = FilteredChainMap(M_tot, total, cols, 0)
     W_fin = max([b[4] for b in blocks], default=Fraction(0))
     if not (M_tot.is_zero() and total.is_zero()):
-        steps.append(zero_apex_step(M_tot, total, down_total, W_fin))
+        steps.append(zero_apex_step(down_total, W_fin))
     D = ConeDecomposition(tuple(steps))
     bound = D.total_weight()
     if bound > cap * tau:
@@ -665,7 +631,7 @@ def _riso_strategy(BX: Barcode, BXp: Barcode, k):
         steps.append(triangle_from_morphism(u))
         reached = Ku.complex
     down = compose(m, canonical_projection(reached, BSpk))
-    steps.append(zero_apex_step(reached, m.target, down, rk))
+    steps.append(zero_apex_step(down, rk))
     return ConeDecomposition(tuple(steps))
 
 
@@ -709,14 +675,21 @@ def delta_upper(X, Xp, family: FamilySpec = EMPTY_FAMILY, via=(),
     grid; the bottleneck-driven matched-pair pipeline; and through-path
     composition via the objects in `via`.  The shift grid is scored
     from barcodes; only its first lightest shift is built, and only
-    when it beats the bound already held.
+    when it beats the bound already held.  When the family lacks zero,
+    a decomposition counts only if its linearization passes the rule
+    `validate_decomposition` applies: family members plus one slot.
     """
-    BX, BXp = barcode(X), barcode(Xp)
+    return _delta_upper(X, Xp, barcode(X), barcode(Xp), family, via, grid)
+
+
+def _delta_upper(X, Xp, BX, BXp, family, via, grid):
+    """delta_upper with the barcodes of X and X' given."""
     best = (POS_INF, None)
+    lacks_zero = not family.has_zero()
 
     def consider(D):
         nonlocal best
-        if D is None:
+        if D is None or lacks_zero and not _linearization_ok(D, family, BXp):
             return
         wgt = D.total_weight()
         if wgt < best[0]:
@@ -769,29 +742,21 @@ def underline_delta_upper(X, Xp, family: FamilySpec = EMPTY_FAMILY):
         return Fraction(0), ()
     if not BXp and not BX.infinite():
         # attaching everything over the zero apex in one move
-        W = boundary_depth(BX)
-        Xc = from_barcode(BX)
-        step = zero_apex_step(
-            zero_complex(), Xc, FilteredChainMap.zero(zero_complex(), Xc), W
-        )
-        return W, (step,)
+        step = acyclic_from_zero_step(from_barcode(BX))
+        return step[0].weight, (step,)
     m = comparison_map(BXp, BX)
     if m is not None:
         K = cone(m, 0)
         b = barcode(K.complex)
         if not b.infinite():
             W = boundary_depth(b)
-            step = zero_apex_step(m.source, m.target, m, W)
+            step = zero_apex_step(m, W)
             return W, (step,)
     return POS_INF, None
 
 
 # ----------------------------------------------------------------------
 # exhaustive small-instance oracle
-
-
-def _state_of(X) -> Barcode:
-    return barcode(X).without_zero_length()
 
 
 def _iso_move_cost(BS: Barcode, BT: Barcode):
@@ -859,13 +824,17 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
     Moves: cone attachments over family members (and grid shifts when
     the family is shift-closed) or over the slot; acyclic single-bar
     attachments with endpoints on the level grid; in-order matched
-    down-moves.  The search result is reconciled with the constructive
-    strategies, so the value is always a certified upper bound and
-    never exceeds delta_upper.  Returns (value, note).
+    down-moves.  The last two have apex zero and are dropped when the
+    family lacks zero.  The search result is reconciled with the
+    constructive strategies, so the value is always a certified upper
+    bound and never exceeds delta_upper.  Returns (value, note).
     """
     weight_budget = Fraction(weight_budget)
-    target_state = _state_of(X)
-    slot_state_complex = translate_inverse(from_barcode(barcode(Xp)))
+    BX, BXp = barcode(X), barcode(Xp)
+    target_state = BX.without_zero_length()
+    slot_state_complex = translate_inverse(from_barcode(BXp))
+    # acyclic attachments and the final down-move have apex zero
+    has_zero = family.has_zero()
     levels = sorted(
         {g.ell for Z in (X, Xp, *family.members) for g in Z.gens}
     )
@@ -883,7 +852,7 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
         for d in deg_pool
         for a in pool_levels
         for b in pool_levels
-        if a < b
+        if has_zero and a < b
     ]
 
     member_apexes = []
@@ -908,7 +877,7 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
         if used and state == target_state:
             best[0] = min(best[0], spent)
             return
-        if used:
+        if used and has_zero:
             final = _iso_move_cost(state, target_state)
             if is_finite(final):
                 candidate = spent + final
@@ -923,7 +892,8 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
         for apex, new_used in apexes:
             for u in enumerate_closed_maps(apex, cur, cap=512):
                 K = cone(u, 0)
-                search(_state_of(K.complex), new_used, depth + 1, spent)
+                search(barcode(K.complex).without_zero_length(),
+                       new_used, depth + 1, spent)
         for b in bar_pool:
             newstate = Barcode(tuple(state) + (b,))
             search(newstate, used, depth + 1, spent + b.length())
@@ -932,7 +902,7 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
     # search holds itself through its closure; break that cycle so the
     # memo goes with this frame, not at the next cyclic collection
     del search
-    upper, _ = delta_upper(X, Xp, family)
+    upper, _ = _delta_upper(X, Xp, BX, BXp, family, (), None)
     value = min(best[0], upper)
     note = "search" if best[0] <= upper else "strategy"
     if value == POS_INF:

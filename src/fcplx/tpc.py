@@ -331,22 +331,26 @@ def verify_triangle(tri: WeightedTriangle, wit: TriangleWitness):
     return not failures, failures
 
 
+def exact_triangle(u, K, phi, psi, W):
+    """The strict exact triangle of weight W that (phi, psi) witness.
+
+    K is cone(u, 0), phi: K -> C and psi: S^W C -> K; the triangle is
+    A -> B -> C -> S^-W TA with v = phi o include and w = project o psi
+    read on C.  Checks nothing: `verify_triangle` decides whether phi
+    is a W-isomorphism with right W-inverse psi.
+    """
+    W = Fraction(W)
+    A, C = u.source, phi.target
+    w = compose(K.project, psi).viewed(C, shift_complex(translate(A), -W))
+    tri = WeightedTriangle(A, u.target, C, u, compose(phi, K.include), w, W)
+    return tri, TriangleWitness(K.complex, phi, psi)
+
+
 def identity_triangle(X: FilteredComplex):
     """0 -> X -> X -> 0, the normalization triangle of weight 0."""
-    z = zero_complex()
-    tri = WeightedTriangle(
-        z,
-        X,
-        X,
-        FilteredChainMap.zero(z, X),
-        FilteredChainMap.identity(X),
-        FilteredChainMap.zero(X, translate(z)),
-        Fraction(0),
-    )
-    wit = TriangleWitness(
-        X, FilteredChainMap.identity(X), FilteredChainMap.identity(X)
-    )
-    return tri, wit
+    u = FilteredChainMap.zero(zero_complex(), X)
+    idX = FilteredChainMap.identity(X)
+    return exact_triangle(u, cone(u, 0), idX, idX, 0)
 
 
 def triangle_from_morphism(f: FilteredChainMap):
@@ -566,14 +570,8 @@ def octahedron(t1, w1, t2, w2):
     p = compose(t2.u, t1.v)
     Cres = cone(p, 0)
     C = Cres.complex
-    d3 = WeightedTriangle(
-        F, A, C, p, Cres.include,
-        Cres.project.viewed(C, translate(F)), Fraction(0),
-    )
-    wit3 = TriangleWitness(
-        C, FilteredChainMap.identity(C),
-        FilteredChainMap.identity(C),
-    )
+    idC = FilteredChainMap.identity(C)
+    d3, wit3 = exact_triangle(p, Cres, idC, idC, 0)
 
     K1 = cone(t1.u, 0)          # X'
     g2 = compose(t2.u, w1.phi)  # X' -> A
@@ -830,41 +828,25 @@ def stable_weight_upper(u, v, w, s_grid=None, grid=None):
 
 @dataclass(frozen=True)
 class TriangularWeight:
+    """The weight alpha * r + beta of a triangle of weight r; w0 is its
+    value on the identity triangle."""
+
     name: str
     w0: Fraction
-
-    def of(self, tri: WeightedTriangle):
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class FlatWeight(TriangularWeight):
-    def of(self, tri):
-        return Fraction(1)
-
-
-@dataclass(frozen=True)
-class PersistenceWeight(TriangularWeight):
-    def of(self, tri):
-        return Fraction(tri.weight)
-
-
-@dataclass(frozen=True)
-class AffineWeight(TriangularWeight):
     alpha: Fraction = Fraction(1)
     beta: Fraction = Fraction(0)
 
-    def of(self, tri):
+    def of(self, tri: WeightedTriangle):
         return self.alpha * Fraction(tri.weight) + self.beta
 
 
-FLAT_WEIGHT = FlatWeight("flat", Fraction(1))
-PERSISTENCE_WEIGHT = PersistenceWeight("persistence", Fraction(0))
+FLAT_WEIGHT = TriangularWeight("flat", Fraction(1), Fraction(0), Fraction(1))
+PERSISTENCE_WEIGHT = TriangularWeight("persistence", Fraction(0))
 
 
 def mixed_weight(alpha, beta):
     """alpha * persistence + beta * flat."""
-    return AffineWeight(
+    return TriangularWeight(
         f"{alpha}*persistence+{beta}*flat",
         Fraction(beta), Fraction(alpha), Fraction(beta),
     )

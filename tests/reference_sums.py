@@ -252,7 +252,7 @@ def reference_prop51_pipeline(X, Y, family=EMPTY_FAMILY):
         down_total = down_total + compose(includes[tgt_idx], dm)
     W_fin = max([b[6] for b in blocks], default=Fraction(0))
     if not (M_tot.is_zero() and total.is_zero()):
-        steps.append(zero_apex_step(M_tot, total, down_total, W_fin))
+        steps.append(zero_apex_step(down_total, W_fin))
     D = ConeDecomposition(tuple(steps))
     bound = D.total_weight()
     if bound > cap * tau:

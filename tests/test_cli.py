@@ -100,6 +100,25 @@ def test_frag_and_prop51(workdir, capsys):
     assert payload["d_bot"] == "1" and payload["constant"] == 5
 
 
+def test_frag_honours_a_family_without_zero(workdir, capsys):
+    # the levels of x and i swapped: no pure shift, no equal barcodes
+    for name, x, i in (("x.cplx", 0, 1), ("y.cplx", 1, 0)):
+        (workdir / name).write_text(
+            f"gen x 0 {x}\ngen y -1 2\ngen i 0 {i}\nd y x\n")
+    (workdir / "fam.txt").write_text("family\nmember x.cplx\n")
+    (workdir / "fam0.txt").write_text("family\nmember x.cplx\nwith-zero\n")
+    argv = ("frag", "x.cplx", "y.cplx", "--exact", "--json", "--family")
+    code, out, _ = run(capsys, *argv, "fam0.txt")
+    payload = json.loads(out)
+    assert code == 0 and payload["d_frag_upper"] == payload["oracle"] == "2"
+    # every bound the library holds here ends in a zero-apex step
+    code, out, _ = run(capsys, *argv, "fam.txt")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["delta_forward"] == payload["delta_backward"] == "inf"
+    assert payload["oracle"] == "inf"
+
+
 def test_check_exits_clean_and_writes_cache(workdir, capsys, monkeypatch):
     cache = workdir / "cache"
     monkeypatch.setenv("FCPLX_CACHE_DIR", str(cache))

@@ -9,7 +9,12 @@ from fractions import Fraction
 
 from fcplx import barcodes, fragmentation, tpc
 from fcplx.barcodes import Bar, Barcode, barcode, from_barcode
-from fcplx.fragmentation import _riso_cost, _riso_strategy, delta_upper
+from fcplx.fragmentation import (
+    _riso_cost,
+    _riso_strategy,
+    delta_exact_small,
+    delta_upper,
+)
 from fcplx.rationals import POS_INF
 from fcplx.verify import GenConfig, gen_complex, random_basis_change
 
@@ -154,9 +159,9 @@ def test_no_pipeline_once_a_weight_zero_bound_is_held(monkeypatch):
     assert delta_upper(X, Xp)[0] > 0 and calls
 
 
-def test_one_canonical_form_of_each_input_per_call(monkeypatch):
-    """delta_upper names X and X' by their barcodes, computed once each,
-    on equal, shifted and independent bars."""
+def _count_canonical_forms(monkeypatch):
+    """The number of canonical forms computed of each complex, keyed by
+    its id and counted from this call on."""
     counts = {}
     inner = barcodes.canonical_form
 
@@ -166,6 +171,13 @@ def test_one_canonical_form_of_each_input_per_call(monkeypatch):
 
     for mod in (barcodes, fragmentation, tpc):
         monkeypatch.setattr(mod, "canonical_form", counted)
+    return counts
+
+
+def test_one_canonical_form_of_each_input_per_call(monkeypatch):
+    """delta_upper names X and X' by their barcodes, computed once each,
+    on equal, shifted and independent bars."""
+    counts = _count_canonical_forms(monkeypatch)
     rng = random.Random(3141)
     pairs = []
     for n in range(1, 7):
@@ -179,3 +191,18 @@ def test_one_canonical_form_of_each_input_per_call(monkeypatch):
             counts.clear()
             delta_upper(a, b)
             assert counts[id(a)] == 1 and counts[id(b)] == 1
+
+
+def test_one_canonical_form_of_each_input_per_oracle_call(monkeypatch):
+    """delta_exact_small hands its barcodes of X and X' to the strategies
+    it reconciles with, so it too computes each once."""
+    counts = _count_canonical_forms(monkeypatch)
+    rng = random.Random(1729)
+    for n in (1, 1, 2, 2):
+        B = _bars(rng, _shapes(rng, n))
+        other = _bars(rng, _shapes(rng, n))
+        for X, Xp in ((_scrambled(rng, B), _scrambled(rng, B)),
+                      (_scrambled(rng, B), _scrambled(rng, other))):
+            counts.clear()
+            delta_exact_small(X, Xp, depth_budget=2)
+            assert counts[id(X)] == 1 and counts[id(Xp)] == 1

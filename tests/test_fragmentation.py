@@ -76,7 +76,7 @@ def test_shift_slot_decomposition_validates_with_its_shift():
     Ec = interval_free(c)
     tri, wit = eta_slot_triangle(Ec, a - c)
     pad1 = identity_triangle(zero_complex())
-    end = zero_apex_step(Ec, Ec, FilteredChainMap.identity(Ec), 0)
+    end = zero_apex_step(FilteredChainMap.identity(Ec), 0)
     D = ConeDecomposition((pad1, (tri, wit), end))
     ok, w, probs = validate_decomposition(
         D, Ec, EMPTY_FAMILY, interval_free(a)
@@ -313,6 +313,38 @@ def test_family_text_format(tmp_path):
     assert len(fam.members) == 1
     with pytest.raises(ValueError):
         parse_family("member x\n", lambda n: None)
+
+
+def test_a_family_without_zero_keeps_only_decompositions_it_validates():
+    """Acyclic attachments and down-moves have apex zero, so a family
+    without zero admits none of them: delta_upper returns only
+    decompositions that validate against the family, and the oracle
+    leaves those moves out."""
+    X = make_complex([("x", 0, 0), ("y", -1, 2), ("i", 0, 1)], {"y": ["x"]})
+    Y = make_complex([("x", 0, 1), ("y", -1, 2), ("i", 0, 0)], {"y": ["x"]})
+    fam = FamilySpec((X,), with_zero=False)
+    assert delta_upper(X, Y)[0] == 2
+    assert delta_upper(X, Y, fam) == (POS_INF, None)
+    assert delta_exact_small(X, Y, fam) == (POS_INF, "budget exceeded")
+    # a member without bars puts zero back into the family
+    zfam = FamilySpec((X, zero_complex()), with_zero=False)
+    assert zfam.has_zero() and not fam.has_zero()
+    assert delta_upper(X, Y, zfam)[0] == 2
+    cfg = GenConfig(seed=2207)
+    kept = 0
+    for off in range(12):
+        rng = cfg.rng(off)
+        BX = _random_barcode(cfg, rng, 2)
+        BY = BX.shifted(off % 3) if off % 2 else _random_barcode(cfg, rng, 2)
+        A, B = from_barcode(BX), from_barcode(BY)
+        for fam in (FamilySpec((A,), with_zero=False),
+                    FamilySpec((), with_zero=False)):
+            value, D = delta_upper(A, B, fam)
+            if D is not None:
+                kept += 1
+                assert validate_decomposition(D, A, fam, B)[0]
+            assert value >= delta_upper(A, B)[0]
+    assert kept
 
 
 def test_zero_iso_between_barcode_equal_objects(rng):

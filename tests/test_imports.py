@@ -1,8 +1,10 @@
 """No module of the library imports a name it never uses, no private
 top-level function or class goes unused, and no private function has a
-parameter it never reads."""
+parameter it never reads.  The library imports only the standard
+library and parses as the oldest Python that pyproject.toml admits."""
 
 import ast
+import sys
 from pathlib import Path
 
 import fcplx
@@ -75,3 +77,24 @@ def test_no_unused_parameters_of_private_functions():
             unused += [f"{p.name}:{node.lineno}: {node.name}({name})"
                        for name in params if name not in read]
     assert not unused, unused
+
+
+def test_only_standard_library_imports():
+    outside = []
+    for p in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text(), filename=str(p))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{p.name}:{node.lineno}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not outside, outside
+
+
+def test_modules_parse_as_python_3_10():
+    """requires-python = ">=3.10" in pyproject.toml."""
+    for p in sorted(SRC.glob("*.py")):
+        ast.parse(p.read_text(), filename=str(p), feature_version=(3, 10))

@@ -202,7 +202,7 @@ def test_inverse_error_contract():
     with pytest.raises(ValueError, match="threshold must be >= 0"):
         r_inverses(FilteredChainMap.identity(X), -1)
     with pytest.raises(ValueError, match="needs a W-isomorphism"):
-        zero_apex_step(X, X, eta(X, 2), 1)
+        zero_apex_step(eta(X, 2), 1)
 
 
 def test_acyclicity_witness_is_a_contraction_within_r():
