@@ -19,8 +19,10 @@ from pathlib import Path
 from .rationals import fmt_scalar, parse_scalar
 from .complexes import (
     FilteredChainMap,
+    _directives,
     complex_to_text,
     cone,
+    map_to_text,
     parse_complex,
     parse_map,
     shift_complex,
@@ -57,38 +59,23 @@ class InputError(Exception):
     pass
 
 
-def _loader(base: Path):
-    def load(name):
-        path = (base / name) if not os.path.isabs(name) else Path(name)
-        try:
-            return parse_complex(path.read_text())
-        except OSError as exc:
-            raise InputError(f"cannot read complex file {name}: {exc}")
-        except ValueError as exc:
-            raise InputError(f"{name}: {exc}")
-    return load
-
-
-def _read_complex(path_str):
-    path = Path(path_str)
-    try:
-        return parse_complex(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read {path_str}: {exc}")
-    except ValueError as exc:
-        raise InputError(f"{path_str}: {exc}")
-
-
-def _read_map(path_str):
-    path = Path(path_str)
+def _read(path, parse):
+    """parse(text, load) of the file at `path`, where load reads a
+    complex file named relative to it.  A failed read, and a ValueError
+    from parse, become an InputError that names the file."""
+    path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
-        raise InputError(f"cannot read {path_str}: {exc}")
+        raise InputError(f"cannot read {path}: {exc}")
     try:
-        return parse_map(text, _loader(path.parent))
+        return parse(text, lambda name: _read_complex(path.parent / name))
     except ValueError as exc:
-        raise InputError(f"{path_str}: {exc}")
+        raise InputError(f"{path}: {exc}")
+
+
+def _read_complex(path):
+    return _read(path, lambda text, load: parse_complex(text))
 
 
 def _bar_json(B: Barcode):
@@ -121,21 +108,16 @@ def _parse_bundle(path_str):
     `map u|v|w|phi|psi` blocks of `f <src> <tgt>...` lines closed by
     `end`.  phi and psi are anchored at the cone of u (generators of
     the translated part are named `t.<id>`)."""
-    path = Path(path_str)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path_str}: {exc}")
-    load = _loader(path.parent)
+    return _read(path_str,
+                 lambda text, load: _bundle(path_str, text, load))
+
+
+def _bundle(path_str, text, load):
     weight = None
     objects = {}
     blocks = {}
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _directives(text):
         n = len(parts) - 1
         if (parts[0] == "f" and not n
                 or n != _BUNDLE_OPERANDS.get(parts[0], n)):
@@ -181,20 +163,16 @@ def _parse_bundle(path_str):
             shift_complex(C, weight), K.complex, blocks["psi"]
         )
     except KeyError as exc:
-        raise InputError(f"{path_str}: unknown generator {exc.args[0]!r}")
+        raise ValueError(f"unknown generator {exc.args[0]!r}")
     tri = WeightedTriangle(A, B, C, u, v, w, weight)
     wit = TriangleWitness(K.complex, phi, psi)
     return tri, wit
 
 
 def _map_block(name, f):
-    lines = [f"map {name}"]
-    for j, c in enumerate(f.cols):
-        if c:
-            tgts = " ".join(f.target.gens[i].gid for i in c)
-            lines.append(f"f {f.source.gens[j].gid} {tgts}")
-    lines.append("end")
-    return "\n".join(lines)
+    # the f lines of the map file format, under a bundle block header
+    body = map_to_text(f).splitlines()[1:]
+    return "\n".join([f"map {name}", *body, "end"])
 
 
 def _triangle_report(tri, ok, failures):
@@ -251,7 +229,7 @@ def cmd_bottleneck(args):
 
 
 def cmd_cone(args):
-    f = _read_map(args.mapfile)
+    f = _read(args.mapfile, parse_map)
     lam = parse_scalar(args.lam) if args.lam is not None else Fraction(0)
     res = cone(f, lam)
     B = barcode(res.complex)
@@ -263,7 +241,7 @@ def cmd_cone(args):
 
 
 def cmd_riso(args):
-    f = _read_map(args.mapfile)
+    f = _read(args.mapfile, parse_map)
     r = parse_scalar(args.r)
     ok = is_r_isomorphism(f, r)
     _emit(args, "true" if ok else "false",
@@ -272,7 +250,7 @@ def cmd_riso(args):
 
 
 def cmd_sigma(args):
-    f = _read_map(args.mapfile)
+    f = _read(args.mapfile, parse_map)
     val = spectral_invariant(f)
     _emit(args, fmt_scalar(val), {"sigma": fmt_scalar(val)})
     return 0
@@ -339,13 +317,7 @@ def cmd_frag(args):
     Y = _read_complex(args.b)
     family = EMPTY_FAMILY
     if args.family:
-        path = Path(args.family)
-        try:
-            family = parse_family(path.read_text(), _loader(path.parent))
-        except OSError as exc:
-            raise InputError(f"cannot read family {args.family}: {exc}")
-        except ValueError as exc:
-            raise InputError(f"{args.family}: {exc}")
+        family = _read(args.family, parse_family)
     d1, _ = delta_upper(X, Y, family)
     d2, _ = delta_upper(Y, X, family)
     d = max(d1, d2)

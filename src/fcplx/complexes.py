@@ -180,7 +180,7 @@ class FilteredChainMap:
 
     @classmethod
     def identity(cls, X):
-        return cls(X, X, [F2Vector(mask=1 << i) for i in range(X.n)], 0)
+        return _inclusion(X, X, 0)
 
     @classmethod
     def from_pairs(cls, source, target, pairs, degree=0):
@@ -368,28 +368,26 @@ def sum_complexes(parts):
     return FilteredComplex(gens, cols), offsets
 
 
+def _inclusion(X: FilteredComplex, Z: FilteredComplex, off):
+    """The block inclusion X -> Z onto generators off, off + 1, ..."""
+    return FilteredChainMap(
+        X, Z, [F2Vector(mask=1 << (off + i)) for i in range(X.n)], 0
+    )
+
+
+def _projection(Z: FilteredComplex, X: FilteredComplex, off):
+    """The block projection Z -> X off generators off, off + 1, ..."""
+    cols = [ZERO] * Z.n
+    for i in range(X.n):
+        cols[off + i] = F2Vector(mask=1 << i)
+    return FilteredChainMap(Z, X, cols, 0)
+
+
 def direct_sum(X: FilteredComplex, Y: FilteredComplex) -> DirectSum:
     """Disjoint union of bases; colliding right ids get primed."""
     Z, (_, off) = sum_complexes([X, Y])
-    inc_l = FilteredChainMap(
-        X, Z, [F2Vector(mask=1 << i) for i in range(X.n)], 0
-    )
-    inc_r = FilteredChainMap(
-        Y, Z, [F2Vector(mask=1 << (off + i)) for i in range(Y.n)], 0
-    )
-    proj_l = FilteredChainMap(
-        Z,
-        X,
-        [F2Vector(mask=1 << i) for i in range(X.n)] + [ZERO] * Y.n,
-        0,
-    )
-    proj_r = FilteredChainMap(
-        Z,
-        Y,
-        [ZERO] * X.n + [F2Vector(mask=1 << i) for i in range(Y.n)],
-        0,
-    )
-    return DirectSum(Z, inc_l, inc_r, proj_l, proj_r)
+    return DirectSum(Z, _inclusion(X, Z, 0), _inclusion(Y, Z, off),
+                     _projection(Z, X, 0), _projection(Z, Y, off))
 
 
 # ----------------------------------------------------------------------
@@ -459,16 +457,7 @@ def cone(f: FilteredChainMap, lam=0) -> ConeResult:
     for i in range(X.n):
         cols.append(F2Vector(mask=f.cols[i].mask | (X.diff[i].mask << off)))
     C = FilteredComplex(gens, cols)
-    include = FilteredChainMap(
-        Y, C, [F2Vector(mask=1 << i) for i in range(Y.n)], 0
-    )
-    project = FilteredChainMap(
-        C,
-        tx,
-        [ZERO] * Y.n + [F2Vector(mask=1 << i) for i in range(X.n)],
-        0,
-    )
-    return ConeResult(C, include, project)
+    return ConeResult(C, _inclusion(Y, C, 0), _projection(C, tx, Y.n))
 
 
 # ----------------------------------------------------------------------
@@ -476,15 +465,16 @@ def cone(f: FilteredChainMap, lam=0) -> ConeResult:
 
 
 def _hom_pairs(X, Y, degree, bound=None):
-    """The (s, t) of Hom(X, Y) of degree `degree` and, given a bound, of
-    level <= bound, in flat order: the elementary maps x_s* (x) y_t a
-    solve may use."""
+    """The (s, t) of Hom(X, Y) of degree `degree` (of every degree for
+    None) and, given a bound, of level <= bound, in flat order: the
+    elementary maps x_s* (x) y_t a solve may use."""
     by_degree = {}
     for t, gt in enumerate(Y.gens):
         by_degree.setdefault(gt.degree, []).append(t)
     pairs = []
     for s, gs in enumerate(X.gens):
-        ts = by_degree.get(gs.degree + degree, ())
+        ts = (range(Y.n) if degree is None
+              else by_degree.get(gs.degree + degree, ()))
         if bound is not None:
             top = gs.ell + bound
             ts = [t for t in ts if Y.gens[t].ell <= top]
@@ -504,9 +494,14 @@ def _hom_hits(cols, n, nY):
     return hits
 
 
-def _hom_column(Y, hits, s, t) -> F2Vector:
-    """d(x_s* (x) y_t) = dY o h + h o dX in flat coordinates."""
-    return F2Vector(mask=(Y.diff[t].mask << (s * Y.n)) | (hits[s] << t))
+def _hom_slice(X, Y, degree, bound=None):
+    """The `_hom_pairs` of a slice of Hom(X, Y) and the differential
+    d(x_s* (x) y_t) = dY o h + h o dX of each, as a flat mask."""
+    pairs = _hom_pairs(X, Y, degree, bound)
+    hits = _hom_hits(X.diff, X.n, Y.n)
+    nY = Y.n
+    return pairs, [(Y.diff[t].mask << (s * nY)) | (hits[s] << t)
+                   for s, t in pairs]
 
 
 def _flat(f: FilteredChainMap) -> int:
@@ -535,7 +530,7 @@ class HomComplex:
     Flat index of the pair (s, t) is s * Y.n + t.  An elementary map
     has degree deg(t) - deg(s) and level ell(t) - ell(s); the
     differential is h -> dY o h + h o dX.  Solvers build only the
-    slices they use (`_hom_pairs`).
+    slices they use (`_hom_slice`).
     """
 
     __slots__ = ("X", "Y", "complex")
@@ -543,18 +538,14 @@ class HomComplex:
     def __init__(self, X: FilteredComplex, Y: FilteredComplex):
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
-        gens = []
-        cols = []
-        hits = _hom_hits(X.diff, X.n, Y.n)
-        for s, gs in enumerate(X.gens):
-            for t, gt in enumerate(Y.gens):
-                gens.append(
-                    Generator(
-                        f"{gs.gid}>{gt.gid}", gt.degree - gs.degree,
-                        gt.ell - gs.ell,
-                    )
-                )
-                cols.append(_hom_column(Y, hits, s, t))
+        pairs, cols = _hom_slice(X, Y, None)
+        gens = [
+            Generator(f"{X.gens[s].gid}>{Y.gens[t].gid}",
+                      Y.gens[t].degree - X.gens[s].degree,
+                      Y.gens[t].ell - X.gens[s].ell)
+            for s, t in pairs
+        ]
+        cols = [F2Vector(mask=m) for m in cols]
         object.__setattr__(self, "complex", FilteredComplex(gens, cols))
 
     def __setattr__(self, name, value):
@@ -597,11 +588,10 @@ def nullhomotopy(f: FilteredChainMap, bound):
     if f.is_zero():
         return FilteredChainMap.zero(f.source, f.target, f.degree - 1)
     X, Y = f.source, f.target
-    hits = _hom_hits(X.diff, X.n, Y.n)
-    pairs = _hom_pairs(X, Y, f.degree - 1, bound)
-    cols = [_hom_column(Y, hits, s, t) for s, t in pairs]
-    x = solve_in_span(F2SparseMatrix(cols, X.n * Y.n),
-                      F2Vector(mask=_flat(f)))
+    pairs, cols = _hom_slice(X, Y, f.degree - 1, bound)
+    x = solve_in_span(
+        F2SparseMatrix([F2Vector(mask=m) for m in cols], X.n * Y.n),
+        F2Vector(mask=_flat(f)))
     if x is None:
         return None
     return _map_at(X, Y, pairs, x.mask, f.degree - 1)
@@ -625,6 +615,15 @@ def homotopic(f: FilteredChainMap, g: FilteredChainMap, bound=0):
 # text formats
 
 
+def _directives(text: str):
+    """(line number, tokens) of each line of a text format that holds
+    more than a `#` comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            yield lineno, parts
+
+
 def parse_complex(text: str) -> FilteredComplex:
     """Complex text format:
 
@@ -635,11 +634,7 @@ def parse_complex(text: str) -> FilteredComplex:
     """
     triples = []
     boundaries = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _directives(text):
         if parts[0] == "gen":
             if len(parts) != 4:
                 raise ValueError(f"line {lineno}: gen wants id degree level")
@@ -674,11 +669,7 @@ def parse_map(text: str, load_complex) -> FilteredChainMap:
     source = target = None
     degree = 0
     pairs = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _directives(text):
         if parts[0] == "map":
             if len(parts) not in (3, 4):
                 raise ValueError(f"line {lineno}: map wants source target")

@@ -23,6 +23,7 @@ from .homsolve import enumerate_closed_maps
 from .complexes import (
     FilteredChainMap,
     FilteredComplex,
+    _directives,
     compose,
     cone,
     make_complex,
@@ -299,11 +300,7 @@ _FAMILY_OPERANDS = {"family": 0, "member": 1, "closed-shift": 0,
 def parse_family(text: str, load_complex) -> FamilySpec:
     members = []
     flags = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _directives(text):
         want = _FAMILY_OPERANDS.get(parts[0])
         if want is None:
             raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
@@ -665,24 +662,24 @@ def _riso_cost(BX: Barcode, BXp: Barcode, k):
     return lift + depth
 
 
-def delta_upper(X, Xp, family: FamilySpec = EMPTY_FAMILY, via=(),
-                grid=None):
+def delta_upper(X, Xp, family: FamilySpec = EMPTY_FAMILY, via=()):
     """Certified upper bound for the one-sided fragmentation distance
     of X through the slot X'; returns (value, decomposition or None).
 
     Strategies: the weight-0 slot when barcodes agree; the eta slot for
-    pure shifts; raised in-order comparison maps over a finite shift
-    grid; the bottleneck-driven matched-pair pipeline; and through-path
-    composition via the objects in `via`.  The shift grid is scored
+    pure shifts; raised in-order comparison maps over the shift grid
+    `level_grid(X, X')`; the bottleneck-driven matched-pair pipeline;
+    and through-path composition via the objects in `via`, each leg
+    reusing the barcodes already held.  The shift grid is scored
     from barcodes; only its first lightest shift is built, and only
     when it beats the bound already held.  When the family lacks zero,
     a decomposition counts only if its linearization passes the rule
     `validate_decomposition` applies: family members plus one slot.
     """
-    return _delta_upper(X, Xp, barcode(X), barcode(Xp), family, via, grid)
+    return _delta_upper(X, Xp, barcode(X), barcode(Xp), family, via)
 
 
-def _delta_upper(X, Xp, BX, BXp, family, via, grid):
+def _delta_upper(X, Xp, BX, BXp, family, via=()):
     """delta_upper with the barcodes of X and X' given."""
     best = (POS_INF, None)
     lacks_zero = not family.has_zero()
@@ -701,10 +698,8 @@ def _delta_upper(X, Xp, BX, BXp, family, via, grid):
     if r is not None:
         tri, wit = eta_slot_triangle(from_barcode(BX), r)
         consider(ConeDecomposition(((tri, wit),)))
-    if grid is None:
-        grid = level_grid(X, Xp)
     k_best = cost_best = None
-    for k in grid:
+    for k in level_grid(X, Xp):
         cost = _riso_cost(BX, BXp, k)
         if cost is not None and (cost_best is None or cost < cost_best):
             k_best, cost_best = k, cost
@@ -716,8 +711,9 @@ def _delta_upper(X, Xp, BX, BXp, family, via, grid):
     if best[0] > 0:  # nothing beats a weight-0 bound
         consider(_pipeline(BX, BXp)[1])
     for mid in via:
-        v1, D1 = delta_upper(X, mid, family)
-        v2, D2 = delta_upper(mid, Xp, family)
+        BM = barcode(mid)
+        _, D1 = _delta_upper(X, mid, BX, BM, family)
+        _, D2 = _delta_upper(mid, Xp, BM, BXp, family)
         if D1 is not None and D2 is not None:
             consider(compose_decompositions(D1, mid, D2))
     return best
@@ -735,7 +731,7 @@ def underline_delta_upper(X, Xp, family: FamilySpec = EMPTY_FAMILY):
     apexes in the family.  Requires zero in the family.  Returns
     (value, chain of steps); the chain converts into a slot-style
     witness, so this bound always dominates delta_upper."""
-    if not family.with_zero:
+    if not family.has_zero():
         raise ValueError("the chain variant needs zero in the family")
     BX, BXp = barcode(X), barcode(Xp)
     if BX == BXp:
@@ -902,7 +898,7 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
     # search holds itself through its closure; break that cycle so the
     # memo goes with this frame, not at the next cyclic collection
     del search
-    upper, _ = _delta_upper(X, Xp, BX, BXp, family, (), None)
+    upper, _ = _delta_upper(X, Xp, BX, BXp, family)
     value = min(best[0], upper)
     note = "search" if best[0] <= upper else "strategy"
     if value == POS_INF:

@@ -6,7 +6,7 @@ clause is GF(2)-linear in the unknown maps and homotopies, so a system
 is assembled as one sparse matrix and solved exactly.  Its unknowns
 live on degree and level slices of Hom: a map of level <= 0 on the
 degree-0 elementary maps of level <= 0, a homotopy on the degree -1
-ones under its bound (`complexes._hom_pairs`), so no whole hom complex
+ones under its bound (`complexes._hom_slice`), so no whole hom complex
 is built.  `fill_map` states the one system the triangle layer solves:
 a closed map whose composites with given maps agree with given maps up
 to bounded homotopies.
@@ -17,9 +17,8 @@ from __future__ import annotations
 from .complexes import (
     HomComplex,
     _flat,
-    _hom_column,
     _hom_hits,
-    _hom_pairs,
+    _hom_slice,
     _map_at,
 )
 from .f2linalg import F2SparseMatrix, F2Vector, column_reduce, solve_in_span
@@ -108,7 +107,7 @@ def fill_map(S, T, pre=(), post=()):
     unknowns are x and then one homotopy per clause, pre before post;
     the equations are closedness and then the clauses in that order.
     """
-    xs = _hom_pairs(S, T, 0, 0)
+    xs, cols = _hom_slice(S, T, 0, 0)
     # per clause: the homotopy's Hom(X, Y), b, its bound, and the x part
     # of the clause's rows, one mask per x column
     blocks = []
@@ -123,17 +122,13 @@ def fill_map(S, T, pre=(), post=()):
         nZ = a.target.n
         blocks.append((S, a.target, b, bound,
                        [a.cols[t].mask << (s * nZ) for s, t in xs]))
-    hits = _hom_hits(S.diff, S.n, T.n)
-    cols = [_hom_column(T, hits, s, t).mask for s, t in xs]
     hcols = []
     rhs = 0
     base = S.n * T.n
     for X, Y, b, bound, part in blocks:
         for k, m in enumerate(part):
             cols[k] |= m << base
-        hits = _hom_hits(X.diff, X.n, Y.n)
-        hcols += [_hom_column(Y, hits, s, t).mask << base
-                  for s, t in _hom_pairs(X, Y, -1, bound)]
+        hcols += [m << base for m in _hom_slice(X, Y, -1, bound)[1]]
         rhs |= _flat(b) << base
         base += X.n * Y.n
     A = F2SparseMatrix([F2Vector(mask=m) for m in cols + hcols], base)
@@ -149,12 +144,10 @@ def closed_map_basis(S, T):
 
     The constraint column of position (i, j) is the differential of the
     elementary map x_i* (x) y_j in Hom(S, T)."""
-    positions = _hom_pairs(S, T, 0, 0)
+    positions, cols = _hom_slice(S, T, 0, 0)
     if not positions:
         return [], positions
-    hits = _hom_hits(S.diff, S.n, T.n)
-    A = F2SparseMatrix([_hom_column(T, hits, i, j) for i, j in positions],
-                       S.n * T.n)
+    A = F2SparseMatrix([F2Vector(mask=m) for m in cols], S.n * T.n)
     R, V = column_reduce(A)
     kernel = [V.column(j) for j in range(A.ncols) if not R.column(j)]
     return kernel, positions

@@ -22,14 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rationals import NEG_INF, POS_INF, fmt_scalar, is_finite
-from .f2linalg import F2SparseMatrix, F2Vector, solve_in_span
+from .f2linalg import ZERO, F2SparseMatrix, F2Vector, solve_in_span
 from .complexes import (
     FilteredChainMap,
     FilteredComplex,
     _flat,
-    _hom_column,
-    _hom_hits,
     _hom_pairs,
+    _hom_slice,
     _map_at,
     compose,
     cone,
@@ -160,9 +159,7 @@ def _boundary_above(f: FilteredChainMap):
     above(k): an x on those columns whose boundary equals f on every
     degree-(deg f) pair above level k (all of f for k None), or None."""
     X, Y = f.source, f.target
-    hits = _hom_hits(X.diff, X.n, Y.n)
-    pairs = _hom_pairs(X, Y, f.degree - 1)
-    cols = [_hom_column(Y, hits, s, t).mask for s, t in pairs]
+    _, cols = _hom_slice(X, Y, f.degree - 1)
     rows = [(Y.gens[t].ell - X.gens[s].ell, 1 << (s * Y.n + t))
             for s, t in _hom_pairs(X, Y, f.degree)]
     enc = _flat(f)
@@ -259,54 +256,42 @@ def _check_clause(failures, name, ok):
     return ok
 
 
+def _closed_shift0(m, source, target):
+    """Is m a closed degree-0 map source -> target of shift <= 0?"""
+    if (m.source != source or m.target != target or m.degree != 0
+            or not m.is_closed()):
+        return False
+    sh = shift_of_map(m)
+    return sh == NEG_INF or sh <= 0
+
+
 def verify_triangle(tri: WeightedTriangle, wit: TriangleWitness):
     """Check every witness clause; returns (ok, list of failed clauses)."""
     failures = []
     r = Fraction(tri.weight)
     if r < 0:
         return False, ["weight-negative"]
-    structural = (
-        tri.u.source == tri.A
-        and tri.u.target == tri.B
-        and tri.v.source == tri.B
-        and tri.v.target == tri.C
-        and tri.w.source == tri.C
-        and tri.w.target == tri.w_target()
-    )
+    A, B, C = tri.A, tri.B, tri.C
+    legs = (("u", tri.u, A, B), ("v", tri.v, B, C),
+            ("w", tri.w, C, tri.w_target()))
+    structural = all(m.source == source and m.target == target
+                     for _, m, source, target in legs)
     if not _check_clause(failures, "shape", structural):
         return False, failures
-    for name, m in (("u", tri.u), ("v", tri.v), ("w", tri.w)):
-        sh = shift_of_map(m)
-        _check_clause(
-            failures,
-            f"{name}-closed-shift0",
-            m.degree == 0 and m.is_closed() and (sh == NEG_INF or sh <= 0),
-        )
+    for name, m, source, target in legs:
+        _check_clause(failures, f"{name}-closed-shift0",
+                      _closed_shift0(m, source, target))
     if failures:
         return False, failures
     K = cone(tri.u, 0)
     if not _check_clause(failures, "cprime-is-cone", wit.cprime == K.complex):
         return False, failures
-    okphi = (
-        wit.phi.source == K.complex
-        and wit.phi.target == tri.C
-        and wit.phi.degree == 0
-        and wit.phi.is_closed()
-    )
-    sh = shift_of_map(wit.phi)
-    okphi = okphi and (sh == NEG_INF or sh <= 0)
-    if not _check_clause(failures, "phi-closed-shift0", okphi):
+    if not _check_clause(failures, "phi-closed-shift0",
+                         _closed_shift0(wit.phi, K.complex, C)):
         return False, failures
-    sC = shift_complex(tri.C, r)
-    okpsi = (
-        wit.psi.source == sC
-        and wit.psi.target == K.complex
-        and wit.psi.degree == 0
-        and wit.psi.is_closed()
-    )
-    sh = shift_of_map(wit.psi)
-    okpsi = okpsi and (sh == NEG_INF or sh <= 0)
-    if not _check_clause(failures, "psi-closed-shift0", okpsi):
+    sC = shift_complex(C, r)
+    if not _check_clause(failures, "psi-closed-shift0",
+                         _closed_shift0(wit.psi, sC, K.complex)):
         return False, failures
     _check_clause(
         failures, "phi-r-isomorphism",
@@ -585,16 +570,18 @@ def octahedron(t1, w1, t2, w2):
 
     nA, nF, nE = A.n, F.n, E.n
 
-    def g_matrix(source, target):
-        cols = []
-        for a in range(nA):
-            cols.append(F2Vector(mask=1 << a))
-        for j in range(nF):
-            cols.append(F2Vector(mask=h.cols[j].mask | (1 << (nA + j))))
-        return FilteredChainMap(source, target, cols, 0)
+    def cone_map(K, L, f, hom=None):
+        """K -> L between two cones over A: the identity on A, then T(f)
+        plus the homotopy `hom` into A on the translated part."""
+        hcols = [ZERO] * len(f.cols) if hom is None else hom.cols
+        cols = [F2Vector(mask=1 << a) for a in range(nA)] + [
+            F2Vector(mask=(c.mask << nA) | hc.mask)
+            for c, hc in zip(f.cols, hcols)]
+        return FilteredChainMap(K, L, cols, 0)
 
-    G = g_matrix(C, C_oct.complex)       # cone(p) -> cone(alpha2)
-    Ghat = g_matrix(C_oct.complex, C)    # the same involution backwards
+    # cone(p) -> cone(alpha2), an involution
+    G = cone_map(C, C_oct.complex, FilteredChainMap.identity(F), h)
+    Ghat = G.viewed(C_oct.complex, C, 0)
 
     # u4: TE -> C, through the octahedron column map and G
     u4_cols = []
@@ -603,18 +590,10 @@ def octahedron(t1, w1, t2, w2):
         u4_cols.append(Ghat.apply(F2Vector(mask=oct_mask)))
     u4 = FilteredChainMap(TE, C, u4_cols, 0)
 
-    # w_map: cone(alpha2) -> cone(g2): identity on A, T(include) on TF
-    w_cols = [F2Vector(mask=1 << a) for a in range(nA)]
-    for j in range(nF):
-        w_cols.append(F2Vector(mask=K1.include.cols[j].mask << nA))
-    w_map = FilteredChainMap(C_oct.complex, B2.complex, w_cols, 0)
-
-    # phi': cone(g2) -> cone(t2.u): identity on A, T(phi1) on TX'
+    # cone(alpha2) -> cone(g2) -> cone(t2.u)
+    w_map = cone_map(C_oct.complex, B2.complex, K1.include)
     Bp = cone(t2.u, 0)
-    pp_cols = [F2Vector(mask=1 << a) for a in range(nA)]
-    for k in range(K1.complex.n):
-        pp_cols.append(F2Vector(mask=w1.phi.cols[k].mask << nA))
-    phi_prime = FilteredChainMap(B2.complex, Bp.complex, pp_cols, 0)
+    phi_prime = cone_map(B2.complex, Bp.complex, w1.phi)
     try:
         _, psi2 = r_inverses(phi_prime, r)
     except ValueError as exc:

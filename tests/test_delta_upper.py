@@ -100,15 +100,18 @@ def test_score_equals_the_built_weight_at_every_shift():
     assert seen["none"] and seen["disjoint"]
 
 
+def _via_triple():
+    """X, mid, X' where the path through mid beats every direct strategy."""
+    q = Fraction(1, 4)
+    return (_scrambled(random.Random(7), Barcode([Bar(0, lo, hi)]))
+            for lo, hi in ((8 * q, 10 * q), (3 * q, 5 * q), (2 * q, 5 * q)))
+
+
 def test_result_is_byte_identical_to_building_every_shift():
     for X, Xp in _both_ways():
         assert (serialize(delta_upper(X, Xp))
                 == serialize(reference_delta_upper(X, Xp)))
-    # a triple where the path through mid beats every direct strategy
-    q = Fraction(1, 4)
-    X, mid, Xp = (_scrambled(random.Random(7), Barcode([Bar(0, lo, hi)]))
-                  for lo, hi in ((8 * q, 10 * q), (3 * q, 5 * q),
-                                 (2 * q, 5 * q)))
+    X, mid, Xp = _via_triple()
     through = delta_upper(X, Xp, via=(mid,))
     assert through[0] < delta_upper(X, Xp)[0]
     assert serialize(through) == serialize(
@@ -191,6 +194,15 @@ def test_one_canonical_form_of_each_input_per_call(monkeypatch):
             counts.clear()
             delta_upper(a, b)
             assert counts[id(a)] == 1 and counts[id(b)] == 1
+
+
+def test_one_canonical_form_of_each_object_per_call_via_mid(monkeypatch):
+    """Each leg through a `via` object reuses the barcodes already
+    held, so X, mid and X' are each put in canonical form once."""
+    X, mid, Xp = _via_triple()
+    counts = _count_canonical_forms(monkeypatch)
+    delta_upper(X, Xp, via=(mid,))
+    assert (counts[id(X)], counts[id(mid)], counts[id(Xp)]) == (1, 1, 1)
 
 
 def test_one_canonical_form_of_each_input_per_oracle_call(monkeypatch):

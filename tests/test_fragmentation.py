@@ -234,6 +234,15 @@ def test_underline_variant_dominates_and_feeds_back():
         underline_delta_upper(X, Y, FamilySpec((), with_zero=False))
 
 
+def test_underline_variant_takes_zero_from_a_member_without_bars():
+    """A member without bars puts zero in the family as the flag does."""
+    X, Xp = interval_pair(2, 0, degree=0), interval_pair(2, 1, degree=0)
+    assert underline_delta_upper(X, Xp)[0] == 1
+    zfam = FamilySpec((zero_complex(),), with_zero=False)
+    v, chain = underline_delta_upper(X, Xp, zfam)
+    assert v == 1 and all(verify_triangle(*step)[0] for step in chain)
+
+
 def test_pipeline_reflexive_and_infinite_cases():
     X = interval_pair(3, 1)
     bound, D, tau, cap = prop51_pipeline(X, X)
