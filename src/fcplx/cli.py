@@ -10,6 +10,7 @@ its suite reports there.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -390,13 +391,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="structured output with stable keys")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for the check harness")
-    common.add_argument("--trials", type=int, default=50,
-                        help="trials per suite for the check harness")
-    common.add_argument("--standard-bottleneck", action="store_true",
-                        help="use the common short-bar rule "
-                        "(length <= 2*tau)")
     p = argparse.ArgumentParser(
         prog="fcplx",
         description="Barcodes, weighted triangles and fragmentation "
@@ -407,57 +401,49 @@ def build_parser():
     s = sub.add_parser("barcode", parents=[common],
                        help="barcode of a complex file")
     s.add_argument("file")
-    s.set_defaults(fn=cmd_barcode)
 
     s = sub.add_parser("depth", parents=[common],
                        help="boundary depth of a complex")
     s.add_argument("file")
-    s.set_defaults(fn=cmd_depth)
 
     s = sub.add_parser("acyclic", parents=[common],
                        help="test r-acyclicity")
     s.add_argument("file")
     s.add_argument("--r", required=True)
-    s.set_defaults(fn=cmd_acyclic)
 
     s = sub.add_parser("bottleneck", parents=[common],
                        help="bottleneck distance of two complexes")
     s.add_argument("a")
     s.add_argument("b")
-    s.set_defaults(fn=cmd_bottleneck)
+    s.add_argument("--standard-bottleneck", action="store_true",
+                   help="use the common short-bar rule (length <= 2*tau)")
 
     s = sub.add_parser("cone", parents=[common],
                        help="mapping cone of a map file")
     s.add_argument("mapfile")
     s.add_argument("--lambda", dest="lam", default=None)
-    s.set_defaults(fn=cmd_cone)
 
     s = sub.add_parser("riso", parents=[common],
                        help="test whether a map is an r-isomorphism")
     s.add_argument("mapfile")
     s.add_argument("--r", required=True)
-    s.set_defaults(fn=cmd_riso)
 
     s = sub.add_parser("sigma", parents=[common],
                        help="spectral invariant of a map")
     s.add_argument("mapfile")
-    s.set_defaults(fn=cmd_sigma)
 
     s = sub.add_parser("verify-triangle", parents=[common],
                        help="verify a triangle bundle")
     s.add_argument("bundle")
-    s.set_defaults(fn=cmd_verify_triangle)
 
     s = sub.add_parser("rotate", parents=[common],
                        help="rotate a triangle bundle")
     s.add_argument("bundle")
-    s.set_defaults(fn=cmd_rotate)
 
     s = sub.add_parser("octahedron", parents=[common],
                        help="octahedron of two bundles")
     s.add_argument("b1")
     s.add_argument("b2")
-    s.set_defaults(fn=cmd_octahedron)
 
     s = sub.add_parser("frag", parents=[common],
                        help="fragmentation distance bounds")
@@ -467,30 +453,37 @@ def build_parser():
     s.add_argument("--exact", action="store_true")
     s.add_argument("--depth", type=int, default=3)
     s.add_argument("--budget", default="100")
-    s.set_defaults(fn=cmd_frag)
 
     s = sub.add_parser("prop51", parents=[common],
                        help="bottleneck-driven distance bound")
     s.add_argument("a")
     s.add_argument("b")
-    s.set_defaults(fn=cmd_prop51)
 
     s = sub.add_parser("check", parents=[common],
                        help="run verification suites")
     s.add_argument("--suite", default="all")
-    s.set_defaults(fn=cmd_check)
+    s.add_argument("--seed", type=int, default=0,
+                   help="seed of the suites' generators")
+    s.add_argument("--trials", type=int, default=50,
+                   help="trials per suite")
 
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        # looked up per call: the parser outlives any one binding
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

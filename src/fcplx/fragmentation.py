@@ -13,9 +13,9 @@ decompositions exhaustively.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .rationals import POS_INF, is_finite
 from .f2linalg import F2Vector
@@ -36,6 +36,9 @@ from .complexes import (
 from .barcodes import (
     Bar,
     Barcode,
+    _by_cost,
+    _covers,
+    _split_by_degree,
     _summands,
     barcode,
     boundary_depth,
@@ -425,15 +428,21 @@ def compose_decompositions(D1, x_mid, D2):
     return refine(D1, i, DpT)
 
 
+def _padded(steps, Z, left=True):
+    """Each step summed with the identity triangle on Z, on the left
+    (Z (+) step) or on the right (step (+) Z)."""
+    out = []
+    for tri, wit in steps:
+        idt, idw = identity_triangle(Z)
+        out.append(sum_triangles(idt, idw, tri, wit) if left
+                   else sum_triangles(tri, wit, idt, idw))
+    return out
+
+
 def sum_decompositions(DA: ConeDecomposition, DB: ConeDecomposition):
     """Decomposition of A (+) B: run DA, then DB padded by the identity
     triangle on A.  Weight adds exactly."""
-    steps = list(DA.steps)
-    A = DA.target()
-    for tri, wit in DB.steps:
-        idt, idw = identity_triangle(A)
-        steps.append(sum_triangles(idt, idw, tri, wit))
-    return ConeDecomposition(tuple(steps))
+    return ConeDecomposition(DA.steps + tuple(_padded(DB.steps, DA.target())))
 
 
 def merge_slot_decompositions(DA, xprimeA, DB, xprimeB):
@@ -444,28 +453,24 @@ def merge_slot_decompositions(DA, xprimeA, DB, xprimeB):
     at most w(DA) + w(DB)."""
     iA = _slot_index(DA, xprimeA)
     iB = _slot_index(DB, xprimeB)
+    (tA, wA), (tB, wB) = DA.steps[iA], DB.steps[iB]
     steps = list(DA.steps[:iA])
-    P = DA.steps[iA][0].B
-    for tri, wit in DB.steps[:iB]:
-        idt, idw = identity_triangle(P)
-        steps.append(sum_triangles(idt, idw, tri, wit))
-    steps.append(
-        sum_triangles(DA.steps[iA][0], DA.steps[iA][1],
-                      DB.steps[iB][0], DB.steps[iB][1])
-    )
-    QC = DB.steps[iB][0].C
-    for tri, wit in DA.steps[iA + 1:]:
-        idt, idw = identity_triangle(QC)
-        steps.append(sum_triangles(tri, wit, idt, idw))
-    Afin = DA.target()
-    for tri, wit in DB.steps[iB + 1:]:
-        idt, idw = identity_triangle(Afin)
-        steps.append(sum_triangles(idt, idw, tri, wit))
+    steps += _padded(DB.steps[:iB], tA.B)
+    steps.append(sum_triangles(tA, wA, tB, wB))
+    steps += _padded(DA.steps[iA + 1:], tB.C, left=False)
+    steps += _padded(DB.steps[iB + 1:], DA.target())
     return ConeDecomposition(tuple(steps))
 
 
 # ----------------------------------------------------------------------
 # the matched-pair pipeline
+
+
+def _residual_shift(bx: Bar, by: Bar):
+    """How far _pair_block raises bx so that by maps onto it."""
+    if bx.hi == POS_INF:
+        return max(by.lo - bx.lo, Fraction(0))
+    return max(by.lo - bx.lo, by.hi - bx.hi, Fraction(0))
 
 
 def _pair_block(bx: Bar, by: Bar):
@@ -476,8 +481,8 @@ def _pair_block(bx: Bar, by: Bar):
     if by.degree != delta:
         raise ValueError("matched bars must share a degree")
     Ep = from_barcode(Barcode([by]))          # Y-side summand
+    mu = _residual_shift(bx, by)
     if bx.hi == POS_INF:
-        mu = max(by.lo - bx.lo, Fraction(0))
         H = make_complex(
             [("P", delta, bx.lo + mu), ("Q", delta + 1, by.lo)],
             {"P": ["Q"]},
@@ -486,7 +491,6 @@ def _pair_block(bx: Bar, by: Bar):
             translate_inverse(Ep), H, {"i0": ["Q"]}, 0
         )
     else:
-        mu = max(by.lo - bx.lo, by.hi - bx.hi, Fraction(0))
         H = make_complex(
             [
                 ("P", delta - 1, bx.hi + mu),
@@ -513,9 +517,38 @@ def prop51_pipeline(X, Y):
     return _pipeline(barcode(X), barcode(Y))
 
 
-def _pipeline(BX: Barcode, BY: Barcode):
+def _pipeline_cost(tau, wit):
+    """The weight of _pipeline's decomposition for the bottleneck
+    matching (tau, wit), from its bars alone; inf when there is none.
+
+    The weight is the depth of the helper attached first, plus the
+    longest collapsed Y-short, plus the largest residual shift mu paid
+    by the final down move.  The helper is the sum of the X-short carry
+    and each pair's H, whose bars are [by.lo, bx.lo + mu) for infinite
+    bx, else [by.lo, min(by.hi, bx.lo + mu)) and
+    [max(by.hi, bx.lo + mu), bx.hi + mu)."""
+    if tau == POS_INF:
+        return POS_INF
+    helper = [b.length() for b in wit.short1]
+    mus = []
+    for bx, by in wit.matched:
+        mu = _residual_shift(bx, by)
+        mus.append(mu)
+        if bx.hi == POS_INF:
+            helper.append(bx.lo + mu - by.lo)
+        else:
+            helper.append(min(by.hi, bx.lo + mu) - by.lo)
+            helper.append(bx.hi + mu - max(by.hi, bx.lo + mu))
+    return (max(helper, default=Fraction(0))
+            + max((b.length() for b in wit.short2), default=Fraction(0))
+            + max(mus, default=Fraction(0)))
+
+
+def _pipeline(BX: Barcode, BY: Barcode, match=None):
+    """prop51_pipeline on barcodes; `match` is bottleneck(BX, BY) when
+    the caller already holds it."""
     cap = 4 * min(len(BX), len(BY)) + 1
-    tau, wit = bottleneck(BX, BY)
+    tau, wit = match or bottleneck(BX, BY)
     if tau == POS_INF:
         return POS_INF, None, POS_INF, cap
     blocks = []  # (slot triangle, witness, down map, output, mu)
@@ -526,13 +559,11 @@ def _pipeline(BX: Barcode, BY: Barcode):
         down = canonical_projection(
             tri.C, Barcode([bx]).shifted(mu)).viewed(target=tgt)
         blocks.append((tri, twit, down, tgt, mu))
-    shorts_y = list(wit.short2)
-    shorts_x = list(wit.short1)
-    SX = from_barcode(Barcode(shorts_x))
+    SX = from_barcode(Barcode(wit.short1))
     steps = []
     # merged slot step: pair blocks + collapsed Y-shorts + X-short carry
     slot_parts = [(tri, twit) for tri, twit, *_ in blocks]
-    for bs in shorts_y:
+    for bs in wit.short2:
         slot_parts.append(collapse_acyclic_triangle(from_barcode(
             Barcode([bs]))))
     if not SX.is_zero() or not slot_parts:
@@ -670,53 +701,52 @@ def delta_upper(X, Xp, family: FamilySpec = EMPTY_FAMILY, via=()):
     pure shifts; raised in-order comparison maps over the shift grid
     `level_grid(X, X')`; the bottleneck-driven matched-pair pipeline;
     and through-path composition via the objects in `via`, each leg
-    reusing the barcodes already held.  The shift grid is scored
-    from barcodes; only its first lightest shift is built, and only
-    when it beats the bound already held.  When the family lacks zero,
-    a decomposition counts only if its linearization passes the rule
-    `validate_decomposition` applies: family members plus one slot.
+    reusing the barcodes already held.  Every strategy is scored from
+    barcodes (a `via` path by its two legs' values), and the scores are
+    built lightest first, ties in that order, until one passes the
+    family rule: when the family lacks zero, a decomposition counts
+    only if its linearization passes the rule `validate_decomposition`
+    applies, family members plus one slot.
     """
     return _delta_upper(X, Xp, barcode(X), barcode(Xp), family, via)
 
 
 def _delta_upper(X, Xp, BX, BXp, family, via=()):
     """delta_upper with the barcodes of X and X' given."""
-    best = (POS_INF, None)
-    lacks_zero = not family.has_zero()
-
-    def consider(D):
-        nonlocal best
-        if D is None or lacks_zero and not _linearization_ok(D, family, BXp):
-            return
-        wgt = D.total_weight()
-        if wgt < best[0]:
-            best = (wgt, D)
-
+    cands = []  # (score, build), in tie order
     if BX == BXp:
-        consider(singleton_decomposition(from_barcode(BXp)))
+        cands.append((Fraction(0),
+                      lambda: singleton_decomposition(from_barcode(BXp))))
     r = _eta_shift_candidate(BX, BXp)
     if r is not None:
-        tri, wit = eta_slot_triangle(from_barcode(BX), r)
-        consider(ConeDecomposition(((tri, wit),)))
-    k_best = cost_best = None
-    for k in level_grid(X, Xp):
-        cost = _riso_cost(BX, BXp, k)
-        if cost is not None and (cost_best is None or cost < cost_best):
-            k_best, cost_best = k, cost
-    if cost_best is not None and cost_best < best[0]:
-        D = _riso_strategy(BX, BXp, k_best)
-        if D is None or D.total_weight() != cost_best:
-            raise AssertionError("raised comparison built off its score")
-        consider(D)
-    if best[0] > 0:  # nothing beats a weight-0 bound
-        consider(_pipeline(BX, BXp)[1])
+        cands.append((r, lambda: ConeDecomposition(
+            (eta_slot_triangle(from_barcode(BX), r),))))
+    riso = [(cost, k) for k in level_grid(X, Xp)
+            if (cost := _riso_cost(BX, BXp, k)) is not None]
+    if riso:
+        # min keeps the first lightest shift
+        cost, k = min(riso, key=lambda ck: ck[0])
+        cands.append((cost, partial(_riso_strategy, BX, BXp, k)))
+    match = bottleneck(BX, BXp)
+    cands.append((_pipeline_cost(*match),
+                  lambda: _pipeline(BX, BXp, match)[1]))
     for mid in via:
         BM = barcode(mid)
-        _, D1 = _delta_upper(X, mid, BX, BM, family)
-        _, D2 = _delta_upper(mid, Xp, BM, BXp, family)
+        w1, D1 = _delta_upper(X, mid, BX, BM, family)
+        w2, D2 = _delta_upper(mid, Xp, BM, BXp, family)
         if D1 is not None and D2 is not None:
-            consider(compose_decompositions(D1, mid, D2))
-    return best
+            cands.append((w1 + w2,
+                          partial(compose_decompositions, D1, mid, D2)))
+    lacks_zero = not family.has_zero()
+    for score, build in sorted(cands, key=lambda c: c[0]):
+        if score == POS_INF:
+            break
+        D = build()
+        if D is None or D.total_weight() != score:
+            raise AssertionError("a strategy built off its score")
+        if not lacks_zero or _linearization_ok(D, family, BXp):
+            return score, D
+    return POS_INF, None
 
 
 def d_frag_upper(X, Xp, family: FamilySpec = EMPTY_FAMILY):
@@ -740,77 +770,53 @@ def underline_delta_upper(X, Xp, family: FamilySpec = EMPTY_FAMILY):
         # attaching everything over the zero apex in one move
         step = acyclic_from_zero_step(from_barcode(BX))
         return step[0].weight, (step,)
-    m = comparison_map(BXp, BX)
-    if m is not None:
-        K = cone(m, 0)
-        b = barcode(K.complex)
-        if not b.infinite():
-            W = boundary_depth(b)
-            step = zero_apex_step(m, W)
-            return W, (step,)
-    return POS_INF, None
+    W = _riso_cost(BX, BXp, 0)
+    if W is None:
+        return POS_INF, None
+    return W, (zero_apex_step(comparison_map(BXp, BX), W),)
 
 
 # ----------------------------------------------------------------------
 # exhaustive small-instance oracle
 
 
+def _move_cost(s: Bar, t: Bar):
+    """The shift a matched pair s -> t costs in _iso_move_cost: how far
+    each endpoint moves down, inf if one moves up or only one is
+    infinite."""
+    if s.is_finite() != t.is_finite() or t.lo > s.lo or t.hi > s.hi:
+        return POS_INF
+    return s.lo - t.lo if s.hi == POS_INF else max(s.lo - t.lo, s.hi - t.hi)
+
+
 def _iso_move_cost(BS: Barcode, BT: Barcode):
     """Least W admitting a W-iso from_barcode(BS) -> from_barcode(BT)
     within the per-degree in-order matching family (both endpoints move
-    weakly down by at most W; unmatched bars have length <= W)."""
-    by_deg = {}
-    for b in BS:
-        by_deg.setdefault(b.degree, ([], []))[0].append(b)
-    for b in BT:
-        by_deg.setdefault(b.degree, ([], []))[1].append(b)
-    total = Fraction(0)
-    for deg, (src, tgt) in by_deg.items():
-        src_inf = [b for b in src if not b.is_finite()]
-        tgt_inf = [b for b in tgt if not b.is_finite()]
-        if len(src_inf) != len(tgt_inf):
-            return POS_INF
-        best = POS_INF
-        src_fin = [b for b in src if b.is_finite()]
-        tgt_fin = [b for b in tgt if b.is_finite()]
-        n, m = len(src_fin), len(tgt_fin)
-        for kset in range(min(n, m), -1, -1):
-            for src_sel in itertools.combinations(range(n), kset):
-                for tgt_sel in itertools.permutations(range(m), kset):
-                    cost = Fraction(0)
-                    okm = True
-                    for a, b in zip(src_sel, tgt_sel):
-                        s, t = src_fin[a], tgt_fin[b]
-                        if t.lo > s.lo or t.hi > s.hi:
-                            okm = False
-                            break
-                        cost = max(cost, s.lo - t.lo, s.hi - t.hi)
-                    if not okm:
-                        continue
-                    for a in range(n):
-                        if a not in src_sel:
-                            cost = max(cost, src_fin[a].length())
-                    for b in range(m):
-                        if b not in tgt_sel:
-                            cost = max(cost, tgt_fin[b].length())
-                    best = min(best, cost)
-        infcost = Fraction(0)
-        srt_s = sorted(src_inf, key=lambda b: b.lo)
-        srt_t = sorted(tgt_inf, key=lambda b: b.lo)
-        okinf = True
-        for s, t in zip(srt_s, srt_t):
-            if t.lo > s.lo:
-                okinf = False
-                break
-            infcost = max(infcost, s.lo - t.lo)
-        if not okinf:
-            return POS_INF
-        if best == POS_INF and (src_fin or tgt_fin):
-            return POS_INF
-        if best == POS_INF:
-            best = Fraction(0)
-        total = max(total, best, infcost)
-    return total
+    weakly down by at most W; unmatched bars have length <= W).
+
+    As in `bottleneck`, by the Mendelsohn-Dulmage theorem W is feasible
+    iff, in every degree, each side's bars longer than W can be matched
+    into the other side by pairs costing at most W; the least feasible
+    candidate weight (a pair cost or a bar length) is the answer."""
+    ds, dt = _split_by_degree(BS), _split_by_degree(BT)
+    parts = []
+    weights = {Fraction(0)}
+    for deg in set(ds) | set(dt):
+        src = [b for side in ds.get(deg, ()) for b in side]
+        tgt = [b for side in dt.get(deg, ()) for b in side]
+        cost = [[_move_cost(s, t) for t in tgt] for s in src]
+        rows1 = [_by_cost(row) for row in cost]
+        rows2 = [_by_cost(col) for col in zip(*cost)] or [([], [])] * len(tgt)
+        thr1 = [b.length() for b in src]
+        thr2 = [b.length() for b in tgt]
+        parts.append((rows1, thr1, rows2, thr2, len(src), len(tgt)))
+        weights.update(c for row in cost for c in row if c != POS_INF)
+        weights.update(w for w in thr1 + thr2 if w != POS_INF)
+    for W in sorted(weights):
+        if all(_covers(rows1, thr1, W, n2) and _covers(rows2, thr2, W, n1)
+               for rows1, thr1, rows2, thr2, n1, n2 in parts):
+            return W
+    return POS_INF
 
 
 def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
@@ -831,20 +837,16 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
     slot_state_complex = translate_inverse(from_barcode(BXp))
     # acyclic attachments and the final down-move have apex zero
     has_zero = family.has_zero()
-    levels = sorted(
-        {g.ell for Z in (X, Xp, *family.members) for g in Z.gens}
-    )
+    levels = {g.ell for Z in (X, Xp, *family.members) for g in Z.gens}
     diffs = level_grid(X, Xp, *family.members)
     pool_levels = sorted(
-        {lv for lv in levels}
-        | {lv + d for lv in levels for d in diffs}
-    )[:12]
+        levels | {lv + d for lv in levels for d in diffs})[:12]
     degrees = sorted(
         {g.degree for Z in (X, Xp) for g in Z.gens} | {0}
     )
     deg_pool = sorted(set(degrees) | {d + 1 for d in degrees})
     bar_pool = [
-        Bar(d, a, b)
+        (Bar(d, a, b), b - a)
         for d in deg_pool
         for a in pool_levels
         for b in pool_levels
@@ -890,9 +892,11 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
                 K = cone(u, 0)
                 search(barcode(K.complex).without_zero_length(),
                        new_used, depth + 1, spent)
-        for b in bar_pool:
-            newstate = Barcode(tuple(state) + (b,))
-            search(newstate, used, depth + 1, spent + b.length())
+        for b, length in bar_pool:
+            # the child's own first test, made before its state is built
+            cost = spent + length
+            if cost < best[0] and cost <= weight_budget:
+                search(Barcode(tuple(state) + (b,)), used, depth + 1, cost)
 
     search(Barcode(), False, 0, Fraction(0))
     # search holds itself through its closure; break that cycle so the

@@ -1,6 +1,8 @@
 """`delta_upper` as it was before the shift grid was scored from
 barcodes: it builds the raised-comparison decomposition for every shift
-in the grid and keeps the lightest, first one on a tie.
+in the grid and keeps the lightest, first one on a tie.  When the
+family lacks zero it keeps only decompositions whose linearization
+passes `_linearization_ok`, the rule `validate_decomposition` applies.
 
 The tests check `fcplx.fragmentation.delta_upper` against it for a
 byte-identical (value, decomposition).  It builds one witnessed
@@ -14,6 +16,7 @@ from fcplx.fragmentation import (
     EMPTY_FAMILY,
     ConeDecomposition,
     _eta_shift_candidate,
+    _linearization_ok,
     _riso_strategy,
     compose_decompositions,
     eta_slot_triangle,
@@ -26,10 +29,11 @@ from fcplx.rationals import POS_INF
 def reference_delta_upper(X, Xp, family=EMPTY_FAMILY, via=(), grid=None):
     BX, BXp = barcode(X), barcode(Xp)
     best = (POS_INF, None)
+    lacks_zero = not family.has_zero()
 
     def consider(D):
         nonlocal best
-        if D is None:
+        if D is None or lacks_zero and not _linearization_ok(D, family, BXp):
             return
         wgt = D.total_weight()
         if wgt < best[0]:

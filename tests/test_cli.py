@@ -169,6 +169,19 @@ def test_malformed_inputs_exit_two(workdir, capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["frag", "a.cplx", "b.cplx", "--seed", "3"],
+    ["prop51", "a.cplx", "b.cplx", "--trials", "2"],
+    ["barcode", "e2.cplx", "--standard-bottleneck"],
+    ["check", "--suite", "rotation", "--standard-bottleneck"],
+])
+def test_options_belong_to_their_command(workdir, capsys, argv):
+    """--seed and --trials are check's, --standard-bottleneck is
+    bottleneck's; any other command rejects them as malformed."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "unrecognized arguments" in err
+
+
 @pytest.mark.parametrize("name, text, argv, where", [
     ("fam.txt", "family\nmember\n",
      ["frag", "a.cplx", "b.cplx", "--family", "fam.txt"], "line 2:"),

@@ -9,7 +9,9 @@ from fractions import Fraction
 
 from fcplx import barcodes, fragmentation, tpc
 from fcplx.barcodes import Bar, Barcode, barcode, from_barcode
+from fcplx.complexes import zero_complex
 from fcplx.fragmentation import (
+    FamilySpec,
     _riso_cost,
     _riso_strategy,
     delta_exact_small,
@@ -136,30 +138,146 @@ def test_at_most_two_witnessed_isos_per_call(monkeypatch):
         assert len(calls) <= 2
 
 
-def test_no_pipeline_once_a_weight_zero_bound_is_held(monkeypatch):
-    """Equal barcodes give the weight-0 slot first; consider's strict <
-    means nothing can replace it, so the pipeline is not run."""
-    calls = []
+def _lacking_zero_pairs():
+    """Pairs a family without zero can still witness: equal barcodes
+    (the slot), pure shifts (the eta slot), and independent bars."""
+    rng = random.Random(6174)
+    out = []
+    for n in range(1, 5):
+        B = _bars(rng, _shapes(rng, n))
+        out.append((_scrambled(rng, B), _scrambled(rng, B)))
+        out.append((_scrambled(rng, B),
+                     _scrambled(rng, B.shifted(rng.choice(LEVELS[1:])))))
+        out.append((_scrambled(rng, B),
+                     _scrambled(rng, _bars(rng, _shapes(rng, n)))))
+    return out
+
+
+def test_byte_identical_on_a_family_without_zero():
+    """Without zero in the family, the lightest candidate may fail the
+    family rule; the next one that passes is returned, as the reference
+    that builds and filters every candidate returns it."""
+    kept = 0
+    for X, Xp in _lacking_zero_pairs():
+        for fam in (FamilySpec((), with_zero=False),
+                    FamilySpec((X,), with_zero=False)):
+            for a, b in ((X, Xp), (Xp, X)):
+                got = delta_upper(a, b, fam)
+                assert serialize(got) == serialize(
+                    reference_delta_upper(a, b, fam))
+                kept += got[1] is not None
+    fam = FamilySpec((), with_zero=False)
+    X, mid, Xp = _via_triple()
+    assert serialize(delta_upper(X, Xp, fam, via=(mid,))) == serialize(
+        reference_delta_upper(X, Xp, fam, via=(mid,)))
+    # lighter candidates fail the rule, and some pairs still get a bound
+    assert kept and any(delta_upper(X, Xp)[0] < delta_upper(X, Xp, fam)[0]
+                        for X, Xp in _lacking_zero_pairs())
+
+
+def _counted_builds(monkeypatch):
+    """Decompositions built by delta_upper's strategies, counted when no
+    other strategy builder is running (singleton and raised-comparison
+    builds call the eta slot triangle inside)."""
+    builds, depth = [], [0]
+    for name in ("singleton_decomposition", "eta_slot_triangle",
+                 "_riso_strategy", "_pipeline", "compose_decompositions"):
+        real = getattr(fragmentation, name)
+
+        def counted(*args, _real=real, _name=name):
+            if not depth[0]:
+                builds.append(_name)
+            depth[0] += 1
+            try:
+                return _real(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(fragmentation, name, counted)
+    return builds
+
+
+def test_one_build_per_call_with_zero_in_the_family(monkeypatch):
+    """Every strategy is scored from barcodes, and with zero in the
+    family the lightest one passes, so it is the only one built; a via
+    path adds the builds of its two legs."""
+    builds = _counted_builds(monkeypatch)
+    zfam = FamilySpec((zero_complex(),), with_zero=False)
+    for X, Xp in _both_ways():
+        for fam in (fragmentation.EMPTY_FAMILY, zfam):
+            builds.clear()
+            value, D = delta_upper(X, Xp, fam)
+            assert len(builds) == (D is not None)
+    X, mid, Xp = _via_triple()
+    builds.clear()
+    delta_upper(X, Xp, via=(mid,))
+    assert builds == [builds[0], builds[1], "compose_decompositions"]
+
+
+def test_pipeline_runs_only_when_it_wins(monkeypatch):
+    """The pipeline is scored from the bottleneck matching and built
+    only when that score beats every other strategy; before, it was
+    built whenever the bound held was above 0."""
+    built = []
     real = fragmentation._pipeline
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
+    def recorded(*args):
+        out = real(*args)
+        built.append(out[1])
+        return out
 
-    monkeypatch.setattr(fragmentation, "_pipeline", counted)
+    monkeypatch.setattr(fragmentation, "_pipeline", recorded)
+    wins = 0
+    for X, Xp in _both_ways():
+        built.clear()
+        _, D = delta_upper(X, Xp)
+        assert built == ([D] if built else [])
+        wins += bool(built)
+    assert wins and wins < len(_pairs())
+    # equal barcodes: the weight-0 slot wins, so the pipeline never runs
+    built.clear()
     rng = random.Random(2718)
     for n in range(7):
         B = _bars(rng, _shapes(rng, n))
-        X, Xp = _scrambled(rng, B), _scrambled(rng, B)
-        value, D = delta_upper(X, Xp)
-        # checked before the reference runs: it calls the pipeline itself
-        assert not calls
-        assert value == 0 and D is not None
-        assert serialize((value, D)) == serialize(reference_delta_upper(X, Xp))
-        calls.clear()
-    X, Xp = _pairs()[1]  # independent bars: a positive bound
-    assert barcode(X) != barcode(Xp)
-    assert delta_upper(X, Xp)[0] > 0 and calls
+        assert delta_upper(_scrambled(rng, B), _scrambled(rng, B))[0] == 0
+    assert not built
+
+
+def _pipeline_pairs():
+    """Seeded barcode pairs of 0-6 bars in two degrees, a third of them
+    infinite, on a coarser grid than _bars so that bars go short."""
+    rng = random.Random(4242)
+    levels = [Fraction(n, 2) for n in range(9)]
+
+    def bars(n):
+        out = []
+        for _ in range(n):
+            lo = rng.choice(levels)
+            hi = (POS_INF if rng.random() < 0.3
+                  else lo + rng.choice(levels[1:]))
+            out.append(Bar(rng.randrange(2), lo, hi))
+        return Barcode(out)
+
+    return [(bars(rng.randrange(7)), bars(rng.randrange(7)))
+            for _ in range(300)]
+
+
+def test_pipeline_cost_equals_the_built_weight():
+    seen = {"infinite pair": 0, "X-short": 0, "Y-short": 0, "none": 0}
+    for BX, BY in _pipeline_pairs():
+        match = barcodes.bottleneck(BX, BY)
+        cost = fragmentation._pipeline_cost(*match)
+        bound, D, tau, _ = fragmentation._pipeline(BX, BY)
+        if D is None:
+            assert cost == POS_INF and tau == POS_INF
+            seen["none"] += 1
+            continue
+        assert cost == bound == D.total_weight(), (BX, BY)
+        wit = match[1]
+        seen["infinite pair"] += any(bx.hi == POS_INF for bx, _ in wit.matched)
+        seen["X-short"] += bool(wit.short1)
+        seen["Y-short"] += bool(wit.short2)
+    assert all(seen.values()), seen
 
 
 def _count_canonical_forms(monkeypatch):
