@@ -166,7 +166,8 @@ def canonical_form(X: FilteredComplex):
     if problems:
         raise ValueError("invalid complex: " + "; ".join(problems))
     n = X.n
-    order = sorted(range(n), key=lambda i: (X.gens[i].ell, i))
+    # a stable sort keeps equal levels in index order
+    order = sorted(range(n), key=lambda i: X.gens[i].ell)
     pos = {orig: p for p, orig in enumerate(order)}
 
     def to_pos(vec: F2Vector) -> int:

@@ -1,7 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 a verification or predicate failed, 2
-malformed input, 3 an internal error in fcplx.  All numeric output is
+malformed input, 3 an internal error in fcplx.  Input is checked where
+it is parsed and loaded (and where a command hands it to an entry point
+that states conditions on it), and fails there as an InputError; any
+other ValueError is a fault in fcplx.  All numeric output is
 exact (`p/q` in lowest terms), identical between text and --json modes.
 The only environment knob is FCPLX_CACHE_DIR: when set, `check` drops
 its suite reports there.
@@ -75,8 +78,31 @@ def _read(path, parse):
         raise InputError(f"{path}: {exc}")
 
 
+def _valid(obj, what):
+    """obj, or a ValueError naming its invariant violations."""
+    problems = obj.validate()
+    if problems:
+        raise ValueError(f"invalid {what}: " + "; ".join(problems))
+    return obj
+
+
 def _read_complex(path):
-    return _read(path, lambda text, load: parse_complex(text))
+    return _read(path,
+                 lambda text, load: _valid(parse_complex(text), "complex"))
+
+
+def _read_map(path):
+    return _read(path,
+                 lambda text, load: _valid(parse_map(text, load), "map"))
+
+
+def _given(fn, *args):
+    """fn(*args) on input from the command line, where a ValueError
+    means the input breaks a condition fn states on it."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _bar_json(B: Barcode):
@@ -164,7 +190,7 @@ def _bundle(path_str, text, load):
             shift_complex(C, weight), K.complex, blocks["psi"]
         )
     except KeyError as exc:
-        raise ValueError(f"unknown generator {exc.args[0]!r}")
+        raise InputError(f"unknown generator {exc.args[0]!r}")
     tri = WeightedTriangle(A, B, C, u, v, w, weight)
     wit = TriangleWitness(K.complex, phi, psi)
     return tri, wit
@@ -189,11 +215,7 @@ def _triangle_report(tri, ok, failures):
 
 
 def cmd_barcode(args):
-    X = _read_complex(args.file)
-    problems = X.validate()
-    if problems:
-        raise InputError("; ".join(problems))
-    B = barcode(X)
+    B = barcode(_read_complex(args.file))
     _emit(args, barcode_to_text(B), {"bars": _bar_json(B)})
     return 0
 
@@ -207,8 +229,8 @@ def cmd_depth(args):
 
 def cmd_acyclic(args):
     X = _read_complex(args.file)
-    r = parse_scalar(args.r)
-    ok = is_r_acyclic(X, r)
+    r = _given(parse_scalar, args.r)
+    ok = _given(is_r_acyclic, X, r)
     _emit(args, "true" if ok else "false",
           {"acyclic": ok, "r": fmt_scalar(r)})
     return 0 if ok else 1
@@ -230,9 +252,10 @@ def cmd_bottleneck(args):
 
 
 def cmd_cone(args):
-    f = _read(args.mapfile, parse_map)
-    lam = parse_scalar(args.lam) if args.lam is not None else Fraction(0)
-    res = cone(f, lam)
+    f = _read_map(args.mapfile)
+    lam = (_given(parse_scalar, args.lam) if args.lam is not None
+           else Fraction(0))
+    res = _given(cone, f, lam)
     B = barcode(res.complex)
     _emit(args, complex_to_text(res.complex), {
         "complex": complex_to_text(res.complex),
@@ -242,17 +265,16 @@ def cmd_cone(args):
 
 
 def cmd_riso(args):
-    f = _read(args.mapfile, parse_map)
-    r = parse_scalar(args.r)
-    ok = is_r_isomorphism(f, r)
+    f = _read_map(args.mapfile)
+    r = _given(parse_scalar, args.r)
+    ok = _given(is_r_isomorphism, f, r)
     _emit(args, "true" if ok else "false",
           {"r_isomorphism": ok, "r": fmt_scalar(r)})
     return 0 if ok else 1
 
 
 def cmd_sigma(args):
-    f = _read(args.mapfile, parse_map)
-    val = spectral_invariant(f)
+    val = _given(spectral_invariant, _read_map(args.mapfile))
     _emit(args, fmt_scalar(val), {"sigma": fmt_scalar(val)})
     return 0
 
@@ -294,7 +316,7 @@ def cmd_rotate(args):
 def cmd_octahedron(args):
     t1, w1 = _parse_bundle(args.b1)
     t2, w2 = _parse_bundle(args.b2)
-    res = octahedron(t1, w1, t2, w2)
+    res = _given(octahedron, t1, w1, t2, w2)
     ok3, f3 = verify_triangle(res.d3, res.wit3)
     ok4, f4 = verify_triangle(res.d4, res.wit4)
     text = (
@@ -335,7 +357,7 @@ def cmd_frag(args):
     if args.exact:
         val, note = delta_exact_small(
             X, Y, family, depth_budget=args.depth,
-            weight_budget=parse_scalar(args.budget),
+            weight_budget=_given(parse_scalar, args.budget),
         )
         payload["oracle"] = fmt_scalar(val)
         payload["oracle_note"] = note
@@ -485,9 +507,6 @@ def main(argv=None):
         # looked up per call: the parser outlives any one binding
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

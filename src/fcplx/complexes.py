@@ -18,7 +18,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .f2linalg import ZERO, F2SparseMatrix, F2Vector, solve_in_span
+from .f2linalg import (
+    ZERO,
+    F2SparseMatrix,
+    F2Vector,
+    _apply,
+    _columns,
+    solve_in_span,
+)
 from .rationals import NEG_INF, fmt_scalar, is_finite, parse_scalar
 
 
@@ -35,9 +42,7 @@ class FilteredComplex:
 
     def __init__(self, gens, diff):
         gens = tuple(gens)
-        diff = tuple(
-            c if isinstance(c, F2Vector) else F2Vector(c) for c in diff
-        )
+        diff, _ = _columns(diff)
         if len(diff) != len(gens):
             raise ValueError("one differential column per generator required")
         index = {}
@@ -104,9 +109,10 @@ class FilteredComplex:
     def validate(self):
         """All invariant violations, as human-readable records."""
         problems = []
+        n = self.n
         for i, g in enumerate(self.gens):
             for j in self.diff[i]:
-                if j >= self.n:
+                if j >= n:
                     problems.append(f"d({g.gid}) hits index {j} out of range")
                     continue
                 h = self.gens[j]
@@ -120,11 +126,10 @@ class FilteredComplex:
                         f"filtration violation: d({g.gid}) contains {h.gid} "
                         f"with level {fmt_scalar(h.ell)} > {fmt_scalar(g.ell)}"
                     )
-        D = self.diff_matrix()
-        DD = D.matmul(D)
-        for i in range(self.n):
-            if DD.column(i):
-                problems.append(f"d(d({self.gens[i].gid})) != 0")
+        # d(d(g)) is only defined where d(g) stays in range
+        for g, c in zip(self.gens, self.diff):
+            if not c.mask >> n and _apply(self.diff, c.mask):
+                problems.append(f"d(d({g.gid})) != 0")
         return problems
 
 
@@ -157,15 +162,11 @@ class FilteredChainMap:
     __slots__ = ("source", "target", "degree", "cols")
 
     def __init__(self, source, target, cols, degree=0):
-        cols = tuple(
-            c if isinstance(c, F2Vector) else F2Vector(c) for c in cols
-        )
+        cols, bad = _columns(cols, target.n)
         if len(cols) != source.n:
             raise ValueError("one column per source generator required")
-        for c in cols:
-            t = c.top()
-            if t is not None and t >= target.n:
-                raise ValueError("map column exceeds target size")
+        if bad is not None:
+            raise ValueError("map column exceeds target size")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "degree", int(degree))
@@ -195,10 +196,7 @@ class FilteredChainMap:
         return F2SparseMatrix(self.cols, self.target.n)
 
     def apply(self, vec: F2Vector) -> F2Vector:
-        m = 0
-        for j in vec:
-            m ^= self.cols[j].mask
-        return F2Vector(mask=m)
+        return F2Vector(mask=_apply(self.cols, vec.mask))
 
     def is_zero(self) -> bool:
         return all(not c for c in self.cols)
@@ -261,32 +259,29 @@ class FilteredChainMap:
         return problems
 
     def is_closed(self) -> bool:
-        """Chain-map condition dT*f + f*dS = 0 (signs vacuous mod 2)."""
-        DT = self.target.diff_matrix()
-        M = self.matrix()
-        DS = self.source.diff_matrix()
-        return DT.matmul(M) == M.matmul(DS)
+        """Chain-map condition dT*f + f*dS = 0 (signs vacuous mod 2),
+        decided column by column."""
+        dT, f = self.target.diff, self.cols
+        return all(_apply(dT, c.mask) == _apply(f, d.mask)
+                   for c, d in zip(f, self.source.diff))
 
 
 def shift_of_map(f: FilteredChainMap):
     """Least r with level(f(x)) <= level(x) + r; -inf for the zero map."""
-    best = NEG_INF
-    for j, c in enumerate(f.cols):
-        lj = f.source.gens[j].ell
-        for i in c:
-            d = f.target.gens[i].ell - lj
-            if best == NEG_INF or d > best:
-                best = d
-    return best
+    tgt = f.target.gens
+    return max((max(tgt[i].ell for i in c) - g.ell
+                for g, c in zip(f.source.gens, f.cols) if c.mask),
+               default=NEG_INF)
 
 
 def compose(g: FilteredChainMap, f: FilteredChainMap) -> FilteredChainMap:
     if g.source != f.target:
         raise ValueError("compose: target of inner map != source of outer")
+    gc = g.cols
     return FilteredChainMap(
         f.source,
         g.target,
-        [g.apply(c) for c in f.cols],
+        [F2Vector(mask=_apply(gc, c.mask)) for c in f.cols],
         f.degree + g.degree,
     )
 

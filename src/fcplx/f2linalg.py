@@ -7,6 +7,9 @@ module is filtration-blind; filtered structure is layered above it.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import attrgetter, or_
+
 
 def _mask_from_indices(indices) -> int:
     m = 0
@@ -72,6 +75,32 @@ class F2Vector:
 
 
 ZERO = F2Vector()
+_VECTOR = {F2Vector}
+_mask = attrgetter("mask")
+
+
+def _apply(cols, x: int) -> int:
+    """The product of the columns `cols` with the vector whose support
+    is the set bits of the int x: the XOR of cols[i].mask over them."""
+    m = 0
+    while x:
+        low = x & -x
+        m ^= cols[low.bit_length() - 1].mask
+        x ^= low
+    return m
+
+
+def _columns(cols, nrows=None):
+    """cols as a tuple of F2Vectors (an entry of another type is read
+    as an iterable of indices) and, given nrows, the first column with
+    an index >= nrows, or None: one OR of the masks shows there is
+    none."""
+    cols = tuple(cols)
+    if not _VECTOR.issuperset(map(type, cols)):
+        cols = tuple(c if type(c) is F2Vector else F2Vector(c) for c in cols)
+    if nrows is None or not reduce(or_, map(_mask, cols), 0) >> nrows:
+        return cols, None
+    return cols, next(j for j, c in enumerate(cols) if c.mask >> nrows)
 
 
 class F2SparseMatrix:
@@ -80,13 +109,10 @@ class F2SparseMatrix:
     __slots__ = ("columns", "nrows", "ncols")
 
     def __init__(self, columns, nrows):
-        columns = tuple(
-            c if isinstance(c, F2Vector) else F2Vector(c) for c in columns
-        )
-        for j, c in enumerate(columns):
-            t = c.top()
-            if t is not None and t >= nrows:
-                raise ValueError(f"column {j} has index {t} >= nrows {nrows}")
+        columns, j = _columns(columns, nrows)
+        if j is not None:
+            t = columns[j].top()
+            raise ValueError(f"column {j} has index {t} >= nrows {nrows}")
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", len(columns))
@@ -110,16 +136,14 @@ class F2SparseMatrix:
 
     def apply(self, x: F2Vector) -> F2Vector:
         """Matrix-vector product; x lives in the column index space."""
-        m = 0
-        for j in x:
-            m ^= self.columns[j].mask
-        return F2Vector(mask=m)
+        return F2Vector(mask=_apply(self.columns, x.mask))
 
     def matmul(self, other: "F2SparseMatrix") -> "F2SparseMatrix":
         if other.nrows != self.ncols:
             raise ValueError("shape mismatch in matmul")
+        cols = self.columns
         return F2SparseMatrix(
-            [self.apply(other.column(j)) for j in range(other.ncols)],
+            [F2Vector(mask=_apply(cols, c.mask)) for c in other.columns],
             self.nrows,
         )
 

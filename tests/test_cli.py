@@ -273,3 +273,38 @@ def test_internal_faults_exit_three(workdir, capsys, monkeypatch, fault):
     assert code == 3 and out == ""
     assert err.startswith("internal error: " + type(fault).__name__)
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("files, argv, where", [
+    ({"dd.cplx": "gen a 0 0\ngen b 1 0\ngen c 2 0\nd a b\nd b c\n"},
+     ["depth", "dd.cplx"], "dd.cplx: invalid complex: d(d(a)) != 0"),
+    ({"far.cplx": "gen a 0 0\ngen b 1 1\nd a b\n"},
+     ["prop51", "far.cplx", "a.cplx"], "far.cplx: invalid complex: "),
+    ({"deg.map": "map a.cplx tinv.cplx\nf a a\n"},
+     ["cone", "deg.map", "--lambda", "1"], "deg.map: invalid map: "),
+    ({}, ["acyclic", "e2.cplx", "--r", "-1"], "must be >= 0"),
+    ({}, ["acyclic", "e2.cplx", "--r", "x"], "not an exact scalar"),
+    ({}, ["riso", "m.map", "--r", "1"], "shift-<=0"),
+], ids=["d-squared", "filtration", "map-degree", "negative-r", "bad-r",
+        "riso-shift"])
+def test_inputs_breaking_a_stated_condition_exit_two(workdir, capsys, files,
+                                                     argv, where):
+    for name, text in files.items():
+        (workdir / name).write_text(text)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and where in err, err
+
+
+def test_an_internal_value_error_exits_three(workdir, capsys, monkeypatch):
+    """A ValueError raised inside fcplx, past the parse and load sites,
+    is a fault in fcplx and not malformed input."""
+    import fcplx.cli
+
+    def broken(X):
+        raise ValueError("no such bar")
+
+    monkeypatch.setattr(fcplx.cli, "barcode", broken)
+    code, out, err = run(capsys, "barcode", "a.cplx")
+    assert code == 3 and out == ""
+    assert err == "internal error: ValueError: no such bar\n"

@@ -6,6 +6,8 @@ import pytest
 from fcplx.barcodes import barcode, boundary_depth, is_r_acyclic
 from fcplx.complexes import (
     FilteredChainMap,
+    FilteredComplex,
+    Generator,
     compose,
     cone,
     complex_to_text,
@@ -46,6 +48,19 @@ def test_validate_catches_square_nonzero():
         {"y": ["x"], "x": ["z"]},
     )
     assert any("d(d(" in p for p in bad.validate())
+
+
+def test_validate_reports_an_index_out_of_range():
+    """An out-of-range differential entry is a record, not a raise, and
+    d(d(g)) is tested only where d(g) stays in range."""
+    bad = FilteredComplex([Generator("a", 0, Fraction(0))], [F2Vector([3])])
+    assert bad.validate() == ["d(a) hits index 3 out of range"]
+    two = FilteredComplex(
+        [Generator("a", 0, Fraction(0)), Generator("b", 1, Fraction(0))],
+        [F2Vector([1]), F2Vector([5])],
+    )
+    assert two.validate() == ["d(b) hits index 5 out of range",
+                              "d(d(a)) != 0"]
 
 
 def test_shift_of_identity_is_zero(e2_31):

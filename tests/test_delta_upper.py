@@ -120,10 +120,10 @@ def test_result_is_byte_identical_to_building_every_shift():
         reference_delta_upper(X, Xp, via=(mid,)))
 
 
-def test_at_most_two_witnessed_isos_per_call(monkeypatch):
-    """The raised-comparison winner and the pipeline each attach one
-    zero-apex step; building every grid shift would attach one per
-    shift."""
+def test_at_most_one_witnessed_iso_per_call(monkeypatch):
+    """Only the winning strategy is built, and the raised comparison and
+    the pipeline each attach one zero-apex step; building every grid
+    shift would attach one per shift."""
     calls = []
     real = fragmentation.zero_apex_step
 
@@ -135,7 +135,7 @@ def test_at_most_two_witnessed_isos_per_call(monkeypatch):
     for X, Xp in _both_ways():
         calls.clear()
         delta_upper(X, Xp, via=())
-        assert len(calls) <= 2
+        assert len(calls) <= 1
 
 
 def _lacking_zero_pairs():
