@@ -161,7 +161,10 @@ def _bundle(path_str, text, load):
                 )
             continue
         if parts[0] == "weight":
-            weight = parse_scalar(parts[1])
+            try:
+                weight = parse_scalar(parts[1])
+            except ValueError as exc:
+                raise InputError(f"{path_str}:{lineno}: {exc}")
         elif parts[0] == "complex":
             if parts[1] not in ("A", "B", "C"):
                 raise InputError(f"{path_str}:{lineno}: complex A|B|C file")

@@ -50,7 +50,9 @@ from .f2linalg import invert
 from .tpc import (
     TriangleWitness,
     WeightedTriangle,
-    contraction_inverse,
+    _certified,
+    _contraction_inverse,
+    _identity_contraction,
     exact_triangle,
     identity_triangle,
     level_grid,
@@ -221,45 +223,61 @@ def eta_slot_triangle(X: FilteredComplex, r):
     K = cone(u, 0)
     phi = FilteredChainMap.identity(X).viewed(K.complex, X)
     psi = FilteredChainMap.identity(sX).viewed(sX, K.complex)
-    return exact_triangle(u, K, phi, psi, r)
+    tri, wit = exact_triangle(u, K, phi, psi, r)
+    return tri, _certified(wit, (_identity_contraction(X.n), None))
 
 
 def zero_apex_step(v, W):
     """(0, Y, Z) of weight W for a W-isomorphism v: Y -> Z: attach
     nothing, pay for v."""
     W = Fraction(W)
-    # one canonical form of cone(v) both decides and inverts v
-    g = contraction_inverse(v, W)
-    if g is None:
+    # one canonical form of cone(v) decides and inverts v; its
+    # contraction certifies both, its Z -> Z block being the homotopy
+    # v o g ~ id_Z
+    found = _contraction_inverse(v, W)
+    if found is None:
         raise ValueError("zero_apex_step needs a W-isomorphism")
+    g, h = found
     u = FilteredChainMap.zero(zero_complex(), v.source)
     psi = g.viewed(shift_complex(v.target, W), v.source, 0)
-    return exact_triangle(u, cone(u, 0), v, psi, W)
+    tri, wit = exact_triangle(u, cone(u, 0), v, psi, W)
+    nZ = v.target.n
+    low = (1 << nZ) - 1
+    return tri, _certified(wit, (h, [F2Vector(mask=c.mask & low)
+                                     for c in h[:nZ]]))
 
 
 def acyclic_from_zero_step(H: FilteredComplex):
-    """(0, 0, H) of weight depth(H); requires H acyclic."""
-    B = barcode(H)
+    """(0, 0, H) of weight depth(H); requires H acyclic.  cone(phi, 0)
+    is H, so H's contraction certifies the step, and it is also the
+    homotopy 0 ~ eta(H, W)."""
+    B, cw = canonical_form(H)
     if B.infinite():
         raise ValueError("attached object must be acyclic")
     W = boundary_depth(B)
     z = zero_complex()
     u = FilteredChainMap.zero(z, z)
-    return exact_triangle(u, cone(u, 0), FilteredChainMap.zero(z, H),
-                          FilteredChainMap.zero(shift_complex(H, W), z), W)
+    tri, wit = exact_triangle(u, cone(u, 0), FilteredChainMap.zero(z, H),
+                              FilteredChainMap.zero(shift_complex(H, W), z),
+                              W)
+    c = cw.contraction().columns
+    return tri, _certified(wit, (c, c))
 
 
 def collapse_acyclic_triangle(Xp: FilteredComplex):
-    """(T^-1 X', 0, 0) of weight depth(X'); consumes an acyclic slot."""
-    B = barcode(Xp)
+    """(T^-1 X', 0, 0) of weight depth(X'); consumes an acyclic slot.
+    cone(phi, 0) is X' again, up to degree, so the contraction of X'
+    certifies the step."""
+    B, cw = canonical_form(Xp)
     if B.infinite():
         raise ValueError("collapsed object must be acyclic")
     W = boundary_depth(B)
     z = zero_complex()
     u = FilteredChainMap.zero(translate_inverse(Xp), z)
     K = cone(u, 0)
-    return exact_triangle(u, K, FilteredChainMap.zero(K.complex, z),
-                          FilteredChainMap.zero(z, K.complex), W)
+    tri, wit = exact_triangle(u, K, FilteredChainMap.zero(K.complex, z),
+                              FilteredChainMap.zero(z, K.complex), W)
+    return tri, _certified(wit, (cw.contraction().columns, None))
 
 
 # ----------------------------------------------------------------------

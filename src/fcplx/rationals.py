@@ -20,12 +20,13 @@ def is_finite(x) -> bool:
 
 
 def parse_scalar(token: str) -> Fraction:
-    """Parse `p/q`, an integer, or a decimal literal, exactly."""
+    """Parse `p/q`, an integer, or a decimal literal, exactly.  Every
+    parsed value is a level, weight or bound that takes part in exact
+    arithmetic, so the infinities are rejected like any other token
+    that is not a rational."""
     token = token.strip()
-    if token in ("inf", "+inf"):
-        return POS_INF
-    if token == "-inf":
-        return NEG_INF
+    if token.lstrip("+-") == "inf":
+        raise ValueError(f"not a finite scalar: {token!r}")
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:

@@ -5,8 +5,16 @@ of closed shift-<=0 maps together with a witness: the cone triangle of
 the first map, a map phi from the cone to C whose own cone is r-acyclic
 (an r-isomorphism), and a right r-inverse psi of phi, such that the
 triangle maps factor through the cone maps up to shift-0 homotopy.
-All verification clauses are decided exactly by linear solves over hom
-complexes; acyclicity is decided by the barcode.
+
+A constructor that knows why its witness holds attaches a certificate
+to it: a contraction c of cone(phi, 0), and the homotopy H behind
+phi o psi ~ eta (none when the two maps are equal).  `verify_triangle`
+checks a certificate by products alone (dc + cd = id with shift(c) <=
+r, since the least shift of a contraction is the boundary depth; dH +
+Hd = phi o psi + eta with shift(H) <= 0), so it needs no elimination.
+A witness without one (a hand-made bundle, a fill-built rotation or
+octahedron output) has every clause decided exactly by linear solves
+over hom complexes and its acyclicity by the barcode.
 
 Inverses of r-isomorphisms are read off canonical forms.  Every other
 witness map (the fills in rotation, the octahedron, triangle morphisms
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rationals import NEG_INF, POS_INF, fmt_scalar, is_finite
-from .f2linalg import ZERO, F2SparseMatrix, F2Vector, solve_in_span
+from .f2linalg import ZERO, F2SparseMatrix, F2Vector, _apply, solve_in_span
 from .complexes import (
     FilteredChainMap,
     FilteredComplex,
@@ -109,6 +117,13 @@ def contraction_inverse(f: FilteredChainMap, r, rng=None):
     conjugates the cone by a random basis change, which draws another
     contraction and so another inverse.
     """
+    found = _contraction_inverse(f, r, rng)
+    return found and found[0]
+
+
+def _contraction_inverse(f, r, rng=None):
+    """(g, h) of `contraction_inverse`, h the columns of the contraction
+    of cone(f, 0) that g is read off, or None."""
     r = Fraction(r)
     _require_iso_input(f)
     if r < 0:
@@ -122,15 +137,15 @@ def contraction_inverse(f: FilteredChainMap, r, rng=None):
     if bars.infinite() or boundary_depth(bars) > r:
         return None
     h = wit.contraction()
-    nB = f.target.n
     if rng is None:
-        cols = h.columns[:nB]
+        cols = h.columns
     else:
         U = fwd.matrix()
-        cols = [U.apply(h.apply(c)) for c in back.cols[:nB]]
-    return FilteredChainMap(
-        f.target, f.source, [F2Vector(mask=c.mask >> nB) for c in cols], 0
-    )
+        cols = [U.apply(h.apply(c)) for c in back.cols]
+    nB = f.target.n
+    g = FilteredChainMap(f.target, f.source,
+                         [F2Vector(mask=c.mask >> nB) for c in cols[:nB]], 0)
+    return g, tuple(cols)
 
 
 def r_inverses(f: FilteredChainMap, r, rng=None):
@@ -265,8 +280,45 @@ def _closed_shift0(m, source, target):
     return sh == NEG_INF or sh <= 0
 
 
+def _certified(wit: TriangleWitness, cert):
+    """wit carrying `cert`, the certificate `verify_triangle` checks in
+    place of its phi-r-isomorphism and psi-right-inverse solves: the
+    columns of a contraction of cone(phi, 0) and of the homotopy
+    S^r C -> C behind phi o psi ~ eta (None when the two maps are
+    equal).  It is not a field, so equal witnesses stay equal and
+    `dataclasses.replace`, like any other rebuilt witness, drops it.
+    A cert of None leaves wit as it is."""
+    if cert is not None:
+        object.__setattr__(wit, "_cert", cert)
+    return wit
+
+
+def _is_homotopy(S, T, cols, f, bound):
+    """Do the columns `cols`, a map S -> T, give dh + hd = f (one mask
+    per column of S) with shift <= bound?  Decided by products only.
+    Entries of a degree other than -1 need no test of their own: the
+    degree -1 part of h then meets the equation alone, within the same
+    bound."""
+    try:
+        h = FilteredChainMap(S, T, cols, -1)
+    except ValueError:
+        return False
+    dT = T.diff
+    if not all(_apply(dT, c.mask) ^ _apply(h.cols, d.mask) == e
+               for c, d, e in zip(h.cols, S.diff, f)):
+        return False
+    sh = shift_of_map(h)
+    return sh == NEG_INF or sh <= bound
+
+
 def verify_triangle(tri: WeightedTriangle, wit: TriangleWitness):
-    """Check every witness clause; returns (ok, list of failed clauses)."""
+    """Check every witness clause; returns (ok, list of failed clauses).
+
+    A certified witness has its phi-r-isomorphism and psi-right-inverse
+    clauses decided by `_is_homotopy` on the certificate, which then
+    fails or passes them alone; otherwise they are decided by the
+    barcode of cone(phi, 0) and by a nullhomotopy solve.
+    """
     failures = []
     r = Fraction(tri.weight)
     if r < 0:
@@ -293,15 +345,23 @@ def verify_triangle(tri: WeightedTriangle, wit: TriangleWitness):
     if not _check_clause(failures, "psi-closed-shift0",
                          _closed_shift0(wit.psi, sC, K.complex)):
         return False, failures
-    _check_clause(
-        failures, "phi-r-isomorphism",
-        is_r_acyclic(cone(wit.phi, 0).complex, r),
-    )
-    _check_clause(
-        failures,
-        "psi-right-inverse",
-        homotopic(compose(wit.phi, wit.psi), eta(tri.C, r), 0) is not None,
-    )
+    Kphi = cone(wit.phi, 0).complex
+    cert = getattr(wit, "_cert", None)
+    if cert is None:
+        iso = is_r_acyclic(Kphi, r)
+        inverse = homotopic(compose(wit.phi, wit.psi), eta(C, r),
+                            0) is not None
+    else:
+        c, H = cert
+        iso = _is_homotopy(Kphi, Kphi, c, [1 << j for j in range(Kphi.n)],
+                           r)
+        # phi o psi + eta, column by column (eta is the identity matrix)
+        f = [_apply(wit.phi.cols, p.mask) ^ (1 << j)
+             for j, p in enumerate(wit.psi.cols)]
+        inverse = (not any(f) if H is None
+                   else _is_homotopy(sC, C, H, f, 0))
+    _check_clause(failures, "phi-r-isomorphism", iso)
+    _check_clause(failures, "psi-right-inverse", inverse)
     _check_clause(
         failures,
         "v-through-phi",
@@ -331,11 +391,19 @@ def exact_triangle(u, K, phi, psi, W):
     return tri, TriangleWitness(K.complex, phi, psi)
 
 
+def _identity_contraction(n):
+    """The contraction x -> t.x of cone(phi, 0) = C (+) TK for a phi
+    whose matrix is the identity on n generators; its shift is r when K
+    is C raised by r."""
+    return [F2Vector(mask=1 << (n + j)) for j in range(n)] + [ZERO] * n
+
+
 def identity_triangle(X: FilteredComplex):
     """0 -> X -> X -> 0, the normalization triangle of weight 0."""
     u = FilteredChainMap.zero(zero_complex(), X)
     idX = FilteredChainMap.identity(X)
-    return exact_triangle(u, cone(u, 0), idX, idX, 0)
+    tri, wit = exact_triangle(u, cone(u, 0), idX, idX, 0)
+    return tri, _certified(wit, (_identity_contraction(X.n), None))
 
 
 def triangle_from_morphism(f: FilteredChainMap):
@@ -358,7 +426,7 @@ def triangle_from_morphism(f: FilteredChainMap):
     tri = WeightedTriangle(A, B1, C, u, K.include, w, t)
     psi = FilteredChainMap.identity(C).viewed(shift_complex(C, t), C)
     wit = TriangleWitness(C, FilteredChainMap.identity(C), psi)
-    return tri, wit
+    return tri, _certified(wit, (_identity_contraction(C.n), None))
 
 
 def relax_weight(tri: WeightedTriangle, wit: TriangleWitness, s):
@@ -374,9 +442,11 @@ def relax_weight(tri: WeightedTriangle, wit: TriangleWitness, s):
     new_psi = wit.psi.viewed(
         shift_complex(wit.psi.source, s), wit.psi.target
     )
+    # a contraction within r is one within r + s, and so is H
     return (
         WeightedTriangle(tri.A, tri.B, tri.C, tri.u, tri.v, new_w, r + s),
-        TriangleWitness(wit.cprime, wit.phi, new_psi),
+        _certified(TriangleWitness(wit.cprime, wit.phi, new_psi),
+                   getattr(wit, "_cert", None)),
     )
 
 
@@ -516,7 +586,37 @@ def sum_triangles_many(parts):
                 mask=((col.mask & low) << ob) | ((col.mask >> nb) << a_at)))
     phi = FilteredChainMap(K, SC, phi_cols, 0)
     psi = FilteredChainMap(shift_complex(SC, m), K, psi_cols, 0)
-    return tri, TriangleWitness(K, phi, psi)
+    cert = _summed_certificate(parts, offA, offB, offC, SC.n, SB.n, K.n)
+    return tri, _certified(TriangleWitness(K, phi, psi), cert)
+
+
+def _summed_certificate(parts, offA, offB, offC, nSC, nSB, nK):
+    """The parts' certificates moved into the summed cone(phi, 0) =
+    SC (+) T(SB (+) T SA), each part's C, B and A blocks to its offset
+    in SC, SB and SA; None unless every part has one.  A part's shift
+    bounds hold at the summed weight, which is at least its own."""
+    certs = [getattr(w, "_cert", None) for _, w in parts]
+    if None in certs:
+        return None
+    c_cols = [None] * (nSC + nK)
+    H_cols = []
+    for (t, _), (c, H), oa, ob, oc in zip(parts, certs, offA, offB, offC):
+        nC, nB = t.C.n, t.B.n
+        lowC, lowB = (1 << nC) - 1, (1 << nB) - 1
+        ob, oa = nSC + ob, nSC + nSB + oa
+
+        def place(m):
+            return ((m & lowC) << oc | ((m >> nC) & lowB) << ob
+                    | (m >> (nC + nB)) << oa)
+
+        for j, col in enumerate(c):  # column j lands where e_j does
+            c_cols[place(1 << j).bit_length() - 1] = F2Vector(
+                mask=place(col.mask))
+        H_cols += ([ZERO] * nC if H is None
+                   else [F2Vector(mask=col.mask << oc) for col in H])
+    if all(H is None for _, H in certs):
+        H_cols = None
+    return c_cols, H_cols
 
 
 def sum_triangles(t1, w1, t2, w2):
@@ -557,6 +657,7 @@ def octahedron(t1, w1, t2, w2):
     C = Cres.complex
     idC = FilteredChainMap.identity(C)
     d3, wit3 = exact_triangle(p, Cres, idC, idC, 0)
+    wit3 = _certified(wit3, (_identity_contraction(C.n), None))
 
     K1 = cone(t1.u, 0)          # X'
     g2 = compose(t2.u, w1.phi)  # X' -> A

@@ -296,6 +296,39 @@ def test_inputs_breaking_a_stated_condition_exit_two(workdir, capsys, files,
     assert err.startswith("error: ") and where in err, err
 
 
+@pytest.mark.parametrize("files, argv, token", [
+    ({"inf.cplx": "gen a 0 inf\n"}, ["barcode", "inf.cplx"], "'inf'"),
+    ({"inf.cplx": "gen a 0 -inf\n"}, ["depth", "inf.cplx"], "'-inf'"),
+    ({}, ["acyclic", "e2.cplx", "--r", "inf"], "'inf'"),
+    ({}, ["acyclic", "e2.cplx", "--r=-inf"], "'-inf'"),
+    ({}, ["riso", "down.map", "--r", "inf"], "'inf'"),
+    ({}, ["riso", "down.map", "--r=-inf"], "'-inf'"),
+    ({}, ["cone", "m.map", "--lambda", "inf"], "'inf'"),
+    ({}, ["cone", "m.map", "--lambda=-inf"], "'-inf'"),
+    ({}, ["frag", "a.cplx", "b.cplx", "--exact", "--budget", "inf"], "'inf'"),
+    ({}, ["frag", "a.cplx", "b.cplx", "--exact", "--budget=-inf"], "'-inf'"),
+    ({"inf.tri": BUNDLE.replace("weight 0", "weight inf")},
+     ["verify-triangle", "inf.tri"], "'inf'"),
+    ({"inf.tri": BUNDLE.replace("weight 0", "weight -inf")},
+     ["verify-triangle", "inf.tri"], "'-inf'"),
+], ids=["gen-inf", "gen-neg-inf", "acyclic-inf", "acyclic-neg-inf",
+        "riso-inf", "riso-neg-inf", "cone-inf", "cone-neg-inf",
+        "budget-inf", "budget-neg-inf", "bundle-weight-inf",
+        "bundle-weight-neg-inf"])
+def test_an_infinite_scalar_in_input_exits_two(workdir, capsys, files, argv,
+                                               token):
+    """Every scalar read from input is a level, weight or bound used in
+    exact arithmetic, so an infinity is malformed input, named in the
+    message."""
+    for name, text in files.items():
+        (workdir / name).write_text(text)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "not a finite scalar: " + token in err
+    if argv[0] == "verify-triangle":
+        assert "inf.tri:1:" in err, err
+
+
 def test_an_internal_value_error_exits_three(workdir, capsys, monkeypatch):
     """A ValueError raised inside fcplx, past the parse and load sites,
     is a fault in fcplx and not malformed input."""

@@ -7,6 +7,7 @@ must build a number of map columns linear in the number of bars."""
 import functools
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -255,9 +256,18 @@ def test_pipeline_map_columns_grow_linearly(monkeypatch):
 
 
 def test_pipeline_at_128_bars_validates():
+    """Validation checks each step's certificate by products, so its
+    memory stays far below that of solving phi o psi ~ eta on the
+    summed slot step, which peaked near 550 MB here."""
     X, Y = _large_pair(128)
     bound, D, tau, cap = prop51_pipeline(X, Y)
     assert bound <= cap * tau
-    ok, weight, problems = validate_decomposition(D, X, EMPTY_FAMILY, Y)
+    tracemalloc.start()
+    try:
+        ok, weight, problems = validate_decomposition(D, X, EMPTY_FAMILY, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert ok, problems
     assert weight == bound
+    assert peak < 100 * 2**20, f"{peak / 2**20:.0f} MB"
