@@ -232,19 +232,15 @@ def zero_apex_step(v, W):
     nothing, pay for v."""
     W = Fraction(W)
     # one canonical form of cone(v) decides and inverts v; its
-    # contraction certifies both, its Z -> Z block being the homotopy
-    # v o g ~ id_Z
+    # contraction certifies both
     found = _contraction_inverse(v, W)
     if found is None:
         raise ValueError("zero_apex_step needs a W-isomorphism")
-    g, h = found
+    g, cert = found
     u = FilteredChainMap.zero(zero_complex(), v.source)
     psi = g.viewed(shift_complex(v.target, W), v.source, 0)
     tri, wit = exact_triangle(u, cone(u, 0), v, psi, W)
-    nZ = v.target.n
-    low = (1 << nZ) - 1
-    return tri, _certified(wit, (h, [F2Vector(mask=c.mask & low)
-                                     for c in h[:nZ]]))
+    return tri, _certified(wit, cert)
 
 
 def acyclic_from_zero_step(H: FilteredComplex):

@@ -122,8 +122,11 @@ def contraction_inverse(f: FilteredChainMap, r, rng=None):
 
 
 def _contraction_inverse(f, r, rng=None):
-    """(g, h) of `contraction_inverse`, h the columns of the contraction
-    of cone(f, 0) that g is read off, or None."""
+    """(g, cert) for `contraction_inverse`, or None.  Without an rng,
+    cert is the certificate of a witness whose phi is f and whose psi is
+    g: all columns of the contraction h of cone(f, 0) and its B -> B
+    block, the homotopy f o g ~ id_B.  With one, cert is None and only
+    the B columns of the conjugated h are formed."""
     r = Fraction(r)
     _require_iso_input(f)
     if r < 0:
@@ -137,15 +140,18 @@ def _contraction_inverse(f, r, rng=None):
     if bars.infinite() or boundary_depth(bars) > r:
         return None
     h = wit.contraction()
+    nB = f.target.n
     if rng is None:
         cols = h.columns
     else:
         U = fwd.matrix()
-        cols = [U.apply(h.apply(c)) for c in back.cols]
-    nB = f.target.n
+        cols = [U.apply(h.apply(c)) for c in back.cols[:nB]]
     g = FilteredChainMap(f.target, f.source,
                          [F2Vector(mask=c.mask >> nB) for c in cols[:nB]], 0)
-    return g, tuple(cols)
+    if rng is not None:
+        return g, None
+    low = (1 << nB) - 1
+    return g, (cols, [F2Vector(mask=c.mask & low) for c in cols[:nB]])
 
 
 def r_inverses(f: FilteredChainMap, r, rng=None):

@@ -1,11 +1,12 @@
 """Record a parent/change benchmark comparison as BENCH_<workload>.json.
 
     python3 tools/bench_pairs.py --parent ../parent --workload pipeline \\
-        --seeds 51-60 --out BENCH_pipeline.json
+        --seeds 51-60
 
-Runs `perfbench/run.py --workload W --seed N --seconds S` once in the
-parent checkout and once in this one for every seed, alternating which
-side runs first (odd seeds run the parent first), one run at a time.
+Runs `perfbench/run.py --workload W --seed N --seconds S`, S the
+`run_seconds` of BENCHMARK.json, once in the parent checkout and once
+in this one for every seed, alternating which side runs first (odd
+seeds run the parent first), one run at a time.
 Each run's last output line is its JSON result.  The record keeps every
 run and, per end-to-end metric of BENCHMARK.json, the median and
 quartiles of each side and the number of seeds on which the change is
@@ -77,10 +78,9 @@ def main(argv=None):
                     help="checkout of the parent commit")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, help="N or N-M")
-    ap.add_argument("--seconds", type=float, default=25)
-    ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     parent = Path(args.parent).resolve()
     runs = []
     for seed in _seeds(args.seeds):
@@ -88,7 +88,7 @@ def main(argv=None):
         if seed % 2 == 0:
             order.reverse()
         for k, (side, checkout) in enumerate(order):
-            result = _run(checkout, args.workload, seed, args.seconds)
+            result = _run(checkout, args.workload, seed, seconds)
             runs.append({"seed": seed, "side": side, "ran_first": k == 0,
                          "result": result})
             print(f"seed {seed} {side}: ops_per_s "
@@ -97,7 +97,7 @@ def main(argv=None):
     record = {
         "workload": args.workload,
         "command": ("python3 perfbench/run.py --workload "
-                    f"{args.workload} --seed N --seconds {args.seconds:g}"),
+                    f"{args.workload} --seed N --seconds {seconds:g}"),
         "python": platform.python_version(),
         "host": f"{os.cpu_count()} CPUs; one run at a time",
         "parent_commit": _commit(parent),
@@ -108,7 +108,8 @@ def main(argv=None):
         "summary": _summary(runs, bench["end_to_end"]),
         "runs": runs,
     }
-    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    out = ROOT / f"BENCH_{args.workload}.json"
+    out.write_text(json.dumps(record, indent=1) + "\n")
     bad = [r for r in runs if not r["result"]["correct"]
            or r["result"]["failed"]]
     return 1 if bad else 0
