@@ -33,12 +33,11 @@ class Bar(NamedTuple):
     hi: Fraction  # POS_INF for infinite bars
 
     def length(self):
-        if self.hi == POS_INF:
-            return POS_INF
-        return self.hi - self.lo
+        return self.hi - self.lo if self.is_finite() else POS_INF
 
     def is_finite(self):
-        return self.hi != POS_INF
+        # an int or Fraction never equals the float infinity
+        return isinstance(self.hi, (int, Fraction)) or self.hi != POS_INF
 
 
 class Barcode:
@@ -81,7 +80,7 @@ class Barcode:
     def shifted(self, r):
         r = Fraction(r)
         return Barcode(
-            Bar(b.degree, b.lo + r, b.hi if b.hi == POS_INF else b.hi + r)
+            Bar(b.degree, b.lo + r, b.hi + r if b.is_finite() else b.hi)
             for b in self.bars
         )
 
@@ -96,7 +95,7 @@ class Barcode:
 def barcode_to_text(B: Barcode) -> str:
     lines = []
     for b in B.bars:
-        hi = "inf" if b.hi == POS_INF else fmt_scalar(b.hi)
+        hi = fmt_scalar(b.hi) if b.is_finite() else "inf"
         lines.append(f"bar {b.degree} {fmt_scalar(b.lo)} {hi}")
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -143,17 +142,17 @@ class CanonicalFormWitness:
 
     def check(self) -> bool:
         """Witness invariants: invertible, level-preserving, canonical."""
-        X = self.complex
-        for j in range(X.n):
+        lev = self.complex._lev
+        for j in range(len(lev)):
             col = self.matrix.column(j)
-            if X.level_of(col) != X.gens[j].ell:
+            if max(map(lev.__getitem__, col), default=None) != lev[j]:
                 return False
         try:
             Dp = self.conjugated_differential()
         except ValueError:
             return False
         expect = {y: x for x, y in self.pairs}
-        for j in range(X.n):
+        for j in range(len(lev)):
             want = F2Vector([expect[j]]) if j in expect else F2Vector()
             if Dp.column(j) != want:
                 return False
@@ -167,7 +166,7 @@ def canonical_form(X: FilteredComplex):
         raise ValueError("invalid complex: " + "; ".join(problems))
     n = X.n
     # a stable sort keeps equal levels in index order
-    order = sorted(range(n), key=lambda i: X.gens[i].ell)
+    order = sorted(range(n), key=X._lev.__getitem__)
     pos = {orig: p for p, orig in enumerate(order)}
 
     def to_pos(vec: F2Vector) -> int:
@@ -226,7 +225,7 @@ def from_barcode(B: Barcode) -> FilteredComplex:
     triples = []
     boundaries = {}
     for k, b in enumerate(Barcode(B)):
-        if b.hi == POS_INF:
+        if not b.is_finite():
             triples.append((f"i{k}", b.degree, b.lo))
         else:
             triples.append((f"x{k}", b.degree, b.lo))
@@ -241,7 +240,7 @@ def _summands(B: Barcode):
     out = []
     n = 0
     for b in B:
-        out.append((n,) if b.hi == POS_INF else (n, n + 1))
+        out.append((n, n + 1) if b.is_finite() else (n,))
         n += len(out[-1])
     return out
 

@@ -16,6 +16,7 @@ Degree conventions used throughout:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .f2linalg import (
@@ -35,12 +36,36 @@ class Generator(NamedTuple):
     ell: Fraction
 
 
+def _scaled(gens):
+    """The lcm of the generators' level denominators and each level's
+    numerator over it: levels as ints that compare like the levels."""
+    for g in gens:
+        if not isinstance(g.ell, (int, Fraction)):
+            raise ValueError(f"generator {g.gid!r}: level {g.ell!r} is not "
+                             "an int or Fraction")
+    den = lcm(*{g.ell.denominator for g in gens})
+    return den, tuple(g.ell.numerator * (den // g.ell.denominator)
+                      for g in gens)
+
+
+def _joined(parts):
+    """The scale of the generators of `parts`, in order: the lcm of
+    their `_den` is again the least common denominator."""
+    den = lcm(*(p._den for p in parts))
+    return den, tuple(v * (den // p._den) for p in parts for v in p._lev)
+
+
 class FilteredComplex:
-    """Immutable filtered cochain complex with a distinguished basis."""
+    """Immutable filtered cochain complex with a distinguished basis.
 
-    __slots__ = ("gens", "diff", "_index", "_hash")
+    Hot loops compare `_lev`, the levels scaled to the common
+    denominator `_den`, instead of the `Fraction` levels.  Constructions
+    that read their levels off other complexes pass that pair as
+    `_scale` instead of having it derived again."""
 
-    def __init__(self, gens, diff):
+    __slots__ = ("gens", "diff", "_index", "_hash", "_den", "_lev")
+
+    def __init__(self, gens, diff, _scale=None):
         gens = tuple(gens)
         diff, _ = _columns(diff)
         if len(diff) != len(gens):
@@ -53,7 +78,12 @@ class FilteredComplex:
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "diff", diff)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_hash", hash((gens, diff)))
+        den, lev = _scale or _scaled(gens)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_lev", lev)
+        # _den is the least common denominator, never a multiple of it,
+        # so equal complexes have equal _den and _lev
+        object.__setattr__(self, "_hash", hash((lev, den, diff)))
 
     def __setattr__(self, name, value):
         raise AttributeError("FilteredComplex is immutable")
@@ -109,7 +139,7 @@ class FilteredComplex:
     def validate(self):
         """All invariant violations, as human-readable records."""
         problems = []
-        n = self.n
+        n, lev = self.n, self._lev
         for i, g in enumerate(self.gens):
             for j in self.diff[i]:
                 if j >= n:
@@ -121,7 +151,7 @@ class FilteredComplex:
                         f"degree violation: d({g.gid}) contains {h.gid} "
                         f"of degree {h.degree}, expected {g.degree + 1}"
                     )
-                if h.ell > g.ell:
+                if lev[j] > lev[i]:
                     problems.append(
                         f"filtration violation: d({g.gid}) contains {h.gid} "
                         f"with level {fmt_scalar(h.ell)} > {fmt_scalar(g.ell)}"
@@ -268,10 +298,13 @@ class FilteredChainMap:
 
 def shift_of_map(f: FilteredChainMap):
     """Least r with level(f(x)) <= level(x) + r; -inf for the zero map."""
-    tgt = f.target.gens
-    return max((max(tgt[i].ell for i in c) - g.ell
-                for g, c in zip(f.source.gens, f.cols) if c.mask),
-               default=NEG_INF)
+    S, T = f.source, f.target
+    den = lcm(S._den, T._den)
+    a, b = den // S._den, den // T._den
+    tl = T._lev
+    r = max((max(map(tl.__getitem__, c)) * b - s * a
+             for s, c in zip(S._lev, f.cols) if c.mask), default=None)
+    return NEG_INF if r is None else Fraction(r, den)
 
 
 def compose(g: FilteredChainMap, f: FilteredChainMap) -> FilteredChainMap:
@@ -305,14 +338,14 @@ def translate(X: FilteredComplex) -> FilteredComplex:
     """T: lower every generator degree by 1; levels and d unchanged."""
     return FilteredComplex(
         tuple(Generator(g.gid, g.degree - 1, g.ell) for g in X.gens),
-        X.diff,
+        X.diff, (X._den, X._lev),
     )
 
 
 def translate_inverse(X: FilteredComplex) -> FilteredComplex:
     return FilteredComplex(
         tuple(Generator(g.gid, g.degree + 1, g.ell) for g in X.gens),
-        X.diff,
+        X.diff, (X._den, X._lev),
     )
 
 
@@ -360,7 +393,7 @@ def sum_complexes(parts):
             for gid, g in zip(ids, (g for p in parts for g in p.gens))]
     cols = [F2Vector(mask=c.mask << off)
             for p, off in zip(parts, offsets) for c in p.diff]
-    return FilteredComplex(gens, cols), offsets
+    return FilteredComplex(gens, cols, _joined(parts)), offsets
 
 
 def _inclusion(X: FilteredComplex, Z: FilteredComplex, off):
@@ -451,7 +484,7 @@ def cone(f: FilteredChainMap, lam=0) -> ConeResult:
     cols = list(Y.diff)
     for i in range(X.n):
         cols.append(F2Vector(mask=f.cols[i].mask | (X.diff[i].mask << off)))
-    C = FilteredComplex(gens, cols)
+    C = FilteredComplex(gens, cols, _joined((Y, tx)))
     return ConeResult(C, _inclusion(Y, C, 0), _projection(C, tx, Y.n))
 
 
@@ -463,6 +496,16 @@ def _hom_pairs(X, Y, degree, bound=None):
     """The (s, t) of Hom(X, Y) of degree `degree` (of every degree for
     None) and, given a bound, of level <= bound, in flat order: the
     elementary maps x_s* (x) y_t a solve may use."""
+    tops = None
+    if bound is not None and is_finite(bound):
+        # level(t) - level(s) <= bound, on one common denominator
+        b = Fraction(bound)
+        den = lcm(X._den, Y._den, b.denominator)
+        yl = [v * (den // Y._den) for v in Y._lev]
+        a, top = den // X._den, b.numerator * (den // b.denominator)
+        tops = [v * a + top for v in X._lev]
+    elif bound is not None and bound < 0:
+        return []  # no level is <= -inf; a bound of +inf keeps every pair
     by_degree = {}
     for t, gt in enumerate(Y.gens):
         by_degree.setdefault(gt.degree, []).append(t)
@@ -470,9 +513,9 @@ def _hom_pairs(X, Y, degree, bound=None):
     for s, gs in enumerate(X.gens):
         ts = (range(Y.n) if degree is None
               else by_degree.get(gs.degree + degree, ()))
-        if bound is not None:
-            top = gs.ell + bound
-            ts = [t for t in ts if Y.gens[t].ell <= top]
+        if tops is not None:
+            top = tops[s]
+            ts = [t for t in ts if yl[t] <= top]
         pairs.extend((s, t) for t in ts)
     return pairs
 

@@ -146,7 +146,7 @@ def _in_order_pairs(BS: Barcode, BT: Barcode):
     def keyed(B):
         out = {}
         for k, b in enumerate(B):
-            out.setdefault((b.degree, b.hi == POS_INF), []).append((b, k))
+            out.setdefault((b.degree, not b.is_finite()), []).append((b, k))
         return out
 
     ks, kt = keyed(BS), keyed(BT)
@@ -159,7 +159,7 @@ def _in_order_pairs(BS: Barcode, BT: Barcode):
             return None
         pairs.extend(zip(a, b))
     for (bsrc, _), (btgt, _) in pairs:
-        if btgt.lo > bsrc.lo or (bsrc.hi != POS_INF and btgt.hi > bsrc.hi):
+        if btgt.lo > bsrc.lo or (bsrc.is_finite() and btgt.hi > bsrc.hi):
             return None
     return pairs
 
@@ -482,7 +482,7 @@ def merge_slot_decompositions(DA, xprimeA, DB, xprimeB):
 
 def _residual_shift(bx: Bar, by: Bar):
     """How far _pair_block raises bx so that by maps onto it."""
-    if bx.hi == POS_INF:
+    if not bx.is_finite():
         return max(by.lo - bx.lo, Fraction(0))
     return max(by.lo - bx.lo, by.hi - bx.hi, Fraction(0))
 
@@ -496,7 +496,7 @@ def _pair_block(bx: Bar, by: Bar):
         raise ValueError("matched bars must share a degree")
     Ep = from_barcode(Barcode([by]))          # Y-side summand
     mu = _residual_shift(bx, by)
-    if bx.hi == POS_INF:
+    if not bx.is_finite():
         H = make_complex(
             [("P", delta, bx.lo + mu), ("Q", delta + 1, by.lo)],
             {"P": ["Q"]},
@@ -548,7 +548,7 @@ def _pipeline_cost(tau, wit):
     for bx, by in wit.matched:
         mu = _residual_shift(bx, by)
         mus.append(mu)
-        if bx.hi == POS_INF:
+        if not bx.is_finite():
             helper.append(bx.lo + mu - by.lo)
         else:
             helper.append(min(by.hi, bx.lo + mu) - by.lo)
@@ -697,7 +697,7 @@ def _riso_cost(BX: Barcode, BXp: Barcode, k):
         lift = max((min(k, b.length()) for b in BXp), default=lift)
     depth = Fraction(0)
     for (s, _), (t, _) in pairs:
-        if s.hi == POS_INF:
+        if not s.is_finite():
             d = s.lo - t.lo
         elif t.hi <= s.lo:
             d = max(t.hi - t.lo, s.hi - s.lo)
@@ -800,7 +800,7 @@ def _move_cost(s: Bar, t: Bar):
     infinite."""
     if s.is_finite() != t.is_finite() or t.lo > s.lo or t.hi > s.hi:
         return POS_INF
-    return s.lo - t.lo if s.hi == POS_INF else max(s.lo - t.lo, s.hi - t.hi)
+    return max(s.lo - t.lo, s.hi - t.hi) if s.is_finite() else s.lo - t.lo
 
 
 def _iso_move_cost(BS: Barcode, BT: Barcode):

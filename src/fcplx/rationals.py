@@ -16,7 +16,8 @@ POS_INF = float("inf")
 
 
 def is_finite(x) -> bool:
-    return x != NEG_INF and x != POS_INF
+    # decided by type first: an int or Fraction never equals an infinity
+    return isinstance(x, (int, Fraction)) or (x != NEG_INF and x != POS_INF)
 
 
 def parse_scalar(token: str) -> Fraction:

@@ -283,7 +283,7 @@ def _closed_shift0(m, source, target):
             or not m.is_closed()):
         return False
     sh = shift_of_map(m)
-    return sh == NEG_INF or sh <= 0
+    return not is_finite(sh) or sh <= 0
 
 
 def _certified(wit: TriangleWitness, cert):
@@ -314,7 +314,7 @@ def _is_homotopy(S, T, cols, f, bound):
                for c, d, e in zip(h.cols, S.diff, f)):
         return False
     sh = shift_of_map(h)
-    return sh == NEG_INF or sh <= bound
+    return not is_finite(sh) or sh <= bound
 
 
 def verify_triangle(tri: WeightedTriangle, wit: TriangleWitness):

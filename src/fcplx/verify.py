@@ -155,19 +155,19 @@ def random_basis_change(X: FilteredComplex, rng: random.Random):
     """Random level-legal unitriangular change of basis; returns the
     re-based complex X' and the strict iso X' -> X."""
     n = X.n
-    order = sorted(range(n), key=lambda i: (X.gens[i].ell, i))
-    pos = {g: p for p, g in enumerate(order)}
+    # a stable sort keeps equal levels in index order, so an i placed
+    # before j never has the higher level
+    order = sorted(range(n), key=X._lev.__getitem__)
+    pos = [0] * n
+    for p, g in enumerate(order):
+        pos[g] = p
+    deg = [g.degree for g in X.gens]
     cols = []
     for j in range(n):
         m = 1 << j
+        pj, dj = pos[j], deg[j]
         for i in range(n):
-            if i == j or pos[i] >= pos[j]:
-                continue
-            if X.gens[i].degree != X.gens[j].degree:
-                continue
-            if X.gens[i].ell > X.gens[j].ell:
-                continue
-            if rng.random() < 0.3:
+            if pos[i] < pj and deg[i] == dj and rng.random() < 0.3:
                 m |= 1 << i
         cols.append(F2Vector(mask=m))
     U = F2SparseMatrix(cols, n)

@@ -1,0 +1,94 @@
+"""`tools/bench_pairs.py` records one seed as well as ten, and refuses to
+compare checkouts whose benchmark code differs.  The runs themselves are
+stubbed: each test builds two small checkouts and counts the runs."""
+
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+BENCH = {
+    "paths": ["perfbench"],
+    "run_seconds": 1,
+    "end_to_end": [{"name": "ops_per_s", "unit": "1/s", "better": "higher",
+                    "bound": 0.25}],
+}
+
+
+@pytest.fixture
+def tool(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    change, parent = tmp_path / "change", tmp_path / "parent"
+    for d in (change, parent):
+        (d / "perfbench").mkdir(parents=True)
+        (d / "BENCHMARK.json").write_text(json.dumps(BENCH))
+        (d / "perfbench" / "run.py").write_text("# the benchmark\n")
+    (change / ".gitignore").write_text("__pycache__/\n")
+    subprocess.run(["git", "init", "-q"], cwd=change, check=True)
+    runs = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        runs.append((checkout, seed))
+        value = (2 if checkout == change else 1) + seed / 100
+        return {"correct": True, "failed": 0,
+                "metrics": {"ops_per_s": {"value": value}}}
+
+    monkeypatch.setattr(mod, "ROOT", change)
+    monkeypatch.setattr(mod, "_run", fake_run)
+    monkeypatch.setattr(mod, "_commit", lambda checkout: "0" * 40)
+
+    def main(seeds):
+        return mod.main(["--parent", str(parent), "--workload", "pipeline",
+                         "--seeds", seeds])
+
+    return main, change, parent, runs
+
+
+def test_one_seed_records_the_medians_alone(tool):
+    main, change, _, runs = tool
+    assert main("51") == 0
+    assert len(runs) == 2
+    summary = json.loads((change / "BENCH_pipeline.json").read_text())[
+        "summary"]["ops_per_s"]
+    assert summary["parent"] == {"median": 1.51}
+    assert summary["change"] == {"median": 2.51}
+    assert summary["change_wins"] == "1/1"
+
+
+def test_two_seeds_record_quartiles(tool):
+    main, change, _, _ = tool
+    assert main("51-52") == 0
+    summary = json.loads((change / "BENCH_pipeline.json").read_text())[
+        "summary"]["ops_per_s"]
+    assert summary["parent"] == {"median": 1.515, "q1": 1.5125, "q3": 1.5175}
+
+
+@pytest.mark.parametrize("change_parent", [
+    lambda p: (p / "perfbench" / "run.py").write_text("# another\n"),
+    lambda p: (p / "perfbench" / "extra.py").write_text(""),
+    lambda p: (p / "perfbench" / "run.py").unlink(),
+    lambda p: (p / "BENCHMARK.json").write_text(
+        json.dumps({**BENCH, "run_seconds": 2})),
+    lambda p: (p / "BENCHMARK.json").unlink(),
+])
+def test_different_benchmark_code_exits_2_before_any_run(tool,
+                                                         change_parent):
+    main, change, parent, runs = tool
+    change_parent(parent)
+    assert main("51-60") == 2
+    assert runs == []
+    assert not (change / "BENCH_pipeline.json").exists()
+
+
+def test_files_git_ignores_may_differ(tool):
+    main, _, parent, runs = tool
+    cache = parent / "perfbench" / "__pycache__"
+    cache.mkdir()
+    (cache / "run.cpython-311.pyc").write_bytes(b"\0")
+    assert main("51") == 0
+    assert len(runs) == 2

@@ -9,8 +9,11 @@ in this one for every seed, alternating which side runs first (odd
 seeds run the parent first), one run at a time.
 Each run's last output line is its JSON result.  The record keeps every
 run and, per end-to-end metric of BENCHMARK.json, the median and
-quartiles of each side and the number of seeds on which the change is
-better.  Exits 1 when any run fails or reports incorrect results.
+quartiles of each side (the median alone below two seeds) and the
+number of seeds on which the change is better.  Exits 1 when any run
+fails or reports incorrect results, and 2, before running anything,
+when the two checkouts' BENCHMARK.json or the files under its `paths`
+differ: both sides must run the same benchmark code.
 """
 
 import argparse
@@ -46,7 +49,33 @@ def _commit(checkout):
     return out.stdout.strip() or "unknown"
 
 
+def _bench_files(checkout, paths):
+    """{name: bytes} of BENCHMARK.json and every file under `paths`."""
+    files = {}
+    for p in ["BENCHMARK.json", *paths]:
+        base = checkout / p
+        for f in [base] if base.is_file() else base.rglob("*"):
+            if f.is_file():
+                files[f.relative_to(checkout).as_posix()] = f
+    return {name: f.read_bytes() for name, f in files.items()}
+
+
+def _benchmark_differences(parent, paths):
+    """Names of the benchmark files that differ between the parent
+    checkout and this one, leaving out what git ignores here (byte
+    code, span traces)."""
+    ours, theirs = _bench_files(ROOT, paths), _bench_files(parent, paths)
+    names = sorted(n for n in ours.keys() | theirs.keys()
+                   if ours.get(n) != theirs.get(n))
+    ignored = subprocess.run(["git", "check-ignore", "--stdin"], cwd=ROOT,
+                             input="\n".join(names), capture_output=True,
+                             text=True).stdout.splitlines()
+    return [n for n in names if n not in ignored]
+
+
 def _stats(values):
+    if len(values) < 2:
+        return {"median": round(statistics.median(values), 4)}
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
@@ -82,6 +111,11 @@ def main(argv=None):
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     parent = Path(args.parent).resolve()
+    differ = _benchmark_differences(parent, bench["paths"])
+    if differ:
+        print("the benchmark differs between the checkouts: "
+              + ", ".join(differ), file=sys.stderr)
+        return 2
     runs = []
     for seed in _seeds(args.seeds):
         order = [("parent", parent), ("change", ROOT)]
