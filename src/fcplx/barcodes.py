@@ -224,7 +224,9 @@ def from_barcode(B: Barcode) -> FilteredComplex:
     d(y{k}) = x{k} for a finite one."""
     triples = []
     boundaries = {}
-    for k, b in enumerate(Barcode(B)):
+    # a Barcode's bars are already in bar order
+    bars = B.bars if isinstance(B, Barcode) else Barcode(B).bars
+    for k, b in enumerate(bars):
         if not b.is_finite():
             triples.append((f"i{k}", b.degree, b.lo))
         else:

@@ -13,9 +13,12 @@ decompositions exhaustively.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
+from math import lcm
 
 from .rationals import POS_INF, is_finite
 from .f2linalg import F2Vector
@@ -138,11 +141,7 @@ def _in_order_pairs(BS: Barcode, BT: Barcode):
     """The in-order matching of two barcodes: per (degree, infinite?)
     class, the k-th bar of BS in bar order goes to the k-th of BT.
     Returns ((s, ks), (t, kt)) pairs of bars and their indices in that
-    order, or None when counts differ or some matched bar would move up
-    in level."""
-    if len(BS) != len(BT):
-        return None
-
+    order, or None when counts differ."""
     def keyed(B):
         out = {}
         for k, b in enumerate(B):
@@ -150,18 +149,16 @@ def _in_order_pairs(BS: Barcode, BT: Barcode):
         return out
 
     ks, kt = keyed(BS), keyed(BT)
-    if set(ks) != set(kt):
+    if len(BS) != len(BT) or any(len(kt.get(c, ())) != len(a)
+                                 for c, a in ks.items()):
         return None
-    pairs = []
-    for key in ks:
-        a, b = ks[key], kt[key]
-        if len(a) != len(b):
-            return None
-        pairs.extend(zip(a, b))
-    for (bsrc, _), (btgt, _) in pairs:
-        if btgt.lo > bsrc.lo or (bsrc.is_finite() and btgt.hi > bsrc.hi):
-            return None
-    return pairs
+    return [p for c in ks for p in zip(ks[c], kt[c])]
+
+
+def _scaled(B: Barcode, den):
+    """B with every endpoint times den, as an int; den clears them all."""
+    return Barcode(Bar(b.degree, int(b.lo * den),
+                       int(b.hi * den) if b.is_finite() else b.hi) for b in B)
 
 
 def comparison_map(BS: Barcode, BT: Barcode):
@@ -169,7 +166,8 @@ def comparison_map(BS: Barcode, BT: Barcode):
     when every matched generator moves weakly down in level.  Returns
     None when counts differ or some entry would be illegal."""
     pairs = _in_order_pairs(BS, BT)
-    if pairs is None:
+    if pairs is None or any(t.lo > s.lo or (s.is_finite() and t.hi > s.hi)
+                            for (s, _), (t, _) in pairs):
         return None
     S = from_barcode(BS)
     src, tgt = _summands(BS), _summands(BT)
@@ -677,9 +675,10 @@ def _riso_strategy(BX: Barcode, BXp: Barcode, k):
     return ConeDecomposition(tuple(steps))
 
 
-def _riso_cost(BX: Barcode, BXp: Barcode, k):
-    """The weight of _riso_strategy(X, X', k) from the barcodes alone,
-    or None exactly when that strategy gives no decomposition.
+def _riso_costs(BX: Barcode, BXp: Barcode, grid):
+    """(weight, k) of _riso_strategy(X, X', k) for each shift k of the
+    grid at which that strategy gives a decomposition, in grid order,
+    from the barcodes alone.
 
     The weight is the cylinder raise plus depth(cone(m)).  The raise is
     the depth of the eta_k cone over X': max over the bars of X' of
@@ -687,24 +686,46 @@ def _riso_cost(BX: Barcode, BXp: Barcode, k):
     sum of single-bar maps s -> t, so cone(m) is the sum of their cones:
     of depth s.lo - t.lo for infinite bars, the longer of the two bars
     when t ends before s starts (the map is then zero on persistence),
-    and max(s.lo - t.lo, s.hi - t.hi) otherwise."""
-    k = Fraction(k)
-    pairs = _in_order_pairs(BXp.shifted(k), BX)
+    and max(s.lo - t.lo, s.hi - t.hi) otherwise.
+
+    A shift keeps the bar order in each class, so X' unshifted is paired
+    once, in integer levels.  Then m exists iff k >= t.lo - s.lo and
+    k >= t.hi - s.hi, and a pair's cone has depth k + max(s.lo - t.lo,
+    s.hi - t.hi) until k reaches t.hi - s.lo, then the longer bar; one
+    bisection scores a shift k >= 0.
+    """
+    den = lcm(*(k.denominator for k in grid), *(
+        x.denominator for b in (*BX, *BXp) for x in b[1:2 + b.is_finite()]))
+    SXp = _scaled(BXp, den)
+    pairs = _in_order_pairs(SXp, _scaled(BX, den))
     if pairs is None:
-        return None
-    lift = Fraction(0)
-    if k:
-        lift = max((min(k, b.length()) for b in BXp), default=lift)
-    depth = Fraction(0)
+        return
+    ks = [int(k * den) for k in grid]
+    low = -max(ks, default=0)  # k + low <= 0 at every shift: no pair
+    floors, top, rows = [low], [low], []
     for (s, _), (t, _) in pairs:
-        if not s.is_finite():
-            d = s.lo - t.lo
-        elif t.hi <= s.lo:
-            d = max(t.hi - t.lo, s.hi - s.lo)
+        if s.is_finite():
+            floors.append(max(t.lo - s.lo, t.hi - s.hi))
+            rows.append((t.hi - s.lo, max(s.lo - t.lo, s.hi - t.hi),
+                         max(t.length(), s.length())))
         else:
-            d = max(s.lo - t.lo, s.hi - t.hi)
-        depth = max(depth, d)
-    return lift + depth
+            floors.append(t.lo - s.lo)
+            top.append(s.lo - t.lo)
+    rows.sort()
+    turns = [r[0] for r in rows]
+    # tops[i]: the largest offset of the pairs that still overlap when
+    # rows[:i] have turned (rows[i:] and the infinite pairs); longest[i]:
+    # the longest bar of rows[:i]
+    tops = [*accumulate((r[1] for r in reversed(rows)), max,
+                        initial=max(top))][::-1]
+    longest = [*accumulate((r[2] for r in rows), max, initial=0)]
+    cap = max((b.length() for b in SXp), default=0)
+    least = max(floors)
+    for k, kk in zip(grid, ks):
+        if kk >= least:
+            i = bisect_right(turns, kk)
+            depth = max(longest[i], kk + tops[i])
+            yield Fraction(min(kk, cap) + depth, den), k
 
 
 def delta_upper(X, Xp, family: FamilySpec = EMPTY_FAMILY, via=()):
@@ -735,8 +756,7 @@ def _delta_upper(X, Xp, BX, BXp, family, via=()):
     if r is not None:
         cands.append((r, lambda: ConeDecomposition(
             (eta_slot_triangle(from_barcode(BX), r),))))
-    riso = [(cost, k) for k in level_grid(X, Xp)
-            if (cost := _riso_cost(BX, BXp, k)) is not None]
+    riso = list(_riso_costs(BX, BXp, level_grid(X, Xp)))
     if riso:
         # min keeps the first lightest shift
         cost, k = min(riso, key=lambda ck: ck[0])
@@ -784,10 +804,9 @@ def underline_delta_upper(X, Xp, family: FamilySpec = EMPTY_FAMILY):
         # attaching everything over the zero apex in one move
         step = acyclic_from_zero_step(from_barcode(BX))
         return step[0].weight, (step,)
-    W = _riso_cost(BX, BXp, 0)
-    if W is None:
-        return POS_INF, None
-    return W, (zero_apex_step(comparison_map(BXp, BX), W),)
+    for W, _ in _riso_costs(BX, BXp, (0,)):
+        return W, (zero_apex_step(comparison_map(BXp, BX), W),)
+    return POS_INF, None
 
 
 # ----------------------------------------------------------------------
@@ -843,16 +862,22 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
     down-moves.  The last two have apex zero and are dropped when the
     family lacks zero.  The search result is reconciled with the
     constructive strategies, so the value is always a certified upper
-    bound and never exceeds delta_upper.  Returns (value, note).
+    bound and never exceeds delta_upper.  An infinite weight budget
+    puts no cap on the search.  Returns (value, note).  The search runs
+    on the instance scaled to integer levels (level differences and
+    the budget too), which keeps every comparison and visited node.
     """
-    weight_budget = Fraction(weight_budget)
+    budget = None if weight_budget == POS_INF else Fraction(weight_budget)
+    Zs = (X, Xp, *family.members)
+    den = lcm(*(Z._den for Z in Zs), budget.denominator if budget else 1)
+    weight_budget = POS_INF if budget is None else int(budget * den)
     BX, BXp = barcode(X), barcode(Xp)
-    target_state = BX.without_zero_length()
-    slot_state_complex = translate_inverse(from_barcode(BXp))
+    target_state = _scaled(BX, den).without_zero_length()
+    slot_state_complex = translate_inverse(from_barcode(_scaled(BXp, den)))
     # acyclic attachments and the final down-move have apex zero
     has_zero = family.has_zero()
-    levels = {g.ell for Z in (X, Xp, *family.members) for g in Z.gens}
-    diffs = level_grid(X, Xp, *family.members)
+    levels = {int(g.ell * den) for Z in Zs for g in Z.gens}
+    diffs = [int(d * den) for d in level_grid(*Zs)]
     pool_levels = sorted(
         levels | {lv + d for lv in levels for d in diffs})[:12]
     degrees = sorted(
@@ -869,7 +894,7 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
 
     member_apexes = []
     for memb in family.members:
-        BM = barcode(memb)
+        BM = _scaled(barcode(memb), den)
         member_apexes.append(from_barcode(BM))
         if family.closed_shift:
             for d in diffs[1:3]:
@@ -912,13 +937,14 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
             if cost < best[0] and cost <= weight_budget:
                 search(Barcode(tuple(state) + (b,)), used, depth + 1, cost)
 
-    search(Barcode(), False, 0, Fraction(0))
+    search(Barcode(), False, 0, 0)
     # search holds itself through its closure; break that cycle so the
     # memo goes with this frame, not at the next cyclic collection
     del search
+    found = best[0] if best[0] == POS_INF else Fraction(best[0], den)
     upper, _ = _delta_upper(X, Xp, BX, BXp, family)
-    value = min(best[0], upper)
-    note = "search" if best[0] <= upper else "strategy"
+    value = min(found, upper)
+    note = "search" if found <= upper else "strategy"
     if value == POS_INF:
         return POS_INF, "budget exceeded"
     return value, note

@@ -37,6 +37,7 @@ from .complexes import (
     _flat,
     _hom_pairs,
     _hom_slice,
+    _joined,
     _map_at,
     compose,
     cone,
@@ -791,17 +792,12 @@ def fill_morphism(t1, w1, t2, w2, f, g):
 
 
 def level_grid(*complexes):
-    """Nonnegative pairwise level differences over the given objects."""
-    levels = set()
-    for X in complexes:
-        for g in X.gens:
-            levels.add(g.ell)
-    grid = {Fraction(0)}
-    for a in levels:
-        for b in levels:
-            if a - b > 0:
-                grid.add(a - b)
-    return sorted(grid)
+    """Nonnegative pairwise level differences over the given objects,
+    taken in integers over their common denominator."""
+    den, lev = _joined(complexes)
+    levels = set(lev)
+    grid = {a - b for a in levels for b in levels if a > b}
+    return [Fraction(d, den) for d in sorted(grid | {0})]
 
 
 def _witness_candidate(u, v, w, W):

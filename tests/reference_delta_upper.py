@@ -7,6 +7,11 @@ passes `_linearization_ok`, the rule `validate_decomposition` applies.
 The tests check `fcplx.fragmentation.delta_upper` against it for a
 byte-identical (value, decomposition).  It builds one witnessed
 decomposition per grid shift, so keep inputs small.
+
+`reference_riso_cost` is the score of one shift as it was computed
+before one in-order pairing scored the whole grid: it shifts X', pairs
+it with X again and adds up `Fraction` levels.  The tests check
+`fcplx.fragmentation._riso_costs` against it shift by shift.
 """
 
 from fractions import Fraction
@@ -16,6 +21,7 @@ from fcplx.fragmentation import (
     EMPTY_FAMILY,
     ConeDecomposition,
     _eta_shift_candidate,
+    _in_order_pairs,
     _linearization_ok,
     _riso_strategy,
     compose_decompositions,
@@ -62,3 +68,30 @@ def reference_delta_upper(X, Xp, family=EMPTY_FAMILY, via=(), grid=None):
         if D1 is not None and D2 is not None:
             consider(compose_decompositions(D1, mid, D2))
     return best
+
+
+def reference_riso_cost(BX, BXp, k):
+    """The weight of _riso_strategy(X, X', k), or None exactly when it
+    gives no decomposition: the cylinder raise (max over the bars of X'
+    of min(k, length), 0 when k = 0) plus the depth of the cone of the
+    in-order comparison S^k X' -> X."""
+    k = Fraction(k)
+    pairs = _in_order_pairs(BXp.shifted(k), BX)
+    if pairs is None:
+        return None
+    for (s, _), (t, _) in pairs:
+        if t.lo > s.lo or (s.is_finite() and t.hi > s.hi):
+            return None
+    lift = Fraction(0)
+    if k:
+        lift = max((min(k, b.length()) for b in BXp), default=lift)
+    depth = Fraction(0)
+    for (s, _), (t, _) in pairs:
+        if not s.is_finite():
+            d = s.lo - t.lo
+        elif t.hi <= s.lo:
+            d = max(t.hi - t.lo, s.hi - s.lo)
+        else:
+            d = max(s.lo - t.lo, s.hi - t.hi)
+        depth = max(depth, d)
+    return lift + depth

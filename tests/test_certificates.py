@@ -29,7 +29,7 @@ from fcplx.complexes import (
 )
 from fcplx.f2linalg import F2Vector
 from fcplx.fragmentation import (
-    _riso_cost,
+    _riso_costs,
     acyclic_from_zero_step,
     collapse_acyclic_triangle,
     comparison_map,
@@ -93,7 +93,7 @@ def _comparison(rng):
     S, fwd_s, _ = _scrambled(rng, BS)
     T, _, back_t = _scrambled(rng, BT)
     v = compose(back_t, compose(comparison_map(BS, BT), fwd_s))
-    return v, _riso_cost(BT, BS, 0)
+    return v, next(_riso_costs(BT, BS, (0,)))[0]
 
 
 def _morphism(rng):

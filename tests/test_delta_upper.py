@@ -1,8 +1,10 @@
 """`delta_upper` scores its raised-comparison shift grid from barcodes
-(`_riso_cost`) and builds only the winning shift.  The score must equal
-the weight of the built decomposition at every grid shift, and the
-result must equal, byte for byte, that of the reference that builds
-every shift."""
+(`_riso_costs`, one in-order pairing in integer levels for the whole
+grid) and builds only the winning shift.  The score must equal the
+weight of the built decomposition at every grid shift, and the
+`Fraction` score of each shift on its own on fine grids, and the result
+must equal, byte for byte, that of the reference that builds every
+shift."""
 
 import random
 from fractions import Fraction
@@ -12,7 +14,7 @@ from fcplx.barcodes import Bar, Barcode, barcode, from_barcode
 from fcplx.complexes import zero_complex
 from fcplx.fragmentation import (
     FamilySpec,
-    _riso_cost,
+    _riso_costs,
     _riso_strategy,
     delta_exact_small,
     delta_upper,
@@ -21,7 +23,7 @@ from fcplx.rationals import POS_INF
 from fcplx.verify import GenConfig, gen_complex, random_basis_change
 
 from conftest import serialize
-from reference_delta_upper import reference_delta_upper
+from reference_delta_upper import reference_delta_upper, reference_riso_cost
 
 CFG = GenConfig(seed=5150)
 LEVELS = tuple(Fraction(n, 4) for n in range(9))
@@ -88,18 +90,74 @@ def test_score_equals_the_built_weight_at_every_shift():
         BX, BXp = barcode(X), barcode(Xp)
         for k in _grid(X, Xp):
             D = _riso_strategy(BX, BXp, k)
-            cost = _riso_cost(BX, BXp, k)
+            scored = list(_riso_costs(BX, BXp, [k]))
             if D is None:
-                assert cost is None, (BX, BXp, k)
+                assert scored == [], (BX, BXp, k)
                 seen["none"] += 1
                 continue
-            assert cost == D.total_weight(), (BX, BXp, k)
+            assert scored == [(D.total_weight(), k)], (BX, BXp, k)
             pairs = fragmentation._in_order_pairs(BXp.shifted(k), BX)
             if any(s.hi != POS_INF and t.hi <= s.lo
                    for (s, _), (t, _) in pairs):
                 seen["disjoint"] += 1
     # the inputs reach the refused and the disjoint-interval cases
     assert seen["none"] and seen["disjoint"]
+
+
+def _jittered_pair(n):
+    """X with n bars on the 1/97 grid of [0, 8), the first n/4 infinite,
+    degrees alternating, lengths under 2, and X' = X with every endpoint
+    moved by -1/97, 0 or +1/97."""
+    rng = random.Random(f"fine/{n}")
+    q = Fraction(1, 97)
+    bx, by = [], []
+    for k in range(n):
+        lo = rng.randrange(8 * 97)
+        hi = lo + rng.randrange(1, 2 * 97)
+        jlo = max(0, lo + rng.choice((-1, 0, 1)))
+        jhi = max(jlo + 1, hi + rng.choice((-1, 0, 1)))
+        if k < n // 4:
+            hi = jhi = POS_INF
+        else:
+            hi, jhi = hi * q, jhi * q
+        bx.append(Bar(k % 2, lo * q, hi))
+        by.append(Bar(k % 2, jlo * q, jhi))
+    return Barcode(bx), Barcode(by)
+
+
+def test_fine_grids_score_every_shift_as_the_fraction_reference():
+    """On the 1/97 grid: at 32 bars every shift, both directions; at
+    128 bars every 10th shift and the first lightest one."""
+    for n, step in ((32, 1), (128, 10)):
+        BX, BY = _jittered_pair(n)
+        for B1, B2 in ((BX, BY), (BY, BX)):
+            grid = tpc.level_grid(from_barcode(B1), from_barcode(B2))
+            scored = {k: c for c, k in _riso_costs(B1, B2, grid)}
+            for k in grid[::step]:
+                assert scored.get(k) == reference_riso_cost(B1, B2, k), k
+            least = min(scored.values())
+            first = next(k for k in grid if scored.get(k) == least)
+            assert reference_riso_cost(B1, B2, first) == least
+    # the inputs reach refused shifts
+    assert len(scored) < len(grid)
+
+
+def test_the_first_of_tied_lightest_shifts_wins():
+    """Three shifts share the lightest raised-comparison weight, which
+    beats every other strategy: the first of them is built."""
+    h = Fraction(1, 2)
+    BX = Barcode([Bar(0, 2 * h, 4 * h), Bar(1, 4 * h, 6 * h)])
+    BXp = Barcode([Bar(0, 4 * h, 5 * h), Bar(1, 2 * h, 4 * h)])
+    X, Xp = from_barcode(BX), from_barcode(BXp)
+    scored = list(_riso_costs(BX, BXp, tpc.level_grid(X, Xp)))
+    least = min(c for c, _ in scored)
+    tied = [k for c, k in scored if c == least]
+    assert tied == [2 * h, 3 * h, 4 * h]
+    value, D = delta_upper(X, Xp)
+    assert value == least
+    assert serialize(D) == serialize(_riso_strategy(BX, BXp, tied[0]))
+    assert serialize(D) != serialize(_riso_strategy(BX, BXp, tied[1]))
+    assert serialize((value, D)) == serialize(reference_delta_upper(X, Xp))
 
 
 def _via_triple():
