@@ -400,7 +400,8 @@ def refine(D: ConeDecomposition, i: int, Dp: ConeDecomposition):
 
 
 def translate_inverse_decomposition(D: ConeDecomposition):
-    """Apply the inverse translation functor to every step."""
+    """Apply the inverse translation functor to every step.  No matrix
+    changes, so each witness keeps its certificate."""
     steps = []
     for tri, wit in D.steps:
         A2, B2, C2 = (translate_inverse(Z) for Z in (tri.A, tri.B, tri.C))
@@ -412,7 +413,8 @@ def translate_inverse_decomposition(D: ConeDecomposition):
         psi2 = wit.psi.viewed(shift_complex(C2, tri.weight), K2)
         steps.append(
             (WeightedTriangle(A2, B2, C2, u2, v2, w2, tri.weight),
-             TriangleWitness(K2, phi2, psi2))
+             _certified(TriangleWitness(K2, phi2, psi2),
+                        getattr(wit, "_cert", None)))
         )
     return ConeDecomposition(tuple(steps))
 

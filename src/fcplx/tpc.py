@@ -12,16 +12,19 @@ phi o psi ~ eta (none when the two maps are equal).  `verify_triangle`
 checks a certificate by products alone (dc + cd = id with shift(c) <=
 r, since the least shift of a contraction is the boundary depth; dH +
 Hd = phi o psi + eta with shift(H) <= 0), so it needs no elimination.
-A witness without one (a hand-made bundle, a fill-built rotation or
-octahedron output) has every clause decided exactly by linear solves
-over hom complexes and its acyclicity by the barcode.
+A witness without one (a hand-made bundle, a rotation output, an
+octahedron output from an uncertified input) has every clause decided
+exactly by linear solves over hom complexes and its acyclicity by the
+barcode.
 
-Inverses of r-isomorphisms are read off canonical forms.  Every other
-witness map (the fills in rotation, the octahedron, triangle morphisms
-and weight candidates) is a closed shift-0 map x with two squares that
-commute up to bounded homotopy, found by `homsolve.fill_map(S, T, pre,
-post)`: x o a ~ b for each (a, b, bound) in pre, a o x ~ b for each in
-post, each homotopy of level <= its bound; None when there is no x.
+Inverses of r-isomorphisms are read off canonical forms.  The witness
+maps of rotation and of the octahedron are written down from the input
+witness, as in the mapping-cone proofs of those axioms.  The rest
+(triangle morphisms and weight candidates) are closed shift-0 maps x
+with two squares that commute up to bounded homotopy, found by
+`homsolve.fill_map(S, T, pre, post)`: x o a ~ b for each (a, b, bound)
+in pre, a o x ~ b for each in post, each homotopy of level <= its
+bound; None when there is no x.
 """
 
 from __future__ import annotations
@@ -461,32 +464,73 @@ def relax_weight(tri: WeightedTriangle, wit: TriangleWitness, s):
 # rotation
 
 
+def _product(P, Q):
+    """The columns of P o Q, for the column lists P and Q."""
+    return [F2Vector(mask=_apply(P, q.mask)) for q in Q]
+
+
+def _sum(P, Q):
+    """The columns of P + Q."""
+    return [p + q for p, q in zip(P, Q)]
+
+
+def _contraction_blocks(c, nY):
+    """The blocks (g, a, b, e) of a contraction c of cone(f, 0) =
+    Y (+) TX for f: X -> Y of nY generators: c(y) = (a(y), t.g(y)) and
+    c(t.x) = (e(x), t.b(x)).  dc + cd = id says that g is closed, that
+    a and b are homotopies f g ~ id_Y and g f ~ id_X, and that
+    de + ed = f b + a f."""
+    low = (1 << nY) - 1
+    g, a, b, e = ([F2Vector(mask=m.mask >> nY) for m in c[:nY]],
+                  [F2Vector(mask=m.mask & low) for m in c[:nY]],
+                  [F2Vector(mask=m.mask >> nY) for m in c[nY:]],
+                  [F2Vector(mask=m.mask & low) for m in c[nY:]])
+    return g, a, b, e
+
+
+def _v_homotopy(tri, wit, who):
+    """The columns of a homotopy h_v: v ~ phi o include of level <= 0,
+    zero with no solve when the two maps are equal; ValueError when the
+    witness's v-clause fails."""
+    B = tri.B
+    hv = homotopic(tri.v, FilteredChainMap(B, tri.C, wit.phi.cols[:B.n], 0),
+                   0)
+    if hv is None:
+        raise ValueError(f"{who}: the witness's v-clause fails")
+    return hv.cols
+
+
 def rotate(tri: WeightedTriangle, wit: TriangleWitness,
            try_improve=False):
     """First positive rotation; the certified weight doubles.
 
     Returns (triangle, witness) of shape
-    B -> C -> S^-r TA -> S^-2r TB at weight 2r.  Whether 2r is tight is
-    open; with try_improve the level grid is searched for a smaller
-    verified weight and (triangle, witness, improved) is returned, the
-    last entry None when no cheaper witness was found.
+    B -> C -> S^-r TA -> S^-2r TB at weight 2r.  The comparison
+    phibar: TA -> cone(v) = C (+) TB is written down from the witness,
+    t.a -> (phi(t.a) + h_v(u(a)), t.u(a)) with h_v the homotopy
+    v ~ phi o include (zero when the two are equal), and the new
+    witness is (cone(v), psibar, phibar) with psibar its inverse read
+    off a canonical form.  Whether 2r is tight is open; with
+    try_improve the level grid is searched for a smaller verified
+    weight and (triangle, witness, improved) is returned, the last
+    entry None when no cheaper witness was found.
     """
     r = Fraction(tri.weight)
     A, B, C = tri.A, tri.B, tri.C
     TA, TB = translate(A), translate(B)
-    K = cone(tri.u, 0)
     A2 = cone(tri.v, 0)
     Tu = translate_map(tri.u)
 
-    phibar = fill_map(TA, A2.complex,
-                      pre=[(K.project, compose(A2.include, wit.phi), 0)],
-                      post=[(A2.project, Tu, 0)])
-    if phibar is None:
-        raise AssertionError("rotation fill failed on a valid triangle")
+    nB, nC = B.n, C.n
+    hv = _v_homotopy(tri, wit, "rotate")
+    phibar = FilteredChainMap(TA, A2.complex, [
+        F2Vector(mask=(p.mask ^ _apply(hv, c.mask)) | c.mask << nC)
+        for p, c in zip(wit.phi.cols[nB:], tri.u.cols)], 0)
     try:
         psibar, _ = r_inverses(phibar, r)
     except ValueError as exc:
-        raise AssertionError("rotation fill is not an r-isomorphism") from exc
+        raise AssertionError("rotation comparison is not an r-isomorphism"
+                             ) from exc
 
     CR = shift_complex(TA, -r)
     u_R = tri.v
@@ -513,7 +557,24 @@ def rotate(tri: WeightedTriangle, wit: TriangleWitness,
 
 
 def rotate_negative(tri: WeightedTriangle, wit: TriangleWitness):
-    """First negative rotation T^-1 S^r C -> A -> B -> S^-r C at 2r."""
+    """First negative rotation T^-1 S^r C -> A -> B -> S^-r C at 2r.
+
+    Both witness maps are written down.  The comparison
+    phi_N: cone(u_N) = A (+) S^r C -> B is u on A and the B-block of
+    psi on S^r C, closed because psi is.  Its right inverse is
+    psi_N: S^2r B -> cone(u_N), b -> (theta_A(b), t.v(b)), for a
+    homotopy theta: psi o v ~ include of level <= 2r into
+    cone(u) = B (+) TA, so project o psi_N = w_N exactly.  The A-part
+    of d theta + theta d = psi o v + include makes psi_N closed, and
+    its B-part reads phi_N psi_N + eta = d theta_B + theta_B d.
+
+    With a certificate (c, H) on the witness, theta is written down:
+    c's blocks g: C -> K and b: K -> K (`_contraction_blocks`) give
+    psi = g + d M + M d with M = g H + b psi, so psi o phi ~ id_K by
+    b + M phi, and with h_v: v ~ phi o include (`_v_homotopy`),
+    theta = b o include + M o phi o include + psi o h_v.  Each term has
+    level <= 2r since c and H have level <= r.  Without one, theta
+    comes from one `homotopic` solve."""
     r = Fraction(tri.weight)
     A, B, C = tri.A, tri.B, tri.C
     K = cone(tri.u, 0)
@@ -521,17 +582,32 @@ def rotate_negative(tri: WeightedTriangle, wit: TriangleWitness):
     u_N = compose(K.project, wit.psi).viewed(src, A)
     w_N = tri.v.viewed(B, shift_complex(C, -r))
     KN = cone(u_N, 0)
+    nA, nB, nC = A.n, B.n, C.n
+    sB = shift_complex(B, 2 * r)
+    psi, phi = wit.psi.cols, wit.phi.cols
 
-    pK = compose(wit.psi, KN.project.viewed(KN.complex, wit.psi.source))
-    phi_N = fill_map(KN.complex, B, pre=[(KN.include, tri.u, 0)],
-                     post=[(K.include, pK, 0)])
-    if phi_N is None:
-        raise AssertionError("negative rotation fill failed")
-    psi_N = _right_inverse(
-        phi_N, 2 * r, KN.project.viewed(KN.complex, shift_complex(C, r)),
-        tri.v)
-    if psi_N is None:
-        raise AssertionError("negative rotation fill has no 2r right inverse")
+    low = (1 << nB) - 1
+    phi_N = FilteredChainMap(KN.complex, B, tri.u.cols + tuple(
+        F2Vector(mask=c.mask & low) for c in psi), 0)
+    cert = getattr(wit, "_cert", None)
+    if cert is None:
+        theta = homotopic(
+            FilteredChainMap(sB, K.complex, _product(psi, tri.v.cols), 0),
+            FilteredChainMap(sB, K.complex, K.include.cols, 0), 0)
+        if theta is None:
+            raise ValueError("rotate_negative: the witness does not verify")
+        theta = theta.cols
+    else:
+        c, H = cert
+        g, _, b, _ = _contraction_blocks(c, nC)
+        M = _product(b, psi)
+        if H is not None:
+            M = _sum(M, _product(g, H))
+        theta = _sum(_sum(b[:nB], _product(M, phi[:nB])),
+                     _product(psi, _v_homotopy(tri, wit, "rotate_negative")))
+    psi_N = FilteredChainMap(sB, KN.complex, [
+        F2Vector(mask=t.mask >> nB | v.mask << nA)
+        for t, v in zip(theta, tri.v.cols)], 0)
     ntri = WeightedTriangle(src, A, B, u_N, tri.u, w_N, 2 * r)
     nwit = TriangleWitness(KN.complex, phi_N, psi_N)
     return ntri, nwit
@@ -635,6 +711,54 @@ def sum_triangles(t1, w1, t2, w2):
 # the weighted octahedron
 
 
+def _over(n, f, hom=None, ident=True):
+    """The columns of a map between two cones over one object of n
+    generators, A (+) T(.) -> A (+) T(.): the identity on A (zero
+    unless ident), then t.x -> (hom(x), t.f(x)) for the column lists f
+    and hom (no hom: zero)."""
+    head = [F2Vector(mask=1 << a) for a in range(n)] if ident else [ZERO] * n
+    return head + [F2Vector(mask=(c.mask << n) | hc.mask)
+                   for c, hc in zip(f, hom or [ZERO] * len(f))]
+
+
+def _octahedron_certificate(cert1, cert2, nA, u2, lam, phi_prime, phi2,
+                            psi3):
+    """The certificate of the octahedron's second output, from those of
+    its two input witnesses (column lists throughout).
+
+    phi4 = phi2 o phi_prime o lam.  phi_prime lifts phi1 over A, so the
+    blocks of a contraction of its cone lift those of phi1 (`_over`,
+    with u2 a1 and u2 e1 as the A parts of g' and b'); lam, an
+    involution of shift 0, conjugates them.  For a composite f2 f1 the
+    blocks are g1 g2, a2 + f2 a1 g2, b1 + g1 b2 f1 and f2 e1 + e2 f1 +
+    f2 a1 b2 f1, each of shift at most r + s.  phi_prime o psi2 =
+    eta + dJ + Jd for J: t.x -> t.H1(x), so phi4 o psi4 ~ eta by
+    H2 + phi2 J psi3."""
+    (c1, H1), (c2, H2) = cert1, cert2
+    nX, nB = len(u2), len(psi3)
+    g1, a1, b1, e1 = _contraction_blocks(c1, nX)
+    f1 = _product(phi_prime, lam)
+    gp = _product(lam, _over(nA, g1, _product(u2, a1)))
+    ap = _over(nA, a1, ident=False)
+    bp = _product(lam, _product(_over(nA, b1, _product(u2, e1), False),
+                                lam))
+    ep = _product(_over(nA, e1, ident=False), lam)
+    g2, a2, b2, e2 = _contraction_blocks(c2, nB)
+    b2f1 = _product(b2, f1)
+    g = _product(gp, g2)
+    a = _sum(a2, _product(phi2, _product(ap, g2)))
+    b = _sum(bp, _product(gp, b2f1))
+    e = _sum(_sum(_product(phi2, ep), _product(e2, f1)),
+             _product(phi2, _product(ap, b2f1)))
+    c = ([F2Vector(mask=x.mask | y.mask << nB) for x, y in zip(a, g)]
+         + [F2Vector(mask=x.mask | y.mask << nB) for x, y in zip(e, b)])
+    if H1 is None and H2 is None:
+        return c, None
+    J = _over(nA, H1 or [ZERO] * nX, ident=False)
+    H = _product(phi2, _product(J, psi3))
+    return c, H if H2 is None else _sum(H2, H)
+
+
 @dataclass(frozen=True)
 class OctahedronResult:
     d3: WeightedTriangle
@@ -651,6 +775,14 @@ def octahedron(t1, w1, t2, w2):
     of t1 must equal the base of t2).  Produces the weight-0 triangle
     F -> A -> C -> TF on the composite and the weight-(r+s) triangle
     TE -> C -> B -> S^-(r+s) T2 E, sharing the object C.
+
+    Every map is written down from the two witnesses, as in the
+    mapping-cone proof of the octahedral axiom.  Over A, a map between
+    cones A (+) T(.) is the identity on A and t.x -> (hom(x), t.f(x));
+    psi2 lifts w1.psi with hom = u2 o H1 (H1: phi1 psi1 ~ eta), lam is
+    G and the identity on T^2 E, an involution, so psi4 = lam o psi2 o
+    psi3.  When both witnesses carry certificates the second output
+    carries one too (`_octahedron_certificate`).
     """
     if t1.C != t2.A:
         raise ValueError("octahedron needs t1.C == t2.A")
@@ -675,20 +807,22 @@ def octahedron(t1, w1, t2, w2):
     h = compose(t2.u, hv)       # homotopy between p and g2 o include
     alpha2 = compose(g2, K1.include)
     C_oct = cone(alpha2, 0)
+    cert1, cert2 = getattr(w1, "_cert", None), getattr(w2, "_cert", None)
+    if cert1 is None:
+        H1 = homotopic(compose(w1.phi, w1.psi), eta(X, r), 0)
+        if H1 is None:
+            raise ValueError("octahedron: first witness psi-clause fails")
+        H1 = H1.cols
+    else:
+        H1 = cert1[1] or [ZERO] * X.n
 
     nA, nF, nE = A.n, F.n, E.n
-
-    def cone_map(K, L, f, hom=None):
-        """K -> L between two cones over A: the identity on A, then T(f)
-        plus the homotopy `hom` into A on the translated part."""
-        hcols = [ZERO] * len(f.cols) if hom is None else hom.cols
-        cols = [F2Vector(mask=1 << a) for a in range(nA)] + [
-            F2Vector(mask=(c.mask << nA) | hc.mask)
-            for c, hc in zip(f.cols, hcols)]
-        return FilteredChainMap(K, L, cols, 0)
+    u2 = t2.u.cols
 
     # cone(p) -> cone(alpha2), an involution
-    G = cone_map(C, C_oct.complex, FilteredChainMap.identity(F), h)
+    G = FilteredChainMap(C, C_oct.complex,
+                         _over(nA, FilteredChainMap.identity(F).cols, h.cols),
+                         0)
     Ghat = G.viewed(C_oct.complex, C, 0)
 
     # u4: TE -> C, through the octahedron column map and G
@@ -699,14 +833,14 @@ def octahedron(t1, w1, t2, w2):
     u4 = FilteredChainMap(TE, C, u4_cols, 0)
 
     # cone(alpha2) -> cone(g2) -> cone(t2.u)
-    w_map = cone_map(C_oct.complex, B2.complex, K1.include)
+    w_map = FilteredChainMap(C_oct.complex, B2.complex,
+                             _over(nA, K1.include.cols), 0)
     Bp = cone(t2.u, 0)
-    phi_prime = cone_map(B2.complex, Bp.complex, w1.phi)
-    try:
-        _, psi2 = r_inverses(phi_prime, r)
-    except ValueError as exc:
-        raise AssertionError(
-            "octahedron: cone comparison not an r-iso") from exc
+    phi_prime = FilteredChainMap(B2.complex, Bp.complex,
+                                 _over(nA, w1.phi.cols), 0)
+    # phi_prime o psi2 ~ eta by the homotopy t.x -> t.H1(x)
+    psi2 = FilteredChainMap(shift_complex(Bp.complex, r), B2.complex,
+                            _over(nA, w1.psi.cols, _product(u2, H1)), 0)
 
     theta = B2.project.viewed(B2.complex, translate(K1.complex))
     t_map = compose(translate_map(K1.project.viewed(
@@ -716,24 +850,21 @@ def octahedron(t1, w1, t2, w2):
     psi3v = w2.psi.viewed(
         shift_complex(B, r + s), shift_complex(Bp.complex, r)
     )
-    psi2v = psi2.viewed(shift_complex(Bp.complex, r), B2.complex)
-    psi_pp = compose(psi2v, psi3v)
+    psi_pp = compose(psi2, psi3v)
     TTE = translate(TE)
     w4 = compose(t_map, psi_pp).viewed(B, shift_complex(TTE, -(r + s)))
 
     K4 = cone(u4, 0)
-    p4 = K4.project.viewed(K4.complex, TTE)
-    lam = fill_map(K4.complex, B2.complex,
-                   pre=[(K4.include, compose(w_map, G), 0)],
-                   post=[(t_map, p4, 0)])
-    if lam is None:
-        raise AssertionError("octahedron: comparison fill failed")
+    lam = FilteredChainMap(K4.complex, B2.complex, G.cols + tuple(
+        F2Vector(mask=1 << (nA + nF + e)) for e in range(nE)), 0)
     phi4 = compose(w2.phi, compose(phi_prime, lam))
-    psi4 = _right_inverse(phi4, r + s, p4, w4)
-    if psi4 is None:
-        raise AssertionError("octahedron: no (r+s) right inverse")
+    psi4 = compose(lam.viewed(B2.complex, K4.complex, 0), psi_pp)
     d4 = WeightedTriangle(TE, C, B, u4, v4, w4, r + s)
     wit4 = TriangleWitness(K4.complex, phi4, psi4)
+    if cert1 is not None and cert2 is not None:
+        wit4 = _certified(wit4, _octahedron_certificate(
+            cert1, cert2, nA, u2, lam.cols, phi_prime.cols, w2.phi.cols,
+            w2.psi.cols))
 
     m4 = translate_map(t1.v).viewed(
         translate(F), shift_complex(translate(X), -s)
@@ -805,8 +936,9 @@ def _witness_candidate(u, v, w, W):
 
     Two-phase linear solve: the comparison map phi (with its clauses,
     the connecting one relaxed to slack W), certified by the barcode of
-    its cone, then the right inverse psi.  Returns a witness or None;
-    only verified candidates are ever reported.
+    its cone, then the right inverse psi: S^W C -> K with phi psi = eta
+    and project psi = w read on S^W C.  Returns a witness or None; only
+    verified candidates are ever reported.
     """
     W = Fraction(W)
     A = u.source
@@ -817,22 +949,15 @@ def _witness_candidate(u, v, w, W):
     slack = compose(eta_down(TA, W).viewed(TA, w.target), K.project)
     phi = fill_map(K.complex, C1, pre=[(K.include, v, 0)],
                    post=[(w, slack, W)])
-    psi = None if phi is None else _right_inverse(phi, W, K.project, w)
+    if phi is None or not is_r_acyclic(cone(phi, 0).complex, W):
+        return None
+    sC = shift_complex(C1, W)
+    psi = fill_map(sC, K.complex, post=[
+        (phi, eta(C1, W), 0),
+        (K.project, w.viewed(sC, K.project.target), 0)])
     if psi is None:
         return None
     return TriangleWitness(K.complex, phi, psi)
-
-
-def _right_inverse(phi, W, project, w):
-    """The psi: S^W C -> K of a witness whose comparison phi: K -> C is
-    a W-isomorphism, with phi psi = eta and project psi = w read on
-    S^W C; None when cone(phi) is not W-acyclic or no fill exists."""
-    if not is_r_acyclic(cone(phi, 0).complex, W):
-        return None
-    C = phi.target
-    sC = shift_complex(C, W)
-    return fill_map(sC, phi.source, post=[
-        (phi, eta(C, W), 0), (project, w.viewed(sC, project.target), 0)])
 
 
 def unstable_weight_upper(u, v, w, grid=None):

@@ -162,12 +162,13 @@ def test_certified_and_solved_verdicts_agree():
 
 
 def test_uncertified_inputs_keep_no_certificate():
-    """A witness rebuilt by hand or by a fill carries nothing over."""
+    """A witness rebuilt by hand carries nothing over, and neither does
+    an octahedron on an uncertified input."""
     rng = CFG.rng(0)
     tri, wit = gen_triangle(CFG, rng)
     assert _cert(replace(wit, psi=wit.psi)) is None
     t2, w2 = triangle_from_morphism(random_closed_map(tri.C, tri.C, rng))
-    assert _cert(octahedron(tri, wit, t2, w2).wit4) is None
+    assert _cert(octahedron(tri, _bare(wit), t2, w2).wit4) is None
 
 
 def _flips(S, T, cols, bound):

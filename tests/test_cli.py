@@ -341,3 +341,72 @@ def test_an_internal_value_error_exits_three(workdir, capsys, monkeypatch):
     code, out, err = run(capsys, "barcode", "a.cplx")
     assert code == 3 and out == ""
     assert err == "internal error: ValueError: no such bar\n"
+
+
+# Bundles of the triangle a -> B -> cone(u) with u(a) = b, where B also
+# holds a bar d(y) = x on [0, 2); the map h: b -> y, of shift -1, has
+# dh + hd: b -> x.
+HAND_MADE = {
+    "a1.cplx": "gen a 1 3\n",
+    "b1.cplx": "gen b 1 3\ngen x 1 0\ngen y 0 2\nd y x\n",
+    "c1.cplx": ("gen b 1 3\ngen x 1 0\ngen y 0 2\ngen t.a 0 3\n"
+                "d y x\nd t.a b\n"),
+    "cone_id.cplx": ("gen b 1 3\ngen x 1 0\ngen y 0 2\ngen t.a 0 3\n"
+                     "gen t.b 0 3\ngen t.x 0 0\ngen t.y -1 2\n"
+                     "gen t.t.a -1 3\nd y x\nd t.a b\nd t.b b\n"
+                     "d t.x x\nd t.y y t.x\nd t.t.a t.a t.b\n"),
+}
+
+IDENT = "f b b\nf x x\nf y y\nf t.a t.a\n"  # on cone(u) = c1.cplx
+IDENT_T = "f t.b t.b\nf t.x t.x\nf t.y t.y\nf t.t.a t.t.a\n"
+
+
+def _hand_bundle(v, psi):
+    return ("weight 0\n"
+            "complex A a1.cplx\ncomplex B b1.cplx\ncomplex C c1.cplx\n"
+            "map u\nf a b\nend\n"
+            f"map v\n{v}end\n"
+            "map w\nf t.a a\nend\n"
+            f"map phi\n{IDENT}end\n"
+            f"map psi\n{psi}end\n")
+
+
+@pytest.fixture
+def hand_made(workdir):
+    for name, text in HAND_MADE.items():
+        (workdir / name).write_text(text)
+    # v = phi o include + (dh + hd): rotate solves for that h
+    (workdir / "moved_v.tri").write_text(
+        _hand_bundle("f b b x\nf x x\nf y y\n", IDENT))
+    # psi = eta + (dh + hd), so phi o psi != eta: the octahedron solves
+    # for the homotopy between them
+    (workdir / "moved_psi.tri").write_text(
+        _hand_bundle("f b b\nf x x\nf y y\n",
+                     "f b b x\nf x x\nf y y\nf t.a t.a y\n"))
+    # c1 -> c1 -> cone(id), the cone triangle of the identity on c1
+    (workdir / "cone_id.tri").write_text(
+        "weight 0\n"
+        "complex A c1.cplx\ncomplex B c1.cplx\ncomplex C cone_id.cplx\n"
+        f"map u\n{IDENT}end\nmap v\n{IDENT}end\n"
+        "map w\nf t.b b\nf t.x x\nf t.y y\nf t.t.a t.a\nend\n"
+        f"map phi\n{IDENT}{IDENT_T}end\nmap psi\n{IDENT}{IDENT_T}end\n")
+    return workdir
+
+
+def test_rotate_a_witness_whose_v_is_moved_by_a_boundary(hand_made, capsys):
+    code, out, _ = run(capsys, "verify-triangle", "moved_v.tri")
+    assert code == 0 and "verified true" in out
+    code, out, err = run(capsys, "rotate", "moved_v.tri")
+    assert code == 0, err
+    assert "weight 0\nverified true\n" in out
+
+
+def test_octahedron_on_an_uncertified_first_bundle(hand_made, capsys):
+    for bundle in ("moved_psi.tri", "cone_id.tri"):
+        code, out, _ = run(capsys, "verify-triangle", bundle)
+        assert code == 0 and "verified true" in out
+    code, out, err = run(capsys, "octahedron", "moved_psi.tri",
+                         "cone_id.tri")
+    assert code == 0, err
+    assert "first weight 0 verified true" in out
+    assert "second weight 0 verified true" in out

@@ -1,6 +1,6 @@
-"""`fill_map`, the one solver behind every triangle-witness fill in
-`tpc`, a digest that pins the outputs of the constructions using it,
-and seeded clauses whose homotopy bounds bind."""
+"""`fill_map`, the solver behind the triangle-witness fills in `tpc`,
+digests that pin the outputs of the triangle constructions, and seeded
+clauses whose homotopy bounds bind."""
 
 import hashlib
 from fractions import Fraction
@@ -45,44 +45,56 @@ BOUND_CFG = GenConfig(seed=1729)
 HALVES = tuple(Fraction(n, 2) for n in range(9))
 BOUND_CASES = 24
 
+# the fill_morphism and unstable_weight_upper lines of `_outputs`
 PARENT_DIGEST = (
-    "606fb0fe197dd295726f2f40b5a2ff02566a650a6556b6aa6e8adc87ae51f467"
+    "0cbb13fe76eccdad997ceec513f4b51539752a54cf8ad371da0416574cd94ffc"
+)
+# the rotate, rotate_negative and octahedron lines of `_outputs`
+CLOSED_FORM_DIGEST = (
+    "180e7e3e9b1b20242de1db1323eafbe06a871f212d4a84958feb3beb7a1255c8"
 )
 
 
 def _outputs(n=200):
-    """One line per construction per seeded input: rotate with the
-    improvement search, rotate_negative, octahedron, fill_morphism into
-    a relaxed copy and unstable_weight_upper of the limit triangle."""
+    """One (kind, line) per construction per seeded input: rotate with
+    the improvement search, rotate_negative and octahedron ("closed"),
+    then fill_morphism into a relaxed copy and unstable_weight_upper of
+    the limit triangle ("fill")."""
     for off in range(n):
         rng = CFG.rng(off)
         t1, w1 = gen_triangle(CFG, rng)
-        yield serialize(rotate(t1, w1, try_improve=True))
-        yield serialize(rotate_negative(t1, w1))
+        yield "closed", serialize(rotate(t1, w1, try_improve=True))
+        yield "closed", serialize(rotate_negative(t1, w1))
         t2, w2 = gen_triangle_over(t1.C, CFG, rng)
-        yield serialize(octahedron(t1, w1, t2, w2))
+        yield "closed", serialize(octahedron(t1, w1, t2, w2))
         t3, w3 = relax_weight(t1, w1, rng.choice(SLACKS))
-        yield serialize(fill_morphism(t1, w1, t3, w3,
-                                      FilteredChainMap.identity(t1.A),
-                                      FilteredChainMap.identity(t1.B)))
+        yield "fill", serialize(fill_morphism(t1, w1, t3, w3,
+                                              FilteredChainMap.identity(t1.A),
+                                              FilteredChainMap.identity(t1.B)))
         w_lim = t1.w.viewed(t1.C, translate(t1.A))
-        yield serialize(unstable_weight_upper(t1.u, t1.v, w_lim,
-                                              grid=LIMIT_GRID))
+        yield "fill", serialize(unstable_weight_upper(t1.u, t1.v, w_lim,
+                                                      grid=LIMIT_GRID))
 
 
-def _digest():
-    h = hashlib.sha256()
-    for line in _outputs():
-        h.update(line.encode())
-        h.update(b"\n")
-    return h.hexdigest()
+def _digests():
+    h = {"closed": hashlib.sha256(), "fill": hashlib.sha256()}
+    for kind, line in _outputs():
+        h[kind].update(line.encode())
+        h[kind].update(b"\n")
+    return {kind: d.hexdigest() for kind, d in h.items()}
 
 
 def test_constructions_match_the_hand_built_systems():
-    """PARENT_DIGEST is this test's digest at commit 912dff2ba0ee, the
-    last commit whose tpc wrote each hom-complex system out by hand: the
-    fills through `fill_map` return byte-identical witnesses."""
-    assert _digest() == PARENT_DIGEST
+    """PARENT_DIGEST is the digest of the fill lines at commit
+    912dff2ba0ee, the last commit whose tpc wrote each hom-complex
+    system out by hand: the fills through `fill_map` return
+    byte-identical witnesses.  CLOSED_FORM_DIGEST pins the outputs of
+    the constructions whose witness maps are written down in closed
+    form; tests/test_rotations.py checks them against the fills of
+    tests/reference_rotations.py."""
+    digests = _digests()
+    assert digests["fill"] == PARENT_DIGEST
+    assert digests["closed"] == CLOSED_FORM_DIGEST
 
 
 def test_contradictory_clauses_have_no_fill():
