@@ -6,30 +6,30 @@ the first map, a map phi from the cone to C whose own cone is r-acyclic
 (an r-isomorphism), and a right r-inverse psi of phi, such that the
 triangle maps factor through the cone maps up to shift-0 homotopy.
 
-A constructor that knows why its witness holds attaches a certificate
-to it: a contraction c of cone(phi, 0), and the homotopy H behind
-phi o psi ~ eta (none when the two maps are equal).  `verify_triangle`
-checks a certificate by products alone (dc + cd = id with shift(c) <=
-r, since the least shift of a contraction is the boundary depth; dH +
-Hd = phi o psi + eta with shift(H) <= 0), so it needs no elimination.
-A witness without one (a hand-made bundle, a rotation output, an
-octahedron output from an uncertified input) has every clause decided
-exactly by linear solves over hom complexes and its acyclicity by the
-barcode.
+Those two clauses are decided on a certificate: a contraction c of
+cone(phi, 0), and the homotopy H behind phi o psi ~ eta (none when the
+two maps are equal).  `verify_triangle` checks it by products alone
+(dc + cd = id with shift(c) <= r, since the least shift of a
+contraction is the boundary depth; dH + Hd = phi o psi + eta with
+shift(H) <= 0).  A constructor that knows why its witness holds
+attaches one; for any other witness (a hand-made bundle, a rotation
+output) `_certificate` derives it, c from the canonical form of
+cone(phi, 0) and H by one linear solve over a hom complex.
 
 Inverses of r-isomorphisms are read off canonical forms.  The witness
 maps of rotation and of the octahedron are written down from the input
-witness, as in the mapping-cone proofs of those axioms.  The rest
-(triangle morphisms and weight candidates) are closed shift-0 maps x
-with two squares that commute up to bounded homotopy, found by
-`homsolve.fill_map(S, T, pre, post)`: x o a ~ b for each (a, b, bound)
-in pre, a o x ~ b for each in post, each homotopy of level <= its
-bound; None when there is no x.
+witness and its certificate, as in the mapping-cone proofs of those
+axioms, and every elementary triangle is `exact_triangle` of its
+witness.  The rest (triangle morphisms and weight candidates) are
+closed shift-0 maps x with two squares that commute up to bounded
+homotopy, found by `homsolve.fill_map(S, T, pre, post)`: x o a ~ b for
+each (a, b, bound) in pre, a o x ~ b for each in post, each homotopy of
+level <= its bound; None when there is no x.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .rationals import NEG_INF, POS_INF, fmt_scalar, is_finite
@@ -125,6 +125,15 @@ def contraction_inverse(f: FilteredChainMap, r, rng=None):
     return found and found[0]
 
 
+def _contraction(K, r):
+    """The columns of the contraction of K read off its canonical form,
+    or None when no contraction of K has shift <= r."""
+    bars, cf = canonical_form(K)
+    if bars.infinite() or boundary_depth(bars) > r:
+        return None
+    return cf.contraction().columns
+
+
 def _contraction_inverse(f, r, rng=None):
     """(g, cert) for `contraction_inverse`, or None.  Without an rng,
     cert is the certificate of a witness whose phi is f and whose psi is
@@ -140,16 +149,14 @@ def _contraction_inverse(f, r, rng=None):
         from .verify import random_basis_change  # verify imports tpc
 
         K, fwd, back = random_basis_change(K, rng)
-    bars, wit = canonical_form(K)
-    if bars.infinite() or boundary_depth(bars) > r:
+    cols = _contraction(K, r)
+    if cols is None:
         return None
-    h = wit.contraction()
     nB = f.target.n
-    if rng is None:
-        cols = h.columns
-    else:
+    if rng is not None:
         U = fwd.matrix()
-        cols = [U.apply(h.apply(c)) for c in back.cols[:nB]]
+        cols = [U.apply(F2Vector(mask=_apply(cols, c.mask)))
+                for c in back.cols[:nB]]
     g = FilteredChainMap(f.target, f.source,
                          [F2Vector(mask=c.mask >> nB) for c in cols[:nB]], 0)
     if rng is not None:
@@ -321,13 +328,26 @@ def _is_homotopy(S, T, cols, f, bound):
     return not is_finite(sh) or sh <= bound
 
 
+def _certificate(tri: WeightedTriangle, wit: TriangleWitness):
+    """The certificate (c, H) of wit: its own, or for a bare witness c
+    read off the canonical form of cone(phi, 0) and H from one
+    `homotopic` solve for phi o psi ~ eta(C, r).  c is None when
+    cone(phi, 0) has no contraction of shift <= r, and H is False when
+    phi o psi ~ eta has no homotopy of level <= 0."""
+    cert = getattr(wit, "_cert", None)
+    if cert is not None:
+        return cert
+    r = Fraction(tri.weight)
+    c = _contraction(cone(wit.phi, 0).complex, r)
+    H = homotopic(compose(wit.phi, wit.psi), eta(tri.C, r), 0)
+    return c, False if H is None else H.cols
+
+
 def verify_triangle(tri: WeightedTriangle, wit: TriangleWitness):
     """Check every witness clause; returns (ok, list of failed clauses).
 
-    A certified witness has its phi-r-isomorphism and psi-right-inverse
-    clauses decided by `_is_homotopy` on the certificate, which then
-    fails or passes them alone; otherwise they are decided by the
-    barcode of cone(phi, 0) and by a nullhomotopy solve.
+    The phi-r-isomorphism and psi-right-inverse clauses are decided by
+    `_is_homotopy` on the witness's certificate (`_certificate`).
     """
     failures = []
     r = Fraction(tri.weight)
@@ -356,20 +376,14 @@ def verify_triangle(tri: WeightedTriangle, wit: TriangleWitness):
                          _closed_shift0(wit.psi, sC, K.complex)):
         return False, failures
     Kphi = cone(wit.phi, 0).complex
-    cert = getattr(wit, "_cert", None)
-    if cert is None:
-        iso = is_r_acyclic(Kphi, r)
-        inverse = homotopic(compose(wit.phi, wit.psi), eta(C, r),
-                            0) is not None
-    else:
-        c, H = cert
-        iso = _is_homotopy(Kphi, Kphi, c, [1 << j for j in range(Kphi.n)],
-                           r)
-        # phi o psi + eta, column by column (eta is the identity matrix)
-        f = [_apply(wit.phi.cols, p.mask) ^ (1 << j)
-             for j, p in enumerate(wit.psi.cols)]
-        inverse = (not any(f) if H is None
-                   else _is_homotopy(sC, C, H, f, 0))
+    c, H = _certificate(tri, wit)
+    iso = c is not None and _is_homotopy(
+        Kphi, Kphi, c, [1 << j for j in range(Kphi.n)], r)
+    # phi o psi + eta, column by column (eta is the identity matrix)
+    f = [_apply(wit.phi.cols, p.mask) ^ (1 << j)
+         for j, p in enumerate(wit.psi.cols)]
+    inverse = (not any(f) if H is None
+               else H is not False and _is_homotopy(sC, C, H, f, 0))
     _check_clause(failures, "phi-r-isomorphism", iso)
     _check_clause(failures, "psi-right-inverse", inverse)
     _check_clause(
@@ -488,15 +502,15 @@ def _contraction_blocks(c, nY):
     return g, a, b, e
 
 
-def _v_homotopy(tri, wit, who):
+def _v_homotopy(tri, wit, error):
     """The columns of a homotopy h_v: v ~ phi o include of level <= 0,
-    zero with no solve when the two maps are equal; ValueError when the
-    witness's v-clause fails."""
+    zero with no solve when the two maps are equal; ValueError(error)
+    when the witness's v-clause fails."""
     B = tri.B
     hv = homotopic(tri.v, FilteredChainMap(B, tri.C, wit.phi.cols[:B.n], 0),
                    0)
     if hv is None:
-        raise ValueError(f"{who}: the witness's v-clause fails")
+        raise ValueError(error)
     return hv.cols
 
 
@@ -509,49 +523,41 @@ def rotate(tri: WeightedTriangle, wit: TriangleWitness,
     phibar: TA -> cone(v) = C (+) TB is written down from the witness,
     t.a -> (phi(t.a) + h_v(u(a)), t.u(a)) with h_v the homotopy
     v ~ phi o include (zero when the two are equal), and the new
-    witness is (cone(v), psibar, phibar) with psibar its inverse read
-    off a canonical form.  Whether 2r is tight is open; with
-    try_improve the level grid is searched for a smaller verified
-    weight and (triangle, witness, improved) is returned, the last
-    entry None when no cheaper witness was found.
+    triangle is `exact_triangle` of (psibar, phibar), psibar the
+    inverse of phibar read off a canonical form.  Whether 2r is tight
+    is open; with try_improve the level grid is searched for a smaller
+    verified weight and (triangle, witness, improved) is returned, the
+    last entry None when no cheaper witness was found.
     """
     r = Fraction(tri.weight)
     A, B, C = tri.A, tri.B, tri.C
-    TA, TB = translate(A), translate(B)
+    TA = translate(A)
     A2 = cone(tri.v, 0)
-    Tu = translate_map(tri.u)
-
-    nB, nC = B.n, C.n
-    hv = _v_homotopy(tri, wit, "rotate")
+    hv = _v_homotopy(tri, wit, "rotate: the witness's v-clause fails")
     phibar = FilteredChainMap(TA, A2.complex, [
-        F2Vector(mask=(p.mask ^ _apply(hv, c.mask)) | c.mask << nC)
-        for p, c in zip(wit.phi.cols[nB:], tri.u.cols)], 0)
+        F2Vector(mask=(p.mask ^ _apply(hv, c.mask)) | c.mask << C.n)
+        for p, c in zip(wit.phi.cols[B.n:], tri.u.cols)], 0)
     try:
         psibar, _ = r_inverses(phibar, r)
     except ValueError as exc:
         raise AssertionError("rotation comparison is not an r-isomorphism"
                              ) from exc
-
-    CR = shift_complex(TA, -r)
-    u_R = tri.v
-    v_R = compose(psibar, A2.include)
-    w_R = Tu.viewed(CR, shift_complex(TB, -2 * r))
-    rtri = WeightedTriangle(B, C, CR, u_R, v_R, w_R, 2 * r)
-    psi_R = phibar.viewed(shift_complex(TA, r), A2.complex)
-    rwit = TriangleWitness(A2.complex, psibar, psi_R)
+    rtri, rwit = exact_triangle(
+        tri.v, A2, psibar, phibar.viewed(shift_complex(TA, r), A2.complex),
+        2 * r)
     if not try_improve:
         return rtri, rwit
     improved = None
     for W in level_grid(B, C, TA):
         if W >= 2 * r:
             break
-        wW = w_R.viewed(CR, shift_complex(TB, -W))
+        wW = rtri.w.viewed(rtri.C, shift_complex(translate(B), -W))
         sh = shift_of_map(wW)
         if is_finite(sh) and sh > 0:
             continue
-        cand = _witness_candidate(u_R, v_R, wW, W)
+        cand = _witness_candidate(rtri.u, rtri.v, wW, W)
         if cand is not None:
-            improved = (WeightedTriangle(B, C, CR, u_R, v_R, wW, W), cand)
+            improved = (replace(rtri, w=wW, weight=W), cand)
             break
     return rtri, rwit, improved
 
@@ -564,53 +570,44 @@ def rotate_negative(tri: WeightedTriangle, wit: TriangleWitness):
     psi on S^r C, closed because psi is.  Its right inverse is
     psi_N: S^2r B -> cone(u_N), b -> (theta_A(b), t.v(b)), for a
     homotopy theta: psi o v ~ include of level <= 2r into
-    cone(u) = B (+) TA, so project o psi_N = w_N exactly.  The A-part
-    of d theta + theta d = psi o v + include makes psi_N closed, and
-    its B-part reads phi_N psi_N + eta = d theta_B + theta_B d.
+    cone(u) = B (+) TA, so `exact_triangle` of (phi_N, psi_N) has v = u
+    and w = v.  The A-part of d theta + theta d = psi o v + include
+    makes psi_N closed, and its B-part reads
+    phi_N psi_N + eta = d theta_B + theta_B d.
 
-    With a certificate (c, H) on the witness, theta is written down:
+    theta comes from the witness's certificate (c, H) (`_certificate`):
     c's blocks g: C -> K and b: K -> K (`_contraction_blocks`) give
     psi = g + d M + M d with M = g H + b psi, so psi o phi ~ id_K by
     b + M phi, and with h_v: v ~ phi o include (`_v_homotopy`),
     theta = b o include + M o phi o include + psi o h_v.  Each term has
-    level <= 2r since c and H have level <= r.  Without one, theta
-    comes from one `homotopic` solve."""
+    level <= 2r since c and H have level <= r.  ValueError when the
+    witness fails its phi-r-isomorphism or psi-right-inverse clause."""
     r = Fraction(tri.weight)
     A, B, C = tri.A, tri.B, tri.C
     K = cone(tri.u, 0)
-    src = translate_inverse(shift_complex(C, r))
-    u_N = compose(K.project, wit.psi).viewed(src, A)
-    w_N = tri.v.viewed(B, shift_complex(C, -r))
+    u_N = compose(K.project, wit.psi).viewed(
+        translate_inverse(shift_complex(C, r)), A)
     KN = cone(u_N, 0)
-    nA, nB, nC = A.n, B.n, C.n
-    sB = shift_complex(B, 2 * r)
+    nA, nB = A.n, B.n
     psi, phi = wit.psi.cols, wit.phi.cols
 
     low = (1 << nB) - 1
     phi_N = FilteredChainMap(KN.complex, B, tri.u.cols + tuple(
         F2Vector(mask=c.mask & low) for c in psi), 0)
-    cert = getattr(wit, "_cert", None)
-    if cert is None:
-        theta = homotopic(
-            FilteredChainMap(sB, K.complex, _product(psi, tri.v.cols), 0),
-            FilteredChainMap(sB, K.complex, K.include.cols, 0), 0)
-        if theta is None:
-            raise ValueError("rotate_negative: the witness does not verify")
-        theta = theta.cols
-    else:
-        c, H = cert
-        g, _, b, _ = _contraction_blocks(c, nC)
-        M = _product(b, psi)
-        if H is not None:
-            M = _sum(M, _product(g, H))
-        theta = _sum(_sum(b[:nB], _product(M, phi[:nB])),
-                     _product(psi, _v_homotopy(tri, wit, "rotate_negative")))
-    psi_N = FilteredChainMap(sB, KN.complex, [
+    c, H = _certificate(tri, wit)
+    if c is None or H is False:
+        raise ValueError("rotate_negative: the witness does not verify")
+    g, _, b, _ = _contraction_blocks(c, C.n)
+    M = _product(b, psi)
+    if H is not None:
+        M = _sum(M, _product(g, H))
+    theta = _sum(_sum(b[:nB], _product(M, phi[:nB])), _product(
+        psi, _v_homotopy(tri, wit,
+                         "rotate_negative: the witness's v-clause fails")))
+    psi_N = FilteredChainMap(shift_complex(B, 2 * r), KN.complex, [
         F2Vector(mask=t.mask >> nB | v.mask << nA)
         for t, v in zip(theta, tri.v.cols)], 0)
-    ntri = WeightedTriangle(src, A, B, u_N, tri.u, w_N, 2 * r)
-    nwit = TriangleWitness(KN.complex, phi_N, psi_N)
-    return ntri, nwit
+    return exact_triangle(u_N, KN, phi_N, psi_N, 2 * r)
 
 
 # ----------------------------------------------------------------------
@@ -774,15 +771,18 @@ def octahedron(t1, w1, t2, w2):
     t1: E -> F -> X of weight r, t2: X -> A -> B of weight s (the apex
     of t1 must equal the base of t2).  Produces the weight-0 triangle
     F -> A -> C -> TF on the composite and the weight-(r+s) triangle
-    TE -> C -> B -> S^-(r+s) T2 E, sharing the object C.
+    TE -> C -> B -> S^-(r+s) T2 E, sharing the object C, each
+    `exact_triangle` of its witness.
 
-    Every map is written down from the two witnesses, as in the
+    Every witness map is written down from the two witnesses, as in the
     mapping-cone proof of the octahedral axiom.  Over A, a map between
     cones A (+) T(.) is the identity on A and t.x -> (hom(x), t.f(x));
-    psi2 lifts w1.psi with hom = u2 o H1 (H1: phi1 psi1 ~ eta), lam is
-    G and the identity on T^2 E, an involution, so psi4 = lam o psi2 o
-    psi3.  When both witnesses carry certificates the second output
-    carries one too (`_octahedron_certificate`).
+    psi2 lifts w1.psi with hom = u2 o H1 (H1: phi1 psi1 ~ eta from the
+    first witness's certificate, `_certificate`), lam is G and the
+    identity on T^2 E, an involution, so psi4 = lam o psi2 o psi3.  When
+    both input witnesses pass their phi-r-isomorphism and
+    psi-right-inverse clauses, the second output carries a certificate
+    too (`_octahedron_certificate`).
     """
     if t1.C != t2.A:
         raise ValueError("octahedron needs t1.C == t2.A")
@@ -798,73 +798,48 @@ def octahedron(t1, w1, t2, w2):
     d3, wit3 = exact_triangle(p, Cres, idC, idC, 0)
     wit3 = _certified(wit3, (_identity_contraction(C.n), None))
 
-    K1 = cone(t1.u, 0)          # X'
-    g2 = compose(t2.u, w1.phi)  # X' -> A
-    B2 = cone(g2, 0)            # B''
-    hv = homotopic(t1.v, compose(w1.phi, K1.include), 0)
-    if hv is None:
-        raise ValueError("octahedron: first witness v-clause fails")
-    h = compose(t2.u, hv)       # homotopy between p and g2 o include
-    alpha2 = compose(g2, K1.include)
-    C_oct = cone(alpha2, 0)
-    cert1, cert2 = getattr(w1, "_cert", None), getattr(w2, "_cert", None)
-    if cert1 is None:
-        H1 = homotopic(compose(w1.phi, w1.psi), eta(X, r), 0)
-        if H1 is None:
-            raise ValueError("octahedron: first witness psi-clause fails")
-        H1 = H1.cols
-    else:
-        H1 = cert1[1] or [ZERO] * X.n
+    g2 = compose(t2.u, w1.phi)  # X' = cone(t1.u) -> A
+    B2 = cone(g2, 0)            # B'' = A (+) TF (+) T^2 E
+    hv = _v_homotopy(t1, w1, "octahedron: first witness v-clause fails")
+    c1, H1 = _certificate(t1, w1)
+    if H1 is False:
+        raise ValueError("octahedron: first witness psi-clause fails")
+    c2, H2 = _certificate(t2, w2)
 
     nA, nF, nE = A.n, F.n, E.n
     u2 = t2.u.cols
 
-    # cone(p) -> cone(alpha2), an involution
-    G = FilteredChainMap(C, C_oct.complex,
-                         _over(nA, FilteredChainMap.identity(F).cols, h.cols),
-                         0)
-    Ghat = G.viewed(C_oct.complex, C, 0)
-
+    # cone(p) -> A (+) TF, the head of B'', an involution; h = u2 o hv is
+    # a homotopy between p and g2 o include
+    G = _over(nA, FilteredChainMap.identity(F).cols, _product(u2, hv))
     # u4: TE -> C, through the octahedron column map and G
-    u4_cols = []
-    for i in range(nE):
-        oct_mask = g2.cols[nF + i].mask | (t1.u.cols[i].mask << nA)
-        u4_cols.append(Ghat.apply(F2Vector(mask=oct_mask)))
-    u4 = FilteredChainMap(TE, C, u4_cols, 0)
+    u4 = FilteredChainMap(TE, C, [
+        F2Vector(mask=_apply(G, g2.cols[nF + i].mask
+                             | t1.u.cols[i].mask << nA))
+        for i in range(nE)], 0)
 
-    # cone(alpha2) -> cone(g2) -> cone(t2.u)
-    w_map = FilteredChainMap(C_oct.complex, B2.complex,
-                             _over(nA, K1.include.cols), 0)
     Bp = cone(t2.u, 0)
     phi_prime = FilteredChainMap(B2.complex, Bp.complex,
                                  _over(nA, w1.phi.cols), 0)
     # phi_prime o psi2 ~ eta by the homotopy t.x -> t.H1(x)
     psi2 = FilteredChainMap(shift_complex(Bp.complex, r), B2.complex,
-                            _over(nA, w1.psi.cols, _product(u2, H1)), 0)
-
-    theta = B2.project.viewed(B2.complex, translate(K1.complex))
-    t_map = compose(translate_map(K1.project.viewed(
-        K1.complex, translate(E))), theta)
-
-    v4 = compose(w2.phi, compose(phi_prime, compose(w_map, G)))
-    psi3v = w2.psi.viewed(
-        shift_complex(B, r + s), shift_complex(Bp.complex, r)
-    )
-    psi_pp = compose(psi2, psi3v)
-    TTE = translate(TE)
-    w4 = compose(t_map, psi_pp).viewed(B, shift_complex(TTE, -(r + s)))
+                            _over(nA, w1.psi.cols,
+                                  None if H1 is None else _product(u2, H1)),
+                            0)
+    psi3 = w2.psi.viewed(shift_complex(B, r + s),
+                         shift_complex(Bp.complex, r))
 
     K4 = cone(u4, 0)
-    lam = FilteredChainMap(K4.complex, B2.complex, G.cols + tuple(
-        F2Vector(mask=1 << (nA + nF + e)) for e in range(nE)), 0)
+    lam = FilteredChainMap(K4.complex, B2.complex, G + [
+        F2Vector(mask=1 << (nA + nF + e)) for e in range(nE)], 0)
     phi4 = compose(w2.phi, compose(phi_prime, lam))
-    psi4 = compose(lam.viewed(B2.complex, K4.complex, 0), psi_pp)
-    d4 = WeightedTriangle(TE, C, B, u4, v4, w4, r + s)
-    wit4 = TriangleWitness(K4.complex, phi4, psi4)
-    if cert1 is not None and cert2 is not None:
+    psi4 = compose(lam.viewed(B2.complex, K4.complex, 0),
+                   compose(psi2, psi3))
+    d4, wit4 = exact_triangle(u4, K4, phi4, psi4, r + s)
+    if c1 is not None and c2 is not None and H2 is not False:
         wit4 = _certified(wit4, _octahedron_certificate(
-            cert1, cert2, nA, u2, lam.cols, phi_prime.cols, w2.phi.cols,
-            w2.psi.cols))
+            (c1, H1), (c2, H2), nA, u2, lam.cols, phi_prime.cols,
+            w2.phi.cols, w2.psi.cols))
 
     m4 = translate_map(t1.v).viewed(
         translate(F), shift_complex(translate(X), -s)
@@ -872,7 +847,7 @@ def octahedron(t1, w1, t2, w2):
     bottom_lhs = compose(
         translate_map(t1.w).viewed(
             shift_complex(translate(X), -s),
-            shift_complex(TTE, -(r + s)),
+            shift_complex(translate(TE), -(r + s)),
         ),
         t2.w,
     )
@@ -881,10 +856,11 @@ def octahedron(t1, w1, t2, w2):
          FilteredChainMap.zero(E, A), Fraction(0)),
         ("top-projection", compose(d3.w, u4),
          translate_map(t1.u), Fraction(0)),
-        ("middle-inclusion", compose(v4, Cres.include), t2.v, Fraction(0)),
-        ("middle-projection", compose(t2.w, v4),
+        ("middle-inclusion", compose(d4.v, Cres.include), t2.v,
+         Fraction(0)),
+        ("middle-projection", compose(t2.w, d4.v),
          compose(m4, d3.w), Fraction(0)),
-        ("bottom-right", w4, bottom_lhs, r),
+        ("bottom-right", d4.w, bottom_lhs, r),
     )
     return OctahedronResult(d3, wit3, d4, wit4, squares)
 

@@ -5,6 +5,7 @@ import pytest
 
 from fcplx.barcodes import Bar, Barcode, from_barcode
 from fcplx.complexes import FilteredChainMap, FilteredComplex, make_complex
+from fcplx.f2linalg import F2Vector, _apply
 from fcplx.rationals import NEG_INF, POS_INF
 
 
@@ -16,6 +17,24 @@ def interval_free(a, degree=0):
 def interval_pair(c, d, degree=1):
     """Two-generator complex with d(y) = x, finite bar [d, c)."""
     return from_barcode(Barcode([Bar(degree, Fraction(d), Fraction(c))]))
+
+
+def boundary_move(rng, f):
+    """(f + dh + hd, h) for a random degree -1 map h of shift <= 0
+    between f's source and target, as a column list: homotopic to f at
+    level 0."""
+    S, T = f.source, f.target
+    cols = []
+    for gs in S.gens:
+        m = 0
+        for t, gt in enumerate(T.gens):
+            if (gt.degree == gs.degree - 1 and gt.ell <= gs.ell
+                    and rng.random() < 0.5):
+                m |= 1 << t
+        cols.append(F2Vector(mask=m))
+    dh = [F2Vector(mask=_apply(T.diff, c.mask) ^ _apply(cols, d.mask))
+          for c, d in zip(cols, S.diff)]
+    return f + FilteredChainMap(S, T, dh, 0), cols
 
 
 @pytest.fixture

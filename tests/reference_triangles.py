@@ -4,7 +4,11 @@ the witness out by hand.
 
 The tests check every builder in `fcplx.tpc` and `fcplx.fragmentation`
 that now goes through `exact_triangle` against these for a
-byte-identical (triangle, witness).
+byte-identical (triangle, witness).  `rotate`, `rotate_negative` and
+`octahedron_d4` keep the closed-form witness maps of their builders and
+write the legs and the anchor S^-W TA out: v as psibar o include, u
+itself and phi2 o phi' o (cone(alpha2) -> cone(g2)) o G, and w as Tu,
+v and T(project) o project o psi'' read on their anchors.
 """
 
 from fractions import Fraction
@@ -14,12 +18,26 @@ from fcplx.complexes import (
     FilteredChainMap,
     compose,
     cone,
+    eta,
+    homotopic,
     shift_complex,
     translate,
     translate_inverse,
+    translate_map,
     zero_complex,
 )
-from fcplx.tpc import TriangleWitness, WeightedTriangle, contraction_inverse
+from fcplx.f2linalg import ZERO, F2Vector, _apply
+from fcplx.tpc import (
+    TriangleWitness,
+    WeightedTriangle,
+    _certificate,
+    _contraction_blocks,
+    _over,
+    _product,
+    _sum,
+    contraction_inverse,
+    r_inverses,
+)
 
 
 def identity_triangle(X):
@@ -124,3 +142,111 @@ def octahedron_d3(t1, t2):
         C, FilteredChainMap.identity(C), FilteredChainMap.identity(C),
     )
     return d3, wit3
+
+
+def _v_homotopy(tri, wit):
+    """The columns of a homotopy v ~ phi o include of level <= 0."""
+    B = tri.B
+    return homotopic(tri.v, FilteredChainMap(B, tri.C, wit.phi.cols[:B.n],
+                                             0), 0).cols
+
+
+def rotate(tri, wit):
+    r = Fraction(tri.weight)
+    A, B, C = tri.A, tri.B, tri.C
+    TA, TB = translate(A), translate(B)
+    A2 = cone(tri.v, 0)
+    Tu = translate_map(tri.u)
+    hv = _v_homotopy(tri, wit)
+    phibar = FilteredChainMap(TA, A2.complex, [
+        F2Vector(mask=(p.mask ^ _apply(hv, c.mask)) | c.mask << C.n)
+        for p, c in zip(wit.phi.cols[B.n:], tri.u.cols)], 0)
+    psibar, _ = r_inverses(phibar, r)
+    CR = shift_complex(TA, -r)
+    rtri = WeightedTriangle(B, C, CR, tri.v, compose(psibar, A2.include),
+                            Tu.viewed(CR, shift_complex(TB, -2 * r)), 2 * r)
+    psi_R = phibar.viewed(shift_complex(TA, r), A2.complex)
+    return rtri, TriangleWitness(A2.complex, psibar, psi_R)
+
+
+def rotate_negative(tri, wit):
+    """theta: psi o v ~ include written down from the witness's
+    certificate (`tpc._certificate`), as the builder does."""
+    r = Fraction(tri.weight)
+    A, B, C = tri.A, tri.B, tri.C
+    K = cone(tri.u, 0)
+    src = translate_inverse(shift_complex(C, r))
+    u_N = compose(K.project, wit.psi).viewed(src, A)
+    w_N = tri.v.viewed(B, shift_complex(C, -r))
+    KN = cone(u_N, 0)
+    nA, nB = A.n, B.n
+    psi, phi = wit.psi.cols, wit.phi.cols
+    low = (1 << nB) - 1
+    phi_N = FilteredChainMap(KN.complex, B, tri.u.cols + tuple(
+        F2Vector(mask=c.mask & low) for c in psi), 0)
+    c, H = _certificate(tri, wit)
+    g, _, b, _ = _contraction_blocks(c, C.n)
+    M = _product(b, psi)
+    if H is not None:
+        M = _sum(M, _product(g, H))
+    theta = _sum(_sum(b[:nB], _product(M, phi[:nB])),
+                 _product(psi, _v_homotopy(tri, wit)))
+    psi_N = FilteredChainMap(shift_complex(B, 2 * r), KN.complex, [
+        F2Vector(mask=t.mask >> nB | v.mask << nA)
+        for t, v in zip(theta, tri.v.cols)], 0)
+    ntri = WeightedTriangle(src, A, B, u_N, tri.u, w_N, 2 * r)
+    return ntri, TriangleWitness(KN.complex, phi_N, psi_N)
+
+
+def octahedron_d4(t1, w1, t2, w2):
+    """The second output of `octahedron(t1, w1, t2, w2)`: TE -> C -> B
+    at weight r + s, with H1 the first witness's own or one solve."""
+    r, s = Fraction(t1.weight), Fraction(t2.weight)
+    E, F, X = t1.A, t1.B, t1.C
+    A, B = t2.B, t2.C
+    TE = translate(E)
+    p = compose(t2.u, t1.v)
+    C = cone(p, 0).complex
+    K1 = cone(t1.u, 0)
+    g2 = compose(t2.u, w1.phi)
+    B2 = cone(g2, 0)
+    h = compose(t2.u, homotopic(t1.v, compose(w1.phi, K1.include), 0))
+    C_oct = cone(compose(g2, K1.include), 0)
+    cert1 = getattr(w1, "_cert", None)
+    if cert1 is None:
+        H1 = homotopic(compose(w1.phi, w1.psi), eta(X, r), 0).cols
+    else:
+        H1 = cert1[1] or [ZERO] * X.n
+    nA, nF, nE = A.n, F.n, E.n
+    u2 = t2.u.cols
+    G = FilteredChainMap(C, C_oct.complex,
+                         _over(nA, FilteredChainMap.identity(F).cols, h.cols),
+                         0)
+    Ghat = G.viewed(C_oct.complex, C, 0)
+    u4 = FilteredChainMap(TE, C, [
+        Ghat.apply(F2Vector(mask=g2.cols[nF + i].mask
+                            | (t1.u.cols[i].mask << nA)))
+        for i in range(nE)], 0)
+    w_map = FilteredChainMap(C_oct.complex, B2.complex,
+                             _over(nA, K1.include.cols), 0)
+    Bp = cone(t2.u, 0)
+    phi_prime = FilteredChainMap(B2.complex, Bp.complex,
+                                 _over(nA, w1.phi.cols), 0)
+    psi2 = FilteredChainMap(shift_complex(Bp.complex, r), B2.complex,
+                            _over(nA, w1.psi.cols, _product(u2, H1)), 0)
+    theta = B2.project.viewed(B2.complex, translate(K1.complex))
+    t_map = compose(translate_map(K1.project.viewed(
+        K1.complex, translate(E))), theta)
+    v4 = compose(w2.phi, compose(phi_prime, compose(w_map, G)))
+    psi3v = w2.psi.viewed(shift_complex(B, r + s),
+                          shift_complex(Bp.complex, r))
+    psi_pp = compose(psi2, psi3v)
+    w4 = compose(t_map, psi_pp).viewed(
+        B, shift_complex(translate(TE), -(r + s)))
+    K4 = cone(u4, 0)
+    lam = FilteredChainMap(K4.complex, B2.complex, G.cols + tuple(
+        F2Vector(mask=1 << (nA + nF + e)) for e in range(nE)), 0)
+    phi4 = compose(w2.phi, compose(phi_prime, lam))
+    psi4 = compose(lam.viewed(B2.complex, K4.complex, 0), psi_pp)
+    d4 = WeightedTriangle(TE, C, B, u4, v4, w4, r + s)
+    return d4, TriangleWitness(K4.complex, phi4, psi4)

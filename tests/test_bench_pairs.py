@@ -1,6 +1,7 @@
-"""`tools/bench_pairs.py` records one seed as well as ten, and refuses to
-compare checkouts whose benchmark code differs.  The runs themselves are
-stubbed: each test builds two small checkouts and counts the runs."""
+"""`tools/bench_pairs.py` records one seed as well as ten, refuses to
+compare checkouts whose benchmark code differs, and reads the parent's
+commit off a git worktree.  The runs themselves are stubbed: each test
+builds two small checkouts and counts the runs."""
 
 import importlib.util
 import json
@@ -18,11 +19,16 @@ BENCH = {
 }
 
 
-@pytest.fixture
-def tool(tmp_path, monkeypatch):
+def _load():
     spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.fixture
+def tool(tmp_path, monkeypatch):
+    mod = _load()
     change, parent = tmp_path / "change", tmp_path / "parent"
     for d in (change, parent):
         (d / "perfbench").mkdir(parents=True)
@@ -92,3 +98,33 @@ def test_files_git_ignores_may_differ(tool):
     (cache / "run.cpython-311.pyc").write_bytes(b"\0")
     assert main("51") == 0
     assert len(runs) == 2
+
+
+def test_commit_is_a_worktree_head_and_unknown_without_git(tmp_path,
+                                                           monkeypatch):
+    """A parent made by `git worktree add --detach` records its HEAD; a
+    copy without git metadata (a `git archive` export) records
+    "unknown"."""
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    repo, parent, export = (tmp_path / n for n in ("repo", "parent",
+                                                    "export"))
+    repo.mkdir()
+    export.mkdir()
+    (repo / "f.txt").write_text("one\n")
+
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=n", "-c", "user.email=n@example.org",
+             "-c", "commit.gpgsign=false", *args],
+            cwd=repo, check=True, capture_output=True, text=True).stdout
+
+    git("init", "-q")
+    git("add", "f.txt")
+    git("commit", "-q", "-m", "one")
+    sha = git("rev-parse", "HEAD").strip()
+    git("worktree", "add", "--detach", str(parent), sha)
+    (repo / "f.txt").write_text("two\n")
+    git("commit", "-q", "-am", "two")
+    mod = _load()
+    assert mod._commit(parent) == sha != mod._commit(repo)
+    assert mod._commit(export) == "unknown"

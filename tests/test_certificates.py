@@ -8,7 +8,9 @@ verdict the solves give on the same witness without its certificate; a
 certificate with one bit flipped where that must break it fails
 exactly its own clause; and on the benchmark's seed-1 decompositions
 the verifier runs with the elimination kernel and the canonical form
-disabled."""
+disabled.  A bare witness gets the certificate `tpc._certificate`
+derives, and the verdict the barcode and the solve gave it before
+(`reference_verify`), good or broken."""
 
 import importlib.util
 import random
@@ -26,6 +28,7 @@ from fcplx.complexes import (
     compose,
     cone,
     shift_complex,
+    translate,
 )
 from fcplx.f2linalg import F2Vector
 from fcplx.fragmentation import (
@@ -54,6 +57,8 @@ from fcplx.verify import (
     gen_triangle,
     random_basis_change,
 )
+
+import reference_verify
 
 CFG = GenConfig(seed=2718)
 GRID = tuple(Fraction(n, 4) for n in range(24))
@@ -162,13 +167,18 @@ def test_certified_and_solved_verdicts_agree():
 
 
 def test_uncertified_inputs_keep_no_certificate():
-    """A witness rebuilt by hand carries nothing over, and neither does
-    an octahedron on an uncertified input."""
+    """A witness rebuilt by hand carries nothing over.  An octahedron on
+    a bare input that verifies certifies its second output all the
+    same; on a second input whose psi clause fails it does not."""
     rng = CFG.rng(0)
     tri, wit = gen_triangle(CFG, rng)
     assert _cert(replace(wit, psi=wit.psi)) is None
     t2, w2 = triangle_from_morphism(random_closed_map(tri.C, tri.C, rng))
-    assert _cert(octahedron(tri, _bare(wit), t2, w2).wit4) is None
+    assert _cert(octahedron(tri, _bare(wit), t2, w2).wit4) is not None
+    zero = replace(w2, psi=FilteredChainMap.zero(w2.psi.source,
+                                                 w2.psi.target))
+    assert "psi-right-inverse" in verify_triangle(t2, zero)[1]
+    assert _cert(octahedron(tri, wit, t2, zero).wit4) is None
 
 
 def _flips(S, T, cols, bound):
@@ -244,6 +254,51 @@ def test_a_weight_below_the_depth_fails_with_and_without_certificate():
         want = (False, ["phi-r-isomorphism", "psi-right-inverse"])
         assert verify_triangle(low_tri, low_wit) == want
         assert verify_triangle(low_tri, _bare(low_wit)) == want
+
+
+def _broken(rng, tri, wit):
+    """(name, triangle, bare witness): wit bare, then with one entry of
+    phi or of psi flipped (between generators of one degree), with psi
+    zeroed, and at a weight one grid
+    step below its own (psi and w re-anchored) when that is >= 0."""
+    wit = _bare(wit)
+    yield "good", tri, wit
+    for name in ("phi", "psi"):
+        m = getattr(wit, name)
+        cands = [(j, i) for j, g in enumerate(m.source.gens)
+                 for i, h in enumerate(m.target.gens) if g.degree == h.degree]
+        if cands:
+            cols = _flipped(m.cols, *rng.choice(cands))
+            yield f"flipped {name}", tri, replace(wit, **{
+                name: FilteredChainMap(m.source, m.target, cols, 0)})
+    yield "zero psi", tri, replace(wit, psi=FilteredChainMap.zero(
+        wit.psi.source, wit.psi.target))
+    low = tri.weight - GRID[1]
+    if low >= 0:
+        psi = wit.psi.viewed(shift_complex(tri.C, low), wit.psi.target)
+        w = tri.w.viewed(tri.C, shift_complex(translate(tri.A), -low))
+        yield "weight below", replace(tri, weight=low, w=w), replace(
+            wit, psi=psi)
+
+
+def test_bare_witnesses_get_the_solved_verdict():
+    """On every bare witness, good or broken, the derived certificate
+    gives the verdict of the barcode and the solve; the broken ones
+    reach and fail each of the two clauses, alone and together."""
+    rng = random.Random(4242)
+    seen = {}
+    for _, tri, wit in _all_constructions():
+        for name, t, w in _broken(rng, tri, wit):
+            got = verify_triangle(t, w)
+            assert got == reference_verify.verify_triangle(t, w), name
+            key = (name, "phi-r-isomorphism" in got[1],
+                   "psi-right-inverse" in got[1])
+            seen[key] = seen.get(key, 0) + 1
+    assert seen[("good", False, False)] == 10 * ROUNDS
+    for key in (("flipped phi", True, True), ("flipped phi", False, True),
+                ("flipped psi", False, True), ("zero psi", False, True),
+                ("weight below", True, False), ("weight below", True, True)):
+        assert seen.get(key, 0) >= 10, (key, seen)
 
 
 def _workloads():

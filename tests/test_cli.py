@@ -410,3 +410,46 @@ def test_octahedron_on_an_uncertified_first_bundle(hand_made, capsys):
     assert code == 0, err
     assert "first weight 0 verified true" in out
     assert "second weight 0 verified true" in out
+
+
+# psi = 0 breaks the psi-right-inverse clause: phi o psi = 0 is not
+# homotopic to eta at level 0 on c1, or on its translate, which both
+# carry the bar [0, 2).  The second is the triangle c1 -> 0 -> Tc1.
+BROKEN_PSI = _hand_bundle("f b b\nf x x\nf y y\n", "")
+BROKEN_TO_ZERO = (
+    "weight 0\n"
+    "complex A c1.cplx\ncomplex B zero.cplx\ncomplex C tc1.cplx\n"
+    "map u\nend\nmap v\nend\n"
+    "map w\nf t.b b\nf t.x x\nf t.y y\nf t.t.a t.a\nend\n"
+    f"map phi\n{IDENT_T}end\nmap psi\nend\n")
+
+
+def test_octahedron_on_a_broken_second_bundle_exits_one(hand_made, capsys):
+    """The octahedron is built; its second triangle fails to verify."""
+    (hand_made / "tc1.cplx").write_text(
+        "gen t.b 0 3\ngen t.x 0 0\ngen t.y -1 2\ngen t.t.a -1 3\n"
+        "d t.y t.x\nd t.t.a t.b\n")
+    (hand_made / "broken.tri").write_text(BROKEN_TO_ZERO)
+    code, out, _ = run(capsys, "verify-triangle", "broken.tri")
+    assert code == 1 and "psi-right-inverse" in out
+    code, out, err = run(capsys, "octahedron", "moved_psi.tri", "broken.tri")
+    assert code == 1, err
+    assert "first weight 0 verified true" in out
+    assert "second weight 0 verified false" in out
+    code, out, _ = run(capsys, "octahedron", "moved_psi.tri", "broken.tri",
+                       "--json")
+    payload = json.loads(out)
+    assert code == 1 and payload["first_verified"] is True
+    assert payload["second_verified"] is False
+    assert payload["failed_clauses"] == ["psi-right-inverse"]
+
+
+def test_octahedron_on_a_broken_first_bundle_exits_two(hand_made, capsys):
+    """A first witness whose psi clause fails gives no H1, so the
+    octahedron refuses its input."""
+    (hand_made / "broken.tri").write_text(BROKEN_PSI)
+    code, out, _ = run(capsys, "verify-triangle", "broken.tri")
+    assert code == 1 and "psi-right-inverse" in out
+    code, out, err = run(capsys, "octahedron", "broken.tri", "cone_id.tri")
+    assert code == 2 and out == ""
+    assert err == ("error: octahedron: first witness psi-clause fails\n")

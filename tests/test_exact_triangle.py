@@ -2,9 +2,12 @@
 witness (phi, psi): v = phi o include and w = project o psi.  Each
 builder must give, byte for byte, the (triangle, witness) of the
 hand-built body it replaced (`reference_triangles`), and that triangle
-must verify."""
+must verify.  Rotations and the octahedron's second output run on
+certified witnesses and on bare ones moved by a boundary, so that
+v != phi o include."""
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 from fcplx.barcodes import barcode, boundary_depth, from_barcode
@@ -17,7 +20,15 @@ from fcplx.fragmentation import (
     underline_delta_upper,
     zero_apex_step,
 )
-from fcplx.tpc import identity_triangle, octahedron, verify_triangle
+from fcplx.homsolve import random_closed_map
+from fcplx.tpc import (
+    identity_triangle,
+    octahedron,
+    rotate,
+    rotate_negative,
+    triangle_from_morphism,
+    verify_triangle,
+)
 from fcplx.verify import (
     GenConfig,
     gen_acyclic,
@@ -27,7 +38,7 @@ from fcplx.verify import (
     gen_triangle_over,
 )
 
-from conftest import serialize
+from conftest import boundary_move, serialize
 import reference_triangles as ref
 
 CFG = GenConfig(seed=1913)
@@ -38,7 +49,8 @@ def _cases():
     """(builder, built, reference) on seeded inputs: identity triangles
     (the zero complex too), eta slots at r > 0, collapses of and
     attachments over multi-bar acyclics, zero-apex steps on r-isos,
-    underline_delta_upper's one-move zero apex and octahedron d3s."""
+    underline_delta_upper's one-move zero apex, octahedron d3s, and
+    rotations and octahedron d4s (`_rotation_cases`)."""
     z = zero_complex()
     yield "identity", identity_triangle(z), ref.identity_triangle(z)
     for off in range(TRIALS):
@@ -64,6 +76,33 @@ def _cases():
         t2, w2 = gen_triangle_over(t1.C, CFG, rng)
         res = octahedron(t1, w1, t2, w2)
         yield "octahedron-d3", (res.d3, res.wit3), ref.octahedron_d3(t1, t2)
+    yield from _rotation_cases()
+
+
+def _rotation_cases():
+    """rotate, rotate_negative and the octahedron's d4 on cone triangles
+    of maps between complexes of up to 6 generators (certified), and on
+    each with its witness bare and phi moved by a boundary, tried up to
+    20 times for a move with v != phi o include (named "-hv")."""
+    for off in range(TRIALS):
+        rng = CFG.rng(5000 + off)
+        A, B = (gen_complex(CFG, rng, max_generators=6) for _ in range(2))
+        t1, w1 = triangle_from_morphism(random_closed_map(A, B, rng))
+        t2, w2 = triangle_from_morphism(random_closed_map(
+            t1.C, gen_complex(CFG, rng, max_generators=3), rng))
+        nB = t1.B.n
+        for _ in range(20):
+            moved = replace(w1, phi=boundary_move(rng, w1.phi)[0])
+            if moved.phi.cols[:nB] != t1.v.cols:
+                break
+        hv = moved.phi.cols[:nB] != t1.v.cols
+        for tag, wit in (("", w1), ("-hv" if hv else "-moved", moved)):
+            yield f"rotate{tag}", rotate(t1, wit), ref.rotate(t1, wit)
+            yield (f"rotate-negative{tag}", rotate_negative(t1, wit),
+                   ref.rotate_negative(t1, wit))
+            res = octahedron(t1, wit, t2, w2)
+            yield (f"octahedron-d4{tag}", (res.d4, res.wit4),
+                   ref.octahedron_d4(t1, wit, t2, w2))
 
 
 def test_builders_match_the_hand_built_bodies():
@@ -71,9 +110,12 @@ def test_builders_match_the_hand_built_bodies():
     for name, built, reference in _cases():
         assert serialize(built) == serialize(reference), name
         seen[name] += 1
-    # the inputs reach every builder, and multi-bar acyclics
+    # the inputs reach every builder, multi-bar acyclics, and moved
+    # witnesses with v != phi o include
     assert seen["collapse-multi-bar"] and seen["attach-multi-bar"]
-    assert len(seen) >= 8, seen
+    assert min(seen[f"{name}-hv"] for name in (
+        "rotate", "rotate-negative", "octahedron-d4")) >= 5, seen
+    assert len(seen) >= 14, seen
 
 
 def test_built_triangles_verify():

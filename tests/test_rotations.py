@@ -3,7 +3,7 @@
 tests/reference_rotations.py, the negative rotation's w-through-psi
 clause on its own, with no fill at all (seeded and at 64 bars), and
 the certificate the octahedron's second output carries when both its
-inputs carry one.
+inputs verify.
 
 The seeded rounds are `gen_triangle` / `gen_triangle_over` pairs, every
 other one with its first witness moved by a boundary (uncertified,
@@ -27,7 +27,7 @@ from fcplx.complexes import (
     shift_complex,
     translate,
 )
-from fcplx.f2linalg import F2Vector, _apply
+from fcplx.f2linalg import _apply
 from fcplx.fragmentation import (
     compose_decompositions,
     delta_upper,
@@ -52,7 +52,7 @@ from fcplx.verify import (
     random_basis_change,
 )
 
-from conftest import serialize
+from conftest import boundary_move, serialize
 from reference_rotations import (
     reference_octahedron,
     reference_rotate,
@@ -69,29 +69,11 @@ def _cert(wit):
     return getattr(wit, "_cert", None)
 
 
-def _boundary(rng, f):
-    """(f + dh + hd, h) for a random degree -1 map h of shift <= 0
-    between f's source and target, as a column list: homotopic to f at
-    level 0."""
-    S, T = f.source, f.target
-    cols = []
-    for gs in S.gens:
-        m = 0
-        for t, gt in enumerate(T.gens):
-            if (gt.degree == gs.degree - 1 and gt.ell <= gs.ell
-                    and rng.random() < 0.5):
-                m |= 1 << t
-        cols.append(F2Vector(mask=m))
-    dh = [F2Vector(mask=_apply(T.diff, c.mask) ^ _apply(cols, d.mask))
-          for c, d in zip(cols, S.diff)]
-    return f + FilteredChainMap(S, T, dh, 0), cols
-
-
 def _moved(rng, tri, wit):
     """wit without its certificate and with phi moved by a boundary
-    (`_boundary`): it still witnesses tri, but v and phi o include, and
-    phi o psi and eta, may now differ by a boundary."""
-    return replace(wit, phi=_boundary(rng, wit.phi)[0])
+    (`boundary_move`): it still witnesses tri, but v and phi o include,
+    and phi o psi and eta, may now differ by a boundary."""
+    return replace(wit, phi=boundary_move(rng, wit.phi)[0])
 
 
 def _rounds():
@@ -179,13 +161,13 @@ def _moved_apart(rng, tri, wit):
     boundary of k, so psi is not the certificate's g, with H + phi k),
     each when the move changes the map."""
     for _ in range(10):
-        v = _boundary(rng, tri.v)[0]
+        v = boundary_move(rng, tri.v)[0]
         if v != tri.v:
             yield "v moved", replace(tri, v=v), wit
             break
     c, H = _cert(wit)
     for _ in range(10):
-        psi, k = _boundary(rng, wit.psi)
+        psi, k = boundary_move(rng, wit.psi)
         if psi != wit.psi:
             Hk = tpc._product(wit.phi.cols, k)
             yield "psi moved", tri, tpc._certified(
@@ -197,10 +179,11 @@ def _moved_apart(rng, tri, wit):
 def test_the_negative_rotation_meets_its_w_clause_exactly():
     """psi_N's S^r C part is v itself, so project o psi_N is w_N and the
     w-through-psi clause holds with the zero homotopy.  Checked on its
-    own at positive weight, with theta written down from a certificate
-    (with H = None; with H != None, on the octahedron's second outputs;
-    after v or psi is moved by a boundary, `_moved_apart`) and solved
-    for without one."""
+    own at positive weight, with theta written down from the witness's
+    own certificate (with H = None; with H != None, on the octahedron's
+    second outputs; after v or psi is moved by a boundary,
+    `_moved_apart`) and from the one `tpc._certificate` derives for a
+    bare witness."""
     kinds = ("H = None", "H", "v moved", "psi moved", "uncertified")
     positive = dict.fromkeys(kinds, 0)
 
@@ -227,6 +210,31 @@ def test_the_negative_rotation_meets_its_w_clause_exactly():
             assert homotopic(shifted_w, through_psi, 0) is not None
             positive[name] += tri.weight > 0
     assert min(positive.values()) >= 50, positive
+
+
+def test_the_negative_rotation_refuses_a_witness_failing_its_inverse():
+    """theta is written down from the witness's certificate, so a bare
+    witness that fails phi-r-isomorphism (its weight lowered by 1/4) or
+    psi-right-inverse (psi zeroed) has none and raises ValueError."""
+    counts = dict.fromkeys(("phi-r-isomorphism", "psi-right-inverse"), 0)
+    for t1, w1, _, _ in _all_rounds():
+        cases = [(t1, replace(w1, psi=FilteredChainMap.zero(
+            w1.psi.source, w1.psi.target)))]
+        low = t1.weight - Fraction(1, 4)
+        if low >= 0:
+            cases.append((
+                replace(t1, weight=low, w=t1.w.viewed(
+                    t1.C, shift_complex(translate(t1.A), -low))),
+                replace(w1, psi=w1.psi.viewed(shift_complex(t1.C, low),
+                                              w1.psi.target))))
+        for tri, wit in cases:
+            hit = [c for c in counts if c in verify_triangle(tri, wit)[1]]
+            for c in hit:
+                counts[c] += 1
+            if hit:
+                with pytest.raises(ValueError, match="does not verify"):
+                    rotate_negative(tri, wit)
+    assert min(counts.values()) >= 20, counts
 
 
 def test_the_moved_witnesses_take_both_solve_paths():
@@ -311,18 +319,23 @@ def test_no_fill_at_64_bars(no_fill):
 
 
 def test_the_second_output_is_certified_when_both_inputs_are():
-    n = 0
+    """Both inputs verify (certified or bare), so the second output
+    carries a certificate; with the second witness's psi zeroed, so
+    that its psi-right-inverse clause fails, it carries none."""
+    n = broken = 0
     for t1, w1, t2, w2 in _all_rounds():
         for a, b in ((w1, w2), (w1, replace(w2))):
             res = octahedron(t1, a, t2, b)
-            if _cert(a) is None or _cert(b) is None:
-                assert _cert(res.wit4) is None
-                continue
             n += 1
             assert _cert(res.wit4) is not None
             assert verify_triangle(res.d4, res.wit4) == VERIFIED
             assert verify_triangle(res.d4, replace(res.wit4)) == VERIFIED
-    assert n == ROUNDS // 2 + TWISTED
+        zero = replace(w2, psi=FilteredChainMap.zero(w2.psi.source,
+                                                     w2.psi.target))
+        if "psi-right-inverse" in verify_triangle(t2, zero)[1]:
+            broken += 1
+            assert _cert(octahedron(t1, w1, t2, zero).wit4) is None
+    assert n == 2 * (ROUNDS + TWISTED) and broken >= 100
 
 
 def _disabled(*args, **kwargs):

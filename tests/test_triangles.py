@@ -205,7 +205,7 @@ def test_negative_rotation():
         assert nt.weight == 2 * tri.weight
         ok, fails = verify_triangle(nt, nw)
         assert ok, fails
-        assert nt.v is tri.u
+        assert nt.v == tri.u
 
 
 def test_octahedron_weights_are_exact():

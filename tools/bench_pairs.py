@@ -1,7 +1,12 @@
 """Record a parent/change benchmark comparison as BENCH_<workload>.json.
 
+    git worktree add --detach ../parent <parent sha>
     python3 tools/bench_pairs.py --parent ../parent --workload pipeline \\
         --seeds 51-60
+
+Make the parent checkout with `git worktree add` as above: the record's
+`parent_commit` is that checkout's HEAD.  A copy without git metadata
+(a `git archive` export) records it as "unknown".
 
 Runs `perfbench/run.py --workload W --seed N --seconds S`, S the
 `run_seconds` of BENCHMARK.json, once in the parent checkout and once
