@@ -194,6 +194,8 @@ def _bundle(path_str, text, load):
         )
     except KeyError as exc:
         raise InputError(f"unknown generator {exc.args[0]!r}")
+    for name, m in zip(("u", "v", "w", "phi", "psi"), (u, v, w, phi, psi)):
+        _valid(m, f"map {name}")
     tri = WeightedTriangle(A, B, C, u, v, w, weight)
     wit = TriangleWitness(K.complex, phi, psi)
     return tri, wit

@@ -32,7 +32,6 @@ from .complexes import (
     make_complex,
     shift_complex,
     sum_complexes,
-    translate,
     translate_inverse,
     zero_complex,
 )
@@ -51,12 +50,9 @@ from .barcodes import (
 )
 from .f2linalg import invert
 from .tpc import (
-    TriangleWitness,
-    WeightedTriangle,
-    _certified,
-    _contraction_inverse,
-    _identity_contraction,
-    exact_triangle,
+    _identity_step,
+    _inverse_step,
+    _reanchored,
     identity_triangle,
     level_grid,
     octahedron,
@@ -216,62 +212,38 @@ def eta_slot_triangle(X: FilteredComplex, r):
     r = Fraction(r)
     if r < 0:
         raise ValueError("eta slot triangle needs r >= 0")
-    sX = shift_complex(X, r)
-    u = FilteredChainMap.zero(translate_inverse(sX), zero_complex())
-    K = cone(u, 0)
-    phi = FilteredChainMap.identity(X).viewed(K.complex, X)
-    psi = FilteredChainMap.identity(sX).viewed(sX, K.complex)
-    tri, wit = exact_triangle(u, K, phi, psi, r)
-    return tri, _certified(wit, (_identity_contraction(X.n), None))
+    return _identity_step(FilteredChainMap.zero(
+        translate_inverse(shift_complex(X, r)), zero_complex()), r, X)
 
 
 def zero_apex_step(v, W):
     """(0, Y, Z) of weight W for a W-isomorphism v: Y -> Z: attach
     nothing, pay for v."""
-    W = Fraction(W)
-    # one canonical form of cone(v) decides and inverts v; its
-    # contraction certifies both
-    found = _contraction_inverse(v, W)
-    if found is None:
+    step = _inverse_step(FilteredChainMap.zero(zero_complex(), v.source), v,
+                         Fraction(W))
+    if step is None:
         raise ValueError("zero_apex_step needs a W-isomorphism")
-    g, cert = found
-    u = FilteredChainMap.zero(zero_complex(), v.source)
-    psi = g.viewed(shift_complex(v.target, W), v.source, 0)
-    tri, wit = exact_triangle(u, cone(u, 0), v, psi, W)
-    return tri, _certified(wit, cert)
+    return step
 
 
 def acyclic_from_zero_step(H: FilteredComplex):
-    """(0, 0, H) of weight depth(H); requires H acyclic.  cone(phi, 0)
-    is H, so H's contraction certifies the step, and it is also the
-    homotopy 0 ~ eta(H, W)."""
-    B, cw = canonical_form(H)
-    if B.infinite():
-        raise ValueError("attached object must be acyclic")
-    W = boundary_depth(B)
+    """(0, 0, H) of weight depth(H); requires H acyclic."""
     z = zero_complex()
-    u = FilteredChainMap.zero(z, z)
-    tri, wit = exact_triangle(u, cone(u, 0), FilteredChainMap.zero(z, H),
-                              FilteredChainMap.zero(shift_complex(H, W), z),
-                              W)
-    c = cw.contraction().columns
-    return tri, _certified(wit, (c, c))
+    step = _inverse_step(FilteredChainMap.zero(z, z),
+                         FilteredChainMap.zero(z, H))
+    if step is None:
+        raise ValueError("attached object must be acyclic")
+    return step
 
 
 def collapse_acyclic_triangle(Xp: FilteredComplex):
-    """(T^-1 X', 0, 0) of weight depth(X'); consumes an acyclic slot.
-    cone(phi, 0) is X' again, up to degree, so the contraction of X'
-    certifies the step."""
-    B, cw = canonical_form(Xp)
-    if B.infinite():
-        raise ValueError("collapsed object must be acyclic")
-    W = boundary_depth(B)
+    """(T^-1 X', 0, 0) of weight depth(X'); consumes an acyclic slot."""
     z = zero_complex()
     u = FilteredChainMap.zero(translate_inverse(Xp), z)
-    K = cone(u, 0)
-    tri, wit = exact_triangle(u, K, FilteredChainMap.zero(K.complex, z),
-                              FilteredChainMap.zero(z, K.complex), W)
-    return tri, _certified(wit, (cw.contraction().columns, None))
+    step = _inverse_step(u, FilteredChainMap.zero(cone(u, 0).complex, z))
+    if step is None:
+        raise ValueError("collapsed object must be acyclic")
+    return step
 
 
 # ----------------------------------------------------------------------
@@ -402,21 +374,10 @@ def refine(D: ConeDecomposition, i: int, Dp: ConeDecomposition):
 def translate_inverse_decomposition(D: ConeDecomposition):
     """Apply the inverse translation functor to every step.  No matrix
     changes, so each witness keeps its certificate."""
-    steps = []
-    for tri, wit in D.steps:
-        A2, B2, C2 = (translate_inverse(Z) for Z in (tri.A, tri.B, tri.C))
-        u2 = tri.u.viewed(A2, B2)
-        v2 = tri.v.viewed(B2, C2)
-        w2 = tri.w.viewed(C2, shift_complex(translate(A2), -tri.weight))
-        K2 = translate_inverse(wit.cprime)
-        phi2 = wit.phi.viewed(K2, C2)
-        psi2 = wit.psi.viewed(shift_complex(C2, tri.weight), K2)
-        steps.append(
-            (WeightedTriangle(A2, B2, C2, u2, v2, w2, tri.weight),
-             _certified(TriangleWitness(K2, phi2, psi2),
-                        getattr(wit, "_cert", None)))
-        )
-    return ConeDecomposition(tuple(steps))
+    return ConeDecomposition(tuple(
+        _reanchored(tri, wit, *map(translate_inverse, (
+            tri.A, tri.B, tri.C, wit.cprime)), tri.weight)
+        for tri, wit in D.steps))
 
 
 def _slot_index(D: ConeDecomposition, xprime):

@@ -11,16 +11,19 @@ cone(phi, 0), and the homotopy H behind phi o psi ~ eta (none when the
 two maps are equal).  `verify_triangle` checks it by products alone
 (dc + cd = id with shift(c) <= r, since the least shift of a
 contraction is the boundary depth; dH + Hd = phi o psi + eta with
-shift(H) <= 0).  A constructor that knows why its witness holds
-attaches one; for any other witness (a hand-made bundle, a rotation
-output) `_certificate` derives it, c from the canonical form of
-cone(phi, 0) and H by one linear solve over a hom complex.
+shift(H) <= 0).  Only this module knows the certificate's layout.
+Every elementary triangle is `exact_triangle` of its witness, which
+carries the certificate it is given: `_identity_step` certifies
+identity phi and psi by x -> t.x, `_inverse_step` a psi read off the
+contraction of cone(phi, 0) by that contraction, and `_reanchored`
+keeps a certificate on new anchors.  For any other witness (a
+hand-made bundle, a rotation output) `_certificate` derives one, c
+from the canonical form of cone(phi, 0) and H by one linear solve.
 
 Inverses of r-isomorphisms are read off canonical forms.  The witness
 maps of rotation and of the octahedron are written down from the input
 witness and its certificate, as in the mapping-cone proofs of those
-axioms, and every elementary triangle is `exact_triangle` of its
-witness.  The rest (triangle morphisms and weight candidates) are
+axioms.  The rest (triangle morphisms and weight candidates) are
 closed shift-0 maps x with two squares that commute up to bounded
 homotopy, found by `homsolve.fill_map(S, T, pre, post)`: x o a ~ b for
 each (a, b, bound) in pre, a o x ~ b for each in post, each homotopy of
@@ -121,37 +124,40 @@ def contraction_inverse(f: FilteredChainMap, r, rng=None):
     conjugates the cone by a random basis change, which draws another
     contraction and so another inverse.
     """
-    found = _contraction_inverse(f, r, rng)
+    found = _contraction_inverse(f, Fraction(r), rng)
     return found and found[0]
 
 
-def _contraction(K, r):
-    """The columns of the contraction of K read off its canonical form,
-    or None when no contraction of K has shift <= r."""
+def _contraction(K, r=None):
+    """(columns, shift) of the contraction of K read off its canonical
+    form, its shift the boundary depth of K; None when K has an
+    infinite bar or, for an r given, a bar longer than r."""
     bars, cf = canonical_form(K)
-    if bars.infinite() or boundary_depth(bars) > r:
+    depth = boundary_depth(bars)
+    if bars.infinite() or r is not None and depth > r:
         return None
-    return cf.contraction().columns
+    return cf.contraction().columns, depth
 
 
-def _contraction_inverse(f, r, rng=None):
-    """(g, cert) for `contraction_inverse`, or None.  Without an rng,
-    cert is the certificate of a witness whose phi is f and whose psi is
-    g: all columns of the contraction h of cone(f, 0) and its B -> B
-    block, the homotopy f o g ~ id_B.  With one, cert is None and only
-    the B columns of the conjugated h are formed."""
-    r = Fraction(r)
+def _contraction_inverse(f, r=None, rng=None):
+    """(g, cert, W) for `contraction_inverse`, or None, where W is the
+    shift of the contraction h of cone(f, 0) (at most r when r is
+    given).  Without an rng, cert is the certificate of a witness whose
+    phi is f and whose psi is g: all columns of h and its B -> B block,
+    the homotopy f o g ~ id_B (None when B is zero).  With one, cert is
+    None and only the B columns of the conjugated h are formed."""
     _require_iso_input(f)
-    if r < 0:
+    if r is not None and r < 0:
         raise ValueError("acyclicity threshold must be >= 0")
     K = cone(f, 0).complex
     if rng is not None:
         from .verify import random_basis_change  # verify imports tpc
 
         K, fwd, back = random_basis_change(K, rng)
-    cols = _contraction(K, r)
-    if cols is None:
+    found = _contraction(K, r)
+    if found is None:
         return None
+    cols, W = found
     nB = f.target.n
     if rng is not None:
         U = fwd.matrix()
@@ -160,9 +166,10 @@ def _contraction_inverse(f, r, rng=None):
     g = FilteredChainMap(f.target, f.source,
                          [F2Vector(mask=c.mask >> nB) for c in cols[:nB]], 0)
     if rng is not None:
-        return g, None
+        return g, None, W
     low = (1 << nB) - 1
-    return g, (cols, [F2Vector(mask=c.mask & low) for c in cols[:nB]])
+    return g, (cols, [F2Vector(mask=c.mask & low) for c in cols[:nB]]
+               or None), W
 
 
 def r_inverses(f: FilteredChainMap, r, rng=None):
@@ -298,13 +305,12 @@ def _closed_shift0(m, source, target):
 
 
 def _certified(wit: TriangleWitness, cert):
-    """wit carrying `cert`, the certificate `verify_triangle` checks in
-    place of its phi-r-isomorphism and psi-right-inverse solves: the
-    columns of a contraction of cone(phi, 0) and of the homotopy
-    S^r C -> C behind phi o psi ~ eta (None when the two maps are
-    equal).  It is not a field, so equal witnesses stay equal and
-    `dataclasses.replace`, like any other rebuilt witness, drops it.
-    A cert of None leaves wit as it is."""
+    """wit carrying `cert` (None: nothing), the certificate that
+    `verify_triangle` checks for the phi-r-isomorphism and
+    psi-right-inverse clauses: the columns of a contraction of
+    cone(phi, 0) and of the homotopy S^r C -> C behind phi o psi ~ eta
+    (None when the two maps are equal).  It is not a field, so equal
+    witnesses stay equal and `dataclasses.replace` drops it."""
     if cert is not None:
         object.__setattr__(wit, "_cert", cert)
     return wit
@@ -328,19 +334,19 @@ def _is_homotopy(S, T, cols, f, bound):
     return not is_finite(sh) or sh <= bound
 
 
-def _certificate(tri: WeightedTriangle, wit: TriangleWitness):
+def _certificate(tri: WeightedTriangle, wit: TriangleWitness, Kphi=None):
     """The certificate (c, H) of wit: its own, or for a bare witness c
-    read off the canonical form of cone(phi, 0) and H from one
-    `homotopic` solve for phi o psi ~ eta(C, r).  c is None when
-    cone(phi, 0) has no contraction of shift <= r, and H is False when
-    phi o psi ~ eta has no homotopy of level <= 0."""
+    read off the canonical form of Kphi = cone(phi, 0) (built when not
+    given) and H from one `homotopic` solve for phi o psi ~ eta(C, r).
+    c is None when cone(phi, 0) has no contraction of shift <= r, and H
+    is False when phi o psi ~ eta has no homotopy of level <= 0."""
     cert = getattr(wit, "_cert", None)
     if cert is not None:
         return cert
     r = Fraction(tri.weight)
-    c = _contraction(cone(wit.phi, 0).complex, r)
+    c = _contraction(cone(wit.phi, 0).complex if Kphi is None else Kphi, r)
     H = homotopic(compose(wit.phi, wit.psi), eta(tri.C, r), 0)
-    return c, False if H is None else H.cols
+    return c and c[0], False if H is None else H.cols
 
 
 def verify_triangle(tri: WeightedTriangle, wit: TriangleWitness):
@@ -376,7 +382,7 @@ def verify_triangle(tri: WeightedTriangle, wit: TriangleWitness):
                          _closed_shift0(wit.psi, sC, K.complex)):
         return False, failures
     Kphi = cone(wit.phi, 0).complex
-    c, H = _certificate(tri, wit)
+    c, H = _certificate(tri, wit, Kphi)
     iso = c is not None and _is_homotopy(
         Kphi, Kphi, c, [1 << j for j in range(Kphi.n)], r)
     # phi o psi + eta, column by column (eta is the identity matrix)
@@ -400,34 +406,69 @@ def verify_triangle(tri: WeightedTriangle, wit: TriangleWitness):
     return not failures, failures
 
 
-def exact_triangle(u, K, phi, psi, W):
+def exact_triangle(u, K, phi, psi, W, cert=None):
     """The strict exact triangle of weight W that (phi, psi) witness.
 
     K is cone(u, 0), phi: K -> C and psi: S^W C -> K; the triangle is
     A -> B -> C -> S^-W TA with v = phi o include and w = project o psi
-    read on C.  Checks nothing: `verify_triangle` decides whether phi
-    is a W-isomorphism with right W-inverse psi.
+    read on C.  The witness carries `cert` (`_certified`).  Checks
+    nothing: `verify_triangle` decides whether phi is a W-isomorphism
+    with right W-inverse psi.
     """
     W = Fraction(W)
     A, C = u.source, phi.target
     w = compose(K.project, psi).viewed(C, shift_complex(translate(A), -W))
     tri = WeightedTriangle(A, u.target, C, u, compose(phi, K.include), w, W)
-    return tri, TriangleWitness(K.complex, phi, psi)
+    return tri, _certified(TriangleWitness(K.complex, phi, psi), cert)
 
 
-def _identity_contraction(n):
-    """The contraction x -> t.x of cone(phi, 0) = C (+) TK for a phi
-    whose matrix is the identity on n generators; its shift is r when K
-    is C raised by r."""
-    return [F2Vector(mask=1 << (n + j)) for j in range(n)] + [ZERO] * n
+def _identity_step(u, W, C=None):
+    """exact_triangle of weight W whose phi: K -> C and psi: S^W C -> K,
+    K = cone(u, 0), are identity matrices; C is K unless given (K is
+    then C raised by at most W).  x -> t.x is a contraction of
+    cone(phi, 0) = C (+) TK of shift at most W, and phi o psi = eta."""
+    K = cone(u, 0)
+    C = K.complex if C is None else C
+    ident = FilteredChainMap.identity(K.complex)
+    c = [F2Vector(mask=1 << (C.n + j)) for j in range(C.n)] + [ZERO] * C.n
+    return exact_triangle(u, K, ident.viewed(K.complex, C),
+                          ident.viewed(shift_complex(C, W), K.complex), W,
+                          (c, None))
+
+
+def _inverse_step(u, phi, W=None):
+    """exact_triangle of weight W of phi: cone(u, 0) -> C and the
+    inverse psi of phi read off the contraction h of cone(phi, 0)
+    (`_contraction_inverse`), W by default the shift of h; None when
+    phi is not a W-isomorphism.  h certifies the step: its shift is at
+    most W, and by dh + hd = id its C -> C block is a homotopy
+    phi o psi ~ eta.  One canonical form decides, inverts and
+    certifies."""
+    found = _contraction_inverse(phi, W)
+    if found is None:
+        return None
+    g, cert, depth = found
+    W = depth if W is None else W
+    K = cone(u, 0)
+    return exact_triangle(u, K, phi, g.viewed(shift_complex(phi.target, W),
+                                              K.complex, 0), W, cert)
+
+
+def _reanchored(tri, wit, A, B, C, K, W):
+    """tri and wit with the same matrices read on A, B, C, the cone K
+    and the weight W.  The certificate is kept: no shift bound grows
+    under a shift functor on every object, or with the weight raised."""
+    tri = WeightedTriangle(A, B, C, tri.u.viewed(A, B), tri.v.viewed(B, C),
+                           tri.w.viewed(C, shift_complex(translate(A), -W)),
+                           W)
+    return tri, _certified(TriangleWitness(
+        K, wit.phi.viewed(K, C), wit.psi.viewed(shift_complex(C, W), K)),
+        getattr(wit, "_cert", None))
 
 
 def identity_triangle(X: FilteredComplex):
     """0 -> X -> X -> 0, the normalization triangle of weight 0."""
-    u = FilteredChainMap.zero(zero_complex(), X)
-    idX = FilteredChainMap.identity(X)
-    tri, wit = exact_triangle(u, cone(u, 0), idX, idX, 0)
-    return tri, _certified(wit, (_identity_contraction(X.n), None))
+    return _identity_step(FilteredChainMap.zero(zero_complex(), X), 0)
 
 
 def triangle_from_morphism(f: FilteredChainMap):
@@ -441,16 +482,7 @@ def triangle_from_morphism(f: FilteredChainMap):
         raise ValueError("triangle_from_morphism needs a closed degree-0 map")
     t = shift_of_map(f)
     t = Fraction(0) if t == NEG_INF or t < 0 else Fraction(t)
-    A = f.source
-    B1 = shift_complex(f.target, -t)
-    u = f.viewed(A, B1)
-    K = cone(u, 0)
-    C = K.complex
-    w = K.project.viewed(C, shift_complex(translate(A), -t))
-    tri = WeightedTriangle(A, B1, C, u, K.include, w, t)
-    psi = FilteredChainMap.identity(C).viewed(shift_complex(C, t), C)
-    wit = TriangleWitness(C, FilteredChainMap.identity(C), psi)
-    return tri, _certified(wit, (_identity_contraction(C.n), None))
+    return _identity_step(f.viewed(f.source, shift_complex(f.target, -t)), t)
 
 
 def relax_weight(tri: WeightedTriangle, wit: TriangleWitness, s):
@@ -461,17 +493,8 @@ def relax_weight(tri: WeightedTriangle, wit: TriangleWitness, s):
         raise ValueError("relax_weight needs s >= 0")
     if s == 0:
         return tri, wit
-    r = tri.weight
-    new_w = tri.w.viewed(tri.C, shift_complex(tri.w.target, -s))
-    new_psi = wit.psi.viewed(
-        shift_complex(wit.psi.source, s), wit.psi.target
-    )
-    # a contraction within r is one within r + s, and so is H
-    return (
-        WeightedTriangle(tri.A, tri.B, tri.C, tri.u, tri.v, new_w, r + s),
-        _certified(TriangleWitness(wit.cprime, wit.phi, new_psi),
-                   getattr(wit, "_cert", None)),
-    )
+    return _reanchored(tri, wit, tri.A, tri.B, tri.C, wit.cprime,
+                       tri.weight + s)
 
 
 # ----------------------------------------------------------------------
@@ -721,7 +744,8 @@ def _over(n, f, hom=None, ident=True):
 def _octahedron_certificate(cert1, cert2, nA, u2, lam, phi_prime, phi2,
                             psi3):
     """The certificate of the octahedron's second output, from those of
-    its two input witnesses (column lists throughout).
+    its two input witnesses (column lists throughout), None unless both
+    pass their phi-r-isomorphism and psi-right-inverse clauses.
 
     phi4 = phi2 o phi_prime o lam.  phi_prime lifts phi1 over A, so the
     blocks of a contraction of its cone lift those of phi1 (`_over`,
@@ -732,6 +756,8 @@ def _octahedron_certificate(cert1, cert2, nA, u2, lam, phi_prime, phi2,
     eta + dJ + Jd for J: t.x -> t.H1(x), so phi4 o psi4 ~ eta by
     H2 + phi2 J psi3."""
     (c1, H1), (c2, H2) = cert1, cert2
+    if c1 is None or c2 is None or H2 is False:
+        return None
     nX, nB = len(u2), len(psi3)
     g1, a1, b1, e1 = _contraction_blocks(c1, nX)
     f1 = _product(phi_prime, lam)
@@ -792,11 +818,8 @@ def octahedron(t1, w1, t2, w2):
     TE = translate(E)
 
     p = compose(t2.u, t1.v)
-    Cres = cone(p, 0)
-    C = Cres.complex
-    idC = FilteredChainMap.identity(C)
-    d3, wit3 = exact_triangle(p, Cres, idC, idC, 0)
-    wit3 = _certified(wit3, (_identity_contraction(C.n), None))
+    d3, wit3 = _identity_step(p, 0)
+    C = d3.C
 
     g2 = compose(t2.u, w1.phi)  # X' = cone(t1.u) -> A
     B2 = cone(g2, 0)            # B'' = A (+) TF (+) T^2 E
@@ -835,11 +858,10 @@ def octahedron(t1, w1, t2, w2):
     phi4 = compose(w2.phi, compose(phi_prime, lam))
     psi4 = compose(lam.viewed(B2.complex, K4.complex, 0),
                    compose(psi2, psi3))
-    d4, wit4 = exact_triangle(u4, K4, phi4, psi4, r + s)
-    if c1 is not None and c2 is not None and H2 is not False:
-        wit4 = _certified(wit4, _octahedron_certificate(
-            (c1, H1), (c2, H2), nA, u2, lam.cols, phi_prime.cols,
-            w2.phi.cols, w2.psi.cols))
+    d4, wit4 = exact_triangle(u4, K4, phi4, psi4, r + s,
+                              _octahedron_certificate(
+                                  (c1, H1), (c2, H2), nA, u2, lam.cols,
+                                  phi_prime.cols, w2.phi.cols, w2.psi.cols))
 
     m4 = translate_map(t1.v).viewed(
         translate(F), shift_complex(translate(X), -s)
@@ -856,7 +878,7 @@ def octahedron(t1, w1, t2, w2):
          FilteredChainMap.zero(E, A), Fraction(0)),
         ("top-projection", compose(d3.w, u4),
          translate_map(t1.u), Fraction(0)),
-        ("middle-inclusion", compose(d4.v, Cres.include), t2.v,
+        ("middle-inclusion", compose(d4.v, d3.v), t2.v,
          Fraction(0)),
         ("middle-projection", compose(t2.w, d4.v),
          compose(m4, d3.w), Fraction(0)),

@@ -33,7 +33,6 @@ from fcplx.tpc import (
     TriangleWitness,
     WeightedTriangle,
     _certified,
-    _identity_contraction,
     _witness_candidate,
     exact_triangle,
     level_grid,
@@ -132,7 +131,9 @@ def reference_octahedron(t1, w1, t2, w2):
     C = Cres.complex
     idC = FilteredChainMap.identity(C)
     d3, wit3 = exact_triangle(p, Cres, idC, idC, 0)
-    wit3 = _certified(wit3, (_identity_contraction(C.n), None))
+    n = C.n
+    wit3 = _certified(wit3, ([F2Vector(mask=1 << (n + j)) for j in range(n)]
+                             + [ZERO] * n, None))
 
     K1 = cone(t1.u, 0)
     g2 = compose(t2.u, w1.phi)

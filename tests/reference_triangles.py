@@ -13,7 +13,7 @@ v and T(project) o project o psi'' read on their anchors.
 
 from fractions import Fraction
 
-from fcplx.barcodes import barcode, boundary_depth
+from fcplx.barcodes import barcode, boundary_depth, canonical_form
 from fcplx.complexes import (
     FilteredChainMap,
     compose,
@@ -21,21 +21,26 @@ from fcplx.complexes import (
     eta,
     homotopic,
     shift_complex,
+    shift_of_map,
     translate,
     translate_inverse,
     translate_map,
     zero_complex,
 )
 from fcplx.f2linalg import ZERO, F2Vector, _apply
+from fcplx.rationals import NEG_INF
 from fcplx.tpc import (
     TriangleWitness,
     WeightedTriangle,
     _certificate,
+    _certified,
     _contraction_blocks,
     _over,
     _product,
+    _require_iso_input,
     _sum,
     contraction_inverse,
+    exact_triangle,
     r_inverses,
 )
 
@@ -250,3 +255,152 @@ def octahedron_d4(t1, w1, t2, w2):
     psi4 = compose(lam.viewed(B2.complex, K4.complex, 0), psi_pp)
     d4 = WeightedTriangle(TE, C, B, u4, v4, w4, r + s)
     return d4, TriangleWitness(K4.complex, phi4, psi4)
+
+
+# ----------------------------------------------------------------------
+# The builders as they were before `tpc._identity_step`,
+# `tpc._inverse_step` and `tpc._reanchored`: each puts its witness and
+# the witness's certificate together by hand, the identity cases with
+# the contraction x -> t.x (`identity_contraction`) and the inverse
+# cases with the blocks of the contraction of cone(phi, 0)
+# (`contraction_inverse`).  The tests compare these with the library's
+# builders for an identical (triangle, witness) and certificate.
+
+
+def identity_contraction(n):
+    """The contraction x -> t.x of cone(phi, 0) = C (+) TK for a phi
+    whose matrix is the identity on n generators."""
+    return [F2Vector(mask=1 << (n + j)) for j in range(n)] + [ZERO] * n
+
+
+def certified_contraction_inverse(f, r):
+    """(g, cert): g the B -> A block of the contraction h of
+    cone(f, 0), and cert all columns of h with its B -> B block; None
+    when cone(f, 0) has no contraction of shift <= r."""
+    r = Fraction(r)
+    _require_iso_input(f)
+    bars, cf = canonical_form(cone(f, 0).complex)
+    if bars.infinite() or boundary_depth(bars) > r:
+        return None
+    cols = cf.contraction().columns
+    nB = f.target.n
+    g = FilteredChainMap(f.target, f.source,
+                         [F2Vector(mask=c.mask >> nB) for c in cols[:nB]], 0)
+    low = (1 << nB) - 1
+    return g, (cols, [F2Vector(mask=c.mask & low) for c in cols[:nB]])
+
+
+def certified_identity_triangle(X):
+    u = FilteredChainMap.zero(zero_complex(), X)
+    idX = FilteredChainMap.identity(X)
+    tri, wit = exact_triangle(u, cone(u, 0), idX, idX, 0)
+    return tri, _certified(wit, (identity_contraction(X.n), None))
+
+
+def certified_triangle_from_morphism(f):
+    t = shift_of_map(f)
+    t = Fraction(0) if t == NEG_INF or t < 0 else Fraction(t)
+    A = f.source
+    B1 = shift_complex(f.target, -t)
+    u = f.viewed(A, B1)
+    K = cone(u, 0)
+    C = K.complex
+    w = K.project.viewed(C, shift_complex(translate(A), -t))
+    tri = WeightedTriangle(A, B1, C, u, K.include, w, t)
+    psi = FilteredChainMap.identity(C).viewed(shift_complex(C, t), C)
+    wit = TriangleWitness(C, FilteredChainMap.identity(C), psi)
+    return tri, _certified(wit, (identity_contraction(C.n), None))
+
+
+def certified_eta_slot_triangle(X, r):
+    r = Fraction(r)
+    sX = shift_complex(X, r)
+    u = FilteredChainMap.zero(translate_inverse(sX), zero_complex())
+    K = cone(u, 0)
+    phi = FilteredChainMap.identity(X).viewed(K.complex, X)
+    psi = FilteredChainMap.identity(sX).viewed(sX, K.complex)
+    tri, wit = exact_triangle(u, K, phi, psi, r)
+    return tri, _certified(wit, (identity_contraction(X.n), None))
+
+
+def certified_octahedron_d3(t1, t2):
+    p = compose(t2.u, t1.v)
+    Cres = cone(p, 0)
+    C = Cres.complex
+    idC = FilteredChainMap.identity(C)
+    d3, wit3 = exact_triangle(p, Cres, idC, idC, 0)
+    return d3, _certified(wit3, (identity_contraction(C.n), None))
+
+
+def certified_zero_apex_step(v, W):
+    W = Fraction(W)
+    found = certified_contraction_inverse(v, W)
+    if found is None:
+        raise ValueError("zero_apex_step needs a W-isomorphism")
+    g, cert = found
+    u = FilteredChainMap.zero(zero_complex(), v.source)
+    psi = g.viewed(shift_complex(v.target, W), v.source, 0)
+    tri, wit = exact_triangle(u, cone(u, 0), v, psi, W)
+    return tri, _certified(wit, cert)
+
+
+def certified_acyclic_from_zero_step(H):
+    B, cw = canonical_form(H)
+    if B.infinite():
+        raise ValueError("attached object must be acyclic")
+    W = boundary_depth(B)
+    z = zero_complex()
+    u = FilteredChainMap.zero(z, z)
+    tri, wit = exact_triangle(u, cone(u, 0), FilteredChainMap.zero(z, H),
+                              FilteredChainMap.zero(shift_complex(H, W), z),
+                              W)
+    c = cw.contraction().columns
+    return tri, _certified(wit, (c, c))
+
+
+def certified_collapse_acyclic_triangle(Xp):
+    B, cw = canonical_form(Xp)
+    if B.infinite():
+        raise ValueError("collapsed object must be acyclic")
+    W = boundary_depth(B)
+    z = zero_complex()
+    u = FilteredChainMap.zero(translate_inverse(Xp), z)
+    K = cone(u, 0)
+    tri, wit = exact_triangle(u, K, FilteredChainMap.zero(K.complex, z),
+                              FilteredChainMap.zero(z, K.complex), W)
+    return tri, _certified(wit, (cw.contraction().columns, None))
+
+
+def certified_relax_weight(tri, wit, s):
+    s = Fraction(s)
+    if s == 0:
+        return tri, wit
+    r = tri.weight
+    new_w = tri.w.viewed(tri.C, shift_complex(tri.w.target, -s))
+    new_psi = wit.psi.viewed(
+        shift_complex(wit.psi.source, s), wit.psi.target
+    )
+    return (
+        WeightedTriangle(tri.A, tri.B, tri.C, tri.u, tri.v, new_w, r + s),
+        _certified(TriangleWitness(wit.cprime, wit.phi, new_psi),
+                   getattr(wit, "_cert", None)),
+    )
+
+
+def certified_translate_inverse_steps(steps):
+    """The steps of `translate_inverse_decomposition`."""
+    out = []
+    for tri, wit in steps:
+        A2, B2, C2 = (translate_inverse(Z) for Z in (tri.A, tri.B, tri.C))
+        u2 = tri.u.viewed(A2, B2)
+        v2 = tri.v.viewed(B2, C2)
+        w2 = tri.w.viewed(C2, shift_complex(translate(A2), -tri.weight))
+        K2 = translate_inverse(wit.cprime)
+        phi2 = wit.phi.viewed(K2, C2)
+        psi2 = wit.psi.viewed(shift_complex(C2, tri.weight), K2)
+        out.append(
+            (WeightedTriangle(A2, B2, C2, u2, v2, w2, tri.weight),
+             _certified(TriangleWitness(K2, phi2, psi2),
+                        getattr(wit, "_cert", None)))
+        )
+    return tuple(out)

@@ -453,3 +453,31 @@ def test_octahedron_on_a_broken_first_bundle_exits_two(hand_made, capsys):
     code, out, err = run(capsys, "octahedron", "broken.tri", "cone_id.tri")
     assert code == 2 and out == ""
     assert err == ("error: octahedron: first witness psi-clause fails\n")
+
+
+# phi sends t.a (degree 0) to b (degree 1) in C = {a: 0, b: 1}: an
+# entry between generators of the wrong degree, caught where the bundle
+# is read, as in a map file.
+WRONG_DEGREE = (
+    "weight 0\n"
+    "complex A tinv.cplx\ncomplex B zero.cplx\ncomplex C ab.cplx\n"
+    "map u\nend\nmap v\nend\n"
+    "map w\nf a a\nend\n"
+    "map phi\nf t.a a b\nend\n"
+    "map psi\nf a t.a\nend\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-triangle", "wrong.tri"],
+    ["rotate", "wrong.tri"],
+    ["octahedron", "wrong.tri", "bundle.tri"],
+    ["octahedron", "bundle.tri", "wrong.tri"],
+], ids=["verify-triangle", "rotate", "octahedron-first",
+        "octahedron-second"])
+def test_a_bundle_map_of_the_wrong_degree_exits_two(workdir, capsys, argv):
+    (workdir / "ab.cplx").write_text("gen a 0 0\ngen b 1 0\n")
+    (workdir / "wrong.tri").write_text(WRONG_DEGREE)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: wrong.tri: invalid map phi: "), err

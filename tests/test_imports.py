@@ -1,7 +1,9 @@
 """No module of the library imports a name it never uses, no private
 top-level function or class goes unused, and no private function has a
 parameter it never reads.  The library imports only the standard
-library and parses as the oldest Python that pyproject.toml admits."""
+library and parses as the oldest Python that pyproject.toml admits.
+`fragmentation` builds its steps through the step builders of `tpc`
+and leaves the certificate format to that module."""
 
 import ast
 import sys
@@ -77,6 +79,25 @@ def test_no_unused_parameters_of_private_functions():
             unused += [f"{p.name}:{node.lineno}: {node.name}({name})"
                        for name in params if name not in read]
     assert not unused, unused
+
+
+STEP_BUILDERS = {"_identity_step", "_inverse_step", "_reanchored"}
+
+
+def test_fragmentation_leaves_certificates_to_tpc():
+    """No underscored name from `tpc` but a step builder, and no
+    `_cert` attribute, read directly or by name."""
+    path = SRC / "fragmentation.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module == "tpc":
+            found += [f"{node.lineno}: import {alias.name}"
+                      for alias in node.names if _private(alias.name)
+                      and alias.name not in STEP_BUILDERS]
+        elif (isinstance(node, ast.Attribute) and node.attr == "_cert"
+              or isinstance(node, ast.Constant) and node.value == "_cert"):
+            found.append(f"{node.lineno}: _cert")
+    assert not found, found
 
 
 def test_only_standard_library_imports():

@@ -98,7 +98,7 @@ def _twisted(A, B, rng):
     v, _, C = gen_r_iso(CFG, rng.choice(CFG.filtration_grid[:5]), rng,
                         source=K.complex)
     W = boundary_depth(cone(v, 0).complex)
-    g, cert = tpc._contraction_inverse(v, W)
+    g, cert, _ = tpc._contraction_inverse(v, W)
     tri, wit = tpc.exact_triangle(
         u, K, v, g.viewed(shift_complex(C, W), K.complex, 0), W)
     return tri, tpc._certified(wit, cert)
