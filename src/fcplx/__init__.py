@@ -3,7 +3,7 @@ triangles, cone decompositions and fragmentation pseudo-metrics, with
 a seeded verification harness and a CLI (`fcplx`)."""
 
 from .rationals import NEG_INF, POS_INF, fmt_scalar, parse_scalar
-from .f2linalg import F2SparseMatrix, F2Vector, column_reduce, solve_in_span
+from .f2linalg import F2SparseMatrix, column_reduce, solve_in_span
 from .complexes import (
     FilteredChainMap,
     FilteredComplex,

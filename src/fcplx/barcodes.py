@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .f2linalg import F2SparseMatrix, F2Vector, _eliminate, invert
+from .f2linalg import F2SparseMatrix, _bits, _eliminate, invert
 from .rationals import POS_INF, fmt_scalar, is_finite
 from .complexes import (
     FilteredChainMap,
@@ -135,7 +135,7 @@ class CanonicalFormWitness:
         levels; the shift of h is the length of the longest bar.
         """
         U = self.matrix
-        Uh = [F2Vector()] * U.ncols
+        Uh = [0] * U.ncols
         for x, y in self.pairs:
             Uh[x] = U.columns[y]
         return F2SparseMatrix(Uh, U.nrows).matmul(invert(U))
@@ -145,7 +145,7 @@ class CanonicalFormWitness:
         lev = self.complex._lev
         for j in range(len(lev)):
             col = self.matrix.column(j)
-            if max(map(lev.__getitem__, col), default=None) != lev[j]:
+            if max(map(lev.__getitem__, _bits(col)), default=None) != lev[j]:
                 return False
         try:
             Dp = self.conjugated_differential()
@@ -153,7 +153,7 @@ class CanonicalFormWitness:
             return False
         expect = {y: x for x, y in self.pairs}
         for j in range(len(lev)):
-            want = F2Vector([expect[j]]) if j in expect else F2Vector()
+            want = 1 << expect[j] if j in expect else 0
             if Dp.column(j) != want:
                 return False
         return True
@@ -169,19 +169,17 @@ def canonical_form(X: FilteredComplex):
     order = sorted(range(n), key=X._lev.__getitem__)
     pos = {orig: p for p, orig in enumerate(order)}
 
-    def to_pos(vec: F2Vector) -> int:
+    def to_pos(vec: int) -> int:
         m = 0
-        for i in vec:
+        for i in _bits(vec):
             m |= 1 << pos[i]
         return m
 
-    def to_orig(mask: int) -> F2Vector:
+    def to_orig(mask: int) -> int:
         m = 0
-        while mask:
-            low = mask & -mask
-            m |= 1 << order[low.bit_length() - 1]
-            mask ^= low
-        return F2Vector(mask=m)
+        for p in _bits(mask):
+            m |= 1 << order[p]
+        return m
 
     cols = [to_pos(X.diff[order[p]]) for p in range(n)]
     track = [1 << p for p in range(n)]

@@ -20,11 +20,11 @@ from math import lcm
 from typing import NamedTuple
 
 from .f2linalg import (
-    ZERO,
     F2SparseMatrix,
-    F2Vector,
     _apply,
+    _bits,
     _columns,
+    _mask_from_indices,
     solve_in_span,
 )
 from .rationals import NEG_INF, fmt_scalar, is_finite, parse_scalar
@@ -66,8 +66,7 @@ class FilteredComplex:
     __slots__ = ("gens", "diff", "_index", "_hash", "_den", "_lev")
 
     def __init__(self, gens, diff, _scale=None):
-        gens = tuple(gens)
-        diff, _ = _columns(diff)
+        gens, diff = tuple(gens), tuple(diff)
         if len(diff) != len(gens):
             raise ValueError("one differential column per generator required")
         index = {}
@@ -109,10 +108,10 @@ class FilteredComplex:
     def diff_matrix(self) -> F2SparseMatrix:
         return F2SparseMatrix(self.diff, self.n)
 
-    def level_of(self, vec: F2Vector):
+    def level_of(self, vec: int):
         """Filtration level of an element: max over the support."""
         lev = NEG_INF
-        for i in vec:
+        for i in _bits(vec):
             if lev == NEG_INF or self.gens[i].ell > lev:
                 lev = self.gens[i].ell
         return lev
@@ -141,7 +140,7 @@ class FilteredComplex:
         problems = []
         n, lev = self.n, self._lev
         for i, g in enumerate(self.gens):
-            for j in self.diff[i]:
+            for j in _bits(self.diff[i]):
                 if j >= n:
                     problems.append(f"d({g.gid}) hits index {j} out of range")
                     continue
@@ -158,7 +157,7 @@ class FilteredComplex:
                     )
         # d(d(g)) is only defined where d(g) stays in range
         for g, c in zip(self.gens, self.diff):
-            if not c.mask >> n and _apply(self.diff, c.mask):
+            if not c >> n and _apply(self.diff, c):
                 problems.append(f"d(d({g.gid})) != 0")
         return problems
 
@@ -174,7 +173,7 @@ def make_complex(gen_triples, boundaries=None) -> FilteredComplex:
     boundaries = boundaries or {}
     for g in gens:
         tgts = boundaries.get(g.gid, ())
-        cols.append(F2Vector(index[t] for t in tgts))
+        cols.append(_mask_from_indices(index[t] for t in tgts))
     return FilteredComplex(gens, cols)
 
 
@@ -207,7 +206,7 @@ class FilteredChainMap:
 
     @classmethod
     def zero(cls, source, target, degree=0):
-        return cls(source, target, [ZERO] * source.n, degree)
+        return cls(source, target, [0] * source.n, degree)
 
     @classmethod
     def identity(cls, X):
@@ -219,17 +218,17 @@ class FilteredChainMap:
         cols = []
         for g in source.gens:
             tgts = pairs.get(g.gid, ())
-            cols.append(F2Vector(target.index_of(t) for t in tgts))
+            cols.append(_mask_from_indices(target.index_of(t) for t in tgts))
         return cls(source, target, cols, degree)
 
     def matrix(self) -> F2SparseMatrix:
         return F2SparseMatrix(self.cols, self.target.n)
 
-    def apply(self, vec: F2Vector) -> F2Vector:
-        return F2Vector(mask=_apply(self.cols, vec.mask))
+    def apply(self, vec: int) -> int:
+        return _apply(self.cols, vec)
 
     def is_zero(self) -> bool:
-        return all(not c for c in self.cols)
+        return not any(self.cols)
 
     def __add__(self, other):
         if self.source != other.source or self.target != other.target:
@@ -239,7 +238,7 @@ class FilteredChainMap:
         return FilteredChainMap(
             self.source,
             self.target,
-            [a + b for a, b in zip(self.cols, other.cols)],
+            [a ^ b for a, b in zip(self.cols, other.cols)],
             self.degree,
         )
 
@@ -270,9 +269,9 @@ class FilteredChainMap:
         if degree is None:
             degree = self.degree
             for j, c in enumerate(self.cols):
-                t = c.top()
-                if t is not None:
-                    degree = target.degree(t) - source.degree(j)
+                if c:
+                    degree = (target.degree(c.bit_length() - 1)
+                              - source.degree(j))
                     break
         return FilteredChainMap(source, target, self.cols, degree)
 
@@ -280,7 +279,7 @@ class FilteredChainMap:
         problems = []
         for j, c in enumerate(self.cols):
             g = self.source.gens[j]
-            for i in c:
+            for i in _bits(c):
                 h = self.target.gens[i]
                 if h.degree != g.degree + self.degree:
                     problems.append(
@@ -292,7 +291,7 @@ class FilteredChainMap:
         """Chain-map condition dT*f + f*dS = 0 (signs vacuous mod 2),
         decided column by column."""
         dT, f = self.target.diff, self.cols
-        return all(_apply(dT, c.mask) == _apply(f, d.mask)
+        return all(_apply(dT, c) == _apply(f, d)
                    for c, d in zip(f, self.source.diff))
 
 
@@ -302,8 +301,8 @@ def shift_of_map(f: FilteredChainMap):
     den = lcm(S._den, T._den)
     a, b = den // S._den, den // T._den
     tl = T._lev
-    r = max((max(map(tl.__getitem__, c)) * b - s * a
-             for s, c in zip(S._lev, f.cols) if c.mask), default=None)
+    r = max((max(map(tl.__getitem__, _bits(c))) * b - s * a
+             for s, c in zip(S._lev, f.cols) if c), default=None)
     return NEG_INF if r is None else Fraction(r, den)
 
 
@@ -314,7 +313,7 @@ def compose(g: FilteredChainMap, f: FilteredChainMap) -> FilteredChainMap:
     return FilteredChainMap(
         f.source,
         g.target,
-        [F2Vector(mask=_apply(gc, c.mask)) for c in f.cols],
+        [_apply(gc, c) for c in f.cols],
         f.degree + g.degree,
     )
 
@@ -391,23 +390,20 @@ def sum_complexes(parts):
     ids = _disambiguate(*([g.gid for g in p.gens] for p in parts))
     gens = [Generator(gid, g.degree, g.ell)
             for gid, g in zip(ids, (g for p in parts for g in p.gens))]
-    cols = [F2Vector(mask=c.mask << off)
-            for p, off in zip(parts, offsets) for c in p.diff]
+    cols = [c << off for p, off in zip(parts, offsets) for c in p.diff]
     return FilteredComplex(gens, cols, _joined(parts)), offsets
 
 
 def _inclusion(X: FilteredComplex, Z: FilteredComplex, off):
     """The block inclusion X -> Z onto generators off, off + 1, ..."""
-    return FilteredChainMap(
-        X, Z, [F2Vector(mask=1 << (off + i)) for i in range(X.n)], 0
-    )
+    return FilteredChainMap(X, Z, [1 << (off + i) for i in range(X.n)], 0)
 
 
 def _projection(Z: FilteredComplex, X: FilteredComplex, off):
     """The block projection Z -> X off generators off, off + 1, ..."""
-    cols = [ZERO] * Z.n
+    cols = [0] * Z.n
     for i in range(X.n):
-        cols[off + i] = F2Vector(mask=1 << i)
+        cols[off + i] = 1 << i
     return FilteredChainMap(Z, X, cols, 0)
 
 
@@ -483,7 +479,7 @@ def cone(f: FilteredChainMap, lam=0) -> ConeResult:
     off = Y.n
     cols = list(Y.diff)
     for i in range(X.n):
-        cols.append(F2Vector(mask=f.cols[i].mask | (X.diff[i].mask << off)))
+        cols.append(f.cols[i] | X.diff[i] << off)
     C = FilteredComplex(gens, cols, _joined((Y, tx)))
     return ConeResult(C, _inclusion(Y, C, 0), _projection(C, tx, Y.n))
 
@@ -527,7 +523,7 @@ def _hom_hits(cols, n, nY):
     a = dX this is the h o dX part of the differential."""
     hits = [0] * n
     for sp, c in enumerate(cols):
-        for s in c:
+        for s in _bits(c):
             hits[s] |= 1 << (sp * nY)
     return hits
 
@@ -538,7 +534,7 @@ def _hom_slice(X, Y, degree, bound=None):
     pairs = _hom_pairs(X, Y, degree, bound)
     hits = _hom_hits(X.diff, X.n, Y.n)
     nY = Y.n
-    return pairs, [(Y.diff[t].mask << (s * nY)) | (hits[s] << t)
+    return pairs, [(Y.diff[t] << (s * nY)) | (hits[s] << t)
                    for s, t in pairs]
 
 
@@ -547,7 +543,7 @@ def _flat(f: FilteredChainMap) -> int:
     m = 0
     nY = f.target.n
     for s, c in enumerate(f.cols):
-        m |= c.mask << (s * nY)
+        m |= c << (s * nY)
     return m
 
 
@@ -559,7 +555,7 @@ def _map_at(X, Y, pairs, mask, degree) -> FilteredChainMap:
         s, t = pairs[low.bit_length() - 1]
         cols[s] |= 1 << t
         mask ^= low
-    return FilteredChainMap(X, Y, [F2Vector(mask=c) for c in cols], degree)
+    return FilteredChainMap(X, Y, cols, degree)
 
 
 class HomComplex:
@@ -583,21 +579,20 @@ class HomComplex:
                       Y.gens[t].ell - X.gens[s].ell)
             for s, t in pairs
         ]
-        cols = [F2Vector(mask=m) for m in cols]
         object.__setattr__(self, "complex", FilteredComplex(gens, cols))
 
     def __setattr__(self, name, value):
         raise AttributeError("HomComplex is immutable")
 
-    def encode(self, f: FilteredChainMap) -> F2Vector:
+    def encode(self, f: FilteredChainMap) -> int:
         if f.source != self.X or f.target != self.Y:
             raise ValueError("map does not live in this hom complex")
-        return F2Vector(mask=_flat(f))
+        return _flat(f)
 
-    def decode(self, vec: F2Vector, degree) -> FilteredChainMap:
+    def decode(self, vec: int, degree) -> FilteredChainMap:
         nY = self.Y.n
         flat = [divmod(i, nY) for i in range(self.X.n * nY)]
-        return _map_at(self.X, self.Y, flat, vec.mask, degree)
+        return _map_at(self.X, self.Y, flat, vec, degree)
 
     def gens_with(self, degree=None, max_level=None):
         """Flat indices filtered by degree and level bound."""
@@ -627,12 +622,10 @@ def nullhomotopy(f: FilteredChainMap, bound):
         return FilteredChainMap.zero(f.source, f.target, f.degree - 1)
     X, Y = f.source, f.target
     pairs, cols = _hom_slice(X, Y, f.degree - 1, bound)
-    x = solve_in_span(
-        F2SparseMatrix([F2Vector(mask=m) for m in cols], X.n * Y.n),
-        F2Vector(mask=_flat(f)))
+    x = solve_in_span(F2SparseMatrix(cols, X.n * Y.n), _flat(f))
     if x is None:
         return None
-    return _map_at(X, Y, pairs, x.mask, f.degree - 1)
+    return _map_at(X, Y, pairs, x, f.degree - 1)
 
 
 def is_nullhomotopic_within(f: FilteredChainMap, s):
@@ -695,7 +688,7 @@ def complex_to_text(X: FilteredComplex) -> str:
         lines.append(f"gen {g.gid} {g.degree} {fmt_scalar(g.ell)}")
     for i, g in enumerate(X.gens):
         if X.diff[i]:
-            tgts = " ".join(X.gens[j].gid for j in X.diff[i])
+            tgts = " ".join(X.gens[j].gid for j in _bits(X.diff[i]))
             lines.append(f"d {g.gid} {tgts}")
     return "\n".join(lines) + "\n"
 
@@ -735,6 +728,6 @@ def map_to_text(f: FilteredChainMap, source_name="A", target_name="B") -> str:
     lines = [f"map {source_name} {target_name} {f.degree}"]
     for j, c in enumerate(f.cols):
         if c:
-            tgts = " ".join(f.target.gens[i].gid for i in c)
+            tgts = " ".join(f.target.gens[i].gid for i in _bits(c))
             lines.append(f"f {f.source.gens[j].gid} {tgts}")
     return "\n".join(lines) + "\n"

@@ -1,17 +1,19 @@
 """Exact sparse linear algebra over the two-element field.
 
-Vectors are supports (sets of indices with coefficient 1), stored as
-Python int bitmasks so that a column operation is a single XOR.  The
-module is filtration-blind; filtered structure is layered above it.
+A vector is a plain int: bit i is its coefficient on basis index i, so
+a column operation is a single XOR and `_bits` walks a support in
+ascending order.  A matrix is a tuple of such columns.  The module is
+filtration-blind; filtered structure is layered above it.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from operator import attrgetter, or_
+from operator import or_
 
 
 def _mask_from_indices(indices) -> int:
+    """The vector with a 1 at each of `indices` (repeats count once)."""
     m = 0
     for i in indices:
         if i < 0:
@@ -20,87 +22,32 @@ def _mask_from_indices(indices) -> int:
     return m
 
 
-class F2Vector:
-    """Immutable GF(2) vector given by its support."""
-
-    __slots__ = ("mask",)
-
-    def __init__(self, indices=(), *, mask=None):
-        if mask is None:
-            mask = _mask_from_indices(indices)
-        object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("F2Vector is immutable")
-
-    def __add__(self, other):
-        return F2Vector(mask=self.mask ^ other.mask)
-
-    __xor__ = __add__
-
-    def __bool__(self):
-        return self.mask != 0
-
-    def __eq__(self, other):
-        return isinstance(other, F2Vector) and self.mask == other.mask
-
-    def __hash__(self):
-        return hash(self.mask)
-
-    def __contains__(self, i):
-        return (self.mask >> i) & 1 == 1
-
-    def __iter__(self):
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
-
-    def indices(self):
-        """Support as a strictly increasing tuple."""
-        return tuple(self)
-
-    def weight(self) -> int:
-        return bin(self.mask).count("1")
-
-    def top(self):
-        """Largest index in the support (the pivot), or None if zero."""
-        if self.mask == 0:
-            return None
-        return self.mask.bit_length() - 1
-
-    def __repr__(self):
-        return f"F2Vector({list(self)})"
-
-
-ZERO = F2Vector()
-_VECTOR = {F2Vector}
-_mask = attrgetter("mask")
+def _bits(m):
+    """The set bits of the int m, in ascending order."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
 def _apply(cols, x: int) -> int:
-    """The product of the columns `cols` with the vector whose support
-    is the set bits of the int x: the XOR of cols[i].mask over them."""
+    """The product of the columns `cols` with the vector x: the XOR of
+    cols[i] over the set bits i of x."""
     m = 0
     while x:
         low = x & -x
-        m ^= cols[low.bit_length() - 1].mask
+        m ^= cols[low.bit_length() - 1]
         x ^= low
     return m
 
 
-def _columns(cols, nrows=None):
-    """cols as a tuple of F2Vectors (an entry of another type is read
-    as an iterable of indices) and, given nrows, the first column with
-    an index >= nrows, or None: one OR of the masks shows there is
-    none."""
+def _columns(cols, nrows):
+    """cols as a tuple and the first column with a bit at or above
+    nrows, or None: one OR of the columns shows there is none."""
     cols = tuple(cols)
-    if not _VECTOR.issuperset(map(type, cols)):
-        cols = tuple(c if type(c) is F2Vector else F2Vector(c) for c in cols)
-    if nrows is None or not reduce(or_, map(_mask, cols), 0) >> nrows:
+    if not reduce(or_, cols, 0) >> nrows:
         return cols, None
-    return cols, next(j for j, c in enumerate(cols) if c.mask >> nrows)
+    return cols, next(j for j, c in enumerate(cols) if c >> nrows)
 
 
 class F2SparseMatrix:
@@ -111,7 +58,7 @@ class F2SparseMatrix:
     def __init__(self, columns, nrows):
         columns, j = _columns(columns, nrows)
         if j is not None:
-            t = columns[j].top()
+            t = columns[j].bit_length() - 1
             raise ValueError(f"column {j} has index {t} >= nrows {nrows}")
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "nrows", nrows)
@@ -122,33 +69,31 @@ class F2SparseMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls([F2Vector(mask=1 << i) for i in range(n)], n)
+        return cls([1 << i for i in range(n)], n)
 
     @classmethod
     def zero(cls, nrows, ncols):
-        return cls([ZERO] * ncols, nrows)
+        return cls([0] * ncols, nrows)
 
-    def column(self, j) -> F2Vector:
+    def column(self, j) -> int:
         return self.columns[j]
 
     def entry(self, i, j) -> int:
-        return 1 if i in self.columns[j] else 0
+        return self.columns[j] >> i & 1
 
-    def apply(self, x: F2Vector) -> F2Vector:
+    def apply(self, x: int) -> int:
         """Matrix-vector product; x lives in the column index space."""
-        return F2Vector(mask=_apply(self.columns, x.mask))
+        return _apply(self.columns, x)
 
     def matmul(self, other: "F2SparseMatrix") -> "F2SparseMatrix":
         if other.nrows != self.ncols:
             raise ValueError("shape mismatch in matmul")
         cols = self.columns
-        return F2SparseMatrix(
-            [F2Vector(mask=_apply(cols, c.mask)) for c in other.columns],
-            self.nrows,
-        )
+        return F2SparseMatrix([_apply(cols, c) for c in other.columns],
+                              self.nrows)
 
     def is_zero(self) -> bool:
-        return all(not c for c in self.columns)
+        return not any(self.columns)
 
     def __eq__(self, other):
         return (
@@ -194,19 +139,17 @@ def column_reduce(M: F2SparseMatrix):
     product of elementary column additions), and all nonzero columns of
     R having distinct pivot rows (pivot = largest support index).
     """
-    cols = [c.mask for c in M.columns]
+    cols = list(M.columns)
     track = [1 << j for j in range(M.ncols)]
     _eliminate(cols, track)
-    R = F2SparseMatrix([F2Vector(mask=m) for m in cols], M.nrows)
-    V = F2SparseMatrix([F2Vector(mask=m) for m in track], M.ncols)
-    return R, V
+    return F2SparseMatrix(cols, M.nrows), F2SparseMatrix(track, M.ncols)
 
 
-def solve_in_span(A: F2SparseMatrix, b: F2Vector, allowed=None):
+def solve_in_span(A: F2SparseMatrix, b: int, allowed=None):
     """Solve A*x = b with support(x) contained in `allowed`.
 
-    Returns the solution as an F2Vector over column indices, or None if
-    the system is inconsistent on the allowed columns.
+    Returns the solution x, an int over column indices, or None if the
+    system is inconsistent on the allowed columns.
     """
     if allowed is None:
         allowed = range(A.ncols)
@@ -214,10 +157,10 @@ def solve_in_span(A: F2SparseMatrix, b: F2Vector, allowed=None):
     for j in allowed:
         if j < 0 or j >= A.ncols:
             raise ValueError(f"allowed column {j} out of range")
-    cols = [A.columns[j].mask for j in allowed]
+    cols = [A.columns[j] for j in allowed]
     track = [1 << j for j in allowed]
     owner = _eliminate(cols, track)
-    r = b.mask
+    r = b
     comb = 0
     while r:
         k = owner.get(r.bit_length() - 1)
@@ -225,7 +168,7 @@ def solve_in_span(A: F2SparseMatrix, b: F2Vector, allowed=None):
             return None
         r ^= cols[k]
         comb ^= track[k]
-    return F2Vector(mask=comb)
+    return comb
 
 
 def invert(V: F2SparseMatrix) -> F2SparseMatrix:
@@ -243,13 +186,13 @@ def invert(V: F2SparseMatrix) -> F2SparseMatrix:
     for j, c in enumerate(R.columns):
         if not c:
             raise ValueError("matrix is singular")
-        owner[c.top()] = j
+        owner[c.bit_length() - 1] = j
     inv = [0] * V.ncols
     for p in range(V.ncols):
         j = owner[p]
-        m = T.columns[j].mask
-        for q in R.columns[j]:
+        m = T.columns[j]
+        for q in _bits(R.columns[j]):
             if q != p:
                 m ^= inv[q]
         inv[p] = m
-    return F2SparseMatrix([F2Vector(mask=m) for m in inv], V.ncols)
+    return F2SparseMatrix(inv, V.ncols)

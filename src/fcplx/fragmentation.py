@@ -21,7 +21,6 @@ from itertools import accumulate
 from math import lcm
 
 from .rationals import POS_INF, is_finite
-from .f2linalg import F2Vector
 from .homsolve import enumerate_closed_maps
 from .complexes import (
     FilteredChainMap,
@@ -48,7 +47,7 @@ from .barcodes import (
     canonical_form,
     from_barcode,
 )
-from .f2linalg import invert
+from .f2linalg import _bits, invert
 from .tpc import (
     _identity_step,
     _inverse_step,
@@ -90,10 +89,10 @@ def _summand_map(B, W, BT):
     cols = []
     for col in invert(W.matrix).columns:
         m = 0
-        for nb in col:
+        for nb in _bits(col):
             if nb in assign:
                 m ^= 1 << assign[nb]
-        cols.append(F2Vector(mask=m))
+        cols.append(m)
     return FilteredChainMap(X, from_barcode(BT), cols, 0), assign
 
 
@@ -167,10 +166,10 @@ def comparison_map(BS: Barcode, BT: Barcode):
         return None
     S = from_barcode(BS)
     src, tgt = _summands(BS), _summands(BT)
-    cols = [F2Vector()] * S.n
+    cols = [0] * S.n
     for (_, ksrc), (_, ktgt) in pairs:
         for i, j in zip(src[ksrc], tgt[ktgt]):
-            cols[i] = F2Vector(mask=1 << j)
+            cols[i] = 1 << j
     return FilteredChainMap(S, from_barcode(BT), cols, 0)
 
 
@@ -556,8 +555,8 @@ def _pipeline(BX: Barcode, BY: Barcode, match=None):
     total, offsets = sum_complexes([b[3] for b in blocks] + [SX])
     cols = []
     for (_, _, down, _, _), off in zip(blocks, offsets):
-        cols += [F2Vector(mask=c.mask << off) for c in down.cols]
-    cols += [F2Vector(mask=1 << (offsets[-1] + i)) for i in range(SX.n)]
+        cols += [c << off for c in down.cols]
+    cols += [1 << (offsets[-1] + i) for i in range(SX.n)]
     down_total = FilteredChainMap(M_tot, total, cols, 0)
     W_fin = max([b[4] for b in blocks], default=Fraction(0))
     if not (M_tot.is_zero() and total.is_zero()):
@@ -594,7 +593,7 @@ def _cylinder_helper(Xp: FilteredComplex, k):
         gens.append((f"P.{g.gid}", g.degree, g.ell + k))
         gens.append((f"Q.{g.gid}", g.degree + 1, g.ell))
     for i, g in enumerate(Xp.gens):
-        others = [Xp.gens[j].gid for j in Xp.diff[i]]
+        others = [Xp.gens[j].gid for j in _bits(Xp.diff[i])]
         bnd[f"P.{g.gid}"] = [f"P.{o}" for o in others] + [f"Q.{g.gid}"]
         bnd[f"Q.{g.gid}"] = [f"Q.{o}" for o in others]
     H = make_complex(gens, bnd)

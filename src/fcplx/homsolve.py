@@ -21,7 +21,7 @@ from .complexes import (
     _hom_slice,
     _map_at,
 )
-from .f2linalg import F2SparseMatrix, F2Vector, column_reduce, solve_in_span
+from .f2linalg import F2SparseMatrix, column_reduce, solve_in_span
 
 
 class MapSystem:
@@ -40,7 +40,7 @@ class MapSystem:
     def __init__(self):
         self.unknowns = []   # (name, HomComplex, degree, allowed flats)
         self.by_name = {}
-        self.equations = []  # (HomComplex, rhs F2Vector, [(op, name)])
+        self.equations = []  # (HomComplex, rhs mask, [(op, name)])
 
     def unknown(self, name, hom: HomComplex, degree, max_level):
         if name in self.by_name:
@@ -51,7 +51,7 @@ class MapSystem:
         self.unknowns.append(rec)
         return name
 
-    def equation(self, hom: HomComplex, terms, rhs: F2Vector):
+    def equation(self, hom: HomComplex, terms, rhs: int):
         for op, name in terms:
             if name not in self.by_name:
                 raise ValueError(f"equation uses unknown {name!r}")
@@ -77,13 +77,13 @@ class MapSystem:
             for (hom, _, terms), base in zip(self.equations, row_offsets):
                 for op, name in terms:
                     if name == rec[0]:
-                        m ^= op.columns[flat].mask << base
-            cols.append(F2Vector(mask=m))
+                        m ^= op.columns[flat] << base
+            cols.append(m)
         b = 0
         for (hom, rhs, _), base in zip(self.equations, row_offsets):
-            b |= rhs.mask << base
+            b |= rhs << base
         A = F2SparseMatrix(cols, nrows)
-        x = solve_in_span(A, F2Vector(mask=b))
+        x = solve_in_span(A, b)
         if x is None:
             return None
         out = {}
@@ -92,9 +92,9 @@ class MapSystem:
             base = offsets[name]
             m = 0
             for k, flat in enumerate(allowed):
-                if (base + k) in x:
+                if x >> (base + k) & 1:
                     m |= 1 << flat
-            out[name] = hom.decode(F2Vector(mask=m), degree)
+            out[name] = hom.decode(m, degree)
         return out
 
 
@@ -121,7 +121,7 @@ def fill_map(S, T, pre=(), post=()):
             raise ValueError("post clause anchors do not match")
         nZ = a.target.n
         blocks.append((S, a.target, b, bound,
-                       [a.cols[t].mask << (s * nZ) for s, t in xs]))
+                       [a.cols[t] << (s * nZ) for s, t in xs]))
     hcols = []
     rhs = 0
     base = S.n * T.n
@@ -131,11 +131,10 @@ def fill_map(S, T, pre=(), post=()):
         hcols += [m << base for m in _hom_slice(X, Y, -1, bound)[1]]
         rhs |= _flat(b) << base
         base += X.n * Y.n
-    A = F2SparseMatrix([F2Vector(mask=m) for m in cols + hcols], base)
-    x = solve_in_span(A, F2Vector(mask=rhs))
+    x = solve_in_span(F2SparseMatrix(cols + hcols, base), rhs)
     if x is None:
         return None
-    return _map_at(S, T, xs, x.mask & ((1 << len(xs)) - 1), 0)
+    return _map_at(S, T, xs, x & ((1 << len(xs)) - 1), 0)
 
 
 def closed_map_basis(S, T):
@@ -147,7 +146,7 @@ def closed_map_basis(S, T):
     positions, cols = _hom_slice(S, T, 0, 0)
     if not positions:
         return [], positions
-    A = F2SparseMatrix([F2Vector(mask=m) for m in cols], S.n * T.n)
+    A = F2SparseMatrix(cols, S.n * T.n)
     R, V = column_reduce(A)
     kernel = [V.column(j) for j in range(A.ncols) if not R.column(j)]
     return kernel, positions
@@ -164,7 +163,7 @@ def enumerate_closed_maps(S, T, cap=4096):
         b, k = bits, 0
         while b:
             if b & 1:
-                m ^= kernel[k].mask
+                m ^= kernel[k]
             b >>= 1
             k += 1
         yield _map_at(S, T, positions, m, 0)
@@ -176,5 +175,5 @@ def random_closed_map(S, T, rng):
     m = 0
     for vec in kernel:
         if rng.getrandbits(1):
-            m ^= vec.mask
+            m ^= vec
     return _map_at(S, T, positions, m, 0)

@@ -12,7 +12,12 @@ two maps are equal).  `verify_triangle` checks it by products alone
 (dc + cd = id with shift(c) <= r, since the least shift of a
 contraction is the boundary depth; dH + Hd = phi o psi + eta with
 shift(H) <= 0).  Only this module knows the certificate's layout.
-Every elementary triangle is `exact_triangle` of its witness, which
+Every elementary triangle is `exact_triangle` of its witness: the cone
+of u is phi's source, v is read off phi's first |B| columns and w off
+psi's columns shifted down by |B| (cone(u, 0) = B (+) TA; a column is
+an int, so a block is a slice or a shift), and a triangle costs no
+composition and no cone of its own; the v and w clauses of
+`verify_triangle` read the same blocks.  The witness
 carries the certificate it is given: `_identity_step` certifies
 identity phi and psi by x -> t.x, `_inverse_step` a psi read off the
 contraction of cone(phi, 0) by that contraction, and `_reanchored`
@@ -36,7 +41,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .rationals import NEG_INF, POS_INF, fmt_scalar, is_finite
-from .f2linalg import ZERO, F2SparseMatrix, F2Vector, _apply, solve_in_span
+from .f2linalg import F2SparseMatrix, _apply, _bits, solve_in_span
 from .complexes import (
     FilteredChainMap,
     FilteredComplex,
@@ -161,15 +166,12 @@ def _contraction_inverse(f, r=None, rng=None):
     nB = f.target.n
     if rng is not None:
         U = fwd.matrix()
-        cols = [U.apply(F2Vector(mask=_apply(cols, c.mask)))
-                for c in back.cols[:nB]]
-    g = FilteredChainMap(f.target, f.source,
-                         [F2Vector(mask=c.mask >> nB) for c in cols[:nB]], 0)
+        cols = [U.apply(_apply(cols, c)) for c in back.cols[:nB]]
+    g = FilteredChainMap(f.target, f.source, [c >> nB for c in cols[:nB]], 0)
     if rng is not None:
         return g, None, W
     low = (1 << nB) - 1
-    return g, (cols, [F2Vector(mask=c.mask & low) for c in cols[:nB]]
-               or None), W
+    return g, (cols, [c & low for c in cols[:nB]] or None), W
 
 
 def r_inverses(f: FilteredChainMap, r, rng=None):
@@ -205,9 +207,8 @@ def _boundary_above(f: FilteredChainMap):
 
     def above(k):
         rowmask = -1 if k is None else sum(b for ell, b in rows if ell > k)
-        A = F2SparseMatrix([F2Vector(mask=c & rowmask) for c in cols],
-                           X.n * Y.n)
-        return solve_in_span(A, F2Vector(mask=enc & rowmask))
+        A = F2SparseMatrix([c & rowmask for c in cols], X.n * Y.n)
+        return solve_in_span(A, enc & rowmask)
 
     return cols, rows, enc, above
 
@@ -254,7 +255,7 @@ def representative_at_level(f: FilteredChainMap, k):
         raise ValueError(
             f"class of the map has no representative at level {fmt_scalar(k)}"
         )
-    for j in x:
+    for j in _bits(x):
         corrected ^= cols[j]
     nY = f.target.n
     flat = [divmod(i, nY) for i in range(f.source.n * nY)]
@@ -296,12 +297,32 @@ def _check_clause(failures, name, ok):
 
 
 def _closed_shift0(m, source, target):
-    """Is m a closed degree-0 map source -> target of shift <= 0?"""
-    if (m.source != source or m.target != target or m.degree != 0
-            or not m.is_closed()):
+    """Is m a closed degree-0 map source -> target of shift <= 0, with
+    every entry of degree 0?"""
+    if m.source != source or m.target != target or m.degree != 0:
+        return False
+    of_degree = {}
+    for t, g in enumerate(target.gens):
+        of_degree[g.degree] = of_degree.get(g.degree, 0) | 1 << t
+    if any(c & ~of_degree.get(g.degree, 0)
+           for g, c in zip(source.gens, m.cols)) or not m.is_closed():
         return False
     sh = shift_of_map(m)
     return not is_finite(sh) or sh <= 0
+
+
+def _through_phi(phi, B):
+    """phi o include for phi: cone(u, 0) = B (+) TA -> C: the first |B|
+    columns of phi, a map B -> C."""
+    return FilteredChainMap(B, phi.target, phi.cols[:B.n], phi.degree)
+
+
+def _through_psi(psi, nB, source, target):
+    """project o psi for psi into cone(u, 0) = B (+) TA, |B| = nB: the
+    columns of psi shifted down by nB, read as a map source -> target
+    (complexes of the sizes of psi's source and of A)."""
+    return FilteredChainMap(source, target, [c >> nB for c in psi.cols],
+                            psi.degree)
 
 
 def _certified(wit: TriangleWitness, cert):
@@ -327,7 +348,7 @@ def _is_homotopy(S, T, cols, f, bound):
     except ValueError:
         return False
     dT = T.diff
-    if not all(_apply(dT, c.mask) ^ _apply(h.cols, d.mask) == e
+    if not all(_apply(dT, c) ^ _apply(h.cols, d) == e
                for c, d, e in zip(h.cols, S.diff, f)):
         return False
     sh = shift_of_map(h)
@@ -386,40 +407,37 @@ def verify_triangle(tri: WeightedTriangle, wit: TriangleWitness):
     iso = c is not None and _is_homotopy(
         Kphi, Kphi, c, [1 << j for j in range(Kphi.n)], r)
     # phi o psi + eta, column by column (eta is the identity matrix)
-    f = [_apply(wit.phi.cols, p.mask) ^ (1 << j)
+    f = [_apply(wit.phi.cols, p) ^ (1 << j)
          for j, p in enumerate(wit.psi.cols)]
     inverse = (not any(f) if H is None
                else H is not False and _is_homotopy(sC, C, H, f, 0))
     _check_clause(failures, "phi-r-isomorphism", iso)
     _check_clause(failures, "psi-right-inverse", inverse)
-    _check_clause(
-        failures,
-        "v-through-phi",
-        homotopic(tri.v, compose(wit.phi, K.include), 0) is not None,
-    )
-    shifted_w = tri.w.viewed(sC, translate(tri.A))
-    _check_clause(
-        failures,
-        "w-through-psi",
-        homotopic(shifted_w, compose(K.project, wit.psi), 0) is not None,
-    )
+    _check_clause(failures, "v-through-phi",
+                  homotopic(tri.v, _through_phi(wit.phi, B), 0) is not None)
+    TA = translate(A)
+    _check_clause(failures, "w-through-psi", homotopic(
+        tri.w.viewed(sC, TA), _through_psi(wit.psi, B.n, sC, TA), 0)
+        is not None)
     return not failures, failures
 
 
-def exact_triangle(u, K, phi, psi, W, cert=None):
+def exact_triangle(u, phi, psi, W, cert=None):
     """The strict exact triangle of weight W that (phi, psi) witness.
 
-    K is cone(u, 0), phi: K -> C and psi: S^W C -> K; the triangle is
-    A -> B -> C -> S^-W TA with v = phi o include and w = project o psi
-    read on C.  The witness carries `cert` (`_certified`).  Checks
-    nothing: `verify_triangle` decides whether phi is a W-isomorphism
-    with right W-inverse psi.
+    phi: K -> C and psi: S^W C -> K, where K = phi.source is
+    cone(u, 0) = B (+) TA; the triangle is A -> B -> C -> S^-W TA with
+    v = phi o include and w = project o psi read on C, both read off
+    the blocks of phi and psi (`_through_phi`, `_through_psi`).  The
+    witness carries `cert` (`_certified`).  Checks nothing:
+    `verify_triangle` decides whether phi is a W-isomorphism with right
+    W-inverse psi and whether K is the cone of u.
     """
     W = Fraction(W)
-    A, C = u.source, phi.target
-    w = compose(K.project, psi).viewed(C, shift_complex(translate(A), -W))
-    tri = WeightedTriangle(A, u.target, C, u, compose(phi, K.include), w, W)
-    return tri, _certified(TriangleWitness(K.complex, phi, psi), cert)
+    A, B, C = u.source, u.target, phi.target
+    w = _through_psi(psi, B.n, C, shift_complex(translate(A), -W)).viewed()
+    tri = WeightedTriangle(A, B, C, u, _through_phi(phi, B), w, W)
+    return tri, _certified(TriangleWitness(phi.source, phi, psi), cert)
 
 
 def _identity_step(u, W, C=None):
@@ -427,13 +445,12 @@ def _identity_step(u, W, C=None):
     K = cone(u, 0), are identity matrices; C is K unless given (K is
     then C raised by at most W).  x -> t.x is a contraction of
     cone(phi, 0) = C (+) TK of shift at most W, and phi o psi = eta."""
-    K = cone(u, 0)
-    C = K.complex if C is None else C
-    ident = FilteredChainMap.identity(K.complex)
-    c = [F2Vector(mask=1 << (C.n + j)) for j in range(C.n)] + [ZERO] * C.n
-    return exact_triangle(u, K, ident.viewed(K.complex, C),
-                          ident.viewed(shift_complex(C, W), K.complex), W,
-                          (c, None))
+    K = cone(u, 0).complex
+    C = K if C is None else C
+    ident = FilteredChainMap.identity(K)
+    c = [1 << (C.n + j) for j in range(C.n)] + [0] * C.n
+    return exact_triangle(u, ident.viewed(K, C),
+                          ident.viewed(shift_complex(C, W), K), W, (c, None))
 
 
 def _inverse_step(u, phi, W=None):
@@ -449,9 +466,8 @@ def _inverse_step(u, phi, W=None):
         return None
     g, cert, depth = found
     W = depth if W is None else W
-    K = cone(u, 0)
-    return exact_triangle(u, K, phi, g.viewed(shift_complex(phi.target, W),
-                                              K.complex, 0), W, cert)
+    return exact_triangle(u, phi, g.viewed(shift_complex(phi.target, W),
+                                           phi.source, 0), W, cert)
 
 
 def _reanchored(tri, wit, A, B, C, K, W):
@@ -503,12 +519,12 @@ def relax_weight(tri: WeightedTriangle, wit: TriangleWitness, s):
 
 def _product(P, Q):
     """The columns of P o Q, for the column lists P and Q."""
-    return [F2Vector(mask=_apply(P, q.mask)) for q in Q]
+    return [_apply(P, q) for q in Q]
 
 
 def _sum(P, Q):
     """The columns of P + Q."""
-    return [p + q for p, q in zip(P, Q)]
+    return [p ^ q for p, q in zip(P, Q)]
 
 
 def _contraction_blocks(c, nY):
@@ -518,20 +534,15 @@ def _contraction_blocks(c, nY):
     a and b are homotopies f g ~ id_Y and g f ~ id_X, and that
     de + ed = f b + a f."""
     low = (1 << nY) - 1
-    g, a, b, e = ([F2Vector(mask=m.mask >> nY) for m in c[:nY]],
-                  [F2Vector(mask=m.mask & low) for m in c[:nY]],
-                  [F2Vector(mask=m.mask >> nY) for m in c[nY:]],
-                  [F2Vector(mask=m.mask & low) for m in c[nY:]])
-    return g, a, b, e
+    return ([m >> nY for m in c[:nY]], [m & low for m in c[:nY]],
+            [m >> nY for m in c[nY:]], [m & low for m in c[nY:]])
 
 
 def _v_homotopy(tri, wit, error):
     """The columns of a homotopy h_v: v ~ phi o include of level <= 0,
     zero with no solve when the two maps are equal; ValueError(error)
     when the witness's v-clause fails."""
-    B = tri.B
-    hv = homotopic(tri.v, FilteredChainMap(B, tri.C, wit.phi.cols[:B.n], 0),
-                   0)
+    hv = homotopic(tri.v, _through_phi(wit.phi, tri.B), 0)
     if hv is None:
         raise ValueError(error)
     return hv.cols
@@ -558,7 +569,7 @@ def rotate(tri: WeightedTriangle, wit: TriangleWitness,
     A2 = cone(tri.v, 0)
     hv = _v_homotopy(tri, wit, "rotate: the witness's v-clause fails")
     phibar = FilteredChainMap(TA, A2.complex, [
-        F2Vector(mask=(p.mask ^ _apply(hv, c.mask)) | c.mask << C.n)
+        (p ^ _apply(hv, c)) | c << C.n
         for p, c in zip(wit.phi.cols[B.n:], tri.u.cols)], 0)
     try:
         psibar, _ = r_inverses(phibar, r)
@@ -566,8 +577,7 @@ def rotate(tri: WeightedTriangle, wit: TriangleWitness,
         raise AssertionError("rotation comparison is not an r-isomorphism"
                              ) from exc
     rtri, rwit = exact_triangle(
-        tri.v, A2, psibar, phibar.viewed(shift_complex(TA, r), A2.complex),
-        2 * r)
+        tri.v, psibar, phibar.viewed(shift_complex(TA, r), A2.complex), 2 * r)
     if not try_improve:
         return rtri, rwit
     improved = None
@@ -607,16 +617,15 @@ def rotate_negative(tri: WeightedTriangle, wit: TriangleWitness):
     witness fails its phi-r-isomorphism or psi-right-inverse clause."""
     r = Fraction(tri.weight)
     A, B, C = tri.A, tri.B, tri.C
-    K = cone(tri.u, 0)
-    u_N = compose(K.project, wit.psi).viewed(
-        translate_inverse(shift_complex(C, r)), A)
-    KN = cone(u_N, 0)
     nA, nB = A.n, B.n
+    u_N = _through_psi(wit.psi, nB, translate_inverse(shift_complex(C, r)),
+                       A).viewed()
+    KN = cone(u_N, 0)
     psi, phi = wit.psi.cols, wit.phi.cols
 
     low = (1 << nB) - 1
-    phi_N = FilteredChainMap(KN.complex, B, tri.u.cols + tuple(
-        F2Vector(mask=c.mask & low) for c in psi), 0)
+    phi_N = FilteredChainMap(KN.complex, B,
+                             tri.u.cols + tuple(c & low for c in psi), 0)
     c, H = _certificate(tri, wit)
     if c is None or H is False:
         raise ValueError("rotate_negative: the witness does not verify")
@@ -628,9 +637,9 @@ def rotate_negative(tri: WeightedTriangle, wit: TriangleWitness):
         psi, _v_homotopy(tri, wit,
                          "rotate_negative: the witness's v-clause fails")))
     psi_N = FilteredChainMap(shift_complex(B, 2 * r), KN.complex, [
-        F2Vector(mask=t.mask >> nB | v.mask << nA)
+        t >> nB | v << nA
         for t, v in zip(theta, tri.v.cols)], 0)
-    return exact_triangle(u_N, KN, phi_N, psi_N, 2 * r)
+    return exact_triangle(u_N, phi_N, psi_N, 2 * r)
 
 
 # ----------------------------------------------------------------------
@@ -644,8 +653,7 @@ def _block_diagonal(maps, source, target, tgt_off):
     degrees = {f.degree for f in maps}
     if len(degrees) > 1:
         raise ValueError("cannot add maps of different degrees")
-    cols = [F2Vector(mask=c.mask << to)
-            for f, to in zip(maps, tgt_off) for c in f.cols]
+    cols = [c << to for f, to in zip(maps, tgt_off) for c in f.cols]
     return FilteredChainMap(source, target, cols, degrees.pop())
 
 
@@ -682,11 +690,9 @@ def sum_triangles_many(parts):
         low = (1 << nb) - 1
         a_at = SB.n + oa  # outer index of the part's first A generator
         for j, col in enumerate(wit.phi.cols):
-            phi_cols[ob + j if j < nb else a_at + j - nb] = F2Vector(
-                mask=col.mask << oc)
+            phi_cols[ob + j if j < nb else a_at + j - nb] = col << oc
         for col in wit.psi.cols:
-            psi_cols.append(F2Vector(
-                mask=((col.mask & low) << ob) | ((col.mask >> nb) << a_at)))
+            psi_cols.append((col & low) << ob | (col >> nb) << a_at)
     phi = FilteredChainMap(K, SC, phi_cols, 0)
     psi = FilteredChainMap(shift_complex(SC, m), K, psi_cols, 0)
     cert = _summed_certificate(parts, offA, offB, offC, SC.n, SB.n, K.n)
@@ -713,10 +719,8 @@ def _summed_certificate(parts, offA, offB, offC, nSC, nSB, nK):
                     | (m >> (nC + nB)) << oa)
 
         for j, col in enumerate(c):  # column j lands where e_j does
-            c_cols[place(1 << j).bit_length() - 1] = F2Vector(
-                mask=place(col.mask))
-        H_cols += ([ZERO] * nC if H is None
-                   else [F2Vector(mask=col.mask << oc) for col in H])
+            c_cols[place(1 << j).bit_length() - 1] = place(col)
+        H_cols += [0] * nC if H is None else [col << oc for col in H]
     if all(H is None for _, H in certs):
         H_cols = None
     return c_cols, H_cols
@@ -736,9 +740,8 @@ def _over(n, f, hom=None, ident=True):
     generators, A (+) T(.) -> A (+) T(.): the identity on A (zero
     unless ident), then t.x -> (hom(x), t.f(x)) for the column lists f
     and hom (no hom: zero)."""
-    head = [F2Vector(mask=1 << a) for a in range(n)] if ident else [ZERO] * n
-    return head + [F2Vector(mask=(c.mask << n) | hc.mask)
-                   for c, hc in zip(f, hom or [ZERO] * len(f))]
+    head = [1 << a for a in range(n)] if ident else [0] * n
+    return head + [c << n | hc for c, hc in zip(f, hom or [0] * len(f))]
 
 
 def _octahedron_certificate(cert1, cert2, nA, u2, lam, phi_prime, phi2,
@@ -773,11 +776,11 @@ def _octahedron_certificate(cert1, cert2, nA, u2, lam, phi_prime, phi2,
     b = _sum(bp, _product(gp, b2f1))
     e = _sum(_sum(_product(phi2, ep), _product(e2, f1)),
              _product(phi2, _product(ap, b2f1)))
-    c = ([F2Vector(mask=x.mask | y.mask << nB) for x, y in zip(a, g)]
-         + [F2Vector(mask=x.mask | y.mask << nB) for x, y in zip(e, b)])
+    c = ([x | y << nB for x, y in zip(a, g)]
+         + [x | y << nB for x, y in zip(e, b)])
     if H1 is None and H2 is None:
         return c, None
-    J = _over(nA, H1 or [ZERO] * nX, ident=False)
+    J = _over(nA, H1 or [0] * nX, ident=False)
     H = _product(phi2, _product(J, psi3))
     return c, H if H2 is None else _sum(H2, H)
 
@@ -837,9 +840,8 @@ def octahedron(t1, w1, t2, w2):
     G = _over(nA, FilteredChainMap.identity(F).cols, _product(u2, hv))
     # u4: TE -> C, through the octahedron column map and G
     u4 = FilteredChainMap(TE, C, [
-        F2Vector(mask=_apply(G, g2.cols[nF + i].mask
-                             | t1.u.cols[i].mask << nA))
-        for i in range(nE)], 0)
+        _apply(G, g2.cols[nF + i] | t1.u.cols[i] << nA) for i in range(nE)],
+        0)
 
     Bp = cone(t2.u, 0)
     phi_prime = FilteredChainMap(B2.complex, Bp.complex,
@@ -853,12 +855,12 @@ def octahedron(t1, w1, t2, w2):
                          shift_complex(Bp.complex, r))
 
     K4 = cone(u4, 0)
-    lam = FilteredChainMap(K4.complex, B2.complex, G + [
-        F2Vector(mask=1 << (nA + nF + e)) for e in range(nE)], 0)
+    lam = FilteredChainMap(K4.complex, B2.complex,
+                           G + [1 << (nA + nF + e) for e in range(nE)], 0)
     phi4 = compose(w2.phi, compose(phi_prime, lam))
     psi4 = compose(lam.viewed(B2.complex, K4.complex, 0),
                    compose(psi2, psi3))
-    d4, wit4 = exact_triangle(u4, K4, phi4, psi4, r + s,
+    d4, wit4 = exact_triangle(u4, phi4, psi4, r + s,
                               _octahedron_certificate(
                                   (c1, H1), (c2, H2), nA, u2, lam.cols,
                                   phi_prime.cols, w2.phi.cols, w2.psi.cols))

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rationals import POS_INF, fmt_scalar
-from .f2linalg import F2Vector
 from .complexes import (
     FilteredChainMap,
     FilteredComplex,
@@ -43,7 +42,7 @@ from .barcodes import (
     _short_threshold,
     _finite_pair_cost,
 )
-from .f2linalg import column_reduce, F2SparseMatrix, invert
+from .f2linalg import F2SparseMatrix, _bits, column_reduce, invert
 from .homsolve import random_closed_map
 from .tpc import (
     FLAT_WEIGHT,
@@ -169,7 +168,7 @@ def random_basis_change(X: FilteredComplex, rng: random.Random):
         for i in range(n):
             if pos[i] < pj and deg[i] == dj and rng.random() < 0.3:
                 m |= 1 << i
-        cols.append(F2Vector(mask=m))
+        cols.append(m)
     U = F2SparseMatrix(cols, n)
     Uinv = invert(U)
     D = X.diff_matrix()
@@ -298,9 +297,9 @@ def persistence_rank_bruteforce(X: FilteredComplex, r, s, degree):
         for j in range(len(idx)):
             if not R.column(j):
                 m = 0
-                for k in V.column(j):
+                for k in _bits(V.column(j)):
                     m |= 1 << idx[k]
-                kernel.append(F2Vector(mask=m))
+                kernel.append(m)
         return kernel
 
     def boundaries(level):

@@ -5,7 +5,7 @@ import pytest
 
 from fcplx.barcodes import Bar, Barcode, from_barcode
 from fcplx.complexes import FilteredChainMap, FilteredComplex, make_complex
-from fcplx.f2linalg import F2Vector, _apply
+from fcplx.f2linalg import _apply
 from fcplx.rationals import NEG_INF, POS_INF
 
 
@@ -31,9 +31,8 @@ def boundary_move(rng, f):
             if (gt.degree == gs.degree - 1 and gt.ell <= gs.ell
                     and rng.random() < 0.5):
                 m |= 1 << t
-        cols.append(F2Vector(mask=m))
-    dh = [F2Vector(mask=_apply(T.diff, c.mask) ^ _apply(cols, d.mask))
-          for c, d in zip(cols, S.diff)]
+        cols.append(m)
+    dh = [_apply(T.diff, c) ^ _apply(cols, d) for c, d in zip(cols, S.diff)]
     return f + FilteredChainMap(S, T, dh, 0), cols
 
 
@@ -60,9 +59,9 @@ def serialize(obj):
     if isinstance(obj, FilteredComplex):
         gens = ",".join(f"{g.gid}:{g.degree}:{serialize(g.ell)}"
                         for g in obj.gens)
-        return f"X[{gens}|{','.join(hex(c.mask) for c in obj.diff)}]"
+        return f"X[{gens}|{','.join(hex(c) for c in obj.diff)}]"
     if isinstance(obj, FilteredChainMap):
-        cols = ",".join(hex(c.mask) for c in obj.cols)
+        cols = ",".join(hex(c) for c in obj.cols)
         return (f"M[{serialize(obj.source)}>{serialize(obj.target)}"
                 f"|{obj.degree}|{cols}]")
     if isinstance(obj, dict):

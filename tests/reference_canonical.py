@@ -10,7 +10,7 @@ forms per call.  The tests check `fcplx.fragmentation` against these for
 
 from fcplx.barcodes import Bar, barcode, canonical_form, from_barcode
 from fcplx.complexes import FilteredChainMap, compose
-from fcplx.f2linalg import F2Vector, invert
+from fcplx.f2linalg import _bits, invert
 from fcplx.rationals import POS_INF
 
 
@@ -42,9 +42,9 @@ def reference_iso_to_canonical(X):
     cols = []
     for c in range(X.n):
         m = 0
-        for nb in Uinv.column(c):
+        for nb in _bits(Uinv.column(c)):
             m ^= 1 << assign[nb]
-        cols.append(F2Vector(mask=m))
+        cols.append(m)
     fwd = FilteredChainMap(X, canon, cols, 0)
     back_cols = [None] * canon.n
     for nb, ci in assign.items():
@@ -78,7 +78,7 @@ def reference_canonical_projection(X, target):
         sorted(barcode(target), key=lambda b: (b.degree, b.lo, b.hi))
     ):
         remaining.setdefault(b, []).append(k)
-    cols = [F2Vector()] * canon.n
+    cols = [0] * canon.n
     for k, b in enumerate(
         sorted(barcode(X), key=lambda b: (b.degree, b.lo, b.hi))
     ):
@@ -87,16 +87,10 @@ def reference_canonical_projection(X, target):
             continue
         kt = slots.pop(0)
         if b.hi == POS_INF:
-            cols[canon.index_of(f"i{k}")] = F2Vector(
-                [target.index_of(f"i{kt}")]
-            )
+            cols[canon.index_of(f"i{k}")] = 1 << target.index_of(f"i{kt}")
         else:
-            cols[canon.index_of(f"x{k}")] = F2Vector(
-                [target.index_of(f"x{kt}")]
-            )
-            cols[canon.index_of(f"y{k}")] = F2Vector(
-                [target.index_of(f"y{kt}")]
-            )
+            cols[canon.index_of(f"x{k}")] = 1 << target.index_of(f"x{kt}")
+            cols[canon.index_of(f"y{k}")] = 1 << target.index_of(f"y{kt}")
     proj = FilteredChainMap(canon, target, cols, 0)
     return compose(proj, fx)
 
@@ -132,13 +126,11 @@ def reference_comparison_map(S, T):
     pairs = _in_order_pairs(barcode(S), barcode(T))
     if pairs is None:
         return None
-    cols = [F2Vector()] * S.n
+    cols = [0] * S.n
     for (bsrc, ksrc), (btgt, ktgt) in pairs:
         if bsrc.hi == POS_INF:
-            cols[S.index_of(f"i{ksrc}")] = F2Vector(
-                [T.index_of(f"i{ktgt}")]
-            )
+            cols[S.index_of(f"i{ksrc}")] = 1 << T.index_of(f"i{ktgt}")
         else:
-            cols[S.index_of(f"x{ksrc}")] = F2Vector([T.index_of(f"x{ktgt}")])
-            cols[S.index_of(f"y{ksrc}")] = F2Vector([T.index_of(f"y{ktgt}")])
+            cols[S.index_of(f"x{ksrc}")] = 1 << T.index_of(f"x{ktgt}")
+            cols[S.index_of(f"y{ksrc}")] = 1 << T.index_of(f"y{ktgt}")
     return FilteredChainMap(S, T, cols, 0)

@@ -19,7 +19,7 @@ from fcplx.complexes import (
     nullhomotopy,
     shift_of_map,
 )
-from fcplx.f2linalg import F2SparseMatrix, F2Vector, solve_in_span
+from fcplx.f2linalg import F2SparseMatrix, _bits, solve_in_span
 from fcplx.homsolve import MapSystem
 from fcplx.rationals import NEG_INF, POS_INF, fmt_scalar, is_finite
 
@@ -34,9 +34,9 @@ def postcompose_op(H_in: HomComplex, g: FilteredChainMap,
     for s in range(H_in.X.n):
         for t in range(nY):
             m = 0
-            for z in g.cols[t]:
+            for z in _bits(g.cols[t]):
                 m |= 1 << (s * nZ + z)
-            cols.append(F2Vector(mask=m))
+            cols.append(m)
     return F2SparseMatrix(cols, H_out.complex.n)
 
 
@@ -50,12 +50,12 @@ def precompose_op(H_in: HomComplex, g: FilteredChainMap,
     # over s in supp g(w)
     cols = []
     for s in range(H_in.X.n):
-        hits = [w for w in range(g.source.n) if s in g.cols[w]]
+        hits = [w for w in range(g.source.n) if s in _bits(g.cols[w])]
         for t in range(nY):
             m = 0
             for w in hits:
                 m |= 1 << (w * nY + t)
-            cols.append(F2Vector(mask=m))
+            cols.append(m)
     return F2SparseMatrix(cols, H_out.complex.n)
 
 
@@ -67,7 +67,7 @@ def reference_fill_map(S, T, pre=(), post=()):
     system = MapSystem()
     H = HomComplex(S, T)
     system.unknown("x", H, 0, 0)
-    system.equation(H, [(diff_op(H), "x")], F2Vector())
+    system.equation(H, [(diff_op(H), "x")], 0)
     clauses = [(a, b, bound, HomComplex(a.source, T), precompose_op)
                for a, b, bound in pre]
     clauses += [(a, b, bound, HomComplex(S, a.target), postcompose_op)
@@ -94,12 +94,11 @@ def _boundary_above(f: FilteredChainMap):
             if H.complex.gens[i].ell > k:
                 rowmask |= 1 << i
         cols = [
-            F2Vector(mask=D.columns[j].mask & rowmask)
-            if j in allowed_set else F2Vector()
+            D.columns[j] & rowmask if j in allowed_set else 0
             for j in range(D.ncols)
         ]
         return solve_in_span(F2SparseMatrix(cols, D.nrows),
-                             F2Vector(mask=enc.mask & rowmask), allowed)
+                             enc & rowmask, allowed)
 
     return H, D, enc, allowed, above
 
@@ -148,5 +147,5 @@ def reference_representative_at_level(f: FilteredChainMap, k):
         raise ValueError(
             f"class of the map has no representative at level {fmt_scalar(k)}"
         )
-    corrected = F2Vector(mask=enc.mask ^ D.apply(x).mask)
+    corrected = enc ^ D.apply(x)
     return H.decode(corrected, f.degree)

@@ -18,7 +18,7 @@ from fcplx.complexes import (
     eta_down,
     shift_complex,
 )
-from fcplx.f2linalg import F2Vector, solve_in_span
+from fcplx.f2linalg import solve_in_span
 from fcplx.homsolve import MapSystem
 
 from reference_fill import diff_op, postcompose_op, precompose_op
@@ -47,7 +47,7 @@ def reference_r_inverses(f: FilteredChainMap, r):
     H_k = HomComplex(A, sA)
     sys1.unknown("phi", H_phi, 0, Fraction(0))
     sys1.unknown("k", H_k, -1, Fraction(0))
-    sys1.equation(H_phi, [(diff_op(H_phi), "phi")], F2Vector())
+    sys1.equation(H_phi, [(diff_op(H_phi), "phi")], 0)
     sys1.equation(
         H_k,
         [(precompose_op(H_phi, f, H_k), "phi"), (diff_op(H_k), "k")],
@@ -63,7 +63,7 @@ def reference_r_inverses(f: FilteredChainMap, r):
     H_k2 = HomComplex(sB, B)
     sys2.unknown("psi", H_psi, 0, Fraction(0))
     sys2.unknown("k", H_k2, -1, Fraction(0))
-    sys2.equation(H_psi, [(diff_op(H_psi), "psi")], F2Vector())
+    sys2.equation(H_psi, [(diff_op(H_psi), "psi")], 0)
     sys2.equation(
         H_k2,
         [(postcompose_op(H_psi, f, H_k2), "psi"), (diff_op(H_k2), "k")],

@@ -3,9 +3,9 @@ one int-mask kernel (`fcplx.f2linalg._apply`), unchanged but for their
 names and for taking columns where the methods read `self`.
 
 * `reference_matrix_columns` and `reference_map_columns` are the
-  per-column conversion and range checks of `F2SparseMatrix.__init__`
-  and `FilteredChainMap.__init__`;
-* `reference_apply` is `apply` walking an `F2Vector`'s indices, and
+  per-column range checks of `F2SparseMatrix.__init__` and
+  `FilteredChainMap.__init__`;
+* `reference_apply` is `apply` walking a column's indices, and
   `reference_matmul` is `matmul` as one `apply` per column;
 * `reference_is_closed` compares the two matmuls dT*f and f*dS;
 * `reference_shift_of_map` takes one `Fraction` difference per entry;
@@ -15,29 +15,30 @@ names and for taking columns where the methods read `self`.
 The tests check the kernel-based code against them.
 """
 
-from fcplx.f2linalg import F2Vector
+from fcplx.f2linalg import _bits
 from fcplx.rationals import NEG_INF
 
 
+def _top(c):
+    """Largest index in the support of the column c, or None if zero."""
+    return c.bit_length() - 1 if c else None
+
+
 def reference_matrix_columns(columns, nrows):
-    columns = tuple(
-        c if isinstance(c, F2Vector) else F2Vector(c) for c in columns
-    )
+    columns = tuple(columns)
     for j, c in enumerate(columns):
-        t = c.top()
+        t = _top(c)
         if t is not None and t >= nrows:
             raise ValueError(f"column {j} has index {t} >= nrows {nrows}")
     return columns
 
 
 def reference_map_columns(source, target, cols):
-    cols = tuple(
-        c if isinstance(c, F2Vector) else F2Vector(c) for c in cols
-    )
+    cols = tuple(cols)
     if len(cols) != source.n:
         raise ValueError("one column per source generator required")
     for c in cols:
-        t = c.top()
+        t = _top(c)
         if t is not None and t >= target.n:
             raise ValueError("map column exceeds target size")
     return cols
@@ -45,9 +46,9 @@ def reference_map_columns(source, target, cols):
 
 def reference_apply(columns, x):
     m = 0
-    for j in x:
-        m ^= columns[j].mask
-    return F2Vector(mask=m)
+    for j in _bits(x):
+        m ^= columns[j]
+    return m
 
 
 def reference_matmul(A, B):
@@ -70,7 +71,7 @@ def reference_shift_of_map(f):
     best = NEG_INF
     for j, c in enumerate(f.cols):
         lj = f.source.gens[j].ell
-        for i in c:
+        for i in _bits(c):
             d = f.target.gens[i].ell - lj
             if best == NEG_INF or d > best:
                 best = d

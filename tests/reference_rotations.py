@@ -25,7 +25,6 @@ from fcplx.complexes import (
     translate_inverse,
     translate_map,
 )
-from fcplx.f2linalg import ZERO, F2Vector
 from fcplx.homsolve import fill_map
 from fcplx.rationals import is_finite
 from fcplx.tpc import (
@@ -130,10 +129,10 @@ def reference_octahedron(t1, w1, t2, w2):
     Cres = cone(p, 0)
     C = Cres.complex
     idC = FilteredChainMap.identity(C)
-    d3, wit3 = exact_triangle(p, Cres, idC, idC, 0)
+    d3, wit3 = exact_triangle(p, idC, idC, 0)
     n = C.n
-    wit3 = _certified(wit3, ([F2Vector(mask=1 << (n + j)) for j in range(n)]
-                             + [ZERO] * n, None))
+    wit3 = _certified(wit3, ([1 << (n + j) for j in range(n)] + [0] * n,
+                             None))
 
     K1 = cone(t1.u, 0)
     g2 = compose(t2.u, w1.phi)
@@ -148,10 +147,9 @@ def reference_octahedron(t1, w1, t2, w2):
     nA, nF, nE = A.n, F.n, E.n
 
     def cone_map(K, L, f, hom=None):
-        hcols = [ZERO] * len(f.cols) if hom is None else hom.cols
-        cols = [F2Vector(mask=1 << a) for a in range(nA)] + [
-            F2Vector(mask=(c.mask << nA) | hc.mask)
-            for c, hc in zip(f.cols, hcols)]
+        hcols = [0] * len(f.cols) if hom is None else hom.cols
+        cols = [1 << a for a in range(nA)] + [
+            (c << nA) | hc for c, hc in zip(f.cols, hcols)]
         return FilteredChainMap(K, L, cols, 0)
 
     G = cone_map(C, C_oct.complex, FilteredChainMap.identity(F), h)
@@ -159,8 +157,8 @@ def reference_octahedron(t1, w1, t2, w2):
 
     u4_cols = []
     for i in range(nE):
-        oct_mask = g2.cols[nF + i].mask | (t1.u.cols[i].mask << nA)
-        u4_cols.append(Ghat.apply(F2Vector(mask=oct_mask)))
+        oct_mask = g2.cols[nF + i] | (t1.u.cols[i] << nA)
+        u4_cols.append(Ghat.apply(oct_mask))
     u4 = FilteredChainMap(TE, C, u4_cols, 0)
 
     w_map = cone_map(C_oct.complex, B2.complex, K1.include)

@@ -25,7 +25,7 @@ from fcplx.complexes import (
     translate_map,
     zero_complex,
 )
-from fcplx.f2linalg import ZERO, F2Vector
+from fcplx.f2linalg import _bits
 from fcplx.fragmentation import (
     EMPTY_FAMILY,
     ConeDecomposition,
@@ -78,16 +78,16 @@ def direct_sum(X, Y):
         Generator(right_ids[i], g.degree, g.ell) for i, g in enumerate(Y.gens)
     ]
     off = X.n
-    cols = list(X.diff) + [F2Vector(mask=c.mask << off) for c in Y.diff]
+    cols = list(X.diff) + [c << off for c in Y.diff]
     Z = FilteredComplex(gens, cols)
     inc_l = FilteredChainMap(
-        X, Z, [F2Vector(mask=1 << i) for i in range(X.n)], 0)
+        X, Z, [1 << i for i in range(X.n)], 0)
     inc_r = FilteredChainMap(
-        Y, Z, [F2Vector(mask=1 << (off + i)) for i in range(Y.n)], 0)
+        Y, Z, [1 << (off + i) for i in range(Y.n)], 0)
     proj_l = FilteredChainMap(
-        Z, X, [F2Vector(mask=1 << i) for i in range(X.n)] + [ZERO] * Y.n, 0)
+        Z, X, [1 << i for i in range(X.n)] + [0] * Y.n, 0)
     proj_r = FilteredChainMap(
-        Z, Y, [ZERO] * X.n + [F2Vector(mask=1 << i) for i in range(Y.n)], 0)
+        Z, Y, [0] * X.n + [1 << i for i in range(Y.n)], 0)
     return DirectSum(Z, inc_l, inc_r, proj_l, proj_r)
 
 
@@ -133,9 +133,9 @@ def sum_triangles(t1, w1, t2, w2):
 
     def embed_vec(which, vec):
         mask = 0
-        for i in vec:
+        for i in _bits(vec):
             mask |= 1 << outer_index(which, i)
-        return F2Vector(mask=mask)
+        return mask
 
     phi_cols = [None] * K.complex.n
     for j in range(K1.complex.n):

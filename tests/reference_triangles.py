@@ -27,7 +27,7 @@ from fcplx.complexes import (
     translate_map,
     zero_complex,
 )
-from fcplx.f2linalg import ZERO, F2Vector, _apply
+from fcplx.f2linalg import _apply
 from fcplx.rationals import NEG_INF
 from fcplx.tpc import (
     TriangleWitness,
@@ -164,7 +164,7 @@ def rotate(tri, wit):
     Tu = translate_map(tri.u)
     hv = _v_homotopy(tri, wit)
     phibar = FilteredChainMap(TA, A2.complex, [
-        F2Vector(mask=(p.mask ^ _apply(hv, c.mask)) | c.mask << C.n)
+        (p ^ _apply(hv, c)) | c << C.n
         for p, c in zip(wit.phi.cols[B.n:], tri.u.cols)], 0)
     psibar, _ = r_inverses(phibar, r)
     CR = shift_complex(TA, -r)
@@ -188,7 +188,7 @@ def rotate_negative(tri, wit):
     psi, phi = wit.psi.cols, wit.phi.cols
     low = (1 << nB) - 1
     phi_N = FilteredChainMap(KN.complex, B, tri.u.cols + tuple(
-        F2Vector(mask=c.mask & low) for c in psi), 0)
+        c & low for c in psi), 0)
     c, H = _certificate(tri, wit)
     g, _, b, _ = _contraction_blocks(c, C.n)
     M = _product(b, psi)
@@ -197,7 +197,7 @@ def rotate_negative(tri, wit):
     theta = _sum(_sum(b[:nB], _product(M, phi[:nB])),
                  _product(psi, _v_homotopy(tri, wit)))
     psi_N = FilteredChainMap(shift_complex(B, 2 * r), KN.complex, [
-        F2Vector(mask=t.mask >> nB | v.mask << nA)
+        t >> nB | v << nA
         for t, v in zip(theta, tri.v.cols)], 0)
     ntri = WeightedTriangle(src, A, B, u_N, tri.u, w_N, 2 * r)
     return ntri, TriangleWitness(KN.complex, phi_N, psi_N)
@@ -221,7 +221,7 @@ def octahedron_d4(t1, w1, t2, w2):
     if cert1 is None:
         H1 = homotopic(compose(w1.phi, w1.psi), eta(X, r), 0).cols
     else:
-        H1 = cert1[1] or [ZERO] * X.n
+        H1 = cert1[1] or [0] * X.n
     nA, nF, nE = A.n, F.n, E.n
     u2 = t2.u.cols
     G = FilteredChainMap(C, C_oct.complex,
@@ -229,8 +229,7 @@ def octahedron_d4(t1, w1, t2, w2):
                          0)
     Ghat = G.viewed(C_oct.complex, C, 0)
     u4 = FilteredChainMap(TE, C, [
-        Ghat.apply(F2Vector(mask=g2.cols[nF + i].mask
-                            | (t1.u.cols[i].mask << nA)))
+        Ghat.apply(g2.cols[nF + i] | (t1.u.cols[i] << nA))
         for i in range(nE)], 0)
     w_map = FilteredChainMap(C_oct.complex, B2.complex,
                              _over(nA, K1.include.cols), 0)
@@ -250,7 +249,7 @@ def octahedron_d4(t1, w1, t2, w2):
         B, shift_complex(translate(TE), -(r + s)))
     K4 = cone(u4, 0)
     lam = FilteredChainMap(K4.complex, B2.complex, G.cols + tuple(
-        F2Vector(mask=1 << (nA + nF + e)) for e in range(nE)), 0)
+        1 << (nA + nF + e) for e in range(nE)), 0)
     phi4 = compose(w2.phi, compose(phi_prime, lam))
     psi4 = compose(lam.viewed(B2.complex, K4.complex, 0), psi_pp)
     d4 = WeightedTriangle(TE, C, B, u4, v4, w4, r + s)
@@ -270,7 +269,7 @@ def octahedron_d4(t1, w1, t2, w2):
 def identity_contraction(n):
     """The contraction x -> t.x of cone(phi, 0) = C (+) TK for a phi
     whose matrix is the identity on n generators."""
-    return [F2Vector(mask=1 << (n + j)) for j in range(n)] + [ZERO] * n
+    return [1 << (n + j) for j in range(n)] + [0] * n
 
 
 def certified_contraction_inverse(f, r):
@@ -285,15 +284,15 @@ def certified_contraction_inverse(f, r):
     cols = cf.contraction().columns
     nB = f.target.n
     g = FilteredChainMap(f.target, f.source,
-                         [F2Vector(mask=c.mask >> nB) for c in cols[:nB]], 0)
+                         [c >> nB for c in cols[:nB]], 0)
     low = (1 << nB) - 1
-    return g, (cols, [F2Vector(mask=c.mask & low) for c in cols[:nB]])
+    return g, (cols, [c & low for c in cols[:nB]])
 
 
 def certified_identity_triangle(X):
     u = FilteredChainMap.zero(zero_complex(), X)
     idX = FilteredChainMap.identity(X)
-    tri, wit = exact_triangle(u, cone(u, 0), idX, idX, 0)
+    tri, wit = exact_triangle(u, idX, idX, 0)
     return tri, _certified(wit, (identity_contraction(X.n), None))
 
 
@@ -319,7 +318,7 @@ def certified_eta_slot_triangle(X, r):
     K = cone(u, 0)
     phi = FilteredChainMap.identity(X).viewed(K.complex, X)
     psi = FilteredChainMap.identity(sX).viewed(sX, K.complex)
-    tri, wit = exact_triangle(u, K, phi, psi, r)
+    tri, wit = exact_triangle(u, phi, psi, r)
     return tri, _certified(wit, (identity_contraction(X.n), None))
 
 
@@ -328,7 +327,7 @@ def certified_octahedron_d3(t1, t2):
     Cres = cone(p, 0)
     C = Cres.complex
     idC = FilteredChainMap.identity(C)
-    d3, wit3 = exact_triangle(p, Cres, idC, idC, 0)
+    d3, wit3 = exact_triangle(p, idC, idC, 0)
     return d3, _certified(wit3, (identity_contraction(C.n), None))
 
 
@@ -340,7 +339,7 @@ def certified_zero_apex_step(v, W):
     g, cert = found
     u = FilteredChainMap.zero(zero_complex(), v.source)
     psi = g.viewed(shift_complex(v.target, W), v.source, 0)
-    tri, wit = exact_triangle(u, cone(u, 0), v, psi, W)
+    tri, wit = exact_triangle(u, v, psi, W)
     return tri, _certified(wit, cert)
 
 
@@ -351,7 +350,7 @@ def certified_acyclic_from_zero_step(H):
     W = boundary_depth(B)
     z = zero_complex()
     u = FilteredChainMap.zero(z, z)
-    tri, wit = exact_triangle(u, cone(u, 0), FilteredChainMap.zero(z, H),
+    tri, wit = exact_triangle(u, FilteredChainMap.zero(z, H),
                               FilteredChainMap.zero(shift_complex(H, W), z),
                               W)
     c = cw.contraction().columns
@@ -366,7 +365,7 @@ def certified_collapse_acyclic_triangle(Xp):
     z = zero_complex()
     u = FilteredChainMap.zero(translate_inverse(Xp), z)
     K = cone(u, 0)
-    tri, wit = exact_triangle(u, K, FilteredChainMap.zero(K.complex, z),
+    tri, wit = exact_triangle(u, FilteredChainMap.zero(K.complex, z),
                               FilteredChainMap.zero(z, K.complex), W)
     return tri, _certified(wit, (cw.contraction().columns, None))
 

@@ -30,7 +30,6 @@ from fcplx.complexes import (
     shift_complex,
     translate,
 )
-from fcplx.f2linalg import F2Vector
 from fcplx.fragmentation import (
     _riso_costs,
     acyclic_from_zero_step,
@@ -190,13 +189,13 @@ def _flips(S, T, cols, bound):
     for j, g in enumerate(S.gens):
         for i, h in enumerate(T.gens):
             if T.diff[i] or (h.ell > g.ell + bound
-                             and not cols[j].mask >> i & 1):
+                             and not cols[j] >> i & 1):
                 yield j, i
 
 
 def _flipped(cols, j, i):
     cols = list(cols)
-    cols[j] = F2Vector(mask=cols[j].mask ^ (1 << i))
+    cols[j] = cols[j] ^ (1 << i)
     return cols
 
 

@@ -13,7 +13,7 @@ from fcplx.complexes import (
     make_complex,
     translate,
 )
-from fcplx.f2linalg import F2Vector
+from fcplx.f2linalg import _bits
 from fcplx.homsolve import fill_map
 from fcplx.rationals import POS_INF
 from fcplx.tpc import (
@@ -165,11 +165,11 @@ def _boundary(h):
     cols = []
     for j, c in enumerate(h.cols):
         m = 0
-        for t in c:
-            m ^= Y.diff[t].mask
-        for i in X.diff[j]:
-            m ^= h.cols[i].mask
-        cols.append(F2Vector(mask=m))
+        for t in _bits(c):
+            m ^= Y.diff[t]
+        for i in _bits(X.diff[j]):
+            m ^= h.cols[i]
+        cols.append(m)
     return FilteredChainMap(X, Y, cols, h.degree + 1)
 
 
@@ -185,7 +185,7 @@ def _positive_homotopy(rng, X, Y):
                     and 0 < gt.ell - gs.ell <= cap
                     and rng.random() < 0.3):
                 m |= 1 << t
-        cols.append(F2Vector(mask=m))
+        cols.append(m)
     return FilteredChainMap(X, Y, cols, -1)
 
 

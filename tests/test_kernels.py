@@ -16,7 +16,7 @@ from fcplx.complexes import (
     shift_complex,
     shift_of_map,
 )
-from fcplx.f2linalg import F2SparseMatrix, F2Vector
+from fcplx.f2linalg import F2SparseMatrix, _mask_from_indices
 from fcplx.homsolve import random_closed_map
 from fcplx.rationals import POS_INF
 from fcplx.verify import random_basis_change
@@ -55,7 +55,7 @@ def _random_map(rng, X, Y):
             for t, h in enumerate(Y.gens):
                 if h.degree == g.degree and rng.random() < 0.5:
                     m |= 1 << t
-        cols.append(F2Vector(mask=m))
+        cols.append(m)
     return FilteredChainMap(X, Y, cols, 0)
 
 
@@ -104,7 +104,7 @@ def test_apply_and_matmul_match_the_reference():
     for f, g in MAPS:
         F, G = f.matrix(), g.matrix()
         assert G.matmul(F).columns == reference_matmul(G, F)
-        x = F2Vector(mask=rng.getrandbits(f.source.n) if f.source.n else 0)
+        x = rng.getrandbits(f.source.n) if f.source.n else 0
         assert f.apply(x) == F.apply(x) == reference_apply(f.cols, x)
         if F.nrows != F.ncols:
             with pytest.raises(ValueError, match="shape mismatch"):
@@ -118,40 +118,16 @@ def test_validate_square_records_match_the_reference():
     for f, _ in MAPS:
         for X in (f.source, f.target):
             bad = FilteredComplex(X.gens, [
-                F2Vector(mask=rng.getrandbits(X.n) if X.n else 0)
-                for _ in X.gens])
+                rng.getrandbits(X.n) if X.n else 0 for _ in X.gens])
             for Y in (X, bad):
                 square = [p for p in Y.validate() if p.startswith("d(d(")]
                 assert square == reference_square_failures(Y)
-
-
-KINDS = (list, tuple, set, F2Vector, iter)
 
 
 def _supports(rng, ncols, bound):
     """ncols sorted supports of 0-3 indices below bound."""
     return [sorted(rng.sample(range(bound), rng.randrange(min(3, bound) + 1)))
             for _ in range(ncols)]
-
-
-def _given_as(kinds, supports):
-    """Each support as an iterable of its kind, made fresh per call."""
-    return [kind(s) for kind, s in zip(kinds, supports)]
-
-
-def test_columns_given_as_index_iterables():
-    rng = random.Random(987)
-    for f, _ in MAPS:
-        X, Y = f.source, f.target
-        sup = _supports(rng, X.n, Y.n)
-        kinds = [rng.choice(KINDS) for _ in sup]
-        new = F2SparseMatrix(_given_as(kinds, sup), Y.n).columns
-        assert new == reference_matrix_columns(_given_as(kinds, sup), Y.n)
-        assert all(type(c) is F2Vector for c in new)
-        assert (FilteredChainMap(X, Y, _given_as(kinds, sup)).cols
-                == reference_map_columns(X, Y, _given_as(kinds, sup)))
-        diff = [list(c) for c in X.diff]
-        assert FilteredComplex(X.gens, diff).diff == X.diff
 
 
 def _message(build, *args):
@@ -169,13 +145,9 @@ def test_out_of_range_columns_raise_the_same_message():
         sup = _supports(rng, X.n, Y.n + 3)
         if all(max(c, default=-1) < Y.n for c in sup):
             sup[rng.randrange(X.n)] = [Y.n + rng.randrange(3)]
-        kinds = [rng.choice(KINDS) for _ in sup]
-        assert (_message(F2SparseMatrix, _given_as(kinds, sup), Y.n)
-                == _message(reference_matrix_columns,
-                            _given_as(kinds, sup), Y.n))
-        assert (_message(FilteredChainMap, X, Y, _given_as(kinds, sup))
-                == _message(reference_map_columns, X, Y,
-                            _given_as(kinds, sup)))
-    for build in (lambda c: F2SparseMatrix(c, 4),
-                  lambda c: reference_matrix_columns(c, 4)):
-        assert _message(build, [[1], [-2]]) == "negative index -2"
+        cols = [_mask_from_indices(c) for c in sup]
+        assert (_message(F2SparseMatrix, cols, Y.n)
+                == _message(reference_matrix_columns, cols, Y.n))
+        assert (_message(FilteredChainMap, X, Y, cols)
+                == _message(reference_map_columns, X, Y, cols))
+    assert _message(_mask_from_indices, [1, -2]) == "negative index -2"

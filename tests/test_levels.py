@@ -31,7 +31,7 @@ from fcplx.complexes import (
     translate,
     translate_inverse,
 )
-from fcplx.f2linalg import F2SparseMatrix, F2Vector
+from fcplx.f2linalg import F2SparseMatrix
 from fcplx.rationals import NEG_INF, POS_INF, is_finite
 from fcplx.verify import random_basis_change
 
@@ -82,8 +82,8 @@ COMPLEXES = _complexes(200, 1009)
 def _random_map(rng, X, Y):
     """A map X -> Y of random columns, of any degrees; about a third of
     its columns are zero."""
-    cols = [F2Vector(mask=rng.getrandbits(Y.n) if Y.n and rng.random() < 0.7
-                     else 0) for _ in X.gens]
+    cols = [rng.getrandbits(Y.n) if Y.n and rng.random() < 0.7 else 0
+            for _ in X.gens]
     return FilteredChainMap(X, Y, cols, 0)
 
 
@@ -126,8 +126,7 @@ def test_validate_matches_the_reference():
     bad_levels = 0
     for X in COMPLEXES:
         bad = FilteredComplex(X.gens, [
-            F2Vector(mask=rng.getrandbits(X.n + 2) if X.n else 0)
-            for _ in X.gens])
+            rng.getrandbits(X.n + 2) if X.n else 0 for _ in X.gens])
         for Y in (X, bad):
             assert Y.validate() == reference_validate(Y)
         bad_levels += any("filtration" in p for p in bad.validate())
@@ -161,7 +160,7 @@ def test_canonical_order_and_witness_check_match_the_reference():
             continue
         cols = list(wit.matrix.columns)
         j = rng.randrange(X.n)
-        cols[j] = cols[j] + F2Vector([rng.randrange(X.n)])
+        cols[j] = cols[j] ^ 1 << rng.randrange(X.n)
         bent = CanonicalFormWitness(X, F2SparseMatrix(cols, X.n),
                                     wit.pairs, wit.unpaired)
         assert bent.check() == reference_witness_check(bent)
@@ -183,9 +182,9 @@ def test_hom_pairs_under_a_bound_match_the_reference():
 
 def test_equal_complexes_written_differently_are_equal_and_hash_equal():
     a = FilteredComplex([Generator("a", 0, Fraction(2, 4)),
-                         Generator("b", 1, 3)], [[1], []])
+                         Generator("b", 1, 3)], [1 << 1, 0])
     b = FilteredComplex([Generator("a", 0, Fraction(1, 2)),
-                         Generator("b", 1, Fraction(3))], [[1], []])
+                         Generator("b", 1, Fraction(3))], [1 << 1, 0])
     assert a == b and hash(a) == hash(b)
     assert (a._den, a._lev) == (b._den, b._lev) == (2, (1, 6))
     for X in COMPLEXES[:50]:
@@ -193,7 +192,7 @@ def test_equal_complexes_written_differently_are_equal_and_hash_equal():
         Y = shift_complex(shift_complex(X, r), -r)
         assert Y == X and hash(Y) == hash(X)
     c = FilteredComplex([Generator("a", 0, Fraction(1, 2)),
-                         Generator("b", 1, Fraction(4))], [[1], []])
+                         Generator("b", 1, Fraction(4))], [1 << 1, 0])
     assert c != a
 
 
@@ -202,12 +201,12 @@ def test_levels_that_are_not_rational_are_refused():
     came back as a bar endpoint that entered arithmetic."""
     with pytest.raises(ValueError, match="generator 'a'"):
         FilteredComplex([Generator("a", 0, 0.5),
-                         Generator("b", 1, float("inf"))], [(), ()])
+                         Generator("b", 1, float("inf"))], [0, 0])
     with pytest.raises(ValueError, match="generator 'b'"):
         FilteredComplex([Generator("a", 0, Fraction(1, 2)),
-                         Generator("b", 1, float("inf"))], [(), ()])
+                         Generator("b", 1, float("inf"))], [0, 0])
     with pytest.raises(ValueError, match="generator 'c'"):
-        FilteredComplex([Generator("c", 0, Decimal(1))], [()])
+        FilteredComplex([Generator("c", 0, Decimal(1))], [0])
 
 
 def test_infinity_tests_give_the_old_answer_for_every_kind_of_value():

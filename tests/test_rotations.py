@@ -100,7 +100,7 @@ def _twisted(A, B, rng):
     W = boundary_depth(cone(v, 0).complex)
     g, cert, _ = tpc._contraction_inverse(v, W)
     tri, wit = tpc.exact_triangle(
-        u, K, v, g.viewed(shift_complex(C, W), K.complex, 0), W)
+        u, v, g.viewed(shift_complex(C, W), K.complex, 0), W)
     return tri, tpc._certified(wit, cert)
 
 
@@ -172,7 +172,7 @@ def _moved_apart(rng, tri, wit):
             Hk = tpc._product(wit.phi.cols, k)
             yield "psi moved", tri, tpc._certified(
                 replace(wit, psi=psi), (c, Hk if H is None else [
-                    a + b for a, b in zip(H, Hk)]))
+                    a ^ b for a, b in zip(H, Hk)]))
             break
 
 
@@ -245,7 +245,7 @@ def test_the_moved_witnesses_take_both_solve_paths():
     for t1, w1, _, _ in _rounds():
         nB = t1.B.n
         hv += w1.phi.cols[:nB] != t1.v.cols
-        h1 += any(_apply(w1.phi.cols, c.mask) != 1 << j
+        h1 += any(_apply(w1.phi.cols, c) != 1 << j
                   for j, c in enumerate(w1.psi.cols))
     assert hv >= 5 and h1 >= 5
 

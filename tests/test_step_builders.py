@@ -10,11 +10,12 @@ decompositions `prop51_pipeline` builds for the seed-1 inputs of the
 benchmark's `pipeline` workload."""
 
 import importlib.util
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from fcplx import fragmentation
+from fcplx import complexes, fragmentation
 from fcplx.complexes import shift_complex, zero_complex
 from fcplx.fragmentation import (
     EMPTY_FAMILY,
@@ -60,8 +61,7 @@ def _cert(wit):
     if cert is None:
         return None
     c, H = cert
-    return ([col.mask for col in c],
-            [col.mask for col in H] if H else None)
+    return list(c), list(H) if H else None
 
 
 def _same(built, reference):
@@ -144,13 +144,44 @@ REFERENCE_STEPS = {
 }
 
 
+def _count_calls(monkeypatch, counts, *functions):
+    """Count in `counts`, by name, the calls of each of `functions`
+    through every alias an fcplx module holds."""
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname == "fcplx" or modname.startswith("fcplx."):
+                for attr, obj in list(vars(mod).items()):
+                    if obj is fn:
+                        monkeypatch.setattr(mod, attr, counted)
+
+
+# compose and cone calls of one seed-1 pipeline pass: 156 builds, each
+# validated.  v and w are read off the witness blocks, and a step's
+# cone is its phi's source, so no step composes.
+PIPELINE_WORK = {"compose": 0, "cone": 2992}
+
+
 def test_pipeline_decompositions_match_the_hand_assembled_bodies(
         monkeypatch):
     """Every step of each seed-1 pipeline decomposition, the merged slot
     step (a sum of the parts' certificates) too, and the inverse
-    translation of the decomposition."""
+    translation of the decomposition.  The build and validation of the
+    decompositions make PIPELINE_WORK calls."""
     inputs = _pipeline_inputs()
-    built = [prop51_pipeline(inp["X"], inp["Y"])[1] for inp in inputs]
+    counts = Counter(compose=0, cone=0)
+    _count_calls(monkeypatch, counts, complexes.compose, complexes.cone)
+    built = []
+    for inp in inputs:
+        D = prop51_pipeline(inp["X"], inp["Y"])[1]
+        assert validate_decomposition(D, inp["X"], EMPTY_FAMILY,
+                                      inp["Y"])[0]
+        built.append(D)
+    monkeypatch.undo()
+    assert dict(counts) == PIPELINE_WORK
     for name, body in REFERENCE_STEPS.items():
         monkeypatch.setattr(fragmentation, name, body)
     steps = 0
@@ -162,6 +193,4 @@ def test_pipeline_decompositions_match_the_hand_assembled_bodies(
                 ref.certified_translate_inverse_steps(R.steps))):
             assert _same(*pair)
             steps += 1
-        assert validate_decomposition(D, inp["X"], EMPTY_FAMILY,
-                                      inp["Y"])[0]
     assert steps >= 4 * len(inputs)

@@ -17,7 +17,6 @@ from fcplx.complexes import (
     translate_map,
     zero_complex,
 )
-from fcplx.f2linalg import F2Vector
 from fcplx.tpc import (
     FLAT_WEIGHT,
     PERSISTENCE_WEIGHT,
@@ -150,11 +149,9 @@ def test_conjugating_by_strict_isos_preserves_verification(rng):
                 cols.append(mapped)
             else:
                 a_idx = j - tri.B.n
-                lift = F2Vector(mask=h.cols[a_idx].mask)
-                ta = F2Vector(
-                    mask=fa.cols[a_idx].mask << tri.B.n
-                )
-                cols.append(lift + ta)
+                lift = h.cols[a_idx]
+                ta = fa.cols[a_idx] << tri.B.n
+                cols.append(lift ^ ta)
         kmap = FilteredChainMap(K2.complex, K1.complex, cols, 0)
         assert kmap.is_closed()
         phi2 = compose(fc_inv, compose(wit.phi, kmap))
@@ -166,9 +163,9 @@ def test_conjugating_by_strict_isos_preserves_verification(rng):
                 cols2.append(fb_inv.cols[j])
             else:
                 a_idx = j - tri.B.n
-                lift = F2Vector(mask=h2.cols[a_idx].mask)
-                ta = F2Vector(mask=fa_inv.cols[a_idx].mask << tri.B.n)
-                cols2.append(lift + ta)
+                lift = h2.cols[a_idx]
+                ta = fa_inv.cols[a_idx] << tri.B.n
+                cols2.append(lift ^ ta)
         kmap_inv = FilteredChainMap(K1.complex, K2.complex, cols2, 0)
         psi2 = compose(
             kmap_inv,

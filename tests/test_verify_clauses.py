@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from fcplx.barcodes import Bar, Barcode, from_barcode
 from fcplx.complexes import FilteredChainMap, shift_complex
-from fcplx.f2linalg import ZERO, F2Vector
 from fcplx.homsolve import random_closed_map
 from fcplx.rationals import POS_INF
 from fcplx.tpc import relax_weight, triangle_from_morphism, verify_triangle
@@ -28,19 +27,21 @@ W_NULLHOMOTOPIC = {3}
 
 
 def _elementary(S, T, keep):
-    """The degree-0 maps x_s* (x) y_t: S -> T with keep(x_s, y_t)."""
+    """The maps x_s* (x) y_t: S -> T, declared of degree 0, with
+    keep(x_s, y_t)."""
     for s, gs in enumerate(S.gens):
         for t, gt in enumerate(T.gens):
-            if gt.degree == gs.degree and keep(gs, gt):
-                cols = [ZERO] * S.n
-                cols[s] = F2Vector(mask=1 << t)
+            if keep(gs, gt):
+                cols = [0] * S.n
+                cols[s] = 1 << t
                 yield FilteredChainMap(S, T, cols, 0)
 
 
 def _u_mutation(tri, wit):
     """The u mutation: u plus the first non-closed elementary degree-0
     map A -> B of shift <= 0, when there is one."""
-    for e in _elementary(tri.A, tri.B, lambda gs, gt: gt.ell <= gs.ell):
+    for e in _elementary(tri.A, tri.B, lambda gs, gt: (
+            gt.degree == gs.degree and gt.ell <= gs.ell)):
         if not e.is_closed():
             yield "u", replace(tri, u=tri.u + e), wit, ["u-closed-shift0"]
             break
@@ -50,10 +51,19 @@ def _mutations(tri, wit, w_null):
     """(name, triangle, witness, failed clauses) of each mutation."""
     K = wit.cprime
     yield from _u_mutation(tri, wit)
-    for e in _elementary(K, tri.C, lambda gs, gt: gt.ell > gs.ell):
+    for e in _elementary(K, tri.C, lambda gs, gt: (
+            gt.degree == gs.degree and gt.ell > gs.ell)):
         yield ("phi", tri, replace(wit, phi=wit.phi + e),
                ["phi-closed-shift0"])
         break
+    # an entry of the wrong degree that keeps phi closed and of shift
+    # <= 0: only the degree test rejects it
+    for e in _elementary(K, tri.C, lambda gs, gt: (
+            gt.degree != gs.degree and gt.ell <= gs.ell)):
+        if e.is_closed():
+            yield ("phi-degree", tri, replace(wit, phi=wit.phi + e),
+                   ["phi-closed-shift0"])
+            break
     if tri.weight > 0:
         yield ("psi-on-C", tri, replace(wit, psi=wit.psi.viewed(tri.C, K)),
                ["psi-closed-shift0"])
@@ -75,8 +85,8 @@ def test_each_mutation_fails_exactly_its_clauses():
                 tri, wit, off in W_NULLHOMOTOPIC):
             assert verify_triangle(mtri, mwit) == (False, failed), (off, name)
             seen[name] = seen.get(name, 0) + 1
-    assert seen == {"u": 3, "phi": 13, "psi-on-C": 12, "cprime": 20,
-                    "w": 20, "psi-zero": 20}
+    assert seen == {"u": 3, "phi": 13, "phi-degree": 20, "psi-on-C": 12,
+                    "cprime": 20, "w": 20, "psi-zero": 20}
 
 
 def _scrambled(rng):
