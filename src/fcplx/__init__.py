@@ -10,9 +10,7 @@ from .complexes import (
     HomComplex,
     compose,
     cone,
-    direct_sum,
     eta,
-    hom_complex,
     is_nullhomotopic_within,
     make_complex,
     nullhomotopy,

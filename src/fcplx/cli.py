@@ -188,16 +188,16 @@ def _bundle(path_str, text, load):
         wt = shift_complex(translate(A), -weight)
         w = FilteredChainMap.from_pairs(C, wt, blocks["w"])
         K = cone(u, 0)
-        phi = FilteredChainMap.from_pairs(K.complex, C, blocks["phi"])
+        phi = FilteredChainMap.from_pairs(K, C, blocks["phi"])
         psi = FilteredChainMap.from_pairs(
-            shift_complex(C, weight), K.complex, blocks["psi"]
+            shift_complex(C, weight), K, blocks["psi"]
         )
     except KeyError as exc:
         raise InputError(f"unknown generator {exc.args[0]!r}")
     for name, m in zip(("u", "v", "w", "phi", "psi"), (u, v, w, phi, psi)):
         _valid(m, f"map {name}")
     tri = WeightedTriangle(A, B, C, u, v, w, weight)
-    wit = TriangleWitness(K.complex, phi, psi)
+    wit = TriangleWitness(K, phi, psi)
     return tri, wit
 
 
@@ -260,10 +260,10 @@ def cmd_cone(args):
     f = _read_map(args.mapfile)
     lam = (_given(parse_scalar, args.lam) if args.lam is not None
            else Fraction(0))
-    res = _given(cone, f, lam)
-    B = barcode(res.complex)
-    _emit(args, complex_to_text(res.complex), {
-        "complex": complex_to_text(res.complex),
+    K = _given(cone, f, lam)
+    B = barcode(K)
+    _emit(args, complex_to_text(K), {
+        "complex": complex_to_text(K),
         "bars": _bar_json(B),
     })
     return 0

@@ -140,6 +140,9 @@ class FilteredComplex:
         problems = []
         n, lev = self.n, self._lev
         for i, g in enumerate(self.gens):
+            if self.diff[i] < 0:
+                problems.append(f"d({g.gid}) is a negative column")
+                continue
             for j in _bits(self.diff[i]):
                 if j >= n:
                     problems.append(f"d({g.gid}) hits index {j} out of range")
@@ -352,14 +355,6 @@ def translate_map(f: FilteredChainMap) -> FilteredChainMap:
     return f.viewed(translate(f.source), translate(f.target))
 
 
-class DirectSum(NamedTuple):
-    complex: FilteredComplex
-    include_left: FilteredChainMap
-    include_right: FilteredChainMap
-    project_left: FilteredChainMap
-    project_right: FilteredChainMap
-
-
 def _disambiguate(*id_lists):
     """Ids of a disjoint union, in order: an id already taken by an
     earlier generator is primed until it is free."""
@@ -376,9 +371,11 @@ def _disambiguate(*id_lists):
 
 def sum_complexes(parts):
     """Direct sum of a list of complexes and each part's generator
-    offset.  Bases are concatenated in order and each part's
-    differential is shifted by its offset; the ids are those of the
-    left fold of `direct_sum`."""
+    offset, the one direct-sum constructor.  Bases are concatenated in
+    order and each part's differential is shifted by its offset; an id
+    already taken by an earlier part is primed until it is free.  The
+    inclusion and projection of a part are its blocks by offset,
+    `_inclusion(P, Z, off)` and `_projection(Z, P, off)`."""
     offsets = []
     n = 0
     for p in parts:
@@ -407,13 +404,6 @@ def _projection(Z: FilteredComplex, X: FilteredComplex, off):
     return FilteredChainMap(Z, X, cols, 0)
 
 
-def direct_sum(X: FilteredComplex, Y: FilteredComplex) -> DirectSum:
-    """Disjoint union of bases; colliding right ids get primed."""
-    Z, (_, off) = sum_complexes([X, Y])
-    return DirectSum(Z, _inclusion(X, Z, 0), _inclusion(Y, Z, off),
-                     _projection(Z, X, 0), _projection(Z, Y, off))
-
-
 # ----------------------------------------------------------------------
 # eta comparison maps
 
@@ -438,29 +428,22 @@ def eta_down(X: FilteredComplex, r) -> FilteredChainMap:
 # mapping cones
 
 
-class ConeResult(NamedTuple):
-    complex: FilteredComplex
-    include: FilteredChainMap      # Y -> Cone
-    project: FilteredChainMap      # Cone -> Sigma^lam T X
-
-
-def cone(f: FilteredChainMap, lam=0) -> ConeResult:
+def cone(f: FilteredChainMap, lam=0) -> FilteredComplex:
     """lam-filtered mapping cone of a closed degree-0 map f: X -> Y.
 
     Generators are those of Y followed by those of Sigma^lam T X; the
     differential of an X-part generator is f(x) plus the translated
     d(x).  Requires lam >= shift(f) so the result is filtration-legal.
+    The cone maps are the blocks by offset: `_inclusion(Y, C, 0)` and
+    `_projection(C, Sigma^lam T X, Y.n)`.
     """
     lam = Fraction(lam)
     if f.degree != 0:
         raise ValueError("cone requires a degree-0 map")
     X, Y = f.source, f.target
-    tx = shift_complex(translate(X), lam)
     # a map with no columns is closed and of shift -inf
     if X.is_zero():
-        return ConeResult(
-            Y, FilteredChainMap.identity(Y), FilteredChainMap.zero(Y, tx)
-        )
+        return Y
     if not f.is_closed():
         raise ValueError("cone requires a closed map")
     sh = shift_of_map(f)
@@ -472,6 +455,7 @@ def cone(f: FilteredChainMap, lam=0) -> ConeResult:
     ids = _disambiguate(
         [g.gid for g in Y.gens], ["t." + g.gid for g in X.gens]
     )
+    tx = shift_complex(translate(X), lam)
     gens = list(Y.gens) + [
         Generator(ids[Y.n + i], g.degree, g.ell)
         for i, g in enumerate(tx.gens)
@@ -480,8 +464,7 @@ def cone(f: FilteredChainMap, lam=0) -> ConeResult:
     cols = list(Y.diff)
     for i in range(X.n):
         cols.append(f.cols[i] | X.diff[i] << off)
-    C = FilteredComplex(gens, cols, _joined((Y, tx)))
-    return ConeResult(C, _inclusion(Y, C, 0), _projection(C, tx, Y.n))
+    return FilteredComplex(gens, cols, _joined((Y, tx)))
 
 
 # ----------------------------------------------------------------------
@@ -604,10 +587,6 @@ class HomComplex:
                 continue
             out.append(i)
         return out
-
-
-def hom_complex(X, Y) -> HomComplex:
-    return HomComplex(X, Y)
 
 
 def nullhomotopy(f: FilteredChainMap, bound):

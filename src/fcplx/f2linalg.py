@@ -43,11 +43,15 @@ def _apply(cols, x: int) -> int:
 
 def _columns(cols, nrows):
     """cols as a tuple and the first column with a bit at or above
-    nrows, or None: one OR of the columns shows there is none."""
+    nrows, or None: one OR of the columns shows there is none.  That
+    column being negative (its bits never end) raises ValueError."""
     cols = tuple(cols)
     if not reduce(or_, cols, 0) >> nrows:
         return cols, None
-    return cols, next(j for j, c in enumerate(cols) if c >> nrows)
+    j = next(j for j, c in enumerate(cols) if c >> nrows)
+    if cols[j] < 0:
+        raise ValueError(f"column {j} is negative")
+    return cols, j
 
 
 class F2SparseMatrix:
@@ -77,9 +81,6 @@ class F2SparseMatrix:
 
     def column(self, j) -> int:
         return self.columns[j]
-
-    def entry(self, i, j) -> int:
-        return self.columns[j] >> i & 1
 
     def apply(self, x: int) -> int:
         """Matrix-vector product; x lives in the column index space."""

@@ -239,7 +239,7 @@ def collapse_acyclic_triangle(Xp: FilteredComplex):
     """(T^-1 X', 0, 0) of weight depth(X'); consumes an acyclic slot."""
     z = zero_complex()
     u = FilteredChainMap.zero(translate_inverse(Xp), z)
-    step = _inverse_step(u, FilteredChainMap.zero(cone(u, 0).complex, z))
+    step = _inverse_step(u, FilteredChainMap.zero(cone(u, 0), z))
     if step is None:
         raise ValueError("collapsed object must be acyclic")
     return step
@@ -614,7 +614,7 @@ def _riso_strategy(BX: Barcode, BXp: Barcode, k):
     if m is None:
         return None
     Km = cone(m, 0)
-    mbar = barcode(Km.complex)
+    mbar = barcode(Km)
     if mbar.infinite():
         return None
     rk = boundary_depth(mbar)
@@ -626,12 +626,12 @@ def _riso_strategy(BX: Barcode, BXp: Barcode, k):
     else:
         H, u = _cylinder_helper(Xpc, k)
         Ku = cone(u, 0)
-        if (barcode(Ku.complex).without_zero_length()
+        if (barcode(Ku).without_zero_length()
                 != BSpk.without_zero_length()):
             return None
         steps.append(acyclic_from_zero_step(H))
         steps.append(triangle_from_morphism(u))
-        reached = Ku.complex
+        reached = Ku
     down = compose(m, canonical_projection(reached, BSpk))
     steps.append(zero_apex_step(down, rk))
     return ConeDecomposition(tuple(steps))
@@ -891,7 +891,7 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
         for apex, new_used in apexes:
             for u in enumerate_closed_maps(apex, cur, cap=512):
                 K = cone(u, 0)
-                search(barcode(K.complex).without_zero_length(),
+                search(barcode(K).without_zero_length(),
                        new_used, depth + 1, spent)
         for b, length in bar_pool:
             # the child's own first test, made before its state is built

@@ -48,12 +48,13 @@ from .complexes import (
     _flat,
     _hom_pairs,
     _hom_slice,
+    _inclusion,
     _joined,
     _map_at,
+    _projection,
     compose,
     cone,
     eta,
-    eta_down,
     homotopic,
     nullhomotopy,
     shift_complex,
@@ -115,7 +116,7 @@ def is_r_isomorphism(f: FilteredChainMap, r) -> bool:
     """Shift-0 map whose cone has only finite bars of length <= r."""
     r = Fraction(r)
     _require_iso_input(f)
-    return is_r_acyclic(cone(f, 0).complex, r)
+    return is_r_acyclic(cone(f, 0), r)
 
 
 def contraction_inverse(f: FilteredChainMap, r, rng=None):
@@ -154,7 +155,7 @@ def _contraction_inverse(f, r=None, rng=None):
     _require_iso_input(f)
     if r is not None and r < 0:
         raise ValueError("acyclicity threshold must be >= 0")
-    K = cone(f, 0).complex
+    K = cone(f, 0)
     if rng is not None:
         from .verify import random_basis_change  # verify imports tpc
 
@@ -184,7 +185,7 @@ def r_inverses(f: FilteredChainMap, r, rng=None):
     r = Fraction(r)
     g = contraction_inverse(f, r, rng)
     if g is None:
-        bad = next(b for b in barcode(cone(f, 0).complex)
+        bad = next(b for b in barcode(cone(f, 0))
                    if not b.is_finite() or b.length() > r)
         raise ValueError(
             f"not an {fmt_scalar(r)}-isomorphism; cone carries bar {bad}"
@@ -365,7 +366,7 @@ def _certificate(tri: WeightedTriangle, wit: TriangleWitness, Kphi=None):
     if cert is not None:
         return cert
     r = Fraction(tri.weight)
-    c = _contraction(cone(wit.phi, 0).complex if Kphi is None else Kphi, r)
+    c = _contraction(cone(wit.phi, 0) if Kphi is None else Kphi, r)
     H = homotopic(compose(wit.phi, wit.psi), eta(tri.C, r), 0)
     return c and c[0], False if H is None else H.cols
 
@@ -393,16 +394,16 @@ def verify_triangle(tri: WeightedTriangle, wit: TriangleWitness):
     if failures:
         return False, failures
     K = cone(tri.u, 0)
-    if not _check_clause(failures, "cprime-is-cone", wit.cprime == K.complex):
+    if not _check_clause(failures, "cprime-is-cone", wit.cprime == K):
         return False, failures
     if not _check_clause(failures, "phi-closed-shift0",
-                         _closed_shift0(wit.phi, K.complex, C)):
+                         _closed_shift0(wit.phi, K, C)):
         return False, failures
     sC = shift_complex(C, r)
     if not _check_clause(failures, "psi-closed-shift0",
-                         _closed_shift0(wit.psi, sC, K.complex)):
+                         _closed_shift0(wit.psi, sC, K)):
         return False, failures
-    Kphi = cone(wit.phi, 0).complex
+    Kphi = cone(wit.phi, 0)
     c, H = _certificate(tri, wit, Kphi)
     iso = c is not None and _is_homotopy(
         Kphi, Kphi, c, [1 << j for j in range(Kphi.n)], r)
@@ -445,7 +446,7 @@ def _identity_step(u, W, C=None):
     K = cone(u, 0), are identity matrices; C is K unless given (K is
     then C raised by at most W).  x -> t.x is a contraction of
     cone(phi, 0) = C (+) TK of shift at most W, and phi o psi = eta."""
-    K = cone(u, 0).complex
+    K = cone(u, 0)
     C = K if C is None else C
     ident = FilteredChainMap.identity(K)
     c = [1 << (C.n + j) for j in range(C.n)] + [0] * C.n
@@ -568,7 +569,7 @@ def rotate(tri: WeightedTriangle, wit: TriangleWitness,
     TA = translate(A)
     A2 = cone(tri.v, 0)
     hv = _v_homotopy(tri, wit, "rotate: the witness's v-clause fails")
-    phibar = FilteredChainMap(TA, A2.complex, [
+    phibar = FilteredChainMap(TA, A2, [
         (p ^ _apply(hv, c)) | c << C.n
         for p, c in zip(wit.phi.cols[B.n:], tri.u.cols)], 0)
     try:
@@ -577,7 +578,7 @@ def rotate(tri: WeightedTriangle, wit: TriangleWitness,
         raise AssertionError("rotation comparison is not an r-isomorphism"
                              ) from exc
     rtri, rwit = exact_triangle(
-        tri.v, psibar, phibar.viewed(shift_complex(TA, r), A2.complex), 2 * r)
+        tri.v, psibar, phibar.viewed(shift_complex(TA, r), A2), 2 * r)
     if not try_improve:
         return rtri, rwit
     improved = None
@@ -624,7 +625,7 @@ def rotate_negative(tri: WeightedTriangle, wit: TriangleWitness):
     psi, phi = wit.psi.cols, wit.phi.cols
 
     low = (1 << nB) - 1
-    phi_N = FilteredChainMap(KN.complex, B,
+    phi_N = FilteredChainMap(KN, B,
                              tri.u.cols + tuple(c & low for c in psi), 0)
     c, H = _certificate(tri, wit)
     if c is None or H is False:
@@ -636,7 +637,7 @@ def rotate_negative(tri: WeightedTriangle, wit: TriangleWitness):
     theta = _sum(_sum(b[:nB], _product(M, phi[:nB])), _product(
         psi, _v_homotopy(tri, wit,
                          "rotate_negative: the witness's v-clause fails")))
-    psi_N = FilteredChainMap(shift_complex(B, 2 * r), KN.complex, [
+    psi_N = FilteredChainMap(shift_complex(B, 2 * r), KN, [
         t >> nB | v << nA
         for t, v in zip(theta, tri.v.cols)], 0)
     return exact_triangle(u_N, phi_N, psi_N, 2 * r)
@@ -682,7 +683,7 @@ def sum_triangles_many(parts):
                         shift_complex(translate(SA), -m), offA)
     tri = WeightedTriangle(SA, SB, SC, u, v, w, m)
 
-    K = cone(u, 0).complex
+    K = cone(u, 0)
     phi_cols = [None] * K.n
     psi_cols = []
     for (t, wit), oa, ob, oc in zip(parts, offA, offB, offC):
@@ -844,22 +845,19 @@ def octahedron(t1, w1, t2, w2):
         0)
 
     Bp = cone(t2.u, 0)
-    phi_prime = FilteredChainMap(B2.complex, Bp.complex,
-                                 _over(nA, w1.phi.cols), 0)
+    phi_prime = FilteredChainMap(B2, Bp, _over(nA, w1.phi.cols), 0)
     # phi_prime o psi2 ~ eta by the homotopy t.x -> t.H1(x)
-    psi2 = FilteredChainMap(shift_complex(Bp.complex, r), B2.complex,
+    psi2 = FilteredChainMap(shift_complex(Bp, r), B2,
                             _over(nA, w1.psi.cols,
                                   None if H1 is None else _product(u2, H1)),
                             0)
-    psi3 = w2.psi.viewed(shift_complex(B, r + s),
-                         shift_complex(Bp.complex, r))
+    psi3 = w2.psi.viewed(shift_complex(B, r + s), shift_complex(Bp, r))
 
     K4 = cone(u4, 0)
-    lam = FilteredChainMap(K4.complex, B2.complex,
+    lam = FilteredChainMap(K4, B2,
                            G + [1 << (nA + nF + e) for e in range(nE)], 0)
     phi4 = compose(w2.phi, compose(phi_prime, lam))
-    psi4 = compose(lam.viewed(B2.complex, K4.complex, 0),
-                   compose(psi2, psi3))
+    psi4 = compose(lam.viewed(B2, K4, 0), compose(psi2, psi3))
     d4, wit4 = exact_triangle(u4, phi4, psi4, r + s,
                               _octahedron_certificate(
                                   (c1, H1), (c2, H2), nA, u2, lam.cols,
@@ -937,27 +935,28 @@ def _witness_candidate(u, v, w, W):
     Two-phase linear solve: the comparison map phi (with its clauses,
     the connecting one relaxed to slack W), certified by the barcode of
     its cone, then the right inverse psi: S^W C -> K with phi psi = eta
-    and project psi = w read on S^W C.  Returns a witness or None; only
-    verified candidates are ever reported.
+    and project psi = w read on S^W C.  include and project are the
+    blocks of K = cone(u, 0) = B (+) TA by offset; the slack is project
+    read into w's target.  Returns a witness or None; only verified
+    candidates are ever reported.
     """
     W = Fraction(W)
-    A = u.source
+    A, B = u.source, u.target
     C1 = v.target
     K = cone(u, 0)
     TA = translate(A)
 
-    slack = compose(eta_down(TA, W).viewed(TA, w.target), K.project)
-    phi = fill_map(K.complex, C1, pre=[(K.include, v, 0)],
-                   post=[(w, slack, W)])
-    if phi is None or not is_r_acyclic(cone(phi, 0).complex, W):
+    phi = fill_map(K, C1, pre=[(_inclusion(B, K, 0), v, 0)],
+                   post=[(w, _projection(K, w.target, B.n), W)])
+    if phi is None or not is_r_acyclic(cone(phi, 0), W):
         return None
     sC = shift_complex(C1, W)
-    psi = fill_map(sC, K.complex, post=[
+    psi = fill_map(sC, K, post=[
         (phi, eta(C1, W), 0),
-        (K.project, w.viewed(sC, K.project.target), 0)])
+        (_projection(K, TA, B.n), w.viewed(sC, TA), 0)])
     if psi is None:
         return None
-    return TriangleWitness(K.complex, phi, psi)
+    return TriangleWitness(K, phi, psi)
 
 
 def unstable_weight_upper(u, v, w, grid=None):

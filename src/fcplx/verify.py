@@ -19,15 +19,17 @@ from .rationals import POS_INF, fmt_scalar
 from .complexes import (
     FilteredChainMap,
     FilteredComplex,
+    _inclusion,
+    _projection,
     complex_to_text,
     compose,
     cone,
-    direct_sum,
     is_nullhomotopic_within,
     map_to_text,
     make_complex,
     nullhomotopy,
     shift_complex,
+    sum_complexes,
     translate,
     zero_complex,
 )
@@ -196,14 +198,13 @@ def gen_r_iso(cfg: GenConfig, r, rng: random.Random, source=None):
         if boundary_depth(K) < r:
             # force a bar of exact length r so the level is tight
             lo = rng.choice(cfg.filtration_grid)
-            K = direct_sum(
-                K, from_barcode(Barcode([Bar(0, lo, lo + r)]))
-            ).complex
-    S = direct_sum(A0, K)
+            K = sum_complexes(
+                [K, from_barcode(Barcode([Bar(0, lo, lo + r)]))])[0]
+    S = sum_complexes([A0, K])[0]
     if source is None and rng.random() < 0.5:
-        f, A, B = S.project_left, S.complex, A0
+        f, A, B = _projection(S, A0, 0), S, A0
     else:
-        f, A, B = S.include_left, A0, S.complex
+        f, A, B = _inclusion(A0, S, 0), A0, S
     if source is None:
         A2, fa, _ = random_basis_change(A, rng)
         f, A = compose(f, fa), A2
@@ -406,7 +407,7 @@ def _trial_cone_acyclic_sum(cfg, rng):
     K2 = gen_acyclic(cfg, rng, max_depth=Fraction(2))
     r, s = boundary_depth(K1), boundary_depth(K2)
     f = random_closed_map(K1, K2, rng)
-    C = cone(f, 0).complex
+    C = cone(f, 0)
     if not is_r_acyclic(C, r + s):
         fails.append(
             ("cone-of-acyclics", _payload(K1=K1, K2=K2, f=f,
@@ -592,8 +593,8 @@ def _trial_frag_sum(cfg, rng):
     if DM.total_weight() > va + vb:
         fails.append(("merged-weight-bound", _payload(
             got=DM.total_weight(), cap=va + vb)))
-    tgt = direct_sum(A, B).complex
-    slot = direct_sum(Ap, Bp).complex
+    tgt = sum_complexes([A, B])[0]
+    slot = sum_complexes([Ap, Bp])[0]
     ok, _, probs = validate_decomposition(DM, tgt, EMPTY_FAMILY, slot)
     if not ok:
         fails.append(("merged-validates", _payload(problems=probs)))

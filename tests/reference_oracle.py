@@ -78,7 +78,7 @@ def reference_delta_exact_small(X, Xp, family=EMPTY_FAMILY, depth_budget=3,
         for apex, new_used in apexes:
             for u in enumerate_closed_maps(apex, cur, cap=512):
                 K = cone(u, 0)
-                search(barcode(K.complex).without_zero_length(),
+                search(barcode(K).without_zero_length(),
                        new_used, depth + 1, spent)
         for b, length in bar_pool:
             cost = spent + length

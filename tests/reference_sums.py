@@ -137,21 +137,21 @@ def sum_triangles(t1, w1, t2, w2):
             mask |= 1 << outer_index(which, i)
         return mask
 
-    phi_cols = [None] * K.complex.n
-    for j in range(K1.complex.n):
+    phi_cols = [None] * K.n
+    for j in range(K1.n):
         phi_cols[outer_index(1, j)] = SC.include_left.apply(w1.phi.cols[j])
-    for j in range(K2.complex.n):
+    for j in range(K2.n):
         phi_cols[outer_index(2, j)] = SC.include_right.apply(w2.phi.cols[j])
-    phi = FilteredChainMap(K.complex, SC.complex, phi_cols, 0)
+    phi = FilteredChainMap(K, SC.complex, phi_cols, 0)
 
     psi_cols = [None] * SC.complex.n
     for c in range(t1.C.n):
         psi_cols[c] = embed_vec(1, w1.psi.cols[c])
     for c in range(t2.C.n):
         psi_cols[t1.C.n + c] = embed_vec(2, w2.psi.cols[c])
-    psi = FilteredChainMap(shift_complex(SC.complex, m), K.complex,
+    psi = FilteredChainMap(shift_complex(SC.complex, m), K,
                            psi_cols, 0)
-    return tri, TriangleWitness(K.complex, phi, psi)
+    return tri, TriangleWitness(K, phi, psi)
 
 
 def fold_triangles(parts):
@@ -212,11 +212,11 @@ def reference_prop51_pipeline(X, Y, family=EMPTY_FAMILY):
         K = cone(u, 0)
         tri, twit = triangle_from_morphism(u)
         shifted = from_barcode(Barcode([bx]).shifted(mu))
-        proj = canonical_projection(K.complex, barcode(shifted))
+        proj = canonical_projection(K, barcode(shifted))
         tgt = from_barcode(Barcode([bx]))
         down = compose(
             FilteredChainMap.identity(tgt).viewed(shifted, tgt), proj)
-        blocks.append((tri, twit, H, K.complex, down, tgt, mu))
+        blocks.append((tri, twit, H, K, down, tgt, mu))
     shorts_y = list(wit.short2)
     shorts_x = list(wit.short1)
     SX = from_barcode(Barcode(shorts_x))

@@ -16,6 +16,8 @@ from fractions import Fraction
 from fcplx.barcodes import barcode, boundary_depth, canonical_form
 from fcplx.complexes import (
     FilteredChainMap,
+    _inclusion,
+    _projection,
     compose,
     cone,
     eta,
@@ -75,9 +77,9 @@ def eta_slot_triangle(X, r):
         w, r,
     )
     K = cone(tri.u, 0)
-    phi = FilteredChainMap.identity(X).viewed(K.complex, X)
-    psi = FilteredChainMap.identity(sX).viewed(sX, K.complex)
-    return tri, TriangleWitness(K.complex, phi, psi)
+    phi = FilteredChainMap.identity(X).viewed(K, X)
+    psi = FilteredChainMap.identity(sX).viewed(sX, K)
+    return tri, TriangleWitness(K, phi, psi)
 
 
 def zero_apex_step(Y, Z, v, W):
@@ -127,8 +129,8 @@ def collapse_acyclic_triangle(Xp):
     )
     K = cone(tri.u, 0)
     wit = TriangleWitness(
-        K.complex, FilteredChainMap.zero(K.complex, z),
-        FilteredChainMap.zero(z, K.complex),
+        K, FilteredChainMap.zero(K, z),
+        FilteredChainMap.zero(z, K),
     )
     return tri, wit
 
@@ -137,11 +139,10 @@ def octahedron_d3(t1, t2):
     """The first output of `octahedron(t1, w1, t2, w2)`: the cone
     triangle F -> A -> C -> TF of the composite, at weight 0."""
     p = compose(t2.u, t1.v)
-    Cres = cone(p, 0)
-    C = Cres.complex
+    C = cone(p, 0)
     d3 = WeightedTriangle(
-        t1.B, t2.B, C, p, Cres.include,
-        Cres.project.viewed(C, translate(t1.B)), Fraction(0),
+        t1.B, t2.B, C, p, _inclusion(t2.B, C, 0),
+        _projection(C, translate(t1.B), t2.B.n), Fraction(0),
     )
     wit3 = TriangleWitness(
         C, FilteredChainMap.identity(C), FilteredChainMap.identity(C),
@@ -163,15 +164,16 @@ def rotate(tri, wit):
     A2 = cone(tri.v, 0)
     Tu = translate_map(tri.u)
     hv = _v_homotopy(tri, wit)
-    phibar = FilteredChainMap(TA, A2.complex, [
+    phibar = FilteredChainMap(TA, A2, [
         (p ^ _apply(hv, c)) | c << C.n
         for p, c in zip(wit.phi.cols[B.n:], tri.u.cols)], 0)
     psibar, _ = r_inverses(phibar, r)
     CR = shift_complex(TA, -r)
-    rtri = WeightedTriangle(B, C, CR, tri.v, compose(psibar, A2.include),
+    rtri = WeightedTriangle(B, C, CR, tri.v,
+                            compose(psibar, _inclusion(C, A2, 0)),
                             Tu.viewed(CR, shift_complex(TB, -2 * r)), 2 * r)
-    psi_R = phibar.viewed(shift_complex(TA, r), A2.complex)
-    return rtri, TriangleWitness(A2.complex, psibar, psi_R)
+    psi_R = phibar.viewed(shift_complex(TA, r), A2)
+    return rtri, TriangleWitness(A2, psibar, psi_R)
 
 
 def rotate_negative(tri, wit):
@@ -181,13 +183,13 @@ def rotate_negative(tri, wit):
     A, B, C = tri.A, tri.B, tri.C
     K = cone(tri.u, 0)
     src = translate_inverse(shift_complex(C, r))
-    u_N = compose(K.project, wit.psi).viewed(src, A)
+    u_N = compose(_projection(K, translate(A), B.n), wit.psi).viewed(src, A)
     w_N = tri.v.viewed(B, shift_complex(C, -r))
     KN = cone(u_N, 0)
     nA, nB = A.n, B.n
     psi, phi = wit.psi.cols, wit.phi.cols
     low = (1 << nB) - 1
-    phi_N = FilteredChainMap(KN.complex, B, tri.u.cols + tuple(
+    phi_N = FilteredChainMap(KN, B, tri.u.cols + tuple(
         c & low for c in psi), 0)
     c, H = _certificate(tri, wit)
     g, _, b, _ = _contraction_blocks(c, C.n)
@@ -196,11 +198,11 @@ def rotate_negative(tri, wit):
         M = _sum(M, _product(g, H))
     theta = _sum(_sum(b[:nB], _product(M, phi[:nB])),
                  _product(psi, _v_homotopy(tri, wit)))
-    psi_N = FilteredChainMap(shift_complex(B, 2 * r), KN.complex, [
+    psi_N = FilteredChainMap(shift_complex(B, 2 * r), KN, [
         t >> nB | v << nA
         for t, v in zip(theta, tri.v.cols)], 0)
     ntri = WeightedTriangle(src, A, B, u_N, tri.u, w_N, 2 * r)
-    return ntri, TriangleWitness(KN.complex, phi_N, psi_N)
+    return ntri, TriangleWitness(KN, phi_N, psi_N)
 
 
 def octahedron_d4(t1, w1, t2, w2):
@@ -211,12 +213,13 @@ def octahedron_d4(t1, w1, t2, w2):
     A, B = t2.B, t2.C
     TE = translate(E)
     p = compose(t2.u, t1.v)
-    C = cone(p, 0).complex
+    C = cone(p, 0)
     K1 = cone(t1.u, 0)
     g2 = compose(t2.u, w1.phi)
     B2 = cone(g2, 0)
-    h = compose(t2.u, homotopic(t1.v, compose(w1.phi, K1.include), 0))
-    C_oct = cone(compose(g2, K1.include), 0)
+    include1 = _inclusion(F, K1, 0)
+    h = compose(t2.u, homotopic(t1.v, compose(w1.phi, include1), 0))
+    C_oct = cone(compose(g2, include1), 0)
     cert1 = getattr(w1, "_cert", None)
     if cert1 is None:
         H1 = homotopic(compose(w1.phi, w1.psi), eta(X, r), 0).cols
@@ -224,36 +227,35 @@ def octahedron_d4(t1, w1, t2, w2):
         H1 = cert1[1] or [0] * X.n
     nA, nF, nE = A.n, F.n, E.n
     u2 = t2.u.cols
-    G = FilteredChainMap(C, C_oct.complex,
+    G = FilteredChainMap(C, C_oct,
                          _over(nA, FilteredChainMap.identity(F).cols, h.cols),
                          0)
-    Ghat = G.viewed(C_oct.complex, C, 0)
+    Ghat = G.viewed(C_oct, C, 0)
     u4 = FilteredChainMap(TE, C, [
         Ghat.apply(g2.cols[nF + i] | (t1.u.cols[i] << nA))
         for i in range(nE)], 0)
-    w_map = FilteredChainMap(C_oct.complex, B2.complex,
-                             _over(nA, K1.include.cols), 0)
+    w_map = FilteredChainMap(C_oct, B2,
+                             _over(nA, include1.cols), 0)
     Bp = cone(t2.u, 0)
-    phi_prime = FilteredChainMap(B2.complex, Bp.complex,
+    phi_prime = FilteredChainMap(B2, Bp,
                                  _over(nA, w1.phi.cols), 0)
-    psi2 = FilteredChainMap(shift_complex(Bp.complex, r), B2.complex,
+    psi2 = FilteredChainMap(shift_complex(Bp, r), B2,
                             _over(nA, w1.psi.cols, _product(u2, H1)), 0)
-    theta = B2.project.viewed(B2.complex, translate(K1.complex))
-    t_map = compose(translate_map(K1.project.viewed(
-        K1.complex, translate(E))), theta)
+    theta = _projection(B2, translate(K1), nA)
+    t_map = compose(translate_map(_projection(K1, TE, nF)), theta)
     v4 = compose(w2.phi, compose(phi_prime, compose(w_map, G)))
     psi3v = w2.psi.viewed(shift_complex(B, r + s),
-                          shift_complex(Bp.complex, r))
+                          shift_complex(Bp, r))
     psi_pp = compose(psi2, psi3v)
     w4 = compose(t_map, psi_pp).viewed(
         B, shift_complex(translate(TE), -(r + s)))
     K4 = cone(u4, 0)
-    lam = FilteredChainMap(K4.complex, B2.complex, G.cols + tuple(
+    lam = FilteredChainMap(K4, B2, G.cols + tuple(
         1 << (nA + nF + e) for e in range(nE)), 0)
     phi4 = compose(w2.phi, compose(phi_prime, lam))
-    psi4 = compose(lam.viewed(B2.complex, K4.complex, 0), psi_pp)
+    psi4 = compose(lam.viewed(B2, K4, 0), psi_pp)
     d4 = WeightedTriangle(TE, C, B, u4, v4, w4, r + s)
-    return d4, TriangleWitness(K4.complex, phi4, psi4)
+    return d4, TriangleWitness(K4, phi4, psi4)
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +280,7 @@ def certified_contraction_inverse(f, r):
     when cone(f, 0) has no contraction of shift <= r."""
     r = Fraction(r)
     _require_iso_input(f)
-    bars, cf = canonical_form(cone(f, 0).complex)
+    bars, cf = canonical_form(cone(f, 0))
     if bars.infinite() or boundary_depth(bars) > r:
         return None
     cols = cf.contraction().columns
@@ -302,10 +304,9 @@ def certified_triangle_from_morphism(f):
     A = f.source
     B1 = shift_complex(f.target, -t)
     u = f.viewed(A, B1)
-    K = cone(u, 0)
-    C = K.complex
-    w = K.project.viewed(C, shift_complex(translate(A), -t))
-    tri = WeightedTriangle(A, B1, C, u, K.include, w, t)
+    C = cone(u, 0)
+    w = _projection(C, shift_complex(translate(A), -t), B1.n)
+    tri = WeightedTriangle(A, B1, C, u, _inclusion(B1, C, 0), w, t)
     psi = FilteredChainMap.identity(C).viewed(shift_complex(C, t), C)
     wit = TriangleWitness(C, FilteredChainMap.identity(C), psi)
     return tri, _certified(wit, (identity_contraction(C.n), None))
@@ -316,16 +317,15 @@ def certified_eta_slot_triangle(X, r):
     sX = shift_complex(X, r)
     u = FilteredChainMap.zero(translate_inverse(sX), zero_complex())
     K = cone(u, 0)
-    phi = FilteredChainMap.identity(X).viewed(K.complex, X)
-    psi = FilteredChainMap.identity(sX).viewed(sX, K.complex)
+    phi = FilteredChainMap.identity(X).viewed(K, X)
+    psi = FilteredChainMap.identity(sX).viewed(sX, K)
     tri, wit = exact_triangle(u, phi, psi, r)
     return tri, _certified(wit, (identity_contraction(X.n), None))
 
 
 def certified_octahedron_d3(t1, t2):
     p = compose(t2.u, t1.v)
-    Cres = cone(p, 0)
-    C = Cres.complex
+    C = cone(p, 0)
     idC = FilteredChainMap.identity(C)
     d3, wit3 = exact_triangle(p, idC, idC, 0)
     return d3, _certified(wit3, (identity_contraction(C.n), None))
@@ -365,8 +365,8 @@ def certified_collapse_acyclic_triangle(Xp):
     z = zero_complex()
     u = FilteredChainMap.zero(translate_inverse(Xp), z)
     K = cone(u, 0)
-    tri, wit = exact_triangle(u, FilteredChainMap.zero(K.complex, z),
-                              FilteredChainMap.zero(z, K.complex), W)
+    tri, wit = exact_triangle(u, FilteredChainMap.zero(K, z),
+                              FilteredChainMap.zero(z, K), W)
     return tri, _certified(wit, (cw.contraction().columns, None))
 
 

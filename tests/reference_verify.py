@@ -12,6 +12,8 @@ from fractions import Fraction
 
 from fcplx.barcodes import is_r_acyclic
 from fcplx.complexes import (
+    _inclusion,
+    _projection,
     compose,
     cone,
     eta,
@@ -40,25 +42,26 @@ def verify_triangle(tri, wit):
     if failures:
         return False, failures
     K = cone(tri.u, 0)
-    if not _check_clause(failures, "cprime-is-cone", wit.cprime == K.complex):
+    if not _check_clause(failures, "cprime-is-cone", wit.cprime == K):
         return False, failures
     if not _check_clause(failures, "phi-closed-shift0",
-                         _closed_shift0(wit.phi, K.complex, C)):
+                         _closed_shift0(wit.phi, K, C)):
         return False, failures
     sC = shift_complex(C, r)
     if not _check_clause(failures, "psi-closed-shift0",
-                         _closed_shift0(wit.psi, sC, K.complex)):
+                         _closed_shift0(wit.psi, sC, K)):
         return False, failures
     _check_clause(failures, "phi-r-isomorphism",
-                  is_r_acyclic(cone(wit.phi, 0).complex, r))
+                  is_r_acyclic(cone(wit.phi, 0), r))
     _check_clause(failures, "psi-right-inverse",
                   homotopic(compose(wit.phi, wit.psi), eta(C, r), 0)
                   is not None)
     _check_clause(failures, "v-through-phi",
-                  homotopic(tri.v, compose(wit.phi, K.include), 0)
+                  homotopic(tri.v, compose(wit.phi, _inclusion(B, K, 0)), 0)
                   is not None)
     shifted_w = tri.w.viewed(sC, translate(tri.A))
     _check_clause(failures, "w-through-psi",
-                  homotopic(shifted_w, compose(K.project, wit.psi), 0)
+                  homotopic(shifted_w, compose(
+                      _projection(K, translate(tri.A), B.n), wit.psi), 0)
                   is not None)
     return not failures, failures

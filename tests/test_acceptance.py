@@ -22,10 +22,10 @@ from fcplx.complexes import (
     FilteredChainMap,
     compose,
     cone,
-    direct_sum,
     is_nullhomotopic_within,
     make_complex,
     shift_complex,
+    sum_complexes,
     translate,
     zero_complex,
 )
@@ -145,7 +145,7 @@ def test_criterion_04_iso_composition_and_inverses():
         f, A, B = gen_r_iso(cfg, r, rng)
         g, _, C = gen_r_iso(cfg, s, rng, source=B)
         gf = compose(g, f)
-        K = cone(gf, 0).complex
+        K = cone(gf, 0)
         assert not barcode(K).infinite()
         assert boundary_depth(K) <= r + s
         _, psi = r_inverses(f, r)
@@ -245,9 +245,9 @@ def test_criterion_08_direct_sums():
         vb, Db = delta_upper(B, Bp)
         DM = merge_slot_decompositions(Da, Ap, Db, Bp)
         assert DM.total_weight() <= va + vb
-        tgt = direct_sum(A, B).complex
-        slot = direct_sum(
-            from_barcode(barcode(Ap)), from_barcode(barcode(Bp))).complex
+        tgt = sum_complexes([A, B])[0]
+        slot = sum_complexes(
+            [from_barcode(barcode(Ap)), from_barcode(barcode(Bp))])[0]
         ok, _, probs = validate_decomposition(DM, tgt, EMPTY_FAMILY, slot)
         assert ok, probs
     report(8, "triangle sums take the max weight; summed witnesses give "
@@ -320,7 +320,7 @@ def test_criterion_10_limit_examples():
         assert spectral_invariant(w_r) == r
 
     # self distance vanishes
-    X = direct_sum(interval_free(0), interval_pair(2, 1)).complex
+    X = sum_complexes([interval_free(0), interval_pair(2, 1)])[0]
     v, D = delta_upper(X, X)
     assert v == 0 and validate_decomposition(D, X, EMPTY_FAMILY, X)[0]
 

@@ -86,9 +86,9 @@ def test_barcode_invariant_under_level_preserving_base_change(rng):
 def test_boundary_depth_rules(e2_31):
     assert boundary_depth(interval_free(3)) == 0
     assert boundary_depth(e2_31) == 2
-    from fcplx.complexes import direct_sum
+    from fcplx.complexes import sum_complexes
 
-    S = direct_sum(e2_31, interval_pair(10, 9)).complex
+    S = sum_complexes([e2_31, interval_pair(10, 9)])[0]
     assert boundary_depth(S) == 2
 
 

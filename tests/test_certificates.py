@@ -146,7 +146,7 @@ def _constructions(rng):
 
 def _depth(f):
     """The least W at which the r-isomorphism f is a W-isomorphism."""
-    return boundary_depth(cone(f, 0).complex)
+    return boundary_depth(cone(f, 0))
 
 
 def _all_constructions():
@@ -205,7 +205,7 @@ def test_one_flipped_bit_fails_exactly_its_clause():
     for name, tri, wit in _all_constructions():
         c, H = _cert(wit)
         r = tri.weight
-        Kphi = cone(wit.phi, 0).complex
+        Kphi = cone(wit.phi, 0)
         sC = shift_complex(tri.C, r)
         cands = list(_flips(Kphi, Kphi, c, r))
         for j, i in rng.sample(cands, min(4, len(cands))):

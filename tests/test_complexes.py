@@ -1,19 +1,25 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fcplx
 from fcplx.barcodes import barcode, boundary_depth, is_r_acyclic
 from fcplx.complexes import (
     FilteredChainMap,
     FilteredComplex,
     Generator,
+    HomComplex,
+    _inclusion,
+    _projection,
     compose,
     cone,
     complex_to_text,
-    direct_sum,
     eta,
-    hom_complex,
     is_nullhomotopic_within,
     make_complex,
     nullhomotopy,
@@ -22,6 +28,7 @@ from fcplx.complexes import (
     map_to_text,
     shift_complex,
     shift_of_map,
+    sum_complexes,
     translate,
     translate_inverse,
     zero_complex,
@@ -61,6 +68,44 @@ def test_validate_reports_an_index_out_of_range():
     )
     assert two.validate() == ["d(b) hits index 5 out of range",
                               "d(d(a)) != 0"]
+
+
+NEGATIVE_COLUMNS = """
+from fractions import Fraction
+from fcplx.barcodes import canonical_form
+from fcplx.complexes import FilteredChainMap, FilteredComplex, Generator
+from fcplx.f2linalg import F2SparseMatrix
+
+gens = [Generator("a", 0, Fraction(0)), Generator("b", -1, Fraction(0))]
+X = FilteredComplex(gens, [-2, 1])
+print(X.validate())
+for build in (lambda: canonical_form(X),
+              lambda: F2SparseMatrix([0, -2], 4),
+              lambda: FilteredChainMap(X, X, [0, -1])):
+    try:
+        build()
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_a_negative_column_is_reported_not_walked():
+    """The bits of a negative int never end, so a negative column is a
+    validate record and a ValueError naming it negative, never a walk
+    over its support.  Run apart under a timeout, so that a walk fails
+    the test instead of hanging the suite."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(fcplx.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", NEGATIVE_COLUMNS], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "['d(a) is a negative column', 'd(d(b)) != 0']",
+        "invalid complex: d(a) is a negative column; d(d(b)) != 0",
+        "column 1 is negative",
+        "column 1 is negative",
+    ]
 
 
 def test_shift_of_identity_is_zero(e2_31):
@@ -113,44 +158,78 @@ def test_translation_moves_degrees_down_one():
 
 
 def test_direct_sum_with_zero_is_identity(e2_31):
-    assert direct_sum(e2_31, zero_complex()).complex == e2_31
-    assert direct_sum(zero_complex(), e2_31).complex == e2_31
+    assert sum_complexes([e2_31, zero_complex()]) == (e2_31, [0, e2_31.n])
+    assert sum_complexes([zero_complex(), e2_31]) == (e2_31, [0, 0])
 
 
 def test_direct_sum_barcode_union():
     X = interval_free(2)
     Y = interval_pair(3, 1)
-    S = direct_sum(X, Y).complex
+    S = sum_complexes([X, Y])[0]
     assert barcode(S) == barcode(X).union(barcode(Y))
     assert boundary_depth(S) == max(boundary_depth(X), boundary_depth(Y))
 
 
 def test_direct_sum_inclusions_project_back(e2_31):
-    S = direct_sum(e2_31, interval_free(0))
-    assert compose(S.project_left, S.include_left) == \
+    Y = interval_free(0)
+    S, (_, off) = sum_complexes([e2_31, Y])
+    assert compose(_projection(S, e2_31, 0), _inclusion(e2_31, S, 0)) == \
         FilteredChainMap.identity(e2_31)
-    assert compose(S.project_left, S.include_right).is_zero()
+    assert compose(_projection(S, Y, off), _inclusion(Y, S, off)) == \
+        FilteredChainMap.identity(Y)
+    assert compose(_projection(S, e2_31, 0), _inclusion(Y, S, off)).is_zero()
+    # the two block idempotents add up to the identity of the sum
+    assert compose(_inclusion(e2_31, S, 0), _projection(S, e2_31, 0)) + \
+        compose(_inclusion(Y, S, off), _projection(S, Y, off)) == \
+        FilteredChainMap.identity(S)
+
+
+def test_cone_returns_its_complex_and_builds_no_map(monkeypatch):
+    """cone(f, lam) is Y (+) Sigma^lam T X with the X-part differential
+    f(x) + d(x), as a plain complex: a zero source gives Y itself, a
+    source id that collides is primed, and no map is made."""
+    X = make_complex([("a", 0, 0), ("y", 1, 0)], {"a": ["y"]})
+    Y = make_complex([("t.a", 0, 1), ("y", 1, 1)], {"t.a": ["y"]})
+    f = FilteredChainMap.from_pairs(X, Y, {"a": ["t.a"], "y": ["y"]})
+    z = FilteredChainMap.zero(zero_complex(), Y)
+    built = []
+    init = FilteredChainMap.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FilteredChainMap, "__init__", counting)
+    for lam in (1, Fraction(5, 2)):
+        got = cone(f, lam)
+        assert type(got) is FilteredComplex
+        assert got == make_complex(
+            [("t.a", 0, 1), ("y", 1, 1), ("t.a'", -1, lam), ("t.y", 0, lam)],
+            {"t.a": ["y"], "t.a'": ["t.a", "t.y"], "t.y": ["y"]})
+    for lam in (0, 3):
+        assert cone(z, lam) is Y
+    assert built == []
 
 
 def test_cone_of_zero_map_is_sum_with_translate():
     X, Y = interval_free(1), interval_pair(3, 1)
     C = cone(FilteredChainMap.zero(X, Y), 0)
     want = barcode(Y).union(barcode(translate(X)))
-    assert barcode(C.complex) == want
+    assert barcode(C) == want
 
 
 def test_cone_of_identity_collapses(e2_31):
     C = cone(FilteredChainMap.identity(e2_31), 0)
-    assert C.complex.validate() == []
-    assert is_r_acyclic(C.complex, 0)
+    assert C.validate() == []
+    assert is_r_acyclic(C, 0)
 
 
 def test_cone_of_comparison_map_has_depth_r():
-    X = direct_sum(interval_free(0), interval_pair(2, 1)).complex
+    X = sum_complexes([interval_free(0), interval_pair(2, 1)])[0]
     r = Fraction(5, 4)
     C = cone(eta(X, r), 0)
-    assert is_r_acyclic(C.complex, r)
-    assert not is_r_acyclic(C.complex, r - Fraction(1, 8))
+    assert is_r_acyclic(C, r)
+    assert not is_r_acyclic(C, r - Fraction(1, 8))
 
 
 def test_cone_level_precondition_names_deficit():
@@ -159,27 +238,29 @@ def test_cone_level_precondition_names_deficit():
     f = FilteredChainMap.from_pairs(X, Y, {"x": ["y"]})
     with pytest.raises(ValueError, match="deficit 1"):
         cone(f, 1)
-    assert cone(f, 2).complex.validate() == []
+    assert cone(f, 2).validate() == []
 
 
 def test_cone_triangle_maps_are_closed_and_composable(e2_31):
     f = FilteredChainMap.identity(e2_31)
     C = cone(f, 0)
-    assert C.include.is_closed() and C.project.is_closed()
-    assert compose(C.project, C.include).is_zero()
-    h = is_nullhomotopic_within(compose(C.include, f), 0)
+    include = _inclusion(e2_31, C, 0)
+    project = _projection(C, translate(e2_31), e2_31.n)
+    assert include.is_closed() and project.is_closed()
+    assert compose(project, include).is_zero()
+    h = is_nullhomotopic_within(compose(include, f), 0)
     assert h is not None
     # the standard homotopy: include the source into the translated part
     assert h.degree == -1
 
 
 def test_hom_complex_of_free_intervals():
-    H = hom_complex(interval_free(0), interval_free(0))
+    H = HomComplex(interval_free(0), interval_free(0))
     assert H.complex.n == 1
     g = H.complex.gens[0]
     assert g.degree == 0 and g.ell == 0 and not H.complex.diff[0]
 
-    H2 = hom_complex(interval_free(1), interval_free(Fraction(5, 2)))
+    H2 = HomComplex(interval_free(1), interval_free(Fraction(5, 2)))
     assert H2.complex.gens[0].ell == Fraction(3, 2)
 
 
@@ -188,7 +269,7 @@ def test_hom_differential_matches_bracket(rng):
     for off in range(15):
         X = gen_complex(cfg, cfg.rng(off))
         Y = gen_complex(cfg, cfg.rng(off + 100))
-        H = hom_complex(X, Y)
+        H = HomComplex(X, Y)
         cols = []
         for j in range(X.n):
             cols.append([i for i in range(Y.n) if rng.random() < 0.4
@@ -296,7 +377,7 @@ def test_encode_filtration_equals_map_shift(rng):
         f = random_closed_map(X, Y, rng)
         if f.is_zero():
             continue
-        H = hom_complex(X, Y)
+        H = HomComplex(X, Y)
         assert H.complex.level_of(H.encode(f)) == shift_of_map(f)
 
 
@@ -304,7 +385,7 @@ def test_hom_degree_zero_cycles_are_chain_maps(rng):
     cfg = GenConfig(seed=46, max_generators=3)
     X = gen_complex(cfg, cfg.rng(0))
     Y = gen_complex(cfg, cfg.rng(5))
-    H = hom_complex(X, Y)
+    H = HomComplex(X, Y)
     D = H.complex.diff_matrix()
     for flatset in range(min(1 << H.complex.n, 256)):
         vec = _mask_from_indices(

@@ -13,9 +13,9 @@ from fcplx.barcodes import (
 from fcplx.complexes import (
     FilteredChainMap,
     compose,
-    direct_sum,
     make_complex,
     shift_complex,
+    sum_complexes,
     translate,
     translate_inverse,
     zero_complex,
@@ -154,7 +154,7 @@ def test_sum_decompositions_adds_weights():
     DS = sum_decompositions(DA, DB)
     assert DS.total_weight() == 3
     assert chain_ok(DS)
-    assert barcode(DS.target()) == barcode(direct_sum(A, B).complex)
+    assert barcode(DS.target()) == barcode(sum_complexes([A, B])[0])
 
 
 def test_merge_slot_decompositions_bounds_the_sum():
@@ -165,9 +165,9 @@ def test_merge_slot_decompositions_bounds_the_sum():
     DM = merge_slot_decompositions(Da, Ap, Db, Bp)
     assert chain_ok(DM)
     assert DM.total_weight() <= va + vb
-    tgt = direct_sum(A, B).complex
-    slot = direct_sum(from_barcode(barcode(Ap)),
-                      from_barcode(barcode(Bp))).complex
+    tgt = sum_complexes([A, B])[0]
+    slot = sum_complexes([from_barcode(barcode(Ap)),
+                          from_barcode(barcode(Bp))])[0]
     ok, _, probs = validate_decomposition(DM, tgt, EMPTY_FAMILY, slot)
     assert ok, probs
 
@@ -377,7 +377,7 @@ def test_comparison_map_requires_legal_moves():
 
 def test_slot_bound_for_raised_copies_is_the_shift():
     # building X through the slot of its raised copy costs the shift
-    X = direct_sum(interval_free(0), interval_pair(2, 1)).complex
+    X = sum_complexes([interval_free(0), interval_pair(2, 1)])[0]
     r = Fraction(5, 4)
     v, D = delta_upper(X, shift_complex(X, r))
     assert v == r
@@ -418,7 +418,7 @@ def test_slot_characterization_on_interval_modules():
                 continue
             K = barcode(
                 __import__("fcplx.complexes", fromlist=["cone"]).cone(
-                    m, 0).complex)
+                    m, 0))
             if K.infinite():
                 continue
             best = min(best, k + boundary_depth(K))

@@ -1,6 +1,6 @@
 """No module of the library imports a name it never uses, no private
-top-level function or class goes unused, and no private function has a
-parameter it never reads.  The library imports only the standard
+top-level function or class and no public method goes unused, and no
+private function has a parameter it never reads.  The library imports only the standard
 library and parses as the oldest Python that pyproject.toml admits.
 `fragmentation` builds its steps through the step builders of `tpc`
 and leaves the certificate format to that module."""
@@ -62,6 +62,24 @@ def test_no_unused_private_definitions():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and _private(node.name) and node.name not in used]
     assert trees and not private, private
+
+
+def test_every_public_method_is_used():
+    """Each public method of a library class is read somewhere in the
+    library, the tests, the benchmark or the tools."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [*SRC.glob("*.py"), *(p for d in ("tests", "perfbench", "tools")
+                                  for p in (root / d).rglob("*.py"))]
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in paths]
+    used = set().union(*map(_referenced, trees))
+    dead = [f"{p.name}:{node.lineno}: {cls.name}.{node.name}"
+            for p in sorted(SRC.glob("*.py"))
+            for cls in ast.parse(p.read_text(), filename=str(p)).body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_") and node.name not in used]
+    assert not dead, dead
 
 
 def test_no_unused_parameters_of_private_functions():

@@ -10,12 +10,14 @@ import pytest
 from fcplx.barcodes import Bar, Barcode, barcode, from_barcode, is_r_acyclic
 from fcplx.complexes import (
     FilteredChainMap,
+    _inclusion,
+    _projection,
     compose,
-    direct_sum,
     eta,
     eta_down,
     nullhomotopy,
     shift_of_map,
+    sum_complexes,
 )
 from fcplx.f2linalg import F2SparseMatrix
 from fcplx.fragmentation import zero_apex_step
@@ -60,11 +62,11 @@ def _large_r_iso(rng, r, nbars):
         K = _barcode(rng, rng.randint(0, 3), max_len=r)
         lo = rng.choice(QUARTERS)
         K = from_barcode(Barcode(K.bars + (Bar(0, lo, lo + r),)))
-        S = direct_sum(A0, K)
+        S = sum_complexes([A0, K])[0]
         if rng.random() < 0.5:
-            f, A, B = S.project_left, S.complex, A0
+            f, A, B = _projection(S, A0, 0), S, A0
         else:
-            f, A, B = S.include_left, A0, S.complex
+            f, A, B = _inclusion(A0, S, 0), A0, S
     A2, fa, _ = random_basis_change(A, rng)
     B2, _, gb = random_basis_change(B, rng)
     return compose(gb, compose(f, fa)), A2, B2

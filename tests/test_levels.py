@@ -106,7 +106,7 @@ def test_derived_complexes_keep_the_least_common_denominator():
         r = _level(rng, DENOMINATORS)
         for Z in (translate(X), translate_inverse(X), shift_complex(X, r),
                   shift_complex(shift_complex(X, r), -r),
-                  cone(FilteredChainMap.identity(X), 0).complex,
+                  cone(FilteredChainMap.identity(X), 0),
                   sum_complexes([X, shift_complex(Y, r), X])[0]):
             assert (Z._den, Z._lev) == _scaled(Z.gens)
 

@@ -21,6 +21,8 @@ from fcplx import f2linalg, fragmentation, tpc
 from fcplx.barcodes import Bar, Barcode, boundary_depth, from_barcode
 from fcplx.complexes import (
     FilteredChainMap,
+    _inclusion,
+    _projection,
     compose,
     cone,
     homotopic,
@@ -96,11 +98,11 @@ def _twisted(A, B, rng):
     u = triangle_from_morphism(random_closed_map(A, B, rng))[0].u
     K = cone(u, 0)
     v, _, C = gen_r_iso(CFG, rng.choice(CFG.filtration_grid[:5]), rng,
-                        source=K.complex)
-    W = boundary_depth(cone(v, 0).complex)
+                        source=K)
+    W = boundary_depth(cone(v, 0))
     g, cert, _ = tpc._contraction_inverse(v, W)
     tri, wit = tpc.exact_triangle(
-        u, v, g.viewed(shift_complex(C, W), K.complex, 0), W)
+        u, v, g.viewed(shift_complex(C, W), K, 0), W)
     return tri, tpc._certified(wit, cert)
 
 
@@ -204,7 +206,8 @@ def test_the_negative_rotation_meets_its_w_clause_exactly():
             nt, nw = rotate_negative(tri, wit)
             assert verify_triangle(nt, nw) == VERIFIED
             KN = cone(nt.u, 0)
-            through_psi = compose(KN.project, nw.psi)
+            through_psi = compose(
+                _projection(KN, translate(nt.A), nt.B.n), nw.psi)
             assert through_psi.cols == nt.w.cols
             shifted_w = nt.w.viewed(nw.psi.source, translate(nt.A))
             assert homotopic(shifted_w, through_psi, 0) is not None

@@ -15,7 +15,8 @@ import pytest
 from fcplx.barcodes import Bar, Barcode, from_barcode
 from fcplx.complexes import (
     FilteredChainMap,
-    direct_sum,
+    _inclusion,
+    _projection,
     shift_complex,
     sum_complexes,
     translate,
@@ -205,8 +206,10 @@ def test_sum_complexes_gives_the_fold_ids_and_offsets():
         assert list(offsets) == [sum(p.n for p in parts[:k])
                                  for k in range(len(parts))]
     X = gen_complex(CFG, rng, max_generators=3)
-    assert serialize(direct_sum(X, X)) == serialize(
-        reference_sums.direct_sum(X, X))
+    S, (_, off) = sum_complexes([X, X])
+    assert serialize((S, _inclusion(X, S, 0), _inclusion(X, S, off),
+                      _projection(S, X, 0), _projection(S, X, off))
+                     ) == serialize(reference_sums.direct_sum(X, X))
 
 
 def test_parts_with_different_u_degrees_do_not_sum():

@@ -6,13 +6,13 @@ from fcplx.complexes import (
     FilteredChainMap,
     compose,
     cone,
-    direct_sum,
     eta,
     eta_down,
     homotopic,
     make_complex,
     shift_complex,
     shift_of_map,
+    sum_complexes,
     translate,
     zero_complex,
 )
@@ -75,7 +75,7 @@ def test_identity_is_zero_isomorphism(e2_31):
 
 
 def test_comparison_map_is_r_isomorphism():
-    X = direct_sum(interval_free(0), interval_pair(2, 1)).complex
+    X = sum_complexes([interval_free(0), interval_pair(2, 1)])[0]
     r = Fraction(3, 2)
     assert is_r_isomorphism(eta(X, r), r)
     assert not is_r_isomorphism(eta(X, r), r - Fraction(1, 8))
@@ -106,7 +106,7 @@ def test_inverses_of_identity_are_identities(e2_31):
 
 
 def test_inverse_contracts_for_comparison_map():
-    X = direct_sum(interval_pair(2, 0), interval_free(1)).complex
+    X = sum_complexes([interval_pair(2, 0), interval_free(1)])[0]
     r = Fraction(2)
     f = eta(X, r)
     phi, psi = r_inverses(f, r)

@@ -5,14 +5,16 @@ import pytest
 from fcplx.barcodes import barcode, boundary_depth, is_r_acyclic
 from fcplx.complexes import (
     FilteredChainMap,
+    _inclusion,
+    _projection,
     compose,
     cone,
-    direct_sum,
     eta,
     homotopic,
     make_complex,
     shift_complex,
     shift_of_map,
+    sum_complexes,
     translate,
     translate_map,
     zero_complex,
@@ -142,7 +144,7 @@ def test_conjugating_by_strict_isos_preserves_verification(rng):
         h = homotopic(compose(fb, u2), compose(tri.u, fa), 0)
         assert h is not None
         cols = []
-        for j in range(K2.complex.n):
+        for j in range(K2.n):
             if j < tri.B.n:
                 vec = fb.cols[j]
                 mapped = vec
@@ -152,13 +154,13 @@ def test_conjugating_by_strict_isos_preserves_verification(rng):
                 lift = h.cols[a_idx]
                 ta = fa.cols[a_idx] << tri.B.n
                 cols.append(lift ^ ta)
-        kmap = FilteredChainMap(K2.complex, K1.complex, cols, 0)
+        kmap = FilteredChainMap(K2, K1, cols, 0)
         assert kmap.is_closed()
         phi2 = compose(fc_inv, compose(wit.phi, kmap))
         # choose the inverse comparison for psi
         h2 = homotopic(compose(fb_inv, tri.u), compose(u2, fa_inv), 0)
         cols2 = []
-        for j in range(K1.complex.n):
+        for j in range(K1.n):
             if j < tri.B.n:
                 cols2.append(fb_inv.cols[j])
             else:
@@ -166,14 +168,14 @@ def test_conjugating_by_strict_isos_preserves_verification(rng):
                 lift = h2.cols[a_idx]
                 ta = fa_inv.cols[a_idx] << tri.B.n
                 cols2.append(lift ^ ta)
-        kmap_inv = FilteredChainMap(K1.complex, K2.complex, cols2, 0)
+        kmap_inv = FilteredChainMap(K1, K2, cols2, 0)
         psi2 = compose(
             kmap_inv,
             compose(wit.psi, fc.viewed(
                 shift_complex(C2, r), shift_complex(tri.C, r))),
         )
         ok, fails = verify_triangle(tri2, TriangleWitness(
-            K2.complex, phi2, psi2))
+            K2, phi2, psi2))
         assert ok, fails
 
 
@@ -296,9 +298,9 @@ def test_translation_preserves_triangles_and_weights():
         )
         K2 = cone(tri2.u, 0)
         wit2 = TriangleWitness(
-            K2.complex,
-            wit.phi.viewed(K2.complex, C2),
-            wit.psi.viewed(shift_complex(C2, r), K2.complex),
+            K2,
+            wit.phi.viewed(K2, C2),
+            wit.psi.viewed(shift_complex(C2, r), K2),
         )
         ok, fails = verify_triangle(tri2, wit2)
         assert ok, fails
@@ -307,7 +309,7 @@ def test_translation_preserves_triangles_and_weights():
 def test_comparison_roundtrip_reaches_triple_shift():
     # morphisms between a weighted triangle and its cone model compose
     # to the canonical comparison at three times the weight
-    X = direct_sum(interval_pair(2, 0), interval_free(1)).complex
+    X = sum_complexes([interval_pair(2, 0), interval_free(1)])[0]
     r = Fraction(1)
     tri, wit = triangle_from_morphism(up_shift_map(X, r))
     K = cone(tri.u, 0)
@@ -318,10 +320,10 @@ def test_comparison_roundtrip_reaches_triple_shift():
     # and the reverse composition lands at eta_{3r} on the nose
     psi3 = wit.psi.viewed(
         shift_complex(tri.C, 3 * r),
-        shift_complex(K.complex, 2 * r),
+        shift_complex(K, 2 * r),
     )
     phi3 = wit.phi.viewed(
-        shift_complex(K.complex, 2 * r), shift_complex(tri.C, 2 * r)
+        shift_complex(K, 2 * r), shift_complex(tri.C, 2 * r)
     )
     both = compose(phi3, psi3)
     e3 = eta(tri.C, 3 * r).viewed(both.source, shift_complex(tri.C, 2 * r))
@@ -337,7 +339,7 @@ def test_cone_of_map_between_acyclics_is_sum_acyclic():
         K1 = gen_acyclic(cfg, rng, max_depth=Fraction(2))
         K2 = gen_acyclic(cfg, rng, max_depth=Fraction(2))
         f = random_closed_map(K1, K2, rng)
-        C = cone(f, 0).complex
+        C = cone(f, 0)
         assert is_r_acyclic(C, boundary_depth(K1) + boundary_depth(K2))
 
 
@@ -409,11 +411,11 @@ def test_fill_between_iso_legs_is_an_isomorphism():
         __import__("fcplx.barcodes", fromlist=["boundary_depth"])
         .boundary_depth(K2),
     )
-    SA = direct_sum(A1, K1)
-    SB = direct_sum(B1, K2)
-    f, g = SA.include_left, SB.include_left
+    SA = sum_complexes([A1, K1])[0]
+    SB = sum_complexes([B1, K2])[0]
+    f, g = _inclusion(A1, SA, 0), _inclusion(B1, SB, 0)
     u1 = random_closed_map(A1, B1, rng)
-    u2 = compose(SB.include_left, compose(u1, SA.project_left))
+    u2 = compose(g, compose(u1, _projection(SA, A1, 0)))
     t1, w1 = triangle_from_morphism(u1)
     t2, w2 = triangle_from_morphism(u2)
     h = fill_morphism(t1, w1, t2, w2, f, g)
@@ -450,5 +452,5 @@ def test_cone_acyclicity_law_over_two_hundred_instances():
         K1 = gen_acyclic(cfg, rng, max_depth=Fraction(3, 2), max_bars=2)
         K2 = gen_acyclic(cfg, rng, max_depth=Fraction(3, 2), max_bars=2)
         f = random_closed_map(K1, K2, rng)
-        C = cone(f, 0).complex
+        C = cone(f, 0)
         assert is_r_acyclic(C, boundary_depth(K1) + boundary_depth(K2))
