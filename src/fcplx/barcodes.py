@@ -50,6 +50,13 @@ class Barcode:
             self, "bars", tuple(sorted(Bar(*b) for b in bars))
         )
 
+    @classmethod
+    def _of_sorted(cls, bars):
+        """The barcode of a tuple of Bars already in bar order."""
+        B = object.__new__(cls)
+        object.__setattr__(B, "bars", bars)
+        return B
+
     def __setattr__(self, name, value):
         raise AttributeError("Barcode is immutable")
 
@@ -185,11 +192,14 @@ def canonical_form(X: FilteredComplex):
     track = [1 << p for p in range(n)]
     owner = _eliminate(cols, track)
 
-    bars = []
+    # each bar as (degree, lo, infinite?, hi) on X's ints: these sort as
+    # the bars do
+    keys = []
     pairs = []
     unpaired = []
     new_basis = [None] * n
     pivot_rows = set(owner)
+    deg, lev = X._deg, X._lev
     for p in range(n):
         if cols[p]:
             piv = cols[p].bit_length() - 1
@@ -197,19 +207,21 @@ def canonical_form(X: FilteredComplex):
             pairs.append((x_orig, y_orig))
             new_basis[y_orig] = to_orig(track[p])
             new_basis[x_orig] = to_orig(cols[p])
-            bars.append(
-                Bar(X.gens[x_orig].degree, X.gens[x_orig].ell,
-                    X.gens[y_orig].ell)
-            )
+            keys.append((deg[x_orig], lev[x_orig], False, lev[y_orig]))
         elif p not in pivot_rows:
             g = order[p]
             unpaired.append(g)
             new_basis[g] = to_orig(track[p])
-            bars.append(Bar(X.gens[g].degree, X.gens[g].ell, POS_INF))
+            keys.append((deg[g], lev[g], True, 0))
+    keys.sort()
+    # every level is a bar end: one Fraction per distinct level
+    end = {v: Fraction(v, X._den) for v in set(lev)}
+    bars = tuple(Bar(d, end[lo], POS_INF if inf else end[hi])
+                 for d, lo, inf, hi in keys)
     witness = CanonicalFormWitness(
         X, F2SparseMatrix(new_basis, n), pairs, unpaired
     )
-    return Barcode(bars), witness
+    return Barcode._of_sorted(bars), witness
 
 
 def barcode(X: FilteredComplex) -> Barcode:

@@ -16,7 +16,7 @@ Degree conventions used throughout:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .f2linalg import (
@@ -43,46 +43,92 @@ def _scaled(gens):
         if not isinstance(g.ell, (int, Fraction)):
             raise ValueError(f"generator {g.gid!r}: level {g.ell!r} is not "
                              "an int or Fraction")
-    den = lcm(*{g.ell.denominator for g in gens})
-    return den, tuple(g.ell.numerator * (den // g.ell.denominator)
-                      for g in gens)
+    return _over_lcd([g.ell for g in gens])
 
 
-def _joined(parts):
-    """The scale of the generators of `parts`, in order: the lcm of
-    their `_den` is again the least common denominator."""
-    den = lcm(*(p._den for p in parts))
-    return den, tuple(v * (den // p._den) for p in parts for v in p._lev)
+def _over_lcd(levels):
+    """Fraction levels as ints over their least common denominator."""
+    den = lcm(*{v.denominator for v in levels})
+    return den, tuple(v.numerator * (den // v.denominator) for v in levels)
+
+
+def _shifted(den, lev, r):
+    """The levels lev / den plus the Fraction r, again as ints over their
+    least common denominator: dividing out the gcd of the numerators
+    keeps equal complexes hashing equally."""
+    if not r:
+        return den, lev
+    d = lcm(den, r.denominator)
+    a, top = d // den, r.numerator * (d // r.denominator)
+    lev = [v * a + top for v in lev]
+    g = gcd(d, *lev)
+    if g == 1:
+        return d, tuple(lev)
+    return d // g, tuple(v // g for v in lev)
+
+
+def _joined(scales):
+    """The (den, lev) of generators concatenated from parts of the given
+    (den, lev) scales: the lcm of their least common denominators is
+    again the least common denominator."""
+    den = lcm(*(d for d, _ in scales))
+    return den, tuple(v * (den // d) for d, lev in scales for v in lev)
+
+
+def _unique_index(ids):
+    """{id: position}, refusing a repeated id."""
+    index = {}
+    for i, gid in enumerate(ids):
+        if gid in index:
+            raise ValueError(f"duplicate generator id {gid!r}")
+        index[gid] = i
+    return index
 
 
 class FilteredComplex:
     """Immutable filtered cochain complex with a distinguished basis.
 
-    Hot loops compare `_lev`, the levels scaled to the common
-    denominator `_den`, instead of the `Fraction` levels.  Constructions
-    that read their levels off other complexes pass that pair as
-    `_scale` instead of having it derived again."""
+    A complex holds its generators as the tuples `_ids` and `_deg` and
+    their levels as ints `_lev` over the least common denominator
+    `_den`; all internal code reads those.  The public `gens`, one
+    `Generator` with a `Fraction` level per generator, is built on its
+    first read and kept.  Constructions that read their parts off other
+    complexes build through `_from_parts`."""
 
-    __slots__ = ("gens", "diff", "_index", "_hash", "_den", "_lev")
+    __slots__ = ("_ids", "_deg", "_den", "_lev", "diff", "_gens", "_index",
+                 "_hash")
 
-    def __init__(self, gens, diff, _scale=None):
+    def __init__(self, gens, diff):
         gens, diff = tuple(gens), tuple(diff)
         if len(diff) != len(gens):
             raise ValueError("one differential column per generator required")
-        index = {}
-        for i, g in enumerate(gens):
-            if g.gid in index:
-                raise ValueError(f"duplicate generator id {g.gid!r}")
-            index[g.gid] = i
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "diff", diff)
-        object.__setattr__(self, "_index", index)
-        den, lev = _scale or _scaled(gens)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_lev", lev)
+        ids = tuple(g.gid for g in gens)
+        index = _unique_index(ids)
+        den, lev = _scaled(gens)
+        self._set(ids, tuple(g.degree for g in gens), den, lev, diff, index)
+        object.__setattr__(self, "_gens", gens)
+
+    @classmethod
+    def _from_parts(cls, ids, deg, den, lev, diff, index=None):
+        """A complex of the given parts, with no check: ids distinct,
+        one entry per generator in each, den the least common
+        denominator of the levels lev / den."""
+        X = object.__new__(cls)
+        X._set(ids, deg, den, lev, tuple(diff), index)
+        return X
+
+    def _set(self, ids, deg, den, lev, diff, index):
+        put = object.__setattr__
+        put(self, "_ids", ids)
+        put(self, "_deg", deg)
+        put(self, "_den", den)
+        put(self, "_lev", lev)
+        put(self, "diff", diff)
+        put(self, "_gens", None)
+        put(self, "_index", index)
         # _den is the least common denominator, never a multiple of it,
         # so equal complexes have equal _den and _lev
-        object.__setattr__(self, "_hash", hash((lev, den, diff)))
+        put(self, "_hash", hash((lev, den, diff)))
 
     def __setattr__(self, name, value):
         raise AttributeError("FilteredComplex is immutable")
@@ -90,31 +136,44 @@ class FilteredComplex:
     # -- basic views ---------------------------------------------------
 
     @property
+    def gens(self):
+        """The generators as `Generator`s, built on first read."""
+        gens = self._gens
+        if gens is None:
+            den, lev = self._den, self._lev
+            ell = {v: Fraction(v, den) for v in set(lev)}
+            gens = tuple(map(Generator, self._ids, self._deg,
+                             map(ell.__getitem__, lev)))
+            object.__setattr__(self, "_gens", gens)
+        return gens
+
+    @property
     def n(self) -> int:
-        return len(self.gens)
+        return len(self._ids)
 
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self._ids
 
     def index_of(self, gid: str) -> int:
+        if self._index is None:
+            object.__setattr__(self, "_index",
+                               {g: i for i, g in enumerate(self._ids)})
         return self._index[gid]
 
     def degree(self, i) -> int:
-        return self.gens[i].degree
+        return self._deg[i]
 
     def ell(self, i) -> Fraction:
-        return self.gens[i].ell
+        return Fraction(self._lev[i], self._den)
 
     def diff_matrix(self) -> F2SparseMatrix:
         return F2SparseMatrix(self.diff, self.n)
 
     def level_of(self, vec: int):
         """Filtration level of an element: max over the support."""
-        lev = NEG_INF
-        for i in _bits(vec):
-            if lev == NEG_INF or self.gens[i].ell > lev:
-                lev = self.gens[i].ell
-        return lev
+        lev = self._lev
+        top = max(_bits(vec), key=lev.__getitem__, default=None)
+        return NEG_INF if top is None else self.ell(top)
 
     def __eq__(self, other):
         if self is other:
@@ -123,7 +182,10 @@ class FilteredComplex:
         return (
             isinstance(other, FilteredComplex)
             and self._hash == other._hash
-            and self.gens == other.gens
+            and self._lev == other._lev
+            and self._den == other._den
+            and self._deg == other._deg
+            and self._ids == other._ids
             and self.diff == other.diff
         )
 
@@ -138,46 +200,48 @@ class FilteredComplex:
     def validate(self):
         """All invariant violations, as human-readable records."""
         problems = []
-        n, lev = self.n, self._lev
-        for i, g in enumerate(self.gens):
-            if self.diff[i] < 0:
-                problems.append(f"d({g.gid}) is a negative column")
+        ids, deg, lev, diff = self._ids, self._deg, self._lev, self.diff
+        n = len(ids)
+        for i, c in enumerate(diff):
+            if c < 0:
+                problems.append(f"d({ids[i]}) is a negative column")
                 continue
-            for j in _bits(self.diff[i]):
+            for j in _bits(c):
                 if j >= n:
-                    problems.append(f"d({g.gid}) hits index {j} out of range")
+                    problems.append(f"d({ids[i]}) hits index {j} out of range")
                     continue
-                h = self.gens[j]
-                if h.degree != g.degree + 1:
+                if deg[j] != deg[i] + 1:
                     problems.append(
-                        f"degree violation: d({g.gid}) contains {h.gid} "
-                        f"of degree {h.degree}, expected {g.degree + 1}"
+                        f"degree violation: d({ids[i]}) contains {ids[j]} "
+                        f"of degree {deg[j]}, expected {deg[i] + 1}"
                     )
                 if lev[j] > lev[i]:
                     problems.append(
-                        f"filtration violation: d({g.gid}) contains {h.gid} "
-                        f"with level {fmt_scalar(h.ell)} > {fmt_scalar(g.ell)}"
+                        f"filtration violation: d({ids[i]}) contains "
+                        f"{ids[j]} with level {fmt_scalar(self.ell(j))} > "
+                        f"{fmt_scalar(self.ell(i))}"
                     )
         # d(d(g)) is only defined where d(g) stays in range
-        for g, c in zip(self.gens, self.diff):
-            if not c >> n and _apply(self.diff, c):
-                problems.append(f"d(d({g.gid})) != 0")
+        for gid, c in zip(ids, diff):
+            if not c >> n and _apply(diff, c):
+                problems.append(f"d(d({gid})) != 0")
         return problems
 
 
 def make_complex(gen_triples, boundaries=None) -> FilteredComplex:
     """Build a complex from (id, degree, level) triples and id-level
     boundary data {src: iterable of target ids}."""
-    gens = tuple(
-        Generator(gid, int(d), Fraction(ell)) for gid, d, ell in gen_triples
-    )
-    index = {g.gid: i for i, g in enumerate(gens)}
-    cols = []
+    ids, deg, levels = [], [], []
+    for gid, d, ell in gen_triples:
+        ids.append(gid)
+        deg.append(int(d))
+        levels.append(ell if type(ell) is Fraction else Fraction(ell))
+    index = _unique_index(ids)
     boundaries = boundaries or {}
-    for g in gens:
-        tgts = boundaries.get(g.gid, ())
-        cols.append(_mask_from_indices(index[t] for t in tgts))
-    return FilteredComplex(gens, cols)
+    cols = [_mask_from_indices(index[t] for t in boundaries.get(gid, ()))
+            for gid in ids]
+    return FilteredComplex._from_parts(tuple(ids), tuple(deg),
+                                       *_over_lcd(levels), cols, index)
 
 
 def zero_complex() -> FilteredComplex:
@@ -218,10 +282,9 @@ class FilteredChainMap:
     @classmethod
     def from_pairs(cls, source, target, pairs, degree=0):
         """pairs: {source id: iterable of target ids}."""
-        cols = []
-        for g in source.gens:
-            tgts = pairs.get(g.gid, ())
-            cols.append(_mask_from_indices(target.index_of(t) for t in tgts))
+        cols = [_mask_from_indices(target.index_of(t)
+                                   for t in pairs.get(gid, ()))
+                for gid in source._ids]
         return cls(source, target, cols, degree)
 
     def matrix(self) -> F2SparseMatrix:
@@ -273,20 +336,19 @@ class FilteredChainMap:
             degree = self.degree
             for j, c in enumerate(self.cols):
                 if c:
-                    degree = (target.degree(c.bit_length() - 1)
-                              - source.degree(j))
+                    degree = (target._deg[c.bit_length() - 1]
+                              - source._deg[j])
                     break
         return FilteredChainMap(source, target, self.cols, degree)
 
     def validate(self):
         problems = []
+        S, T = self.source, self.target
         for j, c in enumerate(self.cols):
-            g = self.source.gens[j]
             for i in _bits(c):
-                h = self.target.gens[i]
-                if h.degree != g.degree + self.degree:
+                if T._deg[i] != S._deg[j] + self.degree:
                     problems.append(
-                        f"map degree violation on {g.gid} -> {h.gid}"
+                        f"map degree violation on {S._ids[j]} -> {T._ids[i]}"
                     )
         return problems
 
@@ -330,25 +392,20 @@ def shift_complex(X: FilteredComplex, r) -> FilteredComplex:
     r = Fraction(r)
     if r == 0:
         return X
-    return FilteredComplex(
-        tuple(Generator(g.gid, g.degree, g.ell + r) for g in X.gens),
-        X.diff,
-    )
+    return FilteredComplex._from_parts(X._ids, X._deg,
+                                       *_shifted(X._den, X._lev, r),
+                                       X.diff, X._index)
 
 
 def translate(X: FilteredComplex) -> FilteredComplex:
     """T: lower every generator degree by 1; levels and d unchanged."""
-    return FilteredComplex(
-        tuple(Generator(g.gid, g.degree - 1, g.ell) for g in X.gens),
-        X.diff, (X._den, X._lev),
-    )
+    return FilteredComplex._from_parts(X._ids, tuple(d - 1 for d in X._deg),
+                                       X._den, X._lev, X.diff, X._index)
 
 
 def translate_inverse(X: FilteredComplex) -> FilteredComplex:
-    return FilteredComplex(
-        tuple(Generator(g.gid, g.degree + 1, g.ell) for g in X.gens),
-        X.diff, (X._den, X._lev),
-    )
+    return FilteredComplex._from_parts(X._ids, tuple(d + 1 for d in X._deg),
+                                       X._den, X._lev, X.diff, X._index)
 
 
 def translate_map(f: FilteredChainMap) -> FilteredChainMap:
@@ -366,7 +423,7 @@ def _disambiguate(*id_lists):
                 gid = gid + "'"
             taken.add(gid)
             out.append(gid)
-    return out
+    return tuple(out)
 
 
 def sum_complexes(parts):
@@ -384,11 +441,11 @@ def sum_complexes(parts):
     nonzero = [p for p in parts if not p.is_zero()]
     if len(nonzero) <= 1:
         return (nonzero[0] if nonzero else zero_complex()), offsets
-    ids = _disambiguate(*([g.gid for g in p.gens] for p in parts))
-    gens = [Generator(gid, g.degree, g.ell)
-            for gid, g in zip(ids, (g for p in parts for g in p.gens))]
+    ids = _disambiguate(*(p._ids for p in parts))
+    deg = tuple(d for p in parts for d in p._deg)
     cols = [c << off for p, off in zip(parts, offsets) for c in p.diff]
-    return FilteredComplex(gens, cols, _joined(parts)), offsets
+    den, lev = _joined([(p._den, p._lev) for p in parts])
+    return FilteredComplex._from_parts(ids, deg, den, lev, cols), offsets
 
 
 def _inclusion(X: FilteredComplex, Z: FilteredComplex, off):
@@ -452,19 +509,14 @@ def cone(f: FilteredChainMap, lam=0) -> FilteredComplex:
             f"cone level too small: lambda = {fmt_scalar(lam)} < "
             f"shift {fmt_scalar(sh)} (deficit {fmt_scalar(sh - lam)})"
         )
-    ids = _disambiguate(
-        [g.gid for g in Y.gens], ["t." + g.gid for g in X.gens]
-    )
-    tx = shift_complex(translate(X), lam)
-    gens = list(Y.gens) + [
-        Generator(ids[Y.n + i], g.degree, g.ell)
-        for i, g in enumerate(tx.gens)
-    ]
+    ids = _disambiguate(Y._ids, ["t." + gid for gid in X._ids])
+    deg = Y._deg + tuple(d - 1 for d in X._deg)
+    den, lev = _joined([(Y._den, Y._lev), _shifted(X._den, X._lev, lam)])
     off = Y.n
     cols = list(Y.diff)
     for i in range(X.n):
         cols.append(f.cols[i] | X.diff[i] << off)
-    return FilteredComplex(gens, cols, _joined((Y, tx)))
+    return FilteredComplex._from_parts(ids, deg, den, lev, cols)
 
 
 # ----------------------------------------------------------------------
@@ -486,12 +538,12 @@ def _hom_pairs(X, Y, degree, bound=None):
     elif bound is not None and bound < 0:
         return []  # no level is <= -inf; a bound of +inf keeps every pair
     by_degree = {}
-    for t, gt in enumerate(Y.gens):
-        by_degree.setdefault(gt.degree, []).append(t)
+    for t, dt in enumerate(Y._deg):
+        by_degree.setdefault(dt, []).append(t)
     pairs = []
-    for s, gs in enumerate(X.gens):
+    for s, ds in enumerate(X._deg):
         ts = (range(Y.n) if degree is None
-              else by_degree.get(gs.degree + degree, ()))
+              else by_degree.get(ds + degree, ()))
         if tops is not None:
             top = tops[s]
             ts = [t for t in ts if yl[t] <= top]

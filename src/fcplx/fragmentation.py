@@ -72,10 +72,11 @@ def _summand_map(B, W, BT):
     summand with the same bar, or to zero.  Returns the map and its
     assignment {new basis index of X: generator index of the target}."""
     X = W.complex
+    deg, lev = X._deg, X._lev
 
     def bar(s):
-        g = X.gens[s[0]]
-        return g.degree, g.ell, X.gens[s[1]].ell if s[1:] else POS_INF
+        # (degree, lo, infinite?, hi) on the ints sorts as the bars do
+        return deg[s[0]], lev[s[0]], not s[1:], lev[s[-1]]
 
     # a stable sort: equal bars keep the witness's order
     summands = sorted([*W.pairs, *((g,) for g in W.unpaired)], key=bar)
@@ -838,13 +839,11 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
     slot_state_complex = translate_inverse(from_barcode(_scaled(BXp, den)))
     # acyclic attachments and the final down-move have apex zero
     has_zero = family.has_zero()
-    levels = {int(g.ell * den) for Z in Zs for g in Z.gens}
+    levels = {v * (den // Z._den) for Z in Zs for v in Z._lev}
     diffs = [int(d * den) for d in level_grid(*Zs)]
     pool_levels = sorted(
         levels | {lv + d for lv in levels for d in diffs})[:12]
-    degrees = sorted(
-        {g.degree for Z in (X, Xp) for g in Z.gens} | {0}
-    )
+    degrees = sorted({*X._deg, *Xp._deg, 0})
     deg_pool = sorted(set(degrees) | {d + 1 for d in degrees})
     bar_pool = [
         (Bar(d, a, b), b - a)
@@ -865,9 +864,21 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
     best = [POS_INF]
     seen = {}
 
+    def infinite_degrees(B):
+        # bars sort by degree first, so this lists the degrees in order
+        return [b.degree for b in B.bars if not b.is_finite()]
+
+    # with no members, a used slot leaves only finite bars to attach, and
+    # both ways to finish need the target's infinite bars in each degree
+    target_infinite = (None if family.members
+                       else infinite_degrees(target_state))
+
     def search(state: Barcode, used, depth, spent):
         key = (state, used)
         if spent >= best[0] or spent > weight_budget:
+            return
+        if (used and target_infinite is not None
+                and infinite_degrees(state) != target_infinite):
             return
         prev = seen.get(key)
         if prev is not None and prev <= spent:

@@ -303,10 +303,10 @@ def _closed_shift0(m, source, target):
     if m.source != source or m.target != target or m.degree != 0:
         return False
     of_degree = {}
-    for t, g in enumerate(target.gens):
-        of_degree[g.degree] = of_degree.get(g.degree, 0) | 1 << t
-    if any(c & ~of_degree.get(g.degree, 0)
-           for g, c in zip(source.gens, m.cols)) or not m.is_closed():
+    for t, d in enumerate(target._deg):
+        of_degree[d] = of_degree.get(d, 0) | 1 << t
+    if any(c & ~of_degree.get(d, 0)
+           for d, c in zip(source._deg, m.cols)) or not m.is_closed():
         return False
     sh = shift_of_map(m)
     return not is_finite(sh) or sh <= 0
@@ -923,7 +923,7 @@ def fill_morphism(t1, w1, t2, w2, f, g):
 def level_grid(*complexes):
     """Nonnegative pairwise level differences over the given objects,
     taken in integers over their common denominator."""
-    den, lev = _joined(complexes)
+    den, lev = _joined([(X._den, X._lev) for X in complexes])
     levels = set(lev)
     grid = {a - b for a in levels for b in levels if a > b}
     return [Fraction(d, den) for d in sorted(grid | {0})]

@@ -162,7 +162,7 @@ def random_basis_change(X: FilteredComplex, rng: random.Random):
     pos = [0] * n
     for p, g in enumerate(order):
         pos[g] = p
-    deg = [g.degree for g in X.gens]
+    deg = X._deg
     cols = []
     for j in range(n):
         m = 1 << j
@@ -175,7 +175,9 @@ def random_basis_change(X: FilteredComplex, rng: random.Random):
     Uinv = invert(U)
     D = X.diff_matrix()
     newdiff = Uinv.matmul(D).matmul(U)
-    Xp = FilteredComplex(X.gens, newdiff.columns)
+    # the same generators in a new basis
+    Xp = FilteredComplex._from_parts(X._ids, deg, X._den, X._lev,
+                                     newdiff.columns, X._index)
     fwd = FilteredChainMap(Xp, X, U.columns, 0)   # X' -> X
     return Xp, fwd, FilteredChainMap(X, Xp, Uinv.columns, 0)
 

@@ -12,12 +12,33 @@ every complex carried its levels scaled to one common denominator
 * `reference_hom_pairs` is `complexes._hom_pairs`;
 * `reference_random_basis_change` is `verify.random_basis_change`.
 
+The constructions below built each derived complex from a tuple of
+`Generator`s with `Fraction` levels, before a complex held its ids,
+degrees and scaled levels and built `gens` only when read.  Each goes
+through the public constructor, which derives the scale from those
+`Generator`s, where the old body passed its parts' scale along:
+
+* `reference_shift_complex` adds r to every level as a `Fraction`;
+* `reference_translate` and `reference_translate_inverse` rebuild every
+  generator with its degree moved;
+* `reference_sum_complexes` and `reference_cone` are `sum_complexes`
+  and `cone`, on those constructions.
+
 The tests check the scaled code against them.
 """
 
-from fcplx.complexes import FilteredChainMap, FilteredComplex
+from fractions import Fraction
+
+from fcplx.complexes import (
+    FilteredChainMap,
+    FilteredComplex,
+    Generator,
+    _disambiguate,
+    shift_of_map,
+    zero_complex,
+)
 from fcplx.f2linalg import F2SparseMatrix, _apply, _bits, invert
-from fcplx.rationals import NEG_INF, fmt_scalar
+from fcplx.rationals import NEG_INF, fmt_scalar, is_finite
 
 
 def reference_validate(X):
@@ -121,3 +142,73 @@ def reference_witness_check(wit):
         if Dp.column(j) != want:
             return False
     return True
+
+
+def reference_shift_complex(X, r):
+    r = Fraction(r)
+    if r == 0:
+        return X
+    return FilteredComplex(
+        tuple(Generator(g.gid, g.degree, g.ell + r) for g in X.gens),
+        X.diff,
+    )
+
+
+def reference_translate(X):
+    return FilteredComplex(
+        tuple(Generator(g.gid, g.degree - 1, g.ell) for g in X.gens),
+        X.diff,
+    )
+
+
+def reference_translate_inverse(X):
+    return FilteredComplex(
+        tuple(Generator(g.gid, g.degree + 1, g.ell) for g in X.gens),
+        X.diff,
+    )
+
+
+def reference_sum_complexes(parts):
+    offsets = []
+    n = 0
+    for p in parts:
+        offsets.append(n)
+        n += p.n
+    nonzero = [p for p in parts if not p.is_zero()]
+    if len(nonzero) <= 1:
+        return (nonzero[0] if nonzero else zero_complex()), offsets
+    ids = _disambiguate(*([g.gid for g in p.gens] for p in parts))
+    gens = [Generator(gid, g.degree, g.ell)
+            for gid, g in zip(ids, (g for p in parts for g in p.gens))]
+    cols = [c << off for p, off in zip(parts, offsets) for c in p.diff]
+    return FilteredComplex(gens, cols), offsets
+
+
+def reference_cone(f, lam=0):
+    lam = Fraction(lam)
+    if f.degree != 0:
+        raise ValueError("cone requires a degree-0 map")
+    X, Y = f.source, f.target
+    if X.is_zero():
+        return Y
+    if not f.is_closed():
+        raise ValueError("cone requires a closed map")
+    sh = shift_of_map(f)
+    if is_finite(sh) and lam < sh:
+        raise ValueError(
+            f"cone level too small: lambda = {fmt_scalar(lam)} < "
+            f"shift {fmt_scalar(sh)} (deficit {fmt_scalar(sh - lam)})"
+        )
+    ids = _disambiguate(
+        [g.gid for g in Y.gens], ["t." + g.gid for g in X.gens]
+    )
+    tx = reference_shift_complex(reference_translate(X), lam)
+    gens = list(Y.gens) + [
+        Generator(ids[Y.n + i], g.degree, g.ell)
+        for i, g in enumerate(tx.gens)
+    ]
+    off = Y.n
+    cols = list(Y.diff)
+    for i in range(X.n):
+        cols.append(f.cols[i] | X.diff[i] << off)
+    return FilteredComplex(gens, cols)

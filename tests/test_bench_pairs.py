@@ -1,7 +1,8 @@
 """`tools/bench_pairs.py` records one seed as well as ten, refuses to
-compare checkouts whose benchmark code differs, and reads the parent's
-commit off a git worktree.  The runs themselves are stubbed: each test
-builds two small checkouts and counts the runs."""
+compare checkouts whose benchmark code differs, reads the parent's
+commit off a git worktree, and ends with one line per end-to-end metric
+that says WORSE past the metric's bound.  The runs themselves are
+stubbed: each test builds two small checkouts and counts the runs."""
 
 import importlib.util
 import json
@@ -37,10 +38,11 @@ def tool(tmp_path, monkeypatch):
     (change / ".gitignore").write_text("__pycache__/\n")
     subprocess.run(["git", "init", "-q"], cwd=change, check=True)
     runs = []
+    rate = {change: 2, parent: 1}
 
     def fake_run(checkout, workload, seed, seconds):
         runs.append((checkout, seed))
-        value = (2 if checkout == change else 1) + seed / 100
+        value = rate[checkout] + seed / 100
         return {"correct": True, "failed": 0,
                 "metrics": {"ops_per_s": {"value": value}}}
 
@@ -52,6 +54,7 @@ def tool(tmp_path, monkeypatch):
         return mod.main(["--parent", str(parent), "--workload", "pipeline",
                          "--seeds", seeds])
 
+    main.rate = rate  # each side's ops_per_s before the seed's share
     return main, change, parent, runs
 
 
@@ -98,6 +101,38 @@ def test_files_git_ignores_may_differ(tool):
     (cache / "run.cpython-311.pyc").write_bytes(b"\0")
     assert main("51") == 0
     assert len(runs) == 2
+
+
+def test_the_last_lines_give_each_metric_and_flag_a_worse_change(tool,
+                                                                 capsys):
+    main, change, parent, _ = tool
+    assert main("51-52") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "ops_per_s: 1.515 -> 2.515 1/s, change wins 2/2"
+    # 25 % below the parent's 1.515 is 1.136: 1.2 is within the bound,
+    # 1.1 is past it; the exit code does not change
+    for rate, tail in ((1.2 - 0.515, ""), (1.1 - 0.515, "  WORSE")):
+        main.rate[change] = rate
+        assert main("51-52") == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.endswith(f"change wins 0/2{tail}"), line
+
+
+def test_lower_is_better_metrics_are_worse_when_they_grow():
+    summary = {"op_p50_ms": {"parent": {"median": 10.0},
+                             "change": {"median": 12.6},
+                             "change_wins": "0/1"},
+               "peak_rss_mb": {"parent": {"median": 30.0},
+                               "change": {"median": 32.9},
+                               "change_wins": "0/1"}}
+    metrics = [{"name": "op_p50_ms", "unit": "ms", "better": "lower",
+                "bound": 0.25},
+               {"name": "peak_rss_mb", "unit": "MB", "better": "lower",
+                "bound": 0.1}]
+    assert _load()._report(summary, metrics) == [
+        "op_p50_ms: 10 -> 12.6 ms, change wins 0/1  WORSE",
+        "peak_rss_mb: 30 -> 32.9 MB, change wins 0/1",
+    ]
 
 
 def test_commit_is_a_worktree_head_and_unknown_without_git(tmp_path,

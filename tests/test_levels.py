@@ -1,7 +1,8 @@
 """Every complex carries its levels scaled to one common denominator, and
-the hot level comparisons run on those ints.  Each must give what the
-`Fraction` code in `reference_levels` gives, on seeded complexes whose
-levels mix the denominators 1, 3, 4, 7 and 10**12 and are often
+the hot level comparisons run on those ints; derived complexes are
+built from those ints, and `gens` only when read.  Each must give what
+the `Fraction` code in `reference_levels` gives, on seeded complexes
+whose levels mix the denominators 1, 3, 4, 7 and 10**12 and are often
 negative, and on maps between complexes of different denominators."""
 
 import random
@@ -23,13 +24,18 @@ from fcplx.complexes import (
     FilteredComplex,
     Generator,
     _hom_pairs,
+    _inclusion,
+    _projection,
     _scaled,
+    complex_to_text,
     cone,
+    eta,
     shift_complex,
     shift_of_map,
     sum_complexes,
     translate,
     translate_inverse,
+    zero_complex,
 )
 from fcplx.f2linalg import F2SparseMatrix
 from fcplx.rationals import NEG_INF, POS_INF, is_finite
@@ -37,6 +43,11 @@ from fcplx.verify import random_basis_change
 
 from reference_levels import (
     reference_canonical_order,
+    reference_cone,
+    reference_shift_complex,
+    reference_sum_complexes,
+    reference_translate,
+    reference_translate_inverse,
     reference_hom_pairs,
     reference_random_basis_change,
     reference_shift_of_map,
@@ -109,6 +120,64 @@ def test_derived_complexes_keep_the_least_common_denominator():
                   cone(FilteredChainMap.identity(X), 0),
                   sum_complexes([X, shift_complex(Y, r), X])[0]):
             assert (Z._den, Z._lev) == _scaled(Z.gens)
+
+
+def _same_complex(new, old):
+    """`new`, built from ints, is `old`, built from `Fraction`
+    generators: equal, on the same scale and hash, and with the same
+    generators once they are read."""
+    assert new == old and hash(new) == hash(old)
+    assert (new._den, new._lev) == (old._den, old._lev)
+    assert new.gens == old.gens
+    assert all(type(g.ell) is Fraction for g in new.gens)
+    assert complex_to_text(new) == complex_to_text(old)
+
+
+def _closed_maps(rng, X, Y):
+    """Closed degree-0 maps into and out of X: its identity, an eta, and
+    the inclusion and projection of a direct sum with Y."""
+    Z = sum_complexes([X, Y])[0]
+    return (FilteredChainMap.identity(X),
+            eta(X, abs(_level(rng, DENOMINATORS))),
+            _inclusion(X, Z, 0), _projection(Z, Y, X.n))
+
+
+def test_derived_complexes_match_the_fraction_constructions():
+    rng = random.Random(8311)
+    for X in COMPLEXES:
+        Y = rng.choice(COMPLEXES)
+        r = _level(rng, DENOMINATORS)
+        _same_complex(shift_complex(X, r), reference_shift_complex(X, r))
+        _same_complex(translate(X), reference_translate(X))
+        _same_complex(translate_inverse(X), reference_translate_inverse(X))
+        # a repeated part primes its ids
+        parts = [X, shift_complex(Y, r), zero_complex(), X]
+        (new, offs), (old, ref_offs) = (sum_complexes(parts),
+                                        reference_sum_complexes(parts))
+        assert offs == ref_offs
+        _same_complex(new, old)
+        for f in _closed_maps(rng, X, Y):
+            sh = shift_of_map(f)
+            lam = (sh if is_finite(sh) else 0) + abs(_level(rng, (1, 3)))
+            _same_complex(cone(f, lam), reference_cone(f, lam))
+
+
+def test_a_shift_and_its_inverse_give_back_the_complex():
+    """Shifting by r over the denominators 1, 3 and 97 and back must
+    return to the least common denominator of levels that mix several
+    denominators."""
+    rng = random.Random(5381)
+    mixed = [X for X in COMPLEXES
+             if len({Fraction(v, X._den).denominator for v in X._lev}) > 1]
+    assert len(mixed) > 50
+    for X in mixed:
+        for den in (1, 3, 97):
+            r = Fraction(rng.randrange(-5 * den, 5 * den + 1), den)
+            Y = shift_complex(X, r)
+            _same_complex(Y, reference_shift_complex(X, r))
+            Z = shift_complex(Y, -r)
+            assert Z == X and hash(Z) == hash(X)
+            assert (Z._den, Z._lev) == (X._den, X._lev)
 
 
 def test_random_basis_change_draws_and_returns_what_the_reference_does():

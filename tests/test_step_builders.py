@@ -16,7 +16,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from fcplx import complexes, fragmentation
-from fcplx.complexes import FilteredChainMap, shift_complex, zero_complex
+from fcplx.complexes import (
+    FilteredChainMap,
+    Generator,
+    shift_complex,
+    zero_complex,
+)
 from fcplx.fragmentation import (
     EMPTY_FAMILY,
     acyclic_from_zero_step,
@@ -159,11 +164,15 @@ def _count_calls(monkeypatch, counts, *functions):
                         monkeypatch.setattr(mod, attr, counted)
 
 
-# compose and cone calls and FilteredChainMap constructions of one
-# seed-1 pipeline pass: 156 builds, each validated.  v and w are read
-# off the witness blocks, and a step's cone is its phi's source, so no
-# step composes; a cone is a plain complex, so it builds no map.
-PIPELINE_WORK = {"compose": 0, "cone": 2992, "FilteredChainMap": 20812}
+# compose and cone calls, FilteredChainMap constructions and Generator
+# tuples built in one seed-1 pipeline pass: 156 builds, each validated.
+# v and w are read off the witness blocks, and a step's cone is its
+# phi's source, so no step composes; a cone is a plain complex, so it
+# builds no map.  Complexes hold their levels as ints and nothing in the
+# pass reads `gens`, so no Generator is built (159 240, one per
+# generator of every complex made, when each complex held its gens).
+PIPELINE_WORK = {"compose": 0, "cone": 2992, "FilteredChainMap": 20812,
+                 "Generator": 0}
 
 
 def test_pipeline_decompositions_match_the_hand_assembled_bodies(
@@ -173,7 +182,7 @@ def test_pipeline_decompositions_match_the_hand_assembled_bodies(
     translation of the decomposition.  The build and validation of the
     decompositions make PIPELINE_WORK calls."""
     inputs = _pipeline_inputs()
-    counts = Counter(compose=0, cone=0, FilteredChainMap=0)
+    counts = Counter(compose=0, cone=0, FilteredChainMap=0, Generator=0)
     _count_calls(monkeypatch, counts, complexes.compose, complexes.cone)
     init = FilteredChainMap.__init__
 
@@ -181,7 +190,14 @@ def test_pipeline_decompositions_match_the_hand_assembled_bodies(
         counts["FilteredChainMap"] += 1
         init(self, *args, **kwargs)
 
+    new = Generator.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        counts["Generator"] += 1
+        return new(cls, *args, **kwargs)
+
     monkeypatch.setattr(FilteredChainMap, "__init__", counted_init)
+    monkeypatch.setattr(Generator, "__new__", counted_new)
     built = []
     for inp in inputs:
         D = prop51_pipeline(inp["X"], inp["Y"])[1]

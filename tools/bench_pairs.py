@@ -15,7 +15,10 @@ seeds run the parent first), one run at a time.
 Each run's last output line is its JSON result.  The record keeps every
 run and, per end-to-end metric of BENCHMARK.json, the median and
 quartiles of each side (the median alone below two seeds) and the
-number of seeds on which the change is better.  Exits 1 when any run
+number of seeds on which the change is better.  At the end it prints
+one line per end-to-end metric: the parent's median, the change's, the
+change's wins, and WORSE when the change's median is worse than the
+parent's by more than the metric's `bound`.  Exits 1 when any run
 fails or reports incorrect results, and 2, before running anything,
 when the two checkouts' BENCHMARK.json or the files under its `paths`
 differ: both sides must run the same benchmark code.
@@ -106,6 +109,20 @@ def _summary(runs, metrics):
     return out
 
 
+def _report(summary, metrics):
+    """One line per end-to-end metric: parent median -> change median,
+    the change's wins, and WORSE past the metric's relative bound."""
+    lines = []
+    for m in metrics:
+        s = summary[m["name"]]
+        p, c = s["parent"]["median"], s["change"]["median"]
+        sign = 1 if m["better"] == "higher" else -1
+        worse = sign * (p - c) > m["bound"] * p
+        lines.append(f"{m['name']}: {p:g} -> {c:g} {m['unit']}, change wins "
+                     f"{s['change_wins']}" + ("  WORSE" if worse else ""))
+    return lines
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True,
@@ -149,6 +166,8 @@ def main(argv=None):
     }
     out = ROOT / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
+    for line in _report(record["summary"], bench["end_to_end"]):
+        print(line)
     bad = [r for r in runs if not r["result"]["correct"]
            or r["result"]["failed"]]
     return 1 if bad else 0
