@@ -46,9 +46,8 @@ class Barcode:
     __slots__ = ("bars",)
 
     def __init__(self, bars=()):
-        object.__setattr__(
-            self, "bars", tuple(sorted(Bar(*b) for b in bars))
-        )
+        object.__setattr__(self, "bars", tuple(sorted(
+            b if isinstance(b, Bar) else Bar(*b) for b in bars)))
 
     @classmethod
     def _of_sorted(cls, bars):
@@ -84,19 +83,23 @@ class Barcode:
     def union(self, other):
         return Barcode(self.bars + other.bars)
 
+    # shifting every level, translating every degree and dropping bars
+    # keep bar order, so these build without sorting again
+
     def shifted(self, r):
         r = Fraction(r)
-        return Barcode(
+        return Barcode._of_sorted(tuple(
             Bar(b.degree, b.lo + r, b.hi + r if b.is_finite() else b.hi)
-            for b in self.bars
-        )
+            for b in self.bars))
 
     def degree_translated(self, k):
         """Barcode of T^k applied to the underlying complex."""
-        return Barcode(Bar(b.degree - k, b.lo, b.hi) for b in self.bars)
+        return Barcode._of_sorted(tuple(
+            Bar(b.degree - k, b.lo, b.hi) for b in self.bars))
 
     def without_zero_length(self):
-        return Barcode(b for b in self.bars if b.length() != 0)
+        return Barcode._of_sorted(tuple(
+            b for b in self.bars if b.length() != 0))
 
 
 def barcode_to_text(B: Barcode) -> str:

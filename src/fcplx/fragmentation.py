@@ -152,9 +152,11 @@ def _in_order_pairs(BS: Barcode, BT: Barcode):
 
 
 def _scaled(B: Barcode, den):
-    """B with every endpoint times den, as an int; den clears them all."""
-    return Barcode(Bar(b.degree, int(b.lo * den),
-                       int(b.hi * den) if b.is_finite() else b.hi) for b in B)
+    """B with every endpoint times den, as an int; den clears them all.
+    A positive factor keeps the bar order."""
+    return Barcode._of_sorted(tuple(
+        Bar(b.degree, int(b.lo * den),
+            int(b.hi * den) if b.is_finite() else b.hi) for b in B))
 
 
 def comparison_map(BS: Barcode, BT: Barcode):
@@ -796,7 +798,7 @@ def _iso_move_cost(BS: Barcode, BT: Barcode):
     candidate weight (a pair cost or a bar length) is the answer."""
     ds, dt = _split_by_degree(BS), _split_by_degree(BT)
     parts = []
-    weights = {Fraction(0)}
+    weights = {0}
     for deg in set(ds) | set(dt):
         src = [b for side in ds.get(deg, ()) for b in side]
         tgt = [b for side in dt.get(deg, ()) for b in side]
@@ -829,13 +831,15 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
     puts no cap on the search.  Returns (value, note).  The search runs
     on the instance scaled to integer levels (level differences and
     the budget too), which keeps every comparison and visited node.
+    Each search state is a sorted tuple of `Bar`s with int ends, so a
+    node makes no `Barcode` and compares no `Fraction`.
     """
     budget = None if weight_budget == POS_INF else Fraction(weight_budget)
     Zs = (X, Xp, *family.members)
     den = lcm(*(Z._den for Z in Zs), budget.denominator if budget else 1)
     weight_budget = POS_INF if budget is None else int(budget * den)
     BX, BXp = barcode(X), barcode(Xp)
-    target_state = _scaled(BX, den).without_zero_length()
+    target_state = _scaled(BX, den).without_zero_length().bars
     slot_state_complex = translate_inverse(from_barcode(_scaled(BXp, den)))
     # acyclic attachments and the final down-move have apex zero
     has_zero = family.has_zero()
@@ -864,16 +868,28 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
     best = [POS_INF]
     seen = {}
 
-    def infinite_degrees(B):
+    def infinite_degrees(state):
         # bars sort by degree first, so this lists the degrees in order
-        return [b.degree for b in B.bars if not b.is_finite()]
+        return [b.degree for b in state if not b.is_finite()]
 
     # with no members, a used slot leaves only finite bars to attach, and
     # both ways to finish need the target's infinite bars in each degree
     target_infinite = (None if family.members
                        else infinite_degrees(target_state))
 
-    def search(state: Barcode, used, depth, spent):
+    def attached(K):
+        """barcode(K) without its zero-length bars, on int ends."""
+        # every complex the search builds has integer levels
+        assert K._den == 1
+        bars = []
+        for b in barcode(K):
+            lo = b.lo.numerator
+            hi = b.hi.numerator if b.is_finite() else b.hi
+            if lo != hi:
+                bars.append(Bar(b.degree, lo, hi))
+        return tuple(bars)
+
+    def search(state, used, depth, spent):
         key = (state, used)
         if spent >= best[0] or spent > weight_budget:
             return
@@ -898,19 +914,18 @@ def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,
         apexes = [] if used else [(slot_state_complex, True)]
         apexes += [(apex, used) for apex in member_apexes]
         if apexes:
-            cur = from_barcode(state)
+            cur = from_barcode(Barcode._of_sorted(state))
         for apex, new_used in apexes:
             for u in enumerate_closed_maps(apex, cur, cap=512):
-                K = cone(u, 0)
-                search(barcode(K).without_zero_length(),
-                       new_used, depth + 1, spent)
+                search(attached(cone(u, 0)), new_used, depth + 1, spent)
         for b, length in bar_pool:
             # the child's own first test, made before its state is built
             cost = spent + length
             if cost < best[0] and cost <= weight_budget:
-                search(Barcode(tuple(state) + (b,)), used, depth + 1, cost)
+                i = bisect_right(state, b)
+                search(state[:i] + (b,) + state[i:], used, depth + 1, cost)
 
-    search(Barcode(), False, 0, 0)
+    search((), False, 0, 0)
     # search holds itself through its closure; break that cycle so the
     # memo goes with this frame, not at the next cyclic collection
     del search

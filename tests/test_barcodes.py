@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from fcplx.barcodes import (
     is_r_acyclic,
     persistence_rank,
 )
+from fcplx.fragmentation import _scaled
 from fcplx.complexes import (
     FilteredChainMap,
     is_nullhomotopic_within,
@@ -30,6 +32,47 @@ from fcplx.verify import (
 )
 
 from conftest import interval_free, interval_pair
+
+
+def _old_barcode(bars):
+    """`Barcode(bars)` as it was built before: every bar rewrapped and
+    the whole tuple sorted."""
+    return tuple(sorted(Bar(*b) for b in bars))
+
+
+def _seeded_bars(rng):
+    """Bars in degrees -1..2 on levels p/q for q in 1..3, some infinite,
+    some of zero length, some repeated, in no order."""
+    levels = [Fraction(v, q) for q in (1, 2, 3) for v in range(-6, 7)]
+    bars = []
+    for _ in range(rng.randrange(8)):
+        d, lo = rng.randrange(-1, 3), rng.choice(levels)
+        hi = rng.choice([POS_INF, lo] + [v for v in levels if v > lo])
+        bars += [Bar(d, lo, hi)] * rng.choice((1, 1, 2, 3))
+    rng.shuffle(bars)
+    return bars
+
+
+def test_order_kept_builders_equal_the_sorting_ones():
+    rng = random.Random(610)
+    for _ in range(200):
+        bars = _seeded_bars(rng)
+        B = Barcode(bars)
+        assert B.bars == _old_barcode(bars)
+        assert Barcode(tuple(b) for b in bars) == B
+        assert all(type(b) is Bar for b in B)
+        r = rng.choice([0, 2, Fraction(-5, 2), Fraction(1, 3)])
+        assert B.shifted(r).bars == _old_barcode(
+            Bar(b.degree, b.lo + r, b.hi + r if b.is_finite() else b.hi)
+            for b in B)
+        k = rng.randrange(-2, 3)
+        assert B.degree_translated(k).bars == _old_barcode(
+            Bar(b.degree - k, b.lo, b.hi) for b in B)
+        assert B.without_zero_length().bars == _old_barcode(
+            b for b in B if b.length() != 0)
+        assert _scaled(B, 6).bars == _old_barcode(
+            Bar(b.degree, int(b.lo * 6),
+                int(b.hi * 6) if b.is_finite() else b.hi) for b in B)
 
 
 def test_single_free_generator_is_one_infinite_bar():
