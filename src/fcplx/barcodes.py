@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .f2linalg import F2SparseMatrix, _bits, _eliminate, invert
+from .f2linalg import F2SparseMatrix, _apply, _bits, _eliminate, invert
 from .rationals import POS_INF, fmt_scalar, is_finite
 from .complexes import (
     FilteredChainMap,
@@ -114,7 +114,7 @@ class CanonicalFormWitness:
     """Change of basis taking the input basis to a canonical one.
 
     `matrix` column j holds the j-th new basis vector in the original
-    coordinates; conjugating the differential by it gives the canonical
+    coordinates; in the new basis the differential has the canonical
     shape (each paired generator maps exactly to its partner, all other
     generators map to zero).  `pairs` lists (x_index, y_index) with
     d(new y) = new x.
@@ -131,11 +131,6 @@ class CanonicalFormWitness:
     def __setattr__(self, name, value):
         raise AttributeError("CanonicalFormWitness is immutable")
 
-    def conjugated_differential(self) -> F2SparseMatrix:
-        U = self.matrix
-        D = self.complex.diff_matrix()
-        return invert(U).matmul(D).matmul(U)
-
     def contraction(self) -> F2SparseMatrix:
         """h = U h' U^-1, where h' sends each paired x to its partner y.
 
@@ -151,30 +146,56 @@ class CanonicalFormWitness:
         return F2SparseMatrix(Uh, U.nrows).matmul(invert(U))
 
     def check(self) -> bool:
-        """Witness invariants: invertible, level-preserving, canonical."""
-        lev = self.complex._lev
-        for j in range(len(lev)):
-            col = self.matrix.column(j)
-            if max(map(lev.__getitem__, _bits(col)), default=None) != lev[j]:
-                return False
-        try:
-            Dp = self.conjugated_differential()
-        except ValueError:
+        """Witness invariants, by products and one rank test.
+
+        The x's, the y's and `unpaired` cover range(n) once each; every
+        column j of U has its top level at lev[j]; D*U = U*D', where
+        column y of D' is e_x for each pair (x, y) and every other column
+        is 0, so D*U's column y is U's column x and the rest are zero;
+        and U is invertible, so that D' = U^-1 D U.
+        """
+        X, U = self.complex, self.matrix
+        n = X.n
+        if U.nrows != n or U.ncols != n:
             return False
-        expect = {y: x for x, y in self.pairs}
-        for j in range(len(lev)):
-            want = 1 << expect[j] if j in expect else 0
-            if Dp.column(j) != want:
+        image = {y: x for x, y in self.pairs}
+        idx = [*image, *image.values(), *self.unpaired]
+        if (len(image) != len(self.pairs) or len(idx) != n
+                or set(idx) != set(range(n))):
+            return False
+        lev, cols, diff = X._lev, U.columns, X.diff
+        # at[L]: the generators of level L; upto[L]: those of level <= L
+        at = {}
+        for i, v in enumerate(lev):
+            at[v] = at.get(v, 0) | 1 << i
+        upto, m = {}, 0
+        for v in sorted(at):
+            m |= at[v]
+            upto[v] = m
+        for j, c in enumerate(cols):
+            v = lev[j]
+            if c & ~upto[v] or not c & at[v]:
                 return False
-        return True
+            x = image.get(j)
+            if _apply(diff, c) != (0 if x is None else cols[x]):
+                return False
+        return len(_eliminate(list(cols), [0] * n)) == n
 
 
 def canonical_form(X: FilteredComplex):
-    """Barcode plus change-of-basis witness for a valid complex."""
+    """Barcode plus change-of-basis witness for a valid complex.
+
+    Columns are reduced in (level, index) order.  Each one carries,
+    beside it, the combination of X's generators it stands for and that
+    combination's image under d, both in X's coordinates and packed in
+    one int (image above bit n), so one XOR updates both and the new
+    basis is read off without mapping positions back to generators.
+    """
     problems = X.validate()
     if problems:
         raise ValueError("invalid complex: " + "; ".join(problems))
     n = X.n
+    diff = X.diff
     # a stable sort keeps equal levels in index order
     order = sorted(range(n), key=X._lev.__getitem__)
     pos = {orig: p for p, orig in enumerate(order)}
@@ -185,14 +206,8 @@ def canonical_form(X: FilteredComplex):
             m |= 1 << pos[i]
         return m
 
-    def to_orig(mask: int) -> int:
-        m = 0
-        for p in _bits(mask):
-            m |= 1 << order[p]
-        return m
-
-    cols = [to_pos(X.diff[order[p]]) for p in range(n)]
-    track = [1 << p for p in range(n)]
+    cols = [to_pos(diff[g]) for g in order]
+    track = [diff[g] << n | 1 << g for g in order]
     owner = _eliminate(cols, track)
 
     # each bar as (degree, lo, infinite?, hi) on X's ints: these sort as
@@ -201,20 +216,19 @@ def canonical_form(X: FilteredComplex):
     pairs = []
     unpaired = []
     new_basis = [None] * n
-    pivot_rows = set(owner)
+    low = (1 << n) - 1
     deg, lev = X._deg, X._lev
     for p in range(n):
         if cols[p]:
-            piv = cols[p].bit_length() - 1
-            x_orig, y_orig = order[piv], order[p]
-            pairs.append((x_orig, y_orig))
-            new_basis[y_orig] = to_orig(track[p])
-            new_basis[x_orig] = to_orig(cols[p])
-            keys.append((deg[x_orig], lev[x_orig], False, lev[y_orig]))
-        elif p not in pivot_rows:
+            x, y = order[cols[p].bit_length() - 1], order[p]
+            pairs.append((x, y))
+            new_basis[y] = track[p] & low
+            new_basis[x] = track[p] >> n
+            keys.append((deg[x], lev[x], False, lev[y]))
+        elif p not in owner:
             g = order[p]
             unpaired.append(g)
-            new_basis[g] = to_orig(track[p])
+            new_basis[g] = track[p] & low
             keys.append((deg[g], lev[g], True, 0))
     keys.sort()
     # every level is a bar end: one Fraction per distinct level

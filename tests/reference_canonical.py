@@ -6,12 +6,81 @@ lookups on the summand ids and re-sorts the bars, and
 `canonical_projection` and `zero_iso_between` run several canonical
 forms per call.  The tests check `fcplx.fragmentation` against these for
 `serialize`-equal maps and equal `ValueError` messages.
+
+`reference_canonical_form` is `canonical_form` as it was before each
+column carried its image beside its combination: it tracks the
+combination in sorted positions and maps every new basis vector back
+to X's generators one bit at a time.  The tests check the packed
+reduction against it for equal barcodes, matrices, pairs and unpaired
+generators.
 """
 
-from fcplx.barcodes import Bar, barcode, canonical_form, from_barcode
+from fractions import Fraction
+
+from fcplx.barcodes import (
+    Bar,
+    Barcode,
+    CanonicalFormWitness,
+    barcode,
+    canonical_form,
+    from_barcode,
+)
 from fcplx.complexes import FilteredChainMap, compose
-from fcplx.f2linalg import _bits, invert
+from fcplx.f2linalg import F2SparseMatrix, _bits, _eliminate, invert
 from fcplx.rationals import POS_INF
+
+
+def reference_canonical_form(X):
+    problems = X.validate()
+    if problems:
+        raise ValueError("invalid complex: " + "; ".join(problems))
+    n = X.n
+    order = sorted(range(n), key=X._lev.__getitem__)
+    pos = {orig: p for p, orig in enumerate(order)}
+
+    def to_pos(vec):
+        m = 0
+        for i in _bits(vec):
+            m |= 1 << pos[i]
+        return m
+
+    def to_orig(mask):
+        m = 0
+        for p in _bits(mask):
+            m |= 1 << order[p]
+        return m
+
+    cols = [to_pos(X.diff[order[p]]) for p in range(n)]
+    track = [1 << p for p in range(n)]
+    owner = _eliminate(cols, track)
+
+    keys = []
+    pairs = []
+    unpaired = []
+    new_basis = [None] * n
+    pivot_rows = set(owner)
+    deg, lev = X._deg, X._lev
+    for p in range(n):
+        if cols[p]:
+            piv = cols[p].bit_length() - 1
+            x_orig, y_orig = order[piv], order[p]
+            pairs.append((x_orig, y_orig))
+            new_basis[y_orig] = to_orig(track[p])
+            new_basis[x_orig] = to_orig(cols[p])
+            keys.append((deg[x_orig], lev[x_orig], False, lev[y_orig]))
+        elif p not in pivot_rows:
+            g = order[p]
+            unpaired.append(g)
+            new_basis[g] = to_orig(track[p])
+            keys.append((deg[g], lev[g], True, 0))
+    keys.sort()
+    end = {v: Fraction(v, X._den) for v in set(lev)}
+    bars = tuple(Bar(d, end[lo], POS_INF if inf else end[hi])
+                 for d, lo, inf, hi in keys)
+    witness = CanonicalFormWitness(
+        X, F2SparseMatrix(new_basis, n), pairs, unpaired
+    )
+    return Barcode._of_sorted(bars), witness
 
 
 def _bar_records(witness):

@@ -8,7 +8,9 @@ every complex carried its levels scaled to one common denominator
 * `reference_canonical_order` is `canonical_form`'s sort;
 * `reference_witness_levels_ok` is `CanonicalFormWitness.check`'s
   level test, through `level_of`, and `reference_witness_check` the
-  whole check;
+  whole check as it was made by conjugation, U^-1 D U, before it was
+  made by products (it does not test that the pairs and `unpaired`
+  cover each generator once);
 * `reference_hom_pairs` is `complexes._hom_pairs`;
 * `reference_random_basis_change` is `verify.random_basis_change`.
 
@@ -133,7 +135,8 @@ def reference_witness_check(wit):
     if not reference_witness_levels_ok(wit):
         return False
     try:
-        Dp = wit.conjugated_differential()
+        U = wit.matrix
+        Dp = invert(U).matmul(X.diff_matrix()).matmul(U)
     except ValueError:
         return False
     expect = {y: x for x, y in wit.pairs}

@@ -1,7 +1,8 @@
 """`tools/bench_pairs.py` records one seed as well as ten, refuses to
 compare checkouts whose benchmark code differs, reads the parent's
-commit off a git worktree, and ends with one line per end-to-end metric
-that says WORSE past the metric's bound.  The runs themselves are
+commit off a git worktree, ends with one line per end-to-end metric
+that says WORSE past the metric's bound, and fails a seed on which the
+two sides' value digests differ.  The runs themselves are
 stubbed: each test builds two small checkouts and counts the runs."""
 
 import importlib.util
@@ -39,12 +40,14 @@ def tool(tmp_path, monkeypatch):
     subprocess.run(["git", "init", "-q"], cwd=change, check=True)
     runs = []
     rate = {change: 2, parent: 1}
+    digest = {change: {}, parent: {}}
 
     def fake_run(checkout, workload, seed, seconds):
         runs.append((checkout, seed))
         value = rate[checkout] + seed / 100
-        return {"correct": True, "failed": 0,
-                "metrics": {"ops_per_s": {"value": value}}}
+        return ({"correct": True, "failed": 0,
+                 "metrics": {"ops_per_s": {"value": value}}},
+                digest[checkout].get(seed, f"{seed:016x} over 126 inputs"))
 
     monkeypatch.setattr(mod, "ROOT", change)
     monkeypatch.setattr(mod, "_run", fake_run)
@@ -55,6 +58,7 @@ def tool(tmp_path, monkeypatch):
                          "--seeds", seeds])
 
     main.rate = rate  # each side's ops_per_s before the seed's share
+    main.digest = digest  # {seed: digest line} per side, when not the usual
     return main, change, parent, runs
 
 
@@ -116,6 +120,30 @@ def test_the_last_lines_give_each_metric_and_flag_a_worse_change(tool,
         assert main("51-52") == 0
         line = capsys.readouterr().out.splitlines()[-1]
         assert line.endswith(f"change wins 0/2{tail}"), line
+
+
+def test_a_seed_whose_digests_differ_fails_the_comparison(tool, capsys):
+    main, change, parent, runs = tool
+    assert main("51-53") == 0
+    main.digest[parent][52] = "00000000000000ff over 126 inputs"
+    assert main("51-53") == 1
+    err = capsys.readouterr().err
+    assert ("seed 52: the digests differ, parent 00000000000000ff over 126 "
+            "inputs, change 0000000000000034 over 126 inputs") in err
+    assert err.count("the digests differ") == 1
+    record = json.loads((change / "BENCH_pipeline.json").read_text())
+    assert [(r["seed"], r["side"], r["digest"])
+            for r in record["runs"][2:4]] == [
+        (52, "change", "0000000000000034 over 126 inputs"),
+        (52, "parent", "00000000000000ff over 126 inputs")]
+    assert len(runs) == 12
+
+
+def test_the_digest_is_read_off_the_last_digest_line():
+    out = ("untraced digest 1111111111111111 over 2 inputs\n"
+           "digest 510607105eaf7cdf over 126 inputs\n{}\n")
+    assert _load()._digest(out) == "510607105eaf7cdf over 126 inputs"
+    assert _load()._digest("{}\n") is None
 
 
 def test_lower_is_better_metrics_are_worse_when_they_grow():

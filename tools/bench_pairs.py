@@ -12,22 +12,26 @@ Runs `perfbench/run.py --workload W --seed N --seconds S`, S the
 `run_seconds` of BENCHMARK.json, once in the parent checkout and once
 in this one for every seed, alternating which side runs first (odd
 seeds run the parent first), one run at a time.
-Each run's last output line is its JSON result.  The record keeps every
-run and, per end-to-end metric of BENCHMARK.json, the median and
-quartiles of each side (the median alone below two seeds) and the
-number of seeds on which the change is better.  At the end it prints
-one line per end-to-end metric: the parent's median, the change's, the
-change's wins, and WORSE when the change's median is worse than the
-parent's by more than the metric's `bound`.  Exits 1 when any run
-fails or reports incorrect results, and 2, before running anything,
-when the two checkouts' BENCHMARK.json or the files under its `paths`
-differ: both sides must run the same benchmark code.
+Each run's last output line is its JSON result, and its line
+`digest <hex> over <n> inputs` the digest of the values it computed.
+The record keeps every run with its digest and, per end-to-end metric
+of BENCHMARK.json, the median and quartiles of each side (the median
+alone below two seeds) and the number of seeds on which the change is
+better.  At the end it prints one line per end-to-end metric: the
+parent's median, the change's, the change's wins, and WORSE when the
+change's median is worse than the parent's by more than the metric's
+`bound`.  Exits 1 when any run fails or reports incorrect results, or
+when the two sides' digests differ on a seed (the seed is named), and
+2, before running anything, when the two checkouts' BENCHMARK.json or
+the files under its `paths` differ: both sides must run the same
+benchmark code.
 """
 
 import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -41,14 +45,22 @@ def _seeds(text):
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+def _digest(stdout):
+    """The `<hex> over <n> inputs` of a run's digest line, or None."""
+    found = re.findall(r"^digest (\S+ over \d+ inputs)$", stdout, re.M)
+    return found[-1] if found else None
+
+
 def _run(checkout, workload, seed, seconds):
+    """A run's JSON result and its value digest."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if out.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(cmd)} exited "
                          f"{out.returncode}\n{out.stderr}")
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    return (json.loads(out.stdout.strip().splitlines()[-1]),
+            _digest(out.stdout))
 
 
 def _commit(checkout):
@@ -144,9 +156,9 @@ def main(argv=None):
         if seed % 2 == 0:
             order.reverse()
         for k, (side, checkout) in enumerate(order):
-            result = _run(checkout, args.workload, seed, seconds)
+            result, digest = _run(checkout, args.workload, seed, seconds)
             runs.append({"seed": seed, "side": side, "ran_first": k == 0,
-                         "result": result})
+                         "digest": digest, "result": result})
             print(f"seed {seed} {side}: ops_per_s "
                   f"{result['metrics']['ops_per_s']['value']:.2f}",
                   file=sys.stderr)
@@ -170,6 +182,14 @@ def main(argv=None):
         print(line)
     bad = [r for r in runs if not r["result"]["correct"]
            or r["result"]["failed"]]
+    digests = {}
+    for r in runs:
+        digests.setdefault(r["seed"], {})[r["side"]] = r["digest"]
+    for seed, d in digests.items():
+        if d["parent"] != d["change"]:
+            print(f"seed {seed}: the digests differ, parent {d['parent']}, "
+                  f"change {d['change']}", file=sys.stderr)
+            bad.append(seed)
     return 1 if bad else 0
 
 
