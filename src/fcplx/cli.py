@@ -105,6 +105,14 @@ def _given(fn, *args):
         raise InputError(str(exc)) from exc
 
 
+def _not_negative(value, flag):
+    """A count or budget given on the command line; negative is
+    malformed input."""
+    if value < 0:
+        raise InputError(f"{flag} must be >= 0, got {fmt_scalar(value)}")
+    return value
+
+
 def _bar_json(B: Barcode):
     return [
         {
@@ -341,6 +349,8 @@ def cmd_octahedron(args):
 
 
 def cmd_frag(args):
+    depth = _not_negative(args.depth, "--depth")
+    budget = _not_negative(_given(parse_scalar, args.budget), "--budget")
     X = _read_complex(args.a)
     Y = _read_complex(args.b)
     family = EMPTY_FAMILY
@@ -361,9 +371,7 @@ def cmd_frag(args):
     )
     if args.exact:
         val, note = delta_exact_small(
-            X, Y, family, depth_budget=args.depth,
-            weight_budget=_given(parse_scalar, args.budget),
-        )
+            X, Y, family, depth_budget=depth, weight_budget=budget)
         payload["oracle"] = fmt_scalar(val)
         payload["oracle_note"] = note
         text += f"oracle delta(X,Y) = {fmt_scalar(val)} ({note})\n"
@@ -391,6 +399,7 @@ def cmd_prop51(args):
 
 
 def cmd_check(args):
+    trials = _not_negative(args.trials, "--trials")
     names = list(SUITES) if args.suite in (None, "all") else [args.suite]
     for name in names:
         if name not in SUITES:
@@ -398,7 +407,7 @@ def cmd_check(args):
     cfg = GenConfig(seed=args.seed)
     reports = []
     for name in names:
-        reports.append(run_suite(name, cfg, args.trials))
+        reports.append(run_suite(name, cfg, trials))
     cache_dir = os.environ.get("FCPLX_CACHE_DIR")
     if cache_dir:
         Path(cache_dir).mkdir(parents=True, exist_ok=True)

@@ -26,9 +26,11 @@ from .complexes import (
     FilteredChainMap,
     FilteredComplex,
     _directives,
+    _inclusion,
+    _projection,
     compose,
     cone,
-    make_complex,
+    eta,
     shift_complex,
     sum_complexes,
     translate_inverse,
@@ -452,35 +454,17 @@ def _residual_shift(bx: Bar, by: Bar):
 
 def _pair_block(bx: Bar, by: Bar):
     """Slot block turning the Y-side summand into the shifted X-side
-    summand: helper complex H, attaching map u with cone(u) equal to
-    S^mu E(bx) plus zero-length bars, and the residual shift mu."""
-    delta = bx.degree
-    if by.degree != delta:
+    summand: with E' = T^-1 E(by), the helper H = cone of the one-bar
+    comparison T^-1 S^mu E(bx) -> E', and the residual shift mu.
+    Returns the inclusion u: E' -> H and mu; cone(u) is E' (+) S^mu
+    E(bx) (+) T E'."""
+    if by.degree != bx.degree:
         raise ValueError("matched bars must share a degree")
-    Ep = from_barcode(Barcode([by]))          # Y-side summand
     mu = _residual_shift(bx, by)
-    if not bx.is_finite():
-        H = make_complex(
-            [("P", delta, bx.lo + mu), ("Q", delta + 1, by.lo)],
-            {"P": ["Q"]},
-        )
-        u = FilteredChainMap.from_pairs(
-            translate_inverse(Ep), H, {"i0": ["Q"]}, 0
-        )
-    else:
-        H = make_complex(
-            [
-                ("P", delta - 1, bx.hi + mu),
-                ("Q", delta, by.hi),
-                ("R", delta, bx.lo + mu),
-                ("S", delta + 1, by.lo),
-            ],
-            {"P": ["Q", "R"], "Q": ["S"], "R": ["S"]},
-        )
-        u = FilteredChainMap.from_pairs(
-            translate_inverse(Ep), H, {"y0": ["Q"], "x0": ["S"]}, 0
-        )
-    return H, u, mu
+    Es = translate_inverse(from_barcode(Barcode([bx]).shifted(mu)))
+    Ep = translate_inverse(from_barcode(Barcode([by])))
+    H = cone(_inclusion(Es, Ep, 0), 0)
+    return _inclusion(Ep, H, 0), mu
 
 
 def prop51_pipeline(X, Y):
@@ -530,11 +514,12 @@ def _pipeline(BX: Barcode, BY: Barcode, match=None):
         return POS_INF, None, POS_INF, cap
     blocks = []  # (slot triangle, witness, down map, output, mu)
     for bx, by in wit.matched:
-        _, u, mu = _pair_block(bx, by)
+        u, mu = _pair_block(bx, by)
         tri, twit = triangle_from_morphism(u)  # u has shift 0: C = cone(u)
+        # off the middle block, cone(u) is the cone of an identity, all
+        # of whose bars have zero length: down is the block projection
         tgt = from_barcode(Barcode([bx]))
-        down = canonical_projection(
-            tri.C, Barcode([bx]).shifted(mu)).viewed(target=tgt)
+        down = _projection(tri.C, tgt, u.source.n)
         blocks.append((tri, twit, down, tgt, mu))
     SX = from_barcode(Barcode(wit.short1))
     steps = []
@@ -587,33 +572,12 @@ def _eta_shift_candidate(BX: Barcode, BXp: Barcode):
     return None
 
 
-def _cylinder_helper(Xp: FilteredComplex, k):
-    """T^-1 of the eta_k cone over X': used to raise the slot by k."""
-    k = Fraction(k)
-    gens = []
-    bnd = {}
-    for g in Xp.gens:
-        gens.append((f"P.{g.gid}", g.degree, g.ell + k))
-        gens.append((f"Q.{g.gid}", g.degree + 1, g.ell))
-    for i, g in enumerate(Xp.gens):
-        others = [Xp.gens[j].gid for j in _bits(Xp.diff[i])]
-        bnd[f"P.{g.gid}"] = [f"P.{o}" for o in others] + [f"Q.{g.gid}"]
-        bnd[f"Q.{g.gid}"] = [f"Q.{o}" for o in others]
-    H = make_complex(gens, bnd)
-    u = FilteredChainMap.from_pairs(
-        translate_inverse(Xp), H,
-        {g.gid: [f"Q.{g.gid}"] for g in Xp.gens}, 0,
-    )
-    return H, u
-
-
 def _riso_strategy(BX: Barcode, BXp: Barcode, k):
     """Witness delta(X, X') <= k + depth(cone(m)) through the raised
     comparison m: S^k X' -> X, when the in-order comparison is legal;
     X and X' are named by their barcodes."""
     k = Fraction(k)
-    BSpk = BXp.shifted(k)
-    m = comparison_map(BSpk, BX)
+    m = comparison_map(BXp.shifted(k), BX)
     if m is None:
         return None
     Km = cone(m, 0)
@@ -621,21 +585,19 @@ def _riso_strategy(BX: Barcode, BXp: Barcode, k):
     if mbar.infinite():
         return None
     rk = boundary_depth(mbar)
-    steps = []
     Xpc = from_barcode(BXp)
     if k == 0:
-        steps.append(singleton_triangle(Xpc))
-        reached = Xpc
+        steps = [singleton_triangle(Xpc)]
+        down = m  # m starts at X' itself
     else:
-        H, u = _cylinder_helper(Xpc, k)
-        Ku = cone(u, 0)
-        if (barcode(Ku).without_zero_length()
-                != BSpk.without_zero_length()):
-            return None
-        steps.append(acyclic_from_zero_step(H))
-        steps.append(triangle_from_morphism(u))
-        reached = Ku
-    down = compose(m, canonical_projection(reached, BSpk))
+        # the cylinder H = T^-1 cone(eta_k) over X' raises the slot by k:
+        # u includes its T^-1 X' block, and cone(u) is T^-1 X' (+) S^k X'
+        # (+) X', whose S^k X' block is m's source
+        TXp = translate_inverse(Xpc)
+        H = cone(eta(TXp, k), 0)
+        tri, twit = triangle_from_morphism(_inclusion(TXp, H, 0))
+        steps = [acyclic_from_zero_step(H), (tri, twit)]
+        down = compose(m, _projection(tri.C, m.source, Xpc.n))
     steps.append(zero_apex_step(down, rk))
     return ConeDecomposition(tuple(steps))
 

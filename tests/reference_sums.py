@@ -2,7 +2,9 @@
 binary `direct_sum`, `map_direct_sum` and `sum_triangles`, the left fold
 of `sum_triangles` over the slot parts of `prop51_pipeline`, and the
 down map assembled from composed inclusions (`_sum_many`) and
-projections (`_fold_projections`).
+projections (`_fold_projections`).  Each pair block's own down map is
+the block projection off its cone, as in the pipeline: this file checks
+the sum fold, not that map.
 
 The tests check `fcplx.tpc.sum_triangles(_many)` and
 `fcplx.fragmentation.prop51_pipeline` against these for byte-identical
@@ -18,6 +20,7 @@ from fcplx.complexes import (
     FilteredChainMap,
     FilteredComplex,
     Generator,
+    _projection,
     compose,
     cone,
     shift_complex,
@@ -31,7 +34,6 @@ from fcplx.fragmentation import (
     ConeDecomposition,
     _pair_block,
     acyclic_from_zero_step,
-    canonical_projection,
     collapse_acyclic_triangle,
     zero_apex_step,
 )
@@ -208,15 +210,12 @@ def reference_prop51_pipeline(X, Y, family=EMPTY_FAMILY):
         return POS_INF, None, POS_INF, cap
     blocks = []
     for bx, by in wit.matched:
-        H, u, mu = _pair_block(bx, by)
+        u, mu = _pair_block(bx, by)
         K = cone(u, 0)
         tri, twit = triangle_from_morphism(u)
-        shifted = from_barcode(Barcode([bx]).shifted(mu))
-        proj = canonical_projection(K, barcode(shifted))
         tgt = from_barcode(Barcode([bx]))
-        down = compose(
-            FilteredChainMap.identity(tgt).viewed(shifted, tgt), proj)
-        blocks.append((tri, twit, H, K, down, tgt, mu))
+        down = _projection(K, tgt, u.source.n)
+        blocks.append((tri, twit, u.target, K, down, tgt, mu))
     shorts_y = list(wit.short2)
     shorts_x = list(wit.short1)
     SX = from_barcode(Barcode(shorts_x))

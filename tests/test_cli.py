@@ -231,6 +231,28 @@ def test_directive_with_extra_operands_exits_two(workdir, capsys, name, text,
     assert err.startswith("error: ") and where in err, err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["check", "--suite", "prop51", "--trials", "-3"], "--trials"),
+    (["frag", "a.cplx", "b.cplx", "--exact", "--depth", "-2"], "--depth"),
+    (["frag", "a.cplx", "b.cplx", "--exact", "--budget", "-1"], "--budget"),
+    (["frag", "a.cplx", "b.cplx", "--exact", "--budget=-1/2"], "--budget"),
+], ids=["trials", "depth", "budget", "budget-fraction"])
+def test_a_negative_count_exits_two(workdir, capsys, argv, flag):
+    """Trials, search depth and weight budget are counts or bounds: a
+    negative one is malformed input, named in the message."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} must be >= 0"), err
+
+
+def test_zero_counts_are_accepted(workdir, capsys):
+    code, out, _ = run(capsys, "check", "--suite", "prop51", "--trials", "0")
+    assert code == 0 and "0 trials" in out
+    code, out, _ = run(capsys, "frag", "a.cplx", "b.cplx", "--exact",
+                       "--depth", "0", "--budget", "0")
+    assert code == 0 and "oracle" in out
+
+
 def test_numeric_content_matches_between_modes(workdir, capsys):
     (workdir / "half.cplx").write_text("gen u 0 1/2\n")
     code, out_text, _ = run(capsys, "barcode", "half.cplx")

@@ -2,8 +2,9 @@
 top-level function or class and no public method goes unused, and no
 private function has a parameter it never reads.  The library imports only the standard
 library and parses as the oldest Python that pyproject.toml admits.
-`fragmentation` builds its steps through the step builders of `tpc`
-and leaves the certificate format to that module."""
+`fragmentation` builds its steps through the step builders of `tpc`,
+leaves the certificate format to that module, and builds its helper
+complexes with the constructors of `complexes`."""
 
 import ast
 import sys
@@ -115,6 +116,22 @@ def test_fragmentation_leaves_certificates_to_tpc():
         elif (isinstance(node, ast.Attribute) and node.attr == "_cert"
               or isinstance(node, ast.Constant) and node.value == "_cert"):
             found.append(f"{node.lineno}: _cert")
+    assert not found, found
+
+
+def test_fragmentation_builds_helpers_from_the_complexes_constructors():
+    """No `make_complex` import, no `from_pairs` call and no `.gens`
+    read: helper complexes are cones, sums and shifts of `complexes`,
+    and their maps are blocks by offset, so no id is spelled out."""
+    path = SRC / "fragmentation.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{node.lineno}: import {alias.name}"
+                      for alias in node.names if alias.name == "make_complex"]
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in ("from_pairs", "gens")):
+            found.append(f"{node.lineno}: .{node.attr}")
     assert not found, found
 
 

@@ -15,7 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from fcplx import complexes, fragmentation
+from fcplx import barcodes, complexes, fragmentation
 from fcplx.complexes import (
     FilteredChainMap,
     Generator,
@@ -164,15 +164,19 @@ def _count_calls(monkeypatch, counts, *functions):
                         monkeypatch.setattr(mod, attr, counted)
 
 
-# compose and cone calls, FilteredChainMap constructions and Generator
-# tuples built in one seed-1 pipeline pass: 156 builds, each validated.
-# v and w are read off the witness blocks, and a step's cone is its
-# phi's source, so no step composes; a cone is a plain complex, so it
-# builds no map.  Complexes hold their levels as ints and nothing in the
-# pass reads `gens`, so no Generator is built (159 240, one per
-# generator of every complex made, when each complex held its gens).
-PIPELINE_WORK = {"compose": 0, "cone": 2992, "FilteredChainMap": 20812,
-                 "Generator": 0}
+# compose, cone and canonical_form calls, FilteredChainMap constructions
+# and Generator tuples built in one seed-1 pipeline pass: 156 builds,
+# each validated.  v and w are read off the witness blocks, and a step's
+# cone is its phi's source, so no step composes; a cone is a plain
+# complex, so it builds no map.  Each pair block is a cone (2992 cones
+# when it was written out by hand) and its down map a block projection
+# off cone(u), found by no canonical form (3120 canonical forms when
+# each pair's down map was read off one).  Complexes hold their levels
+# as ints and nothing in the pass reads `gens`, so no Generator is built
+# (159 240, one per generator of every complex made, when each complex
+# held its gens).
+PIPELINE_WORK = {"compose": 0, "cone": 4336, "canonical_form": 1776,
+                 "FilteredChainMap": 20812, "Generator": 0}
 
 
 def test_pipeline_decompositions_match_the_hand_assembled_bodies(
@@ -182,8 +186,10 @@ def test_pipeline_decompositions_match_the_hand_assembled_bodies(
     translation of the decomposition.  The build and validation of the
     decompositions make PIPELINE_WORK calls."""
     inputs = _pipeline_inputs()
-    counts = Counter(compose=0, cone=0, FilteredChainMap=0, Generator=0)
-    _count_calls(monkeypatch, counts, complexes.compose, complexes.cone)
+    counts = Counter(compose=0, cone=0, canonical_form=0,
+                     FilteredChainMap=0, Generator=0)
+    _count_calls(monkeypatch, counts, complexes.compose, complexes.cone,
+                 barcodes.canonical_form)
     init = FilteredChainMap.__init__
 
     def counted_init(self, *args, **kwargs):
