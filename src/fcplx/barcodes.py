@@ -13,12 +13,14 @@ witness.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import product, starmap
 from math import lcm
+from operator import sub
 from typing import NamedTuple
 
-from .f2linalg import F2SparseMatrix, _apply, _bits, _eliminate, invert
+from .f2linalg import F2SparseMatrix, _apply, _eliminate, invert
 from .rationals import POS_INF, fmt_scalar, is_finite
 from .complexes import (
     FilteredChainMap,
@@ -145,6 +147,14 @@ class CanonicalFormWitness:
             Uh[x] = U.columns[y]
         return F2SparseMatrix(Uh, U.nrows).matmul(invert(U))
 
+    def depth(self):
+        """The complex's boundary depth, the length of its longest
+        finite bar (0 when it has none), from the pairs' int levels."""
+        X = self.complex
+        lev = X._lev
+        return Fraction(max((lev[y] - lev[x] for x, y in self.pairs),
+                            default=0), X._den)
+
     def check(self) -> bool:
         """Witness invariants, by products and one rank test.
 
@@ -190,23 +200,45 @@ def canonical_form(X: FilteredComplex):
     combination's image under d, both in X's coordinates and packed in
     one int (image above bit n), so one XOR updates both and the new
     basis is read off without mapping positions back to generators.
+
+    The walk that maps each column to sorted positions also checks it:
+    every entry is in range and one degree up (one mask test), and the
+    column's top position, which has its highest level, is not above
+    its own level.
+    d o d = 0 is checked after the reduction as d(new x) = 0 for every
+    pair: the combinations the columns stand for are a basis,
+    unitriangular in (level, index) order, and d sends each of them to
+    0 or to some pair's new x, so d o d vanishes on that basis exactly
+    when it vanishes on every new x.  An invalid X raises the
+    ValueError that lists the records of `X.validate()`.
     """
-    problems = X.validate()
-    if problems:
-        raise ValueError("invalid complex: " + "; ".join(problems))
     n = X.n
-    diff = X.diff
+    diff, deg, lev = X.diff, X._deg, X._lev
     # a stable sort keeps equal levels in index order
-    order = sorted(range(n), key=X._lev.__getitem__)
-    pos = {orig: p for p, orig in enumerate(order)}
-
-    def to_pos(vec: int) -> int:
+    order = sorted(range(n), key=lev.__getitem__)
+    at = [0] * n
+    for p, g in enumerate(order):
+        at[g] = 1 << p
+    of_deg = {}
+    for g, d in enumerate(deg):
+        of_deg[d] = of_deg.get(d, 0) | 1 << g
+    cols = []
+    for g in order:
+        c = diff[g]
         m = 0
-        for i in _bits(vec):
-            m |= 1 << pos[i]
-        return m
-
-    cols = [to_pos(diff[g]) for g in order]
+        if c:
+            # an entry out of range or of the wrong degree, or a
+            # negative column (its bits never end), leaves a bit
+            # outside the generators of degree deg + 1
+            if c & ~of_deg.get(deg[g] + 1, 0):
+                raise _invalid(X)
+            while c:
+                bit = c & -c
+                m |= at[bit.bit_length() - 1]
+                c ^= bit
+            if lev[order[m.bit_length() - 1]] > lev[g]:
+                raise _invalid(X)
+        cols.append(m)
     track = [diff[g] << n | 1 << g for g in order]
     owner = _eliminate(cols, track)
 
@@ -217,13 +249,14 @@ def canonical_form(X: FilteredComplex):
     unpaired = []
     new_basis = [None] * n
     low = (1 << n) - 1
-    deg, lev = X._deg, X._lev
     for p in range(n):
         if cols[p]:
             x, y = order[cols[p].bit_length() - 1], order[p]
             pairs.append((x, y))
             new_basis[y] = track[p] & low
             new_basis[x] = track[p] >> n
+            if _apply(diff, new_basis[x]):
+                raise _invalid(X)
             keys.append((deg[x], lev[x], False, lev[y]))
         elif p not in owner:
             g = order[p]
@@ -239,6 +272,11 @@ def canonical_form(X: FilteredComplex):
         X, F2SparseMatrix(new_basis, n), pairs, unpaired
     )
     return Barcode._of_sorted(bars), witness
+
+
+def _invalid(X):
+    """The error canonical_form raises on an invalid X."""
+    return ValueError("invalid complex: " + "; ".join(X.validate()))
 
 
 def barcode(X: FilteredComplex) -> Barcode:
@@ -276,9 +314,10 @@ def _summands(B: Barcode):
 
 def boundary_depth(obj):
     """Length of the longest finite bar; 0 when there is none."""
-    B = obj if isinstance(obj, Barcode) else barcode(obj)
+    if not isinstance(obj, Barcode):
+        return canonical_form(obj)[1].depth()
     depth = Fraction(0)
-    for b in B.finite():
+    for b in obj.finite():
         if b.length() > depth:
             depth = b.length()
     return depth
@@ -290,8 +329,8 @@ def is_r_acyclic(X, r, want_witness=False):
     r = Fraction(r)
     if r < 0:
         raise ValueError("acyclicity threshold must be >= 0")
-    B, wit = canonical_form(X)
-    ok = not B.infinite() and boundary_depth(B) <= r
+    _, wit = canonical_form(X)
+    ok = not wit.unpaired and wit.depth() <= r
     if not want_witness:
         return ok
     if not ok:
@@ -348,112 +387,132 @@ def _finite_pair_cost(a: Bar, b: Bar):
     return max(abs(a.lo - b.lo), abs(a.hi - b.hi))
 
 
-def _kuhn(adj, nr, tail_from=None, block=0, greedy=False):
-    """Kuhn's augmenting-path matching, without recursion.
+class _Ends:
+    """One end of one side's bars, for range queries.
 
-    Left vertices are matched in index order, and each depth-first
-    search tries a vertex's neighbours in the order `adj` lists them, so
-    the matching found is fixed by `adj`.  Left vertices from
-    `tail_from` on are also adjacent, after their listed neighbours, to
-    every right vertex from `block` on.  One pointer per search walks
-    that block: every block vertex before it has been seen, so it finds
-    the same vertex as a scan from the start that skips seen ones.
-    With `greedy`, each left vertex first takes its first free listed
-    neighbour, which changes the matching found but not whether one
-    exists.  Returns the right partner of each left vertex, or None as
-    soon as one left vertex cannot be matched.
+    `keys` are the distinct values of that end in increasing order and
+    `below[k]` is the mask of the bars whose end is below keys[k]
+    (`below[-1]` holds every bar), so the bars with an end in [a, b]
+    are two bisections and one mask operation away.
+    """
+
+    __slots__ = ("keys", "below")
+
+    def __init__(self, ends):
+        at = {}
+        for j, v in enumerate(ends):
+            at[v] = at.get(v, 0) | 1 << j
+        self.keys = sorted(at)
+        below = [0]
+        for v in self.keys:
+            below.append(below[-1] | at[v])
+        self.below = below
+
+    def within(self, a, b):
+        """The mask of the bars with an end in [a, b]."""
+        keys, below = self.keys, self.below
+        return below[bisect_right(keys, b)] & ~below[bisect_left(keys, a)]
+
+
+def _kuhn(adj, nr, greedy=False):
+    """Kuhn's augmenting-path matching on int masks, without recursion.
+
+    `adj[u]` is the mask of left vertex u's neighbours among nr right
+    vertices.  Left vertices are matched in index order, and each
+    depth-first search goes on to the lowest neighbour it has not yet
+    seen, so the matching found is fixed by `adj`.  With `greedy`, each
+    left vertex first takes its lowest free neighbour, which changes
+    the matching found but not whether one exists.  Returns the right
+    partner of each left vertex, or None when some left vertex cannot
+    be matched.
     """
     nl = len(adj)
-    if tail_from is None:
-        tail_from = nl
+    if nl > nr:
+        return None
     match_l = [-1] * nl
     match_r = [-1] * nr
     if greedy:
-        for u, nbrs in enumerate(adj):
-            for v in nbrs:
-                if match_r[v] < 0:
-                    match_l[u], match_r[v] = v, u
-                    break
+        taken = 0
+        for u, a in enumerate(adj):
+            a &= ~taken
+            if a:
+                low = a & -a
+                taken |= low
+                v = low.bit_length() - 1
+                match_l[u], match_r[v] = v, u
+    everyone = (1 << nr) - 1
     for root in range(nl):
         if match_l[root] >= 0:
             continue
-        seen = bytearray(nr)
-        ptr = block
-        stack, todo, via = [root], [iter(adj[root])], []
-        while stack:
-            u, v = stack[-1], -1
-            for w in todo[-1]:
-                if not seen[w]:
-                    v = w
+        # the path so far: left vertices `stack` then u, and `via` the
+        # right vertex each of `stack` goes on through
+        u, unseen = root, everyone
+        stack, via = [], []
+        while True:
+            free = adj[u] & unseen
+            if free:
+                low = free & -free
+                unseen ^= low
+                v = low.bit_length() - 1
+                w = match_r[v]
+                stack.append(u)
+                via.append(v)
+                if w < 0:
                     break
-            if v < 0 and u >= tail_from:
-                while ptr < nr and seen[ptr]:
-                    ptr += 1
-                if ptr < nr:
-                    v = ptr
-            if v < 0:
-                stack.pop()
-                todo.pop()
-                if via:
-                    via.pop()
-                continue
-            seen[v] = 1
-            via.append(v)
-            if match_r[v] < 0:
-                for u, v in zip(stack, via):
-                    match_l[u] = v
-                    match_r[v] = u
-                break
-            u = match_r[v]
-            stack.append(u)
-            todo.append(iter(adj[u]))
-        else:
-            return None
+                u = w
+            elif stack:
+                u = stack.pop()
+                via.pop()
+            else:
+                return None
+        for u, v in zip(stack, via):
+            match_l[u] = v
+            match_r[v] = u
     return match_l
 
 
 class _Degree:
-    """One degree's bars, with every cost scaled to an integer once.
+    """One degree's bars, every end scaled to an integer once.
 
-    `cost[i][j]` is the pair cost of fin1[i] and fin2[j]; `thr1`/`thr2`
-    are the levels at which each finite bar may be dropped as short;
-    `floor` is the least tolerance at which the infinite bars have a
-    perfect matching (on a line, pairing them in sorted order is
-    optimal).  `rows1`/`rows2` list, for each finite bar, the bars of
-    the other side by increasing cost, with those costs.
+    `f1`/`f2` are the finite bars' (lo, hi) and `ends1`/`ends2` index
+    them by each end, so the bars of the other side that a bar may meet
+    at cost <= t (lo within t of its lo and hi within t of its hi) are
+    two range masks ANDed; `inf_ends2` does the same for the infinite
+    bars' lo.  `thr1`/`thr2` are the levels at which each finite bar
+    may be dropped as short; `floor` is the least tolerance at which
+    the infinite bars have a perfect matching (on a line, pairing them
+    in sorted order is optimal).
     """
 
     def __init__(self, fin1, inf1, fin2, inf2, scaled, rule):
         self.fin1, self.fin2, self.inf1, self.inf2 = fin1, fin2, inf1, inf2
-        f1 = [(scaled(b.lo), scaled(b.hi)) for b in fin1]
-        f2 = [(scaled(b.lo), scaled(b.hi)) for b in fin2]
-        self.cost = [
-            [max(abs(alo - blo), abs(ahi - bhi)) for blo, bhi in f2]
-            for alo, ahi in f1
-        ]
+        self.f1 = f1 = [(scaled(b.lo), scaled(b.hi)) for b in fin1]
+        self.f2 = f2 = [(scaled(b.lo), scaled(b.hi)) for b in fin2]
         if rule == "half":
             self.thr1 = [2 * (hi - lo) for lo, hi in f1]
             self.thr2 = [2 * (hi - lo) for lo, hi in f2]
         else:
             self.thr1 = [(hi - lo) // 2 for lo, hi in f1]
             self.thr2 = [(hi - lo) // 2 for lo, hi in f2]
+        self.ends1 = _Ends(lo for lo, _ in f1), _Ends(hi for _, hi in f1)
+        self.ends2 = _Ends(lo for lo, _ in f2), _Ends(hi for _, hi in f2)
         self.inf_lo1 = [scaled(b.lo) for b in inf1]
-        self.inf_lo2 = [scaled(b.lo) for b in inf2]
+        inf_lo2 = [scaled(b.lo) for b in inf2]
+        self.inf_ends2 = _Ends(inf_lo2)
         self.floor = max(
             (abs(a - b) for a, b in
-             zip(sorted(self.inf_lo1), sorted(self.inf_lo2))),
+             zip(sorted(self.inf_lo1), sorted(inf_lo2))),
             default=0,
         )
-        self.rows1 = [_by_cost(row) for row in self.cost]
-        cols = list(zip(*self.cost)) or [()] * len(fin2)
-        self.rows2 = [_by_cost(col) for col in cols]
 
     def candidates(self):
-        """Every level at which this degree's feasibility can change."""
+        """Every level at which this degree's feasibility can change:
+        the short thresholds and the gaps between the two sides' lo
+        ends and between their hi ends, a superset of the pair costs."""
         out = set(self.thr1)
         out.update(self.thr2)
-        for row in self.cost:
-            out.update(row)
+        for e1, e2 in zip(self.ends1, self.ends2):
+            out.update(map(abs, starmap(sub, product(e1.keys, e2.keys))))
         return out
 
     def feasible(self, t):
@@ -461,8 +520,8 @@ class _Degree:
         matching of pairs of cost <= t that covers every non-short bar
         on both sides exists iff each side's non-short bars can be
         matched into the other side."""
-        return (_covers(self.rows1, self.thr1, t, len(self.fin2))
-                and _covers(self.rows2, self.thr2, t, len(self.fin1)))
+        return (_covers(self.f1, self.thr1, self.ends2, len(self.f2), t)
+                and _covers(self.f2, self.thr2, self.ends1, len(self.f1), t))
 
     def witness(self, t):
         """Matched pairs and short bars at t, from Kuhn's matching on the
@@ -470,18 +529,18 @@ class _Degree:
         right fin2 then a diagonal copy per fin1 bar, where every
         diagonal copy may meet every other."""
         n1, n2 = len(self.fin1), len(self.fin2)
+        lo2, hi2 = self.ends2
         adj = [
-            [j for j, c in enumerate(row) if c <= t]
-            + ([n2 + i] if self.thr1[i] <= t else [])
-            for i, row in enumerate(self.cost)
+            lo2.within(lo - t, lo + t) & hi2.within(hi - t, hi + t)
+            | (1 << n2 + i if th <= t else 0)
+            for i, ((lo, hi), th) in enumerate(zip(self.f1, self.thr1))
         ]
-        adj += [[j] if self.thr2[j] <= t else [] for j in range(n2)]
-        fin = _kuhn(adj, n1 + n2, tail_from=n1, block=n2)
-        inf = _kuhn(
-            [[j for j, b in enumerate(self.inf_lo2) if abs(a - b) <= t]
-             for a in self.inf_lo1],
-            len(self.inf2),
-        )
+        block = (1 << n1 + n2) - (1 << n2)
+        adj += [block | (1 << j if th <= t else 0)
+                for j, th in enumerate(self.thr2)]
+        fin = _kuhn(adj, n1 + n2)
+        inf = _kuhn([self.inf_ends2.within(a - t, a + t)
+                     for a in self.inf_lo1], len(self.inf2))
         if fin is None or inf is None:
             raise AssertionError("bottleneck decision and witness disagree")
         matched = [(self.fin1[i], self.fin2[j])
@@ -492,19 +551,27 @@ class _Degree:
         return matched, short1, short2
 
 
-def _by_cost(costs):
-    order = sorted(range(len(costs)), key=costs.__getitem__)
-    return [costs[j] for j in order], order
+def _covers(bars, thr, ends, nr, t):
+    """Whether the non-short bars (thr > t) can all be matched, at cost
+    <= t, to the nr bars that `ends` indexes."""
+    lo_e, hi_e = ends
+    return _kuhn([lo_e.within(lo - t, lo + t) & hi_e.within(hi - t, hi + t)
+                  for (lo, hi), th in zip(bars, thr) if th > t],
+                 nr, greedy=True) is not None
 
 
-def _covers(rows, thr, t, nr):
-    """Whether the non-short left bars (thr > t) can all be matched to
-    right bars at cost <= t."""
-    adj = [
-        order[:bisect_right(costs, t)]
-        for (costs, order), th in zip(rows, thr) if th > t
-    ]
-    return len(adj) <= nr and _kuhn(adj, nr, greedy=True) is not None
+def _least_feasible(grid, feasible):
+    """The first level of the sorted `grid` at which `feasible` holds,
+    by binary search: `feasible` must be monotone and hold at the last
+    level."""
+    lo, hi = 0, len(grid) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(grid[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return grid[lo]
 
 
 def _split_by_degree(B: Barcode):
@@ -525,9 +592,11 @@ def bottleneck(B1: Barcode, B2: Barcode, rule="half"):
 
     All endpoints are scaled once by twice the lcm of their
     denominators, so every cost and short threshold, halves included,
-    is an exact integer.  Per degree, a binary search over those levels
-    asks only whether a matching exists; the matching witness is built
-    once, at the final value.
+    is an exact integer.  Per degree, a binary search over the
+    candidate levels (`_Degree.candidates`) asks only whether a
+    matching exists; the matching witness is built once, at the final
+    value.  No cost matrix is formed: a bar's partners at a level are
+    read off as range masks (`_Ends`), and `_kuhn` matches on them.
     """
     if rule not in ("half", "double"):
         raise ValueError(f"unknown short rule {rule!r}")
@@ -557,14 +626,7 @@ def bottleneck(B1: Barcode, B2: Barcode, rule="half"):
         grid = sorted(c for c in p.candidates() if c > t)
         if not grid:
             raise AssertionError("bottleneck candidate grid is incomplete")
-        lo, hi = 0, len(grid) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if p.feasible(grid[mid]):
-                hi = mid
-            else:
-                lo = mid + 1
-        t = grid[lo]
+        t = _least_feasible(grid, p.feasible)
     matched, s1, s2 = [], [], []
     for p in parts:
         got = p.witness(t)

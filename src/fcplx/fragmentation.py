@@ -39,8 +39,9 @@ from .complexes import (
 from .barcodes import (
     Bar,
     Barcode,
-    _by_cost,
-    _covers,
+    _Ends,
+    _kuhn,
+    _least_feasible,
     _split_by_degree,
     _summands,
     barcode,
@@ -740,43 +741,51 @@ def underline_delta_upper(X, Xp, family: FamilySpec = EMPTY_FAMILY):
 # exhaustive small-instance oracle
 
 
-def _move_cost(s: Bar, t: Bar):
-    """The shift a matched pair s -> t costs in _iso_move_cost: how far
-    each endpoint moves down, inf if one moves up or only one is
-    infinite."""
-    if s.is_finite() != t.is_finite() or t.lo > s.lo or t.hi > s.hi:
-        return POS_INF
-    return max(s.lo - t.lo, s.hi - t.hi) if s.is_finite() else s.lo - t.lo
-
-
 def _iso_move_cost(BS: Barcode, BT: Barcode):
     """Least W admitting a W-iso from_barcode(BS) -> from_barcode(BT)
     within the per-degree in-order matching family (both endpoints move
     weakly down by at most W; unmatched bars have length <= W).
 
-    As in `bottleneck`, by the Mendelsohn-Dulmage theorem W is feasible
-    iff, in every degree, each side's bars longer than W can be matched
-    into the other side by pairs costing at most W; the least feasible
-    candidate weight (a pair cost or a bar length) is the answer."""
+    A pair s -> t is legal at W when t.lo lies in [s.lo - W, s.lo] and
+    t.hi in [s.hi - W, s.hi]; an infinite hi is the float inf, so
+    infinite bars meet only infinite ones.  So, as in `bottleneck`, a
+    bar's partners at W are two range masks ANDed, and by the
+    Mendelsohn-Dulmage theorem W is feasible iff, in every degree, each
+    side's bars longer than W can be matched into the other side.
+    Feasibility grows with W, and the least feasible W is a bar length
+    or a pair cost, a gap between a lo of BS and one of BT or between
+    their finite his; a binary search over those finds it."""
     ds, dt = _split_by_degree(BS), _split_by_degree(BT)
     parts = []
     weights = {0}
     for deg in set(ds) | set(dt):
         src = [b for side in ds.get(deg, ()) for b in side]
         tgt = [b for side in dt.get(deg, ()) for b in side]
-        cost = [[_move_cost(s, t) for t in tgt] for s in src]
-        rows1 = [_by_cost(row) for row in cost]
-        rows2 = [_by_cost(col) for col in zip(*cost)] or [([], [])] * len(tgt)
-        thr1 = [b.length() for b in src]
-        thr2 = [b.length() for b in tgt]
-        parts.append((rows1, thr1, rows2, thr2, len(src), len(tgt)))
-        weights.update(c for row in cost for c in row if c != POS_INF)
-        weights.update(w for w in thr1 + thr2 if w != POS_INF)
-    for W in sorted(weights):
-        if all(_covers(rows1, thr1, W, n2) and _covers(rows2, thr2, W, n1)
-               for rows1, thr1, rows2, thr2, n1, n2 in parts):
-            return W
-    return POS_INF
+        ends_s = _Ends(b.lo for b in src), _Ends(b.hi for b in src)
+        ends_t = _Ends(b.lo for b in tgt), _Ends(b.hi for b in tgt)
+        len_s = [b.length() for b in src]
+        len_t = [b.length() for b in tgt]
+        parts.append((src, len_s, ends_s, tgt, len_t, ends_t))
+        for es, et in zip(ends_s, ends_t):
+            weights.update(a - b for a in es.keys if a != POS_INF
+                           for b in et.keys if b <= a)
+        weights.update(w for w in len_s + len_t if w != POS_INF)
+
+    def feasible(W):
+        for src, len_s, (slo, shi), tgt, len_t, (tlo, thi) in parts:
+            down = [tlo.within(s.lo - W, s.lo) & thi.within(s.hi - W, s.hi)
+                    for s, w in zip(src, len_s) if w > W]
+            up = [slo.within(t.lo, t.lo + W) & shi.within(t.hi, t.hi + W)
+                  for t, w in zip(tgt, len_t) if w > W]
+            if (_kuhn(down, len(tgt), greedy=True) is None
+                    or _kuhn(up, len(src), greedy=True) is None):
+                return False
+        return True
+
+    grid = sorted(weights)
+    if not feasible(grid[-1]):
+        return POS_INF
+    return _least_feasible(grid, feasible)
 
 
 def delta_exact_small(X, Xp, family: FamilySpec = EMPTY_FAMILY,

@@ -65,7 +65,7 @@ from .complexes import (
     translate_map,
     zero_complex,
 )
-from .barcodes import barcode, boundary_depth, canonical_form, is_r_acyclic
+from .barcodes import barcode, canonical_form, is_r_acyclic
 from .homsolve import fill_map
 
 
@@ -138,9 +138,9 @@ def _contraction(K, r=None):
     """(columns, shift) of the contraction of K read off its canonical
     form, its shift the boundary depth of K; None when K has an
     infinite bar or, for an r given, a bar longer than r."""
-    bars, cf = canonical_form(K)
-    depth = boundary_depth(bars)
-    if bars.infinite() or r is not None and depth > r:
+    _, cf = canonical_form(K)
+    depth = cf.depth()
+    if cf.unpaired or r is not None and depth > r:
         return None
     return cf.contraction().columns, depth
 

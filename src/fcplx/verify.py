@@ -142,11 +142,11 @@ def gen_complex(cfg: GenConfig, rng: random.Random,
 def gen_acyclic(cfg: GenConfig, rng: random.Random, max_depth,
                 max_bars=3) -> FilteredComplex:
     """Random complex with only finite bars of length <= max_depth."""
-    grid = [q for q in cfg.filtration_grid]
+    grid = cfg.filtration_grid
+    lens = [q for q in grid if 0 <= q <= max_depth]
     bars = []
     for _ in range(rng.randint(1, max_bars)):
         lo = rng.choice(grid)
-        lens = [q for q in grid if 0 <= q <= max_depth]
         bars.append(Bar(rng.randrange(2), lo, lo + rng.choice(lens)))
     X = from_barcode(Barcode(bars))
     return random_conjugate(X, rng)
@@ -503,11 +503,11 @@ def _random_decomposition(cfg, rng, steps=2):
     Y1 = gen_complex(cfg, rng, max_generators=3)
     parts = [singleton_decomposition(Y1).steps[0]]
     prev = Y1
+    grid = [q for q in cfg.filtration_grid if q <= 1]
     for _ in range(steps - 1):
         A = gen_complex(cfg, rng, max_generators=2)
         f = random_closed_map(A, prev, rng)
         tri, wit = triangle_from_morphism(f)
-        grid = [q for q in cfg.filtration_grid if q <= 1]
         tri, wit = relax_weight(tri, wit, rng.choice(grid))
         parts.append((tri, wit))
         prev = tri.C
@@ -583,10 +583,9 @@ def _trial_frag_sum(cfg, rng):
     fails = []
     A = _interval_object(cfg, rng)
     B = _interval_object(cfg, rng)
-    Ap = from_barcode(barcode(A).shifted(rng.choice(
-        [q for q in cfg.filtration_grid if q <= 1])))
-    Bp = from_barcode(barcode(B).shifted(rng.choice(
-        [q for q in cfg.filtration_grid if q <= 1])))
+    shifts = [q for q in cfg.filtration_grid if q <= 1]
+    Ap = from_barcode(barcode(A).shifted(rng.choice(shifts)))
+    Bp = from_barcode(barcode(B).shifted(rng.choice(shifts)))
     va, Da = delta_upper(A, Ap)
     vb, Db = delta_upper(B, Bp)
     if Da is None or Db is None:
@@ -622,10 +621,11 @@ def _trial_prop51(cfg, rng):
     BX = _random_barcode(cfg, rng, 5)
     # derive BY from BX by jitter so the distance is often finite
     bars = []
+    jitter = [q for q in cfg.filtration_grid if q <= 1]
     for b in BX:
         if rng.random() < 0.3:
             continue
-        eps = rng.choice([q for q in cfg.filtration_grid if q <= 1])
+        eps = rng.choice(jitter)
         sign = rng.choice([-1, 1])
         lo = b.lo + sign * eps
         hi = b.hi if b.hi == POS_INF else max(b.hi + sign * eps, lo)

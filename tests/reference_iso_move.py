@@ -8,12 +8,20 @@ both endpoints move weakly down and costs the larger move; an unmatched
 finite bar costs its length.  The tests check
 `fcplx.fragmentation._iso_move_cost` against it.  The enumeration is
 factorial in the bars per degree, so keep inputs small.
+
+`reference_iso_move_by_lists` is the matching decision that came next,
+on a cost matrix with every row and column sorted by cost and a linear
+scan over the candidate weights.  It is polynomial, so the tests run it
+on pairs far too large for the enumeration.
 """
 
 import itertools
 from fractions import Fraction
 
+from fcplx.barcodes import _split_by_degree
 from fcplx.rationals import POS_INF
+
+from reference_bottleneck import _by_cost, _covers
 
 
 def reference_iso_move_cost(BS, BT):
@@ -69,3 +77,33 @@ def reference_iso_move_cost(BS, BT):
             best = Fraction(0)
         total = max(total, best, infcost)
     return total
+
+
+def _move_cost(s, t):
+    """How far each endpoint of s moves down to t, the larger of the
+    two; inf if one moves up or only one is infinite."""
+    if s.is_finite() != t.is_finite() or t.lo > s.lo or t.hi > s.hi:
+        return POS_INF
+    return max(s.lo - t.lo, s.hi - t.hi) if s.is_finite() else s.lo - t.lo
+
+
+def reference_iso_move_by_lists(BS, BT):
+    ds, dt = _split_by_degree(BS), _split_by_degree(BT)
+    parts = []
+    weights = {0}
+    for deg in set(ds) | set(dt):
+        src = [b for side in ds.get(deg, ()) for b in side]
+        tgt = [b for side in dt.get(deg, ()) for b in side]
+        cost = [[_move_cost(s, t) for t in tgt] for s in src]
+        rows1 = [_by_cost(row) for row in cost]
+        rows2 = [_by_cost(col) for col in zip(*cost)] or [([], [])] * len(tgt)
+        thr1 = [b.length() for b in src]
+        thr2 = [b.length() for b in tgt]
+        parts.append((rows1, thr1, rows2, thr2, len(src), len(tgt)))
+        weights.update(c for row in cost for c in row if c != POS_INF)
+        weights.update(w for w in thr1 + thr2 if w != POS_INF)
+    for W in sorted(weights):
+        if all(_covers(rows1, thr1, W, n2) and _covers(rows2, thr2, W, n1)
+               for rows1, thr1, rows2, thr2, n1, n2 in parts):
+            return W
+    return POS_INF

@@ -8,7 +8,10 @@ import pytest
 from fcplx.barcodes import Bar, Barcode, bottleneck
 from fcplx.rationals import POS_INF
 from fcplx.verify import GenConfig, bottleneck_bruteforce, _random_barcode
-from reference_bottleneck import reference_bottleneck
+from reference_bottleneck import (
+    reference_bottleneck,
+    reference_list_bottleneck,
+)
 
 
 def B(*bars):
@@ -136,6 +139,42 @@ def test_value_and_witness_match_the_dense_reference():
         assert repr(got) == repr(reference_bottleneck(b1, b2, rule=rule))
         finite += got[0] != POS_INF
     assert finite >= 250
+
+
+def _jittered_pair(rng, n, degrees):
+    """n bars in the given degrees on a grid of quarters, a tenth of
+    them infinite, and a copy with every end moved by at most 2, a
+    twentieth of the finite bars dropped and as many fresh ones added."""
+    grid = [Fraction(k, 4) for k in range(400)]
+    bars = []
+    for k in range(n):
+        lo = rng.choice(grid)
+        hi = POS_INF if k % 10 == 0 else lo + rng.choice(grid[:80])
+        bars.append(Bar(rng.choice(degrees), lo, hi))
+    other = []
+    for b in bars:
+        if b.is_finite() and rng.random() < 0.05:
+            lo = rng.choice(grid)
+            other.append(Bar(b.degree, lo, lo + rng.choice(grid[:80])))
+            continue
+        lo = b.lo + rng.choice(grid[:9]) * rng.choice((-1, 1))
+        hi = b.hi if not b.is_finite() else max(
+            lo, b.hi + rng.choice(grid[:9]) * rng.choice((-1, 1)))
+        other.append(Bar(b.degree, lo, hi))
+    return Barcode(bars), Barcode(other)
+
+
+def test_value_and_witness_match_the_list_search_at_hundreds_of_bars():
+    """Same value, same witness as the search on cost matrices and
+    neighbour lists it replaced, on pairs of 200-600 bars in one and in
+    two degrees, under both rules."""
+    rng = random.Random(20261020)
+    for n, degrees, rule in [(200, (0,), "half"), (300, (0, 1), "double"),
+                             (450, (0,), "double"), (600, (0, 1), "half")]:
+        b1, b2 = _jittered_pair(rng, n, degrees)
+        got = bottleneck(b1, b2, rule=rule)
+        assert 0 < got[0] < POS_INF
+        assert repr(got) == repr(reference_list_bottleneck(b1, b2, rule=rule))
 
 
 def test_thousand_bars_a_side_without_recursion():

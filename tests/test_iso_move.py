@@ -10,16 +10,19 @@ from fcplx.barcodes import Bar, Barcode
 from fcplx.fragmentation import _iso_move_cost
 from fcplx.rationals import POS_INF
 
-from reference_iso_move import reference_iso_move_cost
+from reference_iso_move import (
+    reference_iso_move_by_lists,
+    reference_iso_move_cost,
+)
 
 LEVELS = tuple(Fraction(n, 4) for n in range(13))
 
 
-def _pairs(count=2400):
-    """Seeded barcode pairs of 0-7 bars a side in two degrees, a quarter
-    of them infinite.  Every third target moves the source's bars down
-    by small steps and drops or adds one, so legal matchings are common;
-    the others are drawn independently."""
+def _pairs(count=2400, most=8):
+    """Seeded barcode pairs of 0 to most - 1 bars a side in two
+    degrees, a quarter of them infinite.  Every third target moves the
+    source's bars down by small steps and drops or adds one, so legal
+    matchings are common; the others are drawn independently."""
     rng = random.Random(9973)
 
     def bar():
@@ -35,14 +38,14 @@ def _pairs(count=2400):
 
     out = []
     for i in range(count):
-        src = [bar() for _ in range(rng.randrange(8))]
+        src = [bar() for _ in range(rng.randrange(most))]
         if i % 3:
-            tgt = [bar() for _ in range(rng.randrange(8))]
+            tgt = [bar() for _ in range(rng.randrange(most))]
         else:
             tgt = [lowered(b) for b in src]
             if tgt and rng.random() < 0.5:
                 tgt.pop(rng.randrange(len(tgt)))
-            elif len(tgt) < 7:
+            elif len(tgt) < most - 1:
                 tgt.append(bar())
         out.append((Barcode(src), Barcode(tgt)))
     return out
@@ -61,3 +64,14 @@ def test_matching_decision_equals_the_enumeration():
     # both outcomes are reached, and matching bars often beats
     # dropping every finite one
     assert 500 < finite < 2400 and matched > 200
+
+
+def test_range_masks_equal_the_cost_lists_on_larger_pairs():
+    """Against the decision on sorted cost lists it replaced, on pairs
+    of up to 40 bars a side, too large for the enumeration."""
+    finite = 0
+    for BS, BT in _pairs(count=200, most=41):
+        want = reference_iso_move_by_lists(BS, BT)
+        assert _iso_move_cost(BS, BT) == want, (BS, BT)
+        finite += want != POS_INF
+    assert 40 < finite < 160
