@@ -32,12 +32,10 @@ from .barcodes import (
     boundary_depth,
     canonical_form,
     from_barcode,
-    interval_structure_map,
     is_r_acyclic,
     persistence_rank,
 )
 from .tpc import (
-    MorphismClass,
     TriangleWitness,
     WeightedTriangle,
     check_triangular_weight,
@@ -71,6 +69,13 @@ from .fragmentation import (
     underline_delta_upper,
     validate_decomposition,
 )
-from .verify import GenConfig, SuiteReport, gen_complex, gen_r_iso, run_suite
+from .verify import (
+    GenConfig,
+    SuiteReport,
+    gen_complex,
+    gen_r_iso,
+    replay_trial,
+    run_suite,
+)
 
 __version__ = "0.1.0"

@@ -21,12 +21,8 @@ from operator import sub
 from typing import NamedTuple
 
 from .f2linalg import F2SparseMatrix, _apply, _eliminate, invert
-from .rationals import POS_INF, fmt_scalar, is_finite
-from .complexes import (
-    FilteredChainMap,
-    FilteredComplex,
-    make_complex,
-)
+from .rationals import POS_INF, fmt_scalar
+from .complexes import FilteredComplex, make_complex
 
 
 class Bar(NamedTuple):
@@ -323,19 +319,13 @@ def boundary_depth(obj):
     return depth
 
 
-def is_r_acyclic(X, r, want_witness=False):
-    """No infinite bars and depth <= r; optionally the nullhomotopy of
-    the identity that witnesses it, read off the canonical form."""
+def is_r_acyclic(X, r):
+    """No infinite bars and depth <= r, read off the canonical form."""
     r = Fraction(r)
     if r < 0:
         raise ValueError("acyclicity threshold must be >= 0")
     _, wit = canonical_form(X)
-    ok = not wit.unpaired and wit.depth() <= r
-    if not want_witness:
-        return ok
-    if not ok:
-        return False, None
-    return True, FilteredChainMap(X, X, wit.contraction().columns, -1)
+    return not wit.unpaired and wit.depth() <= r
 
 
 def persistence_rank(X, r, s, degree) -> int:
@@ -347,20 +337,6 @@ def persistence_rank(X, r, s, degree) -> int:
     return sum(
         1 for b in B if b.degree == degree and b.lo <= r and b.hi > s
     )
-
-
-def interval_structure_map(degree, lo, hi, r):
-    """Persistence-module view of a single bar: is the map shifting the
-    parameter down by r the zero map (r-torsion)?"""
-    r = Fraction(r)
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    length = POS_INF if hi == POS_INF else Fraction(hi) - Fraction(lo)
-    return {
-        "degree": degree,
-        "length": length,
-        "torsion": is_finite(length) and r >= length,
-    }
 
 
 # ----------------------------------------------------------------------

@@ -473,14 +473,6 @@ def eta(X: FilteredComplex, r) -> FilteredChainMap:
     return FilteredChainMap.identity(X).viewed(shift_complex(X, r), X)
 
 
-def eta_down(X: FilteredComplex, r) -> FilteredChainMap:
-    """The same comparison viewed X -> Sigma^{-r} X."""
-    r = Fraction(r)
-    if r < 0:
-        raise ValueError("eta_down requires r >= 0")
-    return FilteredChainMap.identity(X).viewed(X, shift_complex(X, -r))
-
-
 # ----------------------------------------------------------------------
 # mapping cones
 

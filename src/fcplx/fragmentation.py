@@ -69,12 +69,11 @@ from .tpc import (
 # canonical isomorphisms between barcode-equal objects
 
 
-def _summand_map(B, W, BT):
-    """The map X -> from_barcode(BT) read off a canonical form (B, W) of
-    X: each summand of X, in bar order, goes to the next free target
-    summand with the same bar, or to zero.  Returns the map and its
-    assignment {new basis index of X: generator index of the target}."""
-    X = W.complex
+def iso_to_canonical(X: FilteredComplex):
+    """Strictly invertible level-preserving chain iso X -> canonical,
+    read off a canonical form (B, W) of X: the k-th summand of X, in
+    bar order, goes to the k-th summand of from_barcode(B)."""
+    B, W = canonical_form(X)
     deg, lev = X._deg, X._lev
 
     def bar(s):
@@ -83,32 +82,20 @@ def _summand_map(B, W, BT):
 
     # a stable sort: equal bars keep the witness's order
     summands = sorted([*W.pairs, *((g,) for g in W.unpaired)], key=bar)
-    free = {}
-    for b, t in zip(BT, _summands(BT)):
-        free.setdefault(b, []).append(t)
-    assign = {}
-    for b, s in zip(B, summands):
-        if free.get(b):
-            assign.update(zip(s, free[b].pop(0)))
+    assign, back_cols = [0] * X.n, [None] * X.n
+    for s, t in zip(summands, _summands(B)):
+        for nb, ci in zip(s, t):
+            assign[nb] = ci
+            back_cols[ci] = W.matrix.column(nb)
     cols = []
     for col in invert(W.matrix).columns:
         m = 0
         for nb in _bits(col):
-            if nb in assign:
-                m ^= 1 << assign[nb]
+            m ^= 1 << assign[nb]
         cols.append(m)
-    return FilteredChainMap(X, from_barcode(BT), cols, 0), assign
-
-
-def iso_to_canonical(X: FilteredComplex):
-    """Strictly invertible level-preserving chain iso X -> canonical."""
-    B, W = canonical_form(X)
-    fwd, assign = _summand_map(B, W, B)
-    back_cols = [None] * fwd.target.n
-    for nb, ci in assign.items():
-        back_cols[ci] = W.matrix.column(nb)
-    back = FilteredChainMap(fwd.target, X, back_cols, 0)
-    return fwd, back
+    canon = from_barcode(B)
+    return (FilteredChainMap(X, canon, cols, 0),
+            FilteredChainMap(canon, X, back_cols, 0))
 
 
 def zero_iso_between(X: FilteredComplex, Y: FilteredComplex):
@@ -119,21 +106,6 @@ def zero_iso_between(X: FilteredComplex, Y: FilteredComplex):
     if fx.target != by.source:
         raise ValueError("objects are not barcode-equal")
     return compose(by, fx)
-
-
-def canonical_projection(X: FilteredComplex, BT: Barcode):
-    """0-isomorphism X -> from_barcode(BT) when X differs from it only
-    by zero-length bars."""
-    B, W = canonical_form(X)
-    bx = list(B)
-    for b in BT:
-        try:
-            bx.remove(b)
-        except ValueError:
-            raise ValueError("target bars are not a sub-multiset")
-    if any(b.length() != 0 for b in bx):
-        raise ValueError("dropped bars must have zero length")
-    return _summand_map(B, W, BT)[0]
 
 
 def _in_order_pairs(BS: Barcode, BT: Barcode):

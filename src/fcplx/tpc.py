@@ -73,19 +73,6 @@ from .homsolve import fill_map
 # morphism-level notions
 
 
-@dataclass(frozen=True)
-class MorphismClass:
-    """A morphism seen at a declared filtration level."""
-
-    representative: FilteredChainMap
-    declared_level: Fraction
-
-    def __post_init__(self):
-        sh = shift_of_map(self.representative)
-        if is_finite(sh) and sh > self.declared_level:
-            raise ValueError("declared level below the actual shift")
-
-
 def r_equivalent(f, g, r, level=None):
     """Do f and g agree after pushing the level up by r?
 
@@ -812,7 +799,8 @@ def octahedron(t1, w1, t2, w2):
     identity on T^2 E, an involution, so psi4 = lam o psi2 o psi3.  When
     both input witnesses pass their phi-r-isomorphism and
     psi-right-inverse clauses, the second output carries a certificate
-    too (`_octahedron_certificate`).
+    too (`_octahedron_certificate`).  B' = cone(t2.u, 0) is w2.cprime,
+    which `verify_triangle` checks; it is not built again.
     """
     if t1.C != t2.A:
         raise ValueError("octahedron needs t1.C == t2.A")
@@ -844,7 +832,7 @@ def octahedron(t1, w1, t2, w2):
         _apply(G, g2.cols[nF + i] | t1.u.cols[i] << nA) for i in range(nE)],
         0)
 
-    Bp = cone(t2.u, 0)
+    Bp = w2.cprime  # B' = A (+) TX
     phi_prime = FilteredChainMap(B2, Bp, _over(nA, w1.phi.cols), 0)
     # phi_prime o psi2 ~ eta by the homotopy t.x -> t.H1(x)
     psi2 = FilteredChainMap(shift_complex(Bp, r), B2,
@@ -896,6 +884,9 @@ def fill_morphism(t1, w1, t2, w2, f, g):
     of triangles h: C1 -> S^-r C2; the middle square closes up to the
     first weight and the right square up to the second."""
     r, s = Fraction(t1.weight), Fraction(t2.weight)
+    if not (_closed_shift0(f, t1.A, t2.A) and _closed_shift0(g, t1.B, t2.B)):
+        raise ValueError("fill_morphism needs closed shift-0 maps "
+                         "t1.A -> t2.A and t1.B -> t2.B")
     if homotopic(compose(t2.u, f), compose(g, t1.u), 0) is None:
         raise ValueError("fill_morphism: the given square does not commute")
     C2r = shift_complex(t2.C, -r)

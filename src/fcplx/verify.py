@@ -44,7 +44,7 @@ from .barcodes import (
     _short_threshold,
     _finite_pair_cost,
 )
-from .f2linalg import F2SparseMatrix, _bits, column_reduce, invert
+from .f2linalg import F2SparseMatrix, invert
 from .homsolve import random_closed_map
 from .tpc import (
     FLAT_WEIGHT,
@@ -284,39 +284,6 @@ def bottleneck_bruteforce(B1: Barcode, B2: Barcode, rule="half"):
             best_fin = Fraction(0)
         total = max(total, best_inf, best_fin)
     return total
-
-
-def persistence_rank_bruteforce(X: FilteredComplex, r, s, degree):
-    """Rank of the structure map on sublevel cohomology, by direct
-    linear algebra (no barcode)."""
-    r, s = Fraction(r), Fraction(s)
-
-    def cycles(level):
-        idx = [i for i in range(X.n)
-               if X.gens[i].degree == degree and X.gens[i].ell <= level]
-        cols = [X.diff[i] for i in idx]
-        R, V = column_reduce(F2SparseMatrix(cols, X.n))
-        kernel = []
-        for j in range(len(idx)):
-            if not R.column(j):
-                m = 0
-                for k in _bits(V.column(j)):
-                    m |= 1 << idx[k]
-                kernel.append(m)
-        return kernel
-
-    def boundaries(level):
-        idx = [i for i in range(X.n)
-               if X.gens[i].degree == degree - 1 and X.gens[i].ell <= level]
-        return [X.diff[i] for i in idx if X.diff[i]]
-
-    def rank(vectors):
-        R, _ = column_reduce(F2SparseMatrix(vectors, X.n))
-        return sum(1 for j in range(len(vectors)) if R.column(j))
-
-    Zr = cycles(r)
-    Bs = boundaries(s)
-    return rank(Zr + Bs) - rank(Bs)
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,11 @@ lookups on the summand ids and re-sorts the bars, and
 forms per call.  The tests check `fcplx.fragmentation` against these for
 `serialize`-equal maps and equal `ValueError` messages.
 
+`summand_map` and `canonical_projection` are the general summand map,
+onto any barcode the complex covers up to zero-length bars, as the
+library held it while it also read projections off one canonical form;
+`reference_pipeline` finds its down maps with them.
+
 `reference_canonical_form` is `canonical_form` as it was before each
 column carried its image beside its combination: it tracks the
 combination in sorted positions and maps every new basis vector back
@@ -21,6 +26,7 @@ from fcplx.barcodes import (
     Bar,
     Barcode,
     CanonicalFormWitness,
+    _summands,
     barcode,
     canonical_form,
     from_barcode,
@@ -162,6 +168,51 @@ def reference_canonical_projection(X, target):
             cols[canon.index_of(f"y{k}")] = 1 << target.index_of(f"y{kt}")
     proj = FilteredChainMap(canon, target, cols, 0)
     return compose(proj, fx)
+
+
+def summand_map(B, W, BT):
+    """The map X -> from_barcode(BT) read off a canonical form (B, W) of
+    X: each summand of X, in bar order, goes to the next free target
+    summand with the same bar, or to zero."""
+    X = W.complex
+    deg, lev = X._deg, X._lev
+
+    def bar(s):
+        # (degree, lo, infinite?, hi) on the ints sorts as the bars do
+        return deg[s[0]], lev[s[0]], not s[1:], lev[s[-1]]
+
+    # a stable sort: equal bars keep the witness's order
+    summands = sorted([*W.pairs, *((g,) for g in W.unpaired)], key=bar)
+    free = {}
+    for b, t in zip(BT, _summands(BT)):
+        free.setdefault(b, []).append(t)
+    assign = {}
+    for b, s in zip(B, summands):
+        if free.get(b):
+            assign.update(zip(s, free[b].pop(0)))
+    cols = []
+    for col in invert(W.matrix).columns:
+        m = 0
+        for nb in _bits(col):
+            if nb in assign:
+                m ^= 1 << assign[nb]
+        cols.append(m)
+    return FilteredChainMap(X, from_barcode(BT), cols, 0)
+
+
+def canonical_projection(X, BT):
+    """0-isomorphism X -> from_barcode(BT) when X differs from it only
+    by zero-length bars."""
+    B, W = canonical_form(X)
+    bx = list(B)
+    for b in BT:
+        try:
+            bx.remove(b)
+        except ValueError:
+            raise ValueError("target bars are not a sub-multiset")
+    if any(b.length() != 0 for b in bx):
+        raise ValueError("dropped bars must have zero length")
+    return summand_map(B, W, BT)
 
 
 def _in_order_pairs(BS, BT):

@@ -7,6 +7,8 @@ all of Hom(X, Y) and solves on its allowed columns.  The tests check
 `fcplx.tpc.r_inverses` against the first up to r-equivalence and
 `fcplx.complexes.nullhomotopy` against the second exactly.  Each call
 builds hom complexes of |X|·|Y| generators, so keep inputs small.
+`eta_down` is the comparison X -> Sigma^{-r} X that a left r-inverse
+undoes.
 """
 
 from fractions import Fraction
@@ -15,13 +17,17 @@ from fcplx.complexes import (
     FilteredChainMap,
     HomComplex,
     eta,
-    eta_down,
     shift_complex,
 )
 from fcplx.f2linalg import solve_in_span
 from fcplx.homsolve import MapSystem
 
 from reference_fill import diff_op, postcompose_op, precompose_op
+
+
+def eta_down(X, r):
+    """The comparison of `eta` viewed X -> Sigma^{-r} X."""
+    return FilteredChainMap.identity(X).viewed(X, shift_complex(X, -r))
 
 
 def reference_nullhomotopy(f: FilteredChainMap, bound):

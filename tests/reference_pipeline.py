@@ -2,7 +2,8 @@
 were written before they were built as cones: each helper complex
 spelled out generator by generator with `make_complex`, its attaching
 map given by ids with `from_pairs`, and each down map found by a
-canonical form of the attached cone (`canonical_projection`).
+canonical form of the attached cone (`canonical_projection` of
+`reference_canonical`).
 
 The tests run `fcplx.fragmentation._pipeline` and `_riso_strategy`
 side by side with these and check that both give the same weights and
@@ -31,7 +32,6 @@ from fcplx.fragmentation import (
     ConeDecomposition,
     _residual_shift,
     acyclic_from_zero_step,
-    canonical_projection,
     collapse_acyclic_triangle,
     comparison_map,
     singleton_triangle,
@@ -43,6 +43,8 @@ from fcplx.tpc import (
     sum_triangles_many,
     triangle_from_morphism,
 )
+
+from reference_canonical import canonical_projection
 
 
 def reference_pair_block(bx, by):

@@ -13,7 +13,6 @@ from fcplx.barcodes import (
     boundary_depth,
     canonical_form,
     from_barcode,
-    interval_structure_map,
     is_r_acyclic,
     persistence_rank,
 )
@@ -22,16 +21,17 @@ from fcplx.complexes import (
     FilteredChainMap,
     is_nullhomotopic_within,
     make_complex,
+    shift_of_map,
 )
 from fcplx.rationals import POS_INF
 from fcplx.verify import (
     GenConfig,
     gen_complex,
-    persistence_rank_bruteforce,
     random_basis_change,
 )
 
 from conftest import interval_free, interval_pair
+from reference_persistence import persistence_rank_bruteforce
 
 
 def _old_barcode(bars):
@@ -140,8 +140,10 @@ def test_acyclicity_thresholds(e2_31):
     assert is_r_acyclic(make_complex([], {}), 0)
     for r in (0, 5, 50):
         assert not is_r_acyclic(interval_free(1), r)
-    ok, h = is_r_acyclic(e2_31, 2, want_witness=True)
-    assert ok and h is not None and h.degree == -1
+    # the witness, read off the canonical form: a contraction of shift 2
+    h = FilteredChainMap(
+        e2_31, e2_31, canonical_form(e2_31)[1].contraction().columns, -1)
+    assert h.validate() == [] and shift_of_map(h) == 2
 
 
 def test_acyclicity_agrees_with_homotopy_criterion():
@@ -185,20 +187,13 @@ def test_persistence_rank_matches_direct_linear_algebra():
                 persistence_rank_bruteforce(X, r, s, deg)
 
 
-def test_interval_structure_map_torsion():
-    assert not interval_structure_map(0, 0, POS_INF, 10)["torsion"]
-    assert interval_structure_map(0, 1, 3, 2)["torsion"]
-    assert not interval_structure_map(0, 1, 3, Fraction(15, 8))["torsion"]
-    assert interval_structure_map(0, 1, 1, 0)["torsion"]
-
-
 def test_interval_structure_agrees_with_acyclicity():
     for lo, hi in ((0, 1), (1, 3), (2, 2)):
         X = interval_pair(hi, lo) if hi > lo else from_barcode(
             Barcode([Bar(0, lo, hi)]))
         for r in (0, 1, 2, 3):
-            assert interval_structure_map(0, lo, hi, r)["torsion"] == \
-                is_r_acyclic(X, r)
+            # one bar is r-torsion exactly when r reaches its length
+            assert is_r_acyclic(X, r) == (r >= hi - lo)
 
 
 def test_barcode_text_is_sorted_and_exact():

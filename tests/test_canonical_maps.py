@@ -1,6 +1,8 @@
 """The maps between a complex and its canonical object, read off one
-canonical form by the summand map, side by side with the id-lookup
-builders in `reference_canonical`."""
+canonical form, side by side with the id-lookup builders in
+`reference_canonical`; so is the general summand map
+(`reference_canonical.canonical_projection`) that the pipeline's
+reference finds its down maps with."""
 
 import random
 from fractions import Fraction
@@ -11,7 +13,6 @@ import reference_canonical
 from fcplx import barcodes, fragmentation
 from fcplx.barcodes import Bar, Barcode, barcode, from_barcode
 from fcplx.fragmentation import (
-    canonical_projection,
     comparison_map,
     iso_to_canonical,
     zero_iso_between,
@@ -19,6 +20,7 @@ from fcplx.fragmentation import (
 from fcplx.rationals import POS_INF
 from fcplx.verify import random_basis_change
 from reference_canonical import (
+    canonical_projection,
     reference_canonical_projection,
     reference_comparison_map,
     reference_iso_to_canonical,

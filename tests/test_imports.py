@@ -1,6 +1,7 @@
 """No module of the library imports a name it never uses, no private
-top-level function or class and no public method goes unused, and no
-private function has a parameter it never reads.  The library imports only the standard
+top-level function or class and no public method goes unused, no
+public top-level name goes unrun, and no private function has a
+parameter it never reads.  The library imports only the standard
 library and parses as the oldest Python that pyproject.toml admits.
 `fragmentation` builds its steps through the step builders of `tpc`,
 leaves the certificate format to that module, and builds its helper
@@ -81,6 +82,37 @@ def test_every_public_method_is_used():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not node.name.startswith("_") and node.name not in used]
     assert not dead, dead
+
+
+def _strings(tree):
+    """Every dotted part of every string constant: the names a module
+    looks up with getattr, such as the tracer's "verify.gen_complex"."""
+    return {part for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for part in node.value.split(".")}
+
+
+def test_every_public_name_is_run():
+    """Each public top-level function or class of the library is read by
+    a library module, exported by the package, a `cli` command handler
+    (`cmd_*`) or read by the benchmark (by name or by a string)."""
+    root = Path(__file__).resolve().parents[1]
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    package = trees.pop("__init__")
+    used = set().union(*map(_referenced, trees.values()))
+    exported = {alias.asname or alias.name for node in package.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    for p in (root / "perfbench").rglob("*.py"):
+        tree = ast.parse(p.read_text(), filename=str(p))
+        used |= _referenced(tree) | _strings(tree)
+    dead = [f"{name}.py:{node.lineno}: {node.name}"
+            for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in used | exported
+            and not (name == "cli" and node.name.startswith("cmd_"))]
+    assert trees and not dead, dead
 
 
 def test_no_unused_parameters_of_private_functions():

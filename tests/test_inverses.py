@@ -7,14 +7,20 @@ from fractions import Fraction
 
 import pytest
 
-from fcplx.barcodes import Bar, Barcode, barcode, from_barcode, is_r_acyclic
+from fcplx.barcodes import (
+    Bar,
+    Barcode,
+    barcode,
+    canonical_form,
+    from_barcode,
+    is_r_acyclic,
+)
 from fcplx.complexes import (
     FilteredChainMap,
     _inclusion,
     _projection,
     compose,
     eta,
-    eta_down,
     nullhomotopy,
     shift_of_map,
     sum_complexes,
@@ -31,7 +37,11 @@ from fcplx.verify import (
     gen_r_iso,
     random_basis_change,
 )
-from reference_inverses import reference_nullhomotopy, reference_r_inverses
+from reference_inverses import (
+    eta_down,
+    reference_nullhomotopy,
+    reference_r_inverses,
+)
 
 from conftest import interval_free, interval_pair
 
@@ -217,9 +227,11 @@ def test_acyclicity_witness_is_a_contraction_within_r():
     for X in cases:
         B = X.diff_matrix()
         depth = max(b.length() for b in barcode(X))
-        assert not is_r_acyclic(X, depth - Fraction(1, 8), want_witness=True)[0]
-        ok, h = is_r_acyclic(X, depth, want_witness=True)
-        assert ok and h.degree == -1 and h.validate() == []
+        assert not is_r_acyclic(X, depth - Fraction(1, 8))
+        assert is_r_acyclic(X, depth)
+        h = FilteredChainMap(
+            X, X, canonical_form(X)[1].contraction().columns, -1)
+        assert h.validate() == []
         H = h.matrix()
         dh_hd = [a ^ b for a, b in zip(B.matmul(H).columns,
                                         H.matmul(B).columns)]

@@ -317,6 +317,23 @@ def test_no_fill_at_64_bars(no_fill):
     _assert_constructions_verify(rot, pair)
 
 
+def test_the_octahedron_builds_three_cones(monkeypatch):
+    """cone(p) for the first output, B'' and cone(u4), plus cone(phi)
+    for each bare input witness's certificate; B' = cone(t2.u) is the
+    second witness's cprime."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return cone(*args)
+
+    monkeypatch.setattr(tpc, "cone", counted)
+    for t1, w1, t2, w2 in _all_rounds():
+        calls[0] = 0
+        octahedron(t1, w1, t2, w2)
+        assert calls[0] == 3 + (_cert(w1) is None) + (_cert(w2) is None)
+
+
 # ----------------------------------------------------------------------
 # certificates
 

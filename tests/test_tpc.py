@@ -7,7 +7,6 @@ from fcplx.complexes import (
     compose,
     cone,
     eta,
-    eta_down,
     homotopic,
     make_complex,
     shift_complex,
@@ -18,7 +17,6 @@ from fcplx.complexes import (
 )
 from fcplx.rationals import NEG_INF, POS_INF
 from fcplx.tpc import (
-    MorphismClass,
     is_r_isomorphism,
     r_equivalent,
     r_inverses,
@@ -28,6 +26,7 @@ from fcplx.tpc import (
 from fcplx.verify import GenConfig, gen_complex, gen_r_iso, random_closed_map
 
 from conftest import interval_free, interval_pair
+from reference_inverses import eta_down
 
 
 def test_everything_is_zero_equivalent_to_itself(e2_31):
@@ -56,18 +55,6 @@ def test_equivalence_survives_precomposition(rng):
                 assert r_equivalent(
                     compose(f, e), compose(g, e), r, level=Fraction(0)
                 )
-
-
-def test_morphism_class_checks_declared_level(e2_31):
-    f = FilteredChainMap.identity(e2_31)
-    MorphismClass(f, Fraction(0))
-    with pytest.raises(ValueError):
-        MorphismClass(
-            FilteredChainMap.identity(e2_31).viewed(
-                shift_complex(e2_31, -1), e2_31
-            ),
-            Fraction(1, 2),
-        )
 
 
 def test_identity_is_zero_isomorphism(e2_31):

@@ -284,6 +284,16 @@ def test_fill_rejects_non_commuting_square():
         fill_morphism(t1, w1, t2, w2, f, g)
 
 
+def test_fill_rejects_maps_that_are_not_closed():
+    """f = g: y -> y, x -> 0 on dy = x makes the square commute on the
+    nose, yet f is no chain map, so there is no morphism to complete."""
+    X = make_complex([("x", 1, 0), ("y", 0, 0)], {"y": ["x"]})
+    t, w = triangle_from_morphism(FilteredChainMap.identity(X))
+    f = FilteredChainMap(X, X, [0, 1 << 1], 0)
+    with pytest.raises(ValueError, match="needs closed shift-0 maps"):
+        fill_morphism(t, w, t, w, f, f)
+
+
 def test_translation_preserves_triangles_and_weights():
     for off in range(4):
         tri, wit = gen_triangle(CFG, CFG.rng(off + 400))
