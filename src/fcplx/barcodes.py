@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .f2linalg import F2SparseMatrix, _apply, _eliminate, invert
 from .rationals import POS_INF, fmt_scalar
-from .complexes import FilteredComplex, make_complex
+from .complexes import FilteredComplex, _over_lcd
 
 
 class Bar(NamedTuple):
@@ -215,9 +215,7 @@ def canonical_form(X: FilteredComplex):
     at = [0] * n
     for p, g in enumerate(order):
         at[g] = 1 << p
-    of_deg = {}
-    for g, d in enumerate(deg):
-        of_deg[d] = of_deg.get(d, 0) | 1 << g
+    of_deg = X._of_degree()
     cols = []
     for g in order:
         c = diff[g]
@@ -282,19 +280,28 @@ def barcode(X: FilteredComplex) -> Barcode:
 def from_barcode(B: Barcode) -> FilteredComplex:
     """A concrete complex realizing a barcode, one summand per bar, in
     bar order: `i{k}` for an infinite bar, `x{k}` then `y{k}` with
-    d(y{k}) = x{k} for a finite one."""
-    triples = []
-    boundaries = {}
+    d(y{k}) = x{k} for a finite one.  Built from its parts: the ends
+    are read as ints over their least common denominator."""
+    ids, deg, ends, diff = [], [], [], []
     # a Barcode's bars are already in bar order
     bars = B.bars if isinstance(B, Barcode) else Barcode(B).bars
     for k, b in enumerate(bars):
         if not b.is_finite():
-            triples.append((f"i{k}", b.degree, b.lo))
+            ids.append(f"i{k}")
+            deg.append(b.degree)
+            ends.append(b.lo)
+            diff.append(0)
         else:
-            triples.append((f"x{k}", b.degree, b.lo))
-            triples.append((f"y{k}", b.degree - 1, b.hi))
-            boundaries[f"y{k}"] = [f"x{k}"]
-    return make_complex(triples, boundaries)
+            diff += (0, 1 << len(ids))
+            ids += (f"x{k}", f"y{k}")
+            deg += (b.degree, b.degree - 1)
+            ends += (b.lo, b.hi)
+    try:
+        den, lev = _over_lcd(ends)
+    except AttributeError:  # an end that is neither an int nor a Fraction
+        den, lev = _over_lcd([Fraction(v) for v in ends])
+    return FilteredComplex._from_parts(tuple(ids), tuple(deg), den, lev,
+                                       diff)
 
 
 def _summands(B: Barcode):

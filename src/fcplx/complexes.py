@@ -16,6 +16,7 @@ Degree conventions used throughout:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -92,11 +93,12 @@ class FilteredComplex:
     their levels as ints `_lev` over the least common denominator
     `_den`; all internal code reads those.  The public `gens`, one
     `Generator` with a `Fraction` level per generator, is built on its
-    first read and kept.  Constructions that read their parts off other
+    first read and kept, and so is `_of_degree()`, the generators of each
+    degree as one mask.  Constructions that read their parts off other
     complexes build through `_from_parts`."""
 
     __slots__ = ("_ids", "_deg", "_den", "_lev", "diff", "_gens", "_index",
-                 "_hash")
+                 "_degmask", "_hash")
 
     def __init__(self, gens, diff):
         gens, diff = tuple(gens), tuple(diff)
@@ -126,6 +128,7 @@ class FilteredComplex:
         put(self, "diff", diff)
         put(self, "_gens", None)
         put(self, "_index", index)
+        put(self, "_degmask", None)
         # _den is the least common denominator, never a multiple of it,
         # so equal complexes have equal _den and _lev
         put(self, "_hash", hash((lev, den, diff)))
@@ -162,6 +165,17 @@ class FilteredComplex:
 
     def degree(self, i) -> int:
         return self._deg[i]
+
+    def _of_degree(self):
+        """{degree: mask of the generators of that degree}, built on
+        first read and kept."""
+        table = self._degmask
+        if table is None:
+            table = {}
+            for g, d in enumerate(self._deg):
+                table[d] = table.get(d, 0) | 1 << g
+            object.__setattr__(self, "_degmask", table)
+        return table
 
     def ell(self, i) -> Fraction:
         return Fraction(self._lev[i], self._den)
@@ -355,20 +369,59 @@ class FilteredChainMap:
     def is_closed(self) -> bool:
         """Chain-map condition dT*f + f*dS = 0 (signs vacuous mod 2),
         decided column by column."""
-        dT, f = self.target.diff, self.cols
-        return all(_apply(dT, c) == _apply(f, d)
-                   for c, d in zip(f, self.source.diff))
+        return _boundary_is(self.cols, self.source.diff, self.target.diff,
+                            repeat(0))
+
+
+def _boundary_is(h, dS, dT, rhs):
+    """Is dT o h + h o dS, for the map with columns h, equal to rhs,
+    column by column?  A column with at most one bit is read by index."""
+    for c, d, e in zip(h, dS, rhs):
+        if c & (c - 1):
+            c = _apply(dT, c)
+        elif c:
+            c = dT[c.bit_length() - 1]
+        if d & (d - 1):
+            d = _apply(h, d)
+        elif d:
+            d = h[d.bit_length() - 1]
+        if c ^ d != e:
+            return False
+    return True
+
+
+def _shift_num(S, T, cols):
+    """The shift of the map S -> T with columns cols as an int over
+    lcm(S._den, T._den), or None for the zero map."""
+    den = lcm(S._den, T._den)
+    a, b = den // S._den, den // T._den
+    tl = T._lev
+    r = None
+    for s, c in zip(S._lev, cols):
+        if not c:
+            continue
+        if c & (c - 1):
+            t = max(map(tl.__getitem__, _bits(c))) * b - s * a
+        else:
+            t = tl[c.bit_length() - 1] * b - s * a
+        if r is None or t > r:
+            r = t
+    return r
+
+
+def _shift_within(S, T, cols, bound):
+    """Is the shift of the map S -> T with columns cols at most bound,
+    an int or Fraction?  Decided in ints."""
+    r = _shift_num(S, T, cols)
+    return r is None or (r * bound.denominator
+                         <= bound.numerator * lcm(S._den, T._den))
 
 
 def shift_of_map(f: FilteredChainMap):
     """Least r with level(f(x)) <= level(x) + r; -inf for the zero map."""
     S, T = f.source, f.target
-    den = lcm(S._den, T._den)
-    a, b = den // S._den, den // T._den
-    tl = T._lev
-    r = max((max(map(tl.__getitem__, _bits(c))) * b - s * a
-             for s, c in zip(S._lev, f.cols) if c), default=None)
-    return NEG_INF if r is None else Fraction(r, den)
+    r = _shift_num(S, T, f.cols)
+    return NEG_INF if r is None else Fraction(r, lcm(S._den, T._den))
 
 
 def compose(g: FilteredChainMap, f: FilteredChainMap) -> FilteredChainMap:
@@ -414,13 +467,20 @@ def translate_map(f: FilteredChainMap) -> FilteredChainMap:
 
 def _disambiguate(*id_lists):
     """Ids of a disjoint union, in order: an id already taken by an
-    earlier generator is primed until it is free."""
+    earlier generator is primed until it is free.  `taken` only grows,
+    so every form of an id up to the last primed one handed out is
+    still taken, and the search for the next starts there."""
     taken = set()
+    last = {}
     out = []
     for ids in id_lists:
         for gid in ids:
-            while gid in taken:
-                gid = gid + "'"
+            if gid in taken:
+                base = gid
+                gid = last.get(base, base)
+                while gid in taken:
+                    gid = gid + "'"
+                last[base] = gid
             taken.add(gid)
             out.append(gid)
     return tuple(out)
@@ -495,8 +555,8 @@ def cone(f: FilteredChainMap, lam=0) -> FilteredComplex:
         return Y
     if not f.is_closed():
         raise ValueError("cone requires a closed map")
-    sh = shift_of_map(f)
-    if is_finite(sh) and lam < sh:
+    if not _shift_within(X, Y, f.cols, lam):
+        sh = shift_of_map(f)
         raise ValueError(
             f"cone level too small: lambda = {fmt_scalar(lam)} < "
             f"shift {fmt_scalar(sh)} (deficit {fmt_scalar(sh - lam)})"

@@ -51,7 +51,9 @@ from .complexes import (
     _inclusion,
     _joined,
     _map_at,
+    _boundary_is,
     _projection,
+    _shift_within,
     compose,
     cone,
     eta,
@@ -92,8 +94,7 @@ def r_equivalent(f, g, r, level=None):
 
 
 def _require_iso_input(f: FilteredChainMap):
-    sh = shift_of_map(f)
-    if is_finite(sh) and sh > 0:
+    if not _shift_within(f.source, f.target, f.cols, 0):
         raise ValueError("is_r_isomorphism requires a shift-<=0 map")
     if f.degree != 0 or not f.is_closed():
         raise ValueError("is_r_isomorphism requires a closed degree-0 map")
@@ -289,14 +290,11 @@ def _closed_shift0(m, source, target):
     every entry of degree 0?"""
     if m.source != source or m.target != target or m.degree != 0:
         return False
-    of_degree = {}
-    for t, d in enumerate(target._deg):
-        of_degree[d] = of_degree.get(d, 0) | 1 << t
-    if any(c & ~of_degree.get(d, 0)
-           for d, c in zip(source._deg, m.cols)) or not m.is_closed():
-        return False
-    sh = shift_of_map(m)
-    return not is_finite(sh) or sh <= 0
+    of_degree = target._of_degree().get
+    for d, c in zip(source._deg, m.cols):
+        if c & ~of_degree(d, 0):
+            return False
+    return m.is_closed() and _shift_within(source, target, m.cols, 0)
 
 
 def _through_phi(phi, B):
@@ -335,12 +333,8 @@ def _is_homotopy(S, T, cols, f, bound):
         h = FilteredChainMap(S, T, cols, -1)
     except ValueError:
         return False
-    dT = T.diff
-    if not all(_apply(dT, c) ^ _apply(h.cols, d) == e
-               for c, d, e in zip(h.cols, S.diff, f)):
-        return False
-    sh = shift_of_map(h)
-    return not is_finite(sh) or sh <= bound
+    return (_boundary_is(h.cols, S.diff, T.diff, f)
+            and _shift_within(S, T, h.cols, bound))
 
 
 def _certificate(tri: WeightedTriangle, wit: TriangleWitness, Kphi=None):
@@ -573,8 +567,7 @@ def rotate(tri: WeightedTriangle, wit: TriangleWitness,
         if W >= 2 * r:
             break
         wW = rtri.w.viewed(rtri.C, shift_complex(translate(B), -W))
-        sh = shift_of_map(wW)
-        if is_finite(sh) and sh > 0:
+        if not _shift_within(wW.source, wW.target, wW.cols, 0):
             continue
         cand = _witness_candidate(rtri.u, rtri.v, wW, W)
         if cand is not None:
