@@ -282,9 +282,13 @@ def from_barcode(B: Barcode) -> FilteredComplex:
     bar order: `i{k}` for an infinite bar, `x{k}` then `y{k}` with
     d(y{k}) = x{k} for a finite one.  Built from its parts: the ends
     are read as ints over their least common denominator."""
-    ids, deg, ends, diff = [], [], [], []
     # a Barcode's bars are already in bar order
-    bars = B.bars if isinstance(B, Barcode) else Barcode(B).bars
+    return _from_bars(B.bars if isinstance(B, Barcode) else Barcode(B).bars)
+
+
+def _from_bars(bars) -> FilteredComplex:
+    """from_barcode with the summands in the given order of the bars."""
+    ids, deg, ends, diff = [], [], [], []
     for k, b in enumerate(bars):
         if not b.is_finite():
             ids.append(f"i{k}")

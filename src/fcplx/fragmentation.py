@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import accumulate
 from math import lcm
 
@@ -32,7 +32,6 @@ from .complexes import (
     cone,
     eta,
     shift_complex,
-    sum_complexes,
     translate_inverse,
     zero_complex,
 )
@@ -40,6 +39,7 @@ from .barcodes import (
     Bar,
     Barcode,
     _Ends,
+    _from_bars,
     _kuhn,
     _least_feasible,
     _split_by_degree,
@@ -246,15 +246,23 @@ class FamilySpec:
         shifted = BM.shifted(delta).degree_translated(-kdeg)
         return BX == shifted
 
+    @cached_property
+    def _member_barcodes(self):
+        """Each member's barcode, made once per family."""
+        return tuple(barcode(m) for m in self.members)
+
     def has_zero(self) -> bool:
         """Does the family contain the zero object?"""
-        return self.with_zero or any(not barcode(m) for m in self.members)
+        return self.with_zero or not all(self._member_barcodes)
 
     def contains(self, X: FilteredComplex) -> bool:
-        BX = barcode(X)
+        return self._holds(barcode(X))
+
+    def _holds(self, BX: Barcode) -> bool:
+        """contains, for an object named by its barcode."""
         if self.with_zero and not BX:
             return True
-        return any(self._matches(BX, barcode(m)) for m in self.members)
+        return any(self._matches(BX, BM) for BM in self._member_barcodes)
 
 
 _FAMILY_OPERANDS = {"family": 0, "member": 1, "closed-shift": 0,
@@ -314,12 +322,10 @@ def _linearization_ok(D: ConeDecomposition, family: FamilySpec, BXp):
     """Is every linearization entry a family member, but for one slot
     entry barcode-equal to T^-1 X'?  X' is named by its barcode."""
     slot_bar = BXp.degree_translated(-1)
-    entries = D.linearization()
-    return any(
-        barcode(A) == slot_bar
-        and all(family.contains(E) for k, E in enumerate(entries) if k != i)
-        for i, A in enumerate(entries)
-    )
+    bars = [barcode(E) for E in D.linearization()]
+    outside = [B for B in bars if not family._holds(B)]
+    # the slot entry may be the one entry outside the family
+    return outside == [slot_bar] if outside else slot_bar in bars
 
 
 # ----------------------------------------------------------------------
@@ -419,25 +425,10 @@ def merge_slot_decompositions(DA, xprimeA, DB, xprimeB):
 
 
 def _residual_shift(bx: Bar, by: Bar):
-    """How far _pair_block raises bx so that by maps onto it."""
+    """How far _pipeline raises bx so that by maps onto it."""
     if not bx.is_finite():
         return max(by.lo - bx.lo, Fraction(0))
     return max(by.lo - bx.lo, by.hi - bx.hi, Fraction(0))
-
-
-def _pair_block(bx: Bar, by: Bar):
-    """Slot block turning the Y-side summand into the shifted X-side
-    summand: with E' = T^-1 E(by), the helper H = cone of the one-bar
-    comparison T^-1 S^mu E(bx) -> E', and the residual shift mu.
-    Returns the inclusion u: E' -> H and mu; cone(u) is E' (+) S^mu
-    E(bx) (+) T E'."""
-    if by.degree != bx.degree:
-        raise ValueError("matched bars must share a degree")
-    mu = _residual_shift(bx, by)
-    Es = translate_inverse(from_barcode(Barcode([bx]).shifted(mu)))
-    Ep = translate_inverse(from_barcode(Barcode([by])))
-    H = cone(_inclusion(Es, Ep, 0), 0)
-    return _inclusion(Ep, H, 0), mu
 
 
 def prop51_pipeline(X, Y):
@@ -447,7 +438,9 @@ def prop51_pipeline(X, Y):
     Returns (bound, decomposition, d_bot, constant) where the bound is
     at most (4 * min(#bars) + 1) * d_bot; the decomposition validates
     against any family containing zero.  Returns (inf, None, inf, C)
-    when the infinite-bar counts disagree."""
+    when the infinite-bar counts disagree.  All matched pairs bx <- by,
+    in matching order, make one helper H, the cone of T^-1 S^mu E(bx) ->
+    E' = T^-1 E(by), and one slot triangle, the cone triangle of E' -> H."""
     return _pipeline(barcode(X), barcode(Y))
 
 
@@ -458,9 +451,9 @@ def _pipeline_cost(tau, wit):
     The weight is the depth of the helper attached first, plus the
     longest collapsed Y-short, plus the largest residual shift mu paid
     by the final down move.  The helper is the sum of the X-short carry
-    and each pair's H, whose bars are [by.lo, bx.lo + mu) for infinite
-    bx, else [by.lo, min(by.hi, bx.lo + mu)) and
-    [max(by.hi, bx.lo + mu), bx.hi + mu)."""
+    and the pair cone H, whose bars are, per matched pair,
+    [by.lo, bx.lo + mu) for infinite bx, else [by.lo, min(by.hi,
+    bx.lo + mu)) and [max(by.hi, bx.lo + mu), bx.hi + mu)."""
     if tau == POS_INF:
         return POS_INF
     helper = [b.length() for b in wit.short1]
@@ -485,43 +478,39 @@ def _pipeline(BX: Barcode, BY: Barcode, match=None):
     tau, wit = match or bottleneck(BX, BY)
     if tau == POS_INF:
         return POS_INF, None, POS_INF, cap
-    blocks = []  # (slot triangle, witness, down map, output, mu)
-    for bx, by in wit.matched:
-        u, mu = _pair_block(bx, by)
-        tri, twit = triangle_from_morphism(u)  # u has shift 0: C = cone(u)
-        # off the middle block, cone(u) is the cone of an identity, all
-        # of whose bars have zero length: down is the block projection
-        tgt = from_barcode(Barcode([bx]))
-        down = _projection(tri.C, tgt, u.source.n)
-        blocks.append((tri, twit, down, tgt, mu))
-    SX = from_barcode(Barcode(wit.short1))
-    steps = []
-    # merged slot step: pair blocks + collapsed Y-shorts + X-short carry
-    slot_parts = [(tri, twit) for tri, twit, *_ in blocks]
-    for bs in wit.short2:
-        slot_parts.append(collapse_acyclic_triangle(from_barcode(
-            Barcode([bs]))))
-    if not SX.is_zero() or not slot_parts:
-        slot_parts.append(identity_triangle(SX))
-    merged = sum_triangles_many(slot_parts)
-    H_tot = merged[0].B
-    if not H_tot.is_zero():
-        steps.append(acyclic_from_zero_step(H_tot))
+    bxs = [bx for bx, _ in wit.matched]
+    mus = [_residual_shift(bx, by) for bx, by in wit.matched]
+    shorts_x = sorted(wit.short1)  # in bar order
+    SX = _from_bars(shorts_x)
+    # the slot step sums the pair cone, the collapsed Y-shorts and the
+    # X-short carry; cone(u) is E' (+) S^mu E(bx) (+) T E', block by block
+    parts = []
+    if bxs:
+        # an infinite hi stays infinite when raised
+        Es = translate_inverse(_from_bars([
+            Bar(b.degree, b.lo + mu, b.hi + mu) for b, mu in zip(bxs, mus)]))
+        Ep = translate_inverse(_from_bars([by for _, by in wit.matched]))
+        H = cone(_inclusion(Es, Ep, 0), 0)
+        parts.append(triangle_from_morphism(_inclusion(Ep, H, 0)))
+    if wit.short2:
+        parts.append(collapse_acyclic_triangle(_from_bars(wit.short2)))
+    if not SX.is_zero() or not parts:
+        parts.append(identity_triangle(SX))
+    merged = sum_triangles_many(parts)
+    tri = merged[0]
+    steps = [] if tri.B.is_zero() else [acyclic_from_zero_step(tri.B)]
     steps.append(merged)
-    M_tot = merged[0].C
-
-    # final down move, block-diagonal over the parts of M_tot: each pair
-    # block's down map, then the identity on the X-short carry (the
-    # collapsed Y-shorts have no generators)
-    total, offsets = sum_complexes([b[3] for b in blocks] + [SX])
-    cols = []
-    for (_, _, down, _, _), off in zip(blocks, offsets):
-        cols += [c << off for c in down.cols]
-    cols += [1 << (offsets[-1] + i) for i in range(SX.n)]
-    down_total = FilteredChainMap(M_tot, total, cols, 0)
-    W_fin = max([b[4] for b in blocks], default=Fraction(0))
-    if not (M_tot.is_zero() and total.is_zero()):
-        steps.append(zero_apex_step(down_total, W_fin))
+    # final down move: off its middle block, cone(u) is the cone of an
+    # identity, all of whose bars have zero length, so down is the block
+    # projection onto the bx bars, then the identity on the X-short
+    # carry (the collapsed Y-shorts have no generators)
+    total = _from_bars(bxs + shorts_x)
+    n = total.n - SX.n
+    cols = [0] * n + [1 << i for i in range(n)] + [0] * n
+    cols += [1 << (n + i) for i in range(SX.n)]
+    if not (tri.C.is_zero() and total.is_zero()):
+        steps.append(zero_apex_step(FilteredChainMap(tri.C, total, cols, 0),
+                                    max(mus, default=Fraction(0))))
     D = ConeDecomposition(tuple(steps))
     bound = D.total_weight()
     if bound > cap * tau:

@@ -99,6 +99,19 @@ class GenConfig:
     def rng(self, offset: int) -> random.Random:
         return random.Random(self.seed * 1_000_003 + offset)
 
+    def _grid(self, hi=None, lo=None, open_lo=False):
+        """The grid values q, in grid order, with q <= hi and q >= lo
+        (q > lo when open_lo), a bound of None being none.  Each filter
+        is made once per config."""
+        key = hi, lo, open_lo
+        made = self.__dict__.setdefault("_grids", {})  # frozen, has a dict
+        if key not in made:
+            made[key] = tuple(
+                q for q in self.filtration_grid
+                if (hi is None or q <= hi)
+                and (lo is None or (q > lo if open_lo else q >= lo)))
+        return made[key]
+
 
 def gen_complex(cfg: GenConfig, rng: random.Random,
                 max_generators=None) -> FilteredComplex:
@@ -142,11 +155,10 @@ def gen_complex(cfg: GenConfig, rng: random.Random,
 def gen_acyclic(cfg: GenConfig, rng: random.Random, max_depth,
                 max_bars=3) -> FilteredComplex:
     """Random complex with only finite bars of length <= max_depth."""
-    grid = cfg.filtration_grid
-    lens = [q for q in grid if 0 <= q <= max_depth]
+    lens = cfg._grid(max_depth, 0)
     bars = []
     for _ in range(rng.randint(1, max_bars)):
-        lo = rng.choice(grid)
+        lo = rng.choice(cfg.filtration_grid)
         bars.append(Bar(rng.randrange(2), lo, lo + rng.choice(lens)))
     X = from_barcode(Barcode(bars))
     return random_conjugate(X, rng)
@@ -227,9 +239,7 @@ def gen_triangle_over(base, cfg, rng, max_weight=None):
     B = gen_complex(cfg, rng, max_generators=3)
     f = random_closed_map(base, B, rng)
     tri, wit = triangle_from_morphism(f)
-    if max_weight is None:
-        max_weight = Fraction(2)
-    slack = [q for q in cfg.filtration_grid if q <= max_weight]
+    slack = cfg._grid(Fraction(2) if max_weight is None else max_weight)
     s = rng.choice(slack) if slack and rng.random() < 0.7 else Fraction(0)
     return relax_weight(tri, wit, s)
 
@@ -388,7 +398,7 @@ def _trial_cone_acyclic_sum(cfg, rng):
 
 def _trial_riso_compose(cfg, rng):
     fails = []
-    grid = [q for q in cfg.filtration_grid if q <= 2]
+    grid = cfg._grid(2)
     r, s = rng.choice(grid), rng.choice(grid)
     f, A, B = gen_r_iso(cfg, r, rng)
     g, _, Cc = gen_r_iso(cfg, s, rng, source=B)
@@ -401,8 +411,7 @@ def _trial_riso_compose(cfg, rng):
 
 def _trial_inverse_2r(cfg, rng):
     fails = []
-    grid = [q for q in cfg.filtration_grid if 0 < q <= 2]
-    r = rng.choice(grid)
+    r = rng.choice(cfg._grid(2, 0, open_lo=True))
     f, A, B = gen_r_iso(cfg, r, rng)
     phi, psi = r_inverses(f, r, rng=rng)
     if not is_r_isomorphism(psi, 2 * r):
@@ -470,7 +479,7 @@ def _random_decomposition(cfg, rng, steps=2):
     Y1 = gen_complex(cfg, rng, max_generators=3)
     parts = [singleton_decomposition(Y1).steps[0]]
     prev = Y1
-    grid = [q for q in cfg.filtration_grid if q <= 1]
+    grid = cfg._grid(1)
     for _ in range(steps - 1):
         A = gen_complex(cfg, rng, max_generators=2)
         f = random_closed_map(A, prev, rng)
@@ -486,8 +495,7 @@ def _trial_refinement(cfg, rng):
     D = _random_decomposition(cfg, rng, steps=2)
     i = rng.randrange(len(D.steps))
     Xi = D.steps[i][0].A
-    inner_grid = [q for q in cfg.filtration_grid if q <= 1]
-    r = rng.choice(inner_grid)
+    r = rng.choice(cfg._grid(1))
     if rng.random() < 0.5 and not Xi.is_zero():
         tri, wit = eta_slot_triangle(Xi, r)
         Dp = ConeDecomposition(((tri, wit),))
@@ -550,7 +558,7 @@ def _trial_frag_sum(cfg, rng):
     fails = []
     A = _interval_object(cfg, rng)
     B = _interval_object(cfg, rng)
-    shifts = [q for q in cfg.filtration_grid if q <= 1]
+    shifts = cfg._grid(1)
     Ap = from_barcode(barcode(A).shifted(rng.choice(shifts)))
     Bp = from_barcode(barcode(B).shifted(rng.choice(shifts)))
     va, Da = delta_upper(A, Ap)
@@ -588,7 +596,7 @@ def _trial_prop51(cfg, rng):
     BX = _random_barcode(cfg, rng, 5)
     # derive BY from BX by jitter so the distance is often finite
     bars = []
-    jitter = [q for q in cfg.filtration_grid if q <= 1]
+    jitter = cfg._grid(1)
     for b in BX:
         if rng.random() < 0.3:
             continue
@@ -647,8 +655,7 @@ def _trial_weight_axioms(cfg, rng):
 
 def _trial_limit_examples(cfg, rng):
     fails = []
-    grid = [q for q in cfg.filtration_grid if q > 0]
-    r = rng.choice(grid)
+    r = rng.choice(cfg._grid(lo=0, open_lo=True))
     lo = rng.choice(cfg.filtration_grid)
     A = make_complex([("a", 0, lo)])
     TA = translate(A)

@@ -1,9 +1,10 @@
 """Direct sums of triangles as they were built before the n-ary sum: the
 binary `direct_sum`, `map_direct_sum` and `sum_triangles`, the left fold
-of `sum_triangles` over the slot parts of `prop51_pipeline`, and the
-down map assembled from composed inclusions (`_sum_many`) and
-projections (`_fold_projections`).  Each pair block's own down map is
-the block projection off its cone, as in the pipeline: this file checks
+of `sum_triangles` over the slot parts of `prop51_pipeline` (the pair
+cone, the collapsed short bars of Y and the carry of the short bars of
+X), and the down map assembled from composed inclusions and projections
+(`_fold_projections`).  The pair cone's own down map is the block
+projection off its middle block, as in the pipeline: this file checks
 the sum fold, not that map.
 
 The tests check `fcplx.tpc.sum_triangles(_many)` and
@@ -15,16 +16,24 @@ inputs to a few hundred generators.
 from fractions import Fraction
 from typing import NamedTuple
 
-from fcplx.barcodes import Barcode, barcode, bottleneck, from_barcode
+from fcplx.barcodes import (
+    Barcode,
+    _from_bars,
+    barcode,
+    bottleneck,
+    from_barcode,
+)
 from fcplx.complexes import (
     FilteredChainMap,
     FilteredComplex,
     Generator,
+    _inclusion,
     _projection,
     compose,
     cone,
     shift_complex,
     translate,
+    translate_inverse,
     translate_map,
     zero_complex,
 )
@@ -32,7 +41,7 @@ from fcplx.f2linalg import _bits
 from fcplx.fragmentation import (
     EMPTY_FAMILY,
     ConeDecomposition,
-    _pair_block,
+    _residual_shift,
     acyclic_from_zero_step,
     collapse_acyclic_triangle,
     zero_apex_step,
@@ -164,22 +173,6 @@ def fold_triangles(parts):
     return merged
 
 
-def _sum_many(parts):
-    total = zero_complex()
-    folds = []
-    for p in parts:
-        s = direct_sum(total, p)
-        folds.append(s)
-        total = s.complex
-    includes = []
-    for j in range(len(parts)):
-        inc = folds[j].include_right
-        for k in range(j + 1, len(parts)):
-            inc = compose(folds[k].include_left, inc)
-        includes.append(inc)
-    return total, includes
-
-
 def _fold_projections(parts):
     folds = []
     run = parts[0]
@@ -208,48 +201,42 @@ def reference_prop51_pipeline(X, Y, family=EMPTY_FAMILY):
     tau, wit = bottleneck(BX, BY)
     if tau == POS_INF:
         return POS_INF, None, POS_INF, cap
-    blocks = []
-    for bx, by in wit.matched:
-        u, mu = _pair_block(bx, by)
-        K = cone(u, 0)
-        tri, twit = triangle_from_morphism(u)
-        tgt = from_barcode(Barcode([bx]))
-        down = _projection(K, tgt, u.source.n)
-        blocks.append((tri, twit, u.target, K, down, tgt, mu))
-    shorts_y = list(wit.short2)
-    shorts_x = list(wit.short1)
-    SX = from_barcode(Barcode(shorts_x))
-    steps = []
-    slot_parts = [(tri, twit) for tri, twit, *_ in blocks]
-    for bs in shorts_y:
-        slot_parts.append(collapse_acyclic_triangle(from_barcode(
-            Barcode([bs]))))
+    bxs = [bx for bx, _ in wit.matched]
+    mus = [_residual_shift(bx, by) for bx, by in wit.matched]
+    Es = translate_inverse(_from_bars([
+        Barcode([bx]).shifted(mu).bars[0] for bx, mu in zip(bxs, mus)]))
+    Ep = translate_inverse(_from_bars([by for _, by in wit.matched]))
+    shorts_x = Barcode(wit.short1)
+    SX = from_barcode(shorts_x)
+    slot_parts = []
+    if bxs:
+        H = cone(_inclusion(Es, Ep, 0), 0)
+        slot_parts.append(triangle_from_morphism(_inclusion(Ep, H, 0)))
+    if wit.short2:
+        slot_parts.append(collapse_acyclic_triangle(_from_bars(
+            wit.short2)))
     if not SX.is_zero() or not slot_parts:
         slot_parts.append(identity_triangle(SX))
     merged = fold_triangles(slot_parts)
+    steps = []
     H_tot = merged[0].B
     if not H_tot.is_zero():
         steps.append(acyclic_from_zero_step(H_tot))
     steps.append(merged)
     M_tot = merged[0].C
 
-    n_pairs = len(blocks)
-    targets = [b[5] for b in blocks] + [SX]
-    total, includes = _sum_many(targets)
-    comp_objs = [tri.C for tri, _ in slot_parts]
-    comp_projs = _fold_projections(comp_objs)
+    Ex = _from_bars(bxs)
+    total = _from_bars(bxs + list(shorts_x))
+    comp_projs = _fold_projections([tri.C for tri, _ in slot_parts])
     down_total = FilteredChainMap.zero(M_tot, total)
-    for j in range(len(slot_parts)):
-        if j < n_pairs:
-            dm = compose(blocks[j][4], comp_projs[j])
-            tgt_idx = j
-        elif j < n_pairs + len(shorts_y):
-            continue
-        else:
-            dm = comp_projs[j]
-            tgt_idx = n_pairs
-        down_total = down_total + compose(includes[tgt_idx], dm)
-    W_fin = max([b[6] for b in blocks], default=Fraction(0))
+    if bxs:
+        down = _projection(slot_parts[0][0].C, Ex, Ep.n)
+        down_total = down_total + compose(
+            _inclusion(Ex, total, 0), compose(down, comp_projs[0]))
+    if not SX.is_zero():
+        down_total = down_total + compose(
+            _inclusion(SX, total, Ex.n), comp_projs[-1])
+    W_fin = max(mus, default=Fraction(0))
     if not (M_tot.is_zero() and total.is_zero()):
         steps.append(zero_apex_step(down_total, W_fin))
     D = ConeDecomposition(tuple(steps))

@@ -3,8 +3,9 @@ mapping cones, and their down maps are block projections off those
 cones.  Side by side with the hand-written helpers and the down maps
 found by canonical forms (`reference_pipeline`), both must give the
 same weights and barcodes, step by step, and decompositions that
-validate: on the seed-1 inputs of the benchmark's `pipeline` workload
-and at every grid shift of the `delta_upper` test inputs."""
+validate: on the seed-1 inputs of the benchmark's `pipeline` workload,
+on the 32, 64 and 128-bar pairs of `test_sums`, and at every grid shift
+of the `delta_upper` test inputs."""
 
 import importlib.util
 from pathlib import Path
@@ -19,6 +20,7 @@ from fcplx.fragmentation import (
 
 from reference_pipeline import reference_pipeline, reference_riso_strategy
 from test_delta_upper import _both_ways, _grid
+from test_sums import LARGE_BARS, _large_pair
 
 WORKLOADS = (Path(__file__).resolve().parent.parent / "perfbench"
              / "workloads.py")
@@ -63,6 +65,17 @@ def test_pipeline_matches_the_hand_written_blocks():
             seen["finite" if bx.is_finite() else "infinite"] += 1
     # matched pairs of both kinds, one pair block each
     assert min(seen.values()) >= 100, seen
+
+
+def test_large_pipelines_match_the_hand_written_blocks():
+    for n in LARGE_BARS:
+        X, Y = _large_pair(n)
+        BX, BY = barcode(X), barcode(Y)
+        bound, D, tau, cap = _pipeline(BX, BY)
+        rbound, R, rtau, rcap = reference_pipeline(BX, BY)
+        assert (bound, tau, cap) == (rbound, rtau, rcap)
+        assert len(bottleneck(BX, BY)[1].matched) >= n // 2
+        _agree(D, R, X, Y)
 
 
 def test_raised_comparison_matches_the_hand_written_cylinder():

@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from fcplx import barcodes
 from fcplx.barcodes import (
     Bar,
     Barcode,
@@ -52,6 +54,7 @@ from fcplx.tpc import (
 from fcplx.verify import GenConfig, _random_barcode
 
 from conftest import interval_free, interval_pair
+from test_step_builders import _count_calls
 
 
 def chain_ok(D):
@@ -309,6 +312,35 @@ def test_family_membership_with_closures():
     assert not famT.contains(interval_free(1, degree=3))
     assert FamilySpec((), with_zero=True).contains(zero_complex())
     assert not FamilySpec((), with_zero=False).contains(zero_complex())
+
+
+def test_validation_takes_each_barcode_once(monkeypatch):
+    """validate_decomposition of an m-step decomposition over a family of
+    k members makes m + k + 3 canonical forms: one per linearization
+    entry (m + m(m - 1) when each candidate slot re-read the other
+    entries), one per member for the family's life, and those of the
+    final object, the target and X'.  Membership calls after the first
+    make one each, for the object asked about."""
+    parts = [interval_free(j, degree=j % 2) for j in range(4)]
+    for m in range(1, 5):
+        D = singleton_decomposition(parts[0])
+        for Z in parts[1:m]:
+            D = sum_decompositions(D, singleton_decomposition(Z))
+        target = sum_complexes(parts[:m])[0]
+        for k in (0, 1, 3):
+            family = FamilySpec(tuple(translate_inverse(Z)
+                                      for Z in parts[1:1 + k]),
+                                with_zero=False)
+            counts = Counter(canonical_form=0)
+            with monkeypatch.context() as mp:
+                _count_calls(mp, counts, barcodes.canonical_form)
+                ok = validate_decomposition(D, target, family, parts[0])[0]
+                assert counts["canonical_form"] == m + k + 3
+                assert not family.has_zero()
+                assert not family.contains(parts[0])
+                assert counts["canonical_form"] == m + k + 4
+            # the entries after the slot are exactly the first m - 1 members
+            assert ok == (m - 1 <= k)
 
 
 def test_family_text_format(tmp_path):

@@ -177,9 +177,13 @@ def _count_calls(monkeypatch, counts, *functions):
 # held its gens).  Map checks decide shift bounds in ints, so only
 # `triangle_from_morphism`, which needs the shift's value, calls
 # `shift_of_map` (8424 calls when `cone`, `_closed_shift0`,
-# `_is_homotopy` and `_require_iso_input` went through it).
-PIPELINE_WORK = {"compose": 0, "cone": 4336, "canonical_form": 1776,
-                 "shift_of_map": 1344, "FilteredChainMap": 20812,
+# `_is_homotopy` and `_require_iso_input` went through it).  All matched
+# pairs make one pair cone and one triangle, and all short bars of Y one
+# collapse (4336 cones, 1344 `shift_of_map` calls and 20 812 maps with a
+# triangle per pair and a collapse per short bar), and validation takes
+# each linearization entry's barcode once (1776 canonical forms before).
+PIPELINE_WORK = {"compose": 0, "cone": 1918, "canonical_form": 1615,
+                 "shift_of_map": 156, "FilteredChainMap": 8581,
                  "Generator": 0}
 
 

@@ -1,8 +1,10 @@
 """Direct sums of triangles are built once, n-ary, by block offsets
 (`tpc.sum_triangles_many`, `complexes.sum_complexes`).  Their output
 must equal, byte for byte, that of the binary left fold they replace
-(`reference_sums`), and the pipeline that sums one part per matched bar
-must build a number of map columns linear in the number of bars."""
+(`reference_sums`), and the pipeline, whose slot step sums one cone
+over all matched bars with the collapsed and carried short bars, must
+build a number of map columns linear in the number of bars and ids
+with a bounded number of primes."""
 
 import functools
 import hashlib
@@ -57,7 +59,7 @@ BINARY_DIGEST = (
     "5fce9eed6772a51621041305eae17a09daf8226f9b88649aebe473aaa859714d"
 )
 PIPELINE_DIGEST = (
-    "9f0bc2af46c53f98f6797bf98e8a5fe7382c3a59adaff44cbc336eea1b7d4ded"
+    "1fd21126ce33def45d9e6902a4064db0187696c0a9f74d885c7c8cf0a63f3b7b"
 )
 
 
@@ -188,9 +190,10 @@ def test_outputs_match_the_parent_digest():
 
 def test_pipeline_outputs_match_their_digest():
     """PIPELINE_DIGEST is the digest of the pipeline outputs, one line
-    each, since the pair blocks are cones: their generator ids and
-    order, and so the down maps, differ from the hand-written blocks
-    before them (`test_cone_helpers` checks the two side by side)."""
+    each, since all matched pairs are one cone: the slot step's
+    generators are a block permutation of the per-pair cones' before
+    it, with other ids, and so are the down maps (`test_cone_helpers`
+    checks the per-pair blocks side by side)."""
     assert _digest(_pipeline_outputs()) == PIPELINE_DIGEST
 
 
@@ -290,3 +293,17 @@ def test_pipeline_at_128_bars_validates():
     assert ok, problems
     assert weight == bound
     assert peak < 100 * 2**20, f"{peak / 2**20:.0f} MB"
+
+
+def test_pipeline_ids_carry_at_most_two_primes():
+    """The slot step sums at most three parts, whose ids are numbered
+    per bar, so no id needs more than two primes to be unique.  Summing
+    one part per matched bar, each named x0/y0, gave this pair ids with
+    336 primes."""
+    X, Y = _large_pair(256)
+    _, D, _, _ = prop51_pipeline(X, Y)
+    primes = max(gid.count("'")
+                 for tri, wit in D.steps
+                 for obj in (tri.A, tri.B, tri.C, wit.cprime)
+                 for gid in obj._ids)
+    assert primes <= 2, primes

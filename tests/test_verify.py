@@ -6,6 +6,7 @@ import pytest
 from fcplx.barcodes import barcode
 from fcplx.complexes import complex_to_text, parse_complex
 from fcplx.verify import (
+    DEFAULT_GRID,
     SUITES,
     GenConfig,
     SuiteReport,
@@ -49,6 +50,25 @@ def test_gen_r_iso_is_certified():
         r = Fraction(rng.randint(0, 4), 2)
         f, A, B = gen_r_iso(cfg, r, rng)
         assert is_r_isomorphism(f, r)
+
+
+def test_grid_filters_keep_grid_order_and_are_made_once():
+    """The generators draw from `GenConfig._grid`, the filter they each
+    wrote out before, made once per config; a grid given as a list, in
+    any order and with negative values, filters the same."""
+    grid = [Fraction(-1, 2), *reversed(DEFAULT_GRID)]
+    for cfg in (GenConfig(seed=7), GenConfig(seed=7, filtration_grid=grid)):
+        g = cfg.filtration_grid
+        assert cfg._grid(1) == tuple(q for q in g if q <= 1)
+        assert cfg._grid(2, 0, open_lo=True) == tuple(
+            q for q in g if 0 < q <= 2)
+        assert cfg._grid(Fraction(3, 2), 0) == tuple(
+            q for q in g if 0 <= q <= Fraction(3, 2))
+        assert cfg._grid(lo=0, open_lo=True) == tuple(q for q in g if q > 0)
+        assert cfg._grid(1) is cfg._grid(1)
+    for name in SUITES:
+        assert run_suite(name, GenConfig(seed=7, filtration_grid=list(
+            DEFAULT_GRID)), 1).ok
 
 
 def test_unknown_suite_is_an_error():
