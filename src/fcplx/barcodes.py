@@ -1,8 +1,8 @@
 """Canonical-form decomposition, boundary depth and the exact
 bottleneck distance for filtered complexes.
 
-Every filtered complex decomposes, by a level-preserving invertible
-change of basis, into one-generator summands (infinite bars) and
+Every filtered complex decomposes, by a level-preserving change of
+basis, into one-generator summands (infinite bars) and
 two-generator summands d(y) = x (finite bars [ell(x), ell(y)) tagged
 with the degree of x).  The reduction is a filtration-aware Gaussian
 elimination: generators are processed in increasing (level, input
@@ -20,7 +20,7 @@ from math import lcm
 from operator import sub
 from typing import NamedTuple
 
-from .f2linalg import F2SparseMatrix, _apply, _eliminate, invert
+from .f2linalg import F2SparseMatrix, _apply, _back_substitute, _eliminate
 from .rationals import POS_INF, fmt_scalar
 from .complexes import FilteredComplex, _over_lcd
 
@@ -135,21 +135,28 @@ class CanonicalFormWitness:
         In the canonical basis dh' + h'd is the identity on every paired
         generator, so on a complex without infinite bars dh + hd = id.
         U and U^-1 are unitriangular in (level, index) order and so keep
-        levels; the shift of h is the length of the longest bar.
+        levels; the shift of h is the length of the longest bar.  U^-1
+        is never formed: h is read by back substitution over U's
+        columns in that order (`_contract`), and a U that is not
+        unitriangular in it raises ValueError.
         """
         U = self.matrix
-        Uh = [0] * U.ncols
-        for x, y in self.pairs:
-            Uh[x] = U.columns[y]
-        return F2SparseMatrix(Uh, U.nrows).matmul(invert(U))
+        return F2SparseMatrix(_contract(self._order(), U.columns,
+                                        self.pairs), U.nrows)
+
+    def _order(self):
+        """The (level, index) order of the complex's generators, in
+        which U must be unitriangular; ValueError when U is not n x n."""
+        lev, U = self.complex._lev, self.matrix
+        if U.nrows != len(lev) or U.ncols != len(lev):
+            raise ValueError("witness matrix is not n x n")
+        # a stable sort keeps equal levels in index order
+        return sorted(range(len(lev)), key=lev.__getitem__)
 
     def depth(self):
         """The complex's boundary depth, the length of its longest
         finite bar (0 when it has none), from the pairs' int levels."""
-        X = self.complex
-        lev = X._lev
-        return Fraction(max((lev[y] - lev[x] for x, y in self.pairs),
-                            default=0), X._den)
+        return _depth(self.complex, self.pairs)
 
     def check(self) -> bool:
         """Witness invariants, by products and one rank test.
@@ -158,7 +165,7 @@ class CanonicalFormWitness:
         column j of U has its top level at lev[j]; D*U = U*D', where
         column y of D' is e_x for each pair (x, y) and every other column
         is 0, so D*U's column y is U's column x and the rest are zero;
-        and U is invertible, so that D' = U^-1 D U.
+        and U has full rank, so that D' = U^-1 D U.
         """
         X, U = self.complex, self.matrix
         n = X.n
@@ -188,14 +195,18 @@ class CanonicalFormWitness:
         return len(_eliminate(list(cols), [0] * n)) == n
 
 
-def canonical_form(X: FilteredComplex):
-    """Barcode plus change-of-basis witness for a valid complex.
+def _reduce(X: FilteredComplex):
+    """The one reduction behind canonical forms, contractions and
+    acyclicity: (order, basis, pairs, unpaired) of a valid complex.
 
-    Columns are reduced in (level, index) order.  Each one carries,
-    beside it, the combination of X's generators it stands for and that
-    combination's image under d, both in X's coordinates and packed in
-    one int (image above bit n), so one XOR updates both and the new
-    basis is read off without mapping positions back to generators.
+    Columns are reduced in (level, index) order, `order`.  Each one
+    carries, beside it, the combination of X's generators it stands for
+    and that combination's image under d, both in X's coordinates and
+    packed in one int (image above bit n), so one XOR updates both and
+    the new basis is read off without mapping positions back to
+    generators: `basis[g]` is the new basis vector of generator g,
+    unitriangular in `order`, `pairs` lists (x, y) with d(new y) =
+    new x in the order of the y's, and `unpaired` the rest.
 
     The walk that maps each column to sorted positions also checks it:
     every entry is in range and one degree up (one mask test), and the
@@ -236,34 +247,61 @@ def canonical_form(X: FilteredComplex):
     track = [diff[g] << n | 1 << g for g in order]
     owner = _eliminate(cols, track)
 
-    # each bar as (degree, lo, infinite?, hi) on X's ints: these sort as
-    # the bars do
-    keys = []
     pairs = []
     unpaired = []
-    new_basis = [None] * n
+    basis = [None] * n
     low = (1 << n) - 1
     for p in range(n):
         if cols[p]:
             x, y = order[cols[p].bit_length() - 1], order[p]
             pairs.append((x, y))
-            new_basis[y] = track[p] & low
-            new_basis[x] = track[p] >> n
-            if _apply(diff, new_basis[x]):
+            basis[y] = track[p] & low
+            basis[x] = track[p] >> n
+            if _apply(diff, basis[x]):
                 raise _invalid(X)
-            keys.append((deg[x], lev[x], False, lev[y]))
         elif p not in owner:
             g = order[p]
             unpaired.append(g)
-            new_basis[g] = track[p] & low
-            keys.append((deg[g], lev[g], True, 0))
+            basis[g] = track[p] & low
+    return order, basis, pairs, unpaired
+
+
+def _depth(X, pairs):
+    """The length of the longest of the bars `pairs` of X (0 when there
+    is none), from their int levels."""
+    lev = X._lev
+    return Fraction(max((lev[y] - lev[x] for x, y in pairs), default=0),
+                    X._den)
+
+
+def _contract(order, basis, pairs):
+    """The columns of h = U h' U^-1, U the new basis `basis` and h' the
+    map that sends each pair's new x to its new y: S U^-1 for S = U h',
+    whose column x is U's column y, by one back substitution over U's
+    columns in `order` (`f2linalg._back_substitute`)."""
+    seed = [0] * len(basis)
+    for x, y in pairs:
+        seed[x] = basis[y]
+    return _back_substitute(seed, basis, order)
+
+
+def canonical_form(X: FilteredComplex):
+    """Barcode plus change-of-basis witness for a valid complex, read
+    off its one reduction (`_reduce`), which also checks that X is
+    valid."""
+    _, basis, pairs, unpaired = _reduce(X)
+    deg, lev = X._deg, X._lev
+    # each bar as (degree, lo, infinite?, hi) on X's ints: these sort as
+    # the bars do
+    keys = [(deg[x], lev[x], False, lev[y]) for x, y in pairs]
+    keys += [(deg[g], lev[g], True, 0) for g in unpaired]
     keys.sort()
     # every level is a bar end: one Fraction per distinct level
     end = {v: Fraction(v, X._den) for v in set(lev)}
     bars = tuple(Bar(d, end[lo], POS_INF if inf else end[hi])
                  for d, lo, inf, hi in keys)
     witness = CanonicalFormWitness(
-        X, F2SparseMatrix(new_basis, n), pairs, unpaired
+        X, F2SparseMatrix(basis, X.n), pairs, unpaired
     )
     return Barcode._of_sorted(bars), witness
 
@@ -322,7 +360,7 @@ def _summands(B: Barcode):
 def boundary_depth(obj):
     """Length of the longest finite bar; 0 when there is none."""
     if not isinstance(obj, Barcode):
-        return canonical_form(obj)[1].depth()
+        return _depth(obj, _reduce(obj)[2])
     depth = Fraction(0)
     for b in obj.finite():
         if b.length() > depth:
@@ -331,12 +369,12 @@ def boundary_depth(obj):
 
 
 def is_r_acyclic(X, r):
-    """No infinite bars and depth <= r, read off the canonical form."""
+    """No infinite bars and depth <= r, read off the one reduction."""
     r = Fraction(r)
     if r < 0:
         raise ValueError("acyclicity threshold must be >= 0")
-    _, wit = canonical_form(X)
-    return not wit.unpaired and wit.depth() <= r
+    _, _, pairs, unpaired = _reduce(X)
+    return not unpaired and _depth(X, pairs) <= r
 
 
 def persistence_rank(X, r, s, degree) -> int:

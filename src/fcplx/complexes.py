@@ -551,16 +551,25 @@ def cone(f: FilteredChainMap, lam=0) -> FilteredComplex:
         raise ValueError("cone requires a degree-0 map")
     X, Y = f.source, f.target
     # a map with no columns is closed and of shift -inf
+    if not X.is_zero():
+        if not f.is_closed():
+            raise ValueError("cone requires a closed map")
+        if not _shift_within(X, Y, f.cols, lam):
+            sh = shift_of_map(f)
+            raise ValueError(
+                f"cone level too small: lambda = {fmt_scalar(lam)} < "
+                f"shift {fmt_scalar(sh)} (deficit {fmt_scalar(sh - lam)})"
+            )
+    return _cone(f, lam)
+
+
+def _cone(f, lam):
+    """`cone` of f and the Fraction or int lam with none of its checks,
+    for a map just checked to be closed, of degree 0 and of shift
+    <= lam."""
+    X, Y = f.source, f.target
     if X.is_zero():
         return Y
-    if not f.is_closed():
-        raise ValueError("cone requires a closed map")
-    if not _shift_within(X, Y, f.cols, lam):
-        sh = shift_of_map(f)
-        raise ValueError(
-            f"cone level too small: lambda = {fmt_scalar(lam)} < "
-            f"shift {fmt_scalar(sh)} (deficit {fmt_scalar(sh - lam)})"
-        )
     ids = _disambiguate(Y._ids, ["t." + gid for gid in X._ids])
     deg = Y._deg + tuple(d - 1 for d in X._deg)
     den, lev = _joined([(Y._den, Y._lev), _shifted(X._den, X._lev, lam)])

@@ -133,10 +133,37 @@ def _eliminate(cols, track):
     return owner
 
 
+def _back_substitute(seed, cols, order):
+    """The columns of S U^-1, where U is the square matrix of columns
+    `cols`, unitriangular in `order` (column j has bit j, and its other
+    bits come before j in `order`), and S the matrix of columns `seed`.
+
+    Column j of U^-1 is e_j plus the columns of U^-1 at the other bits
+    of U's column j, so column j of S U^-1 is seed[j] plus those columns
+    of S U^-1, each formed before it in `order`: one pass, no
+    elimination.  A U that is not unitriangular in `order` raises
+    ValueError.
+    """
+    out = [0] * len(cols)
+    done = 0
+    for j in order:
+        bit = 1 << j
+        rest = cols[j] ^ bit
+        m = seed[j]
+        if rest:
+            # bit j missing, or a bit not yet formed, is outside `done`
+            if rest & ~done:
+                raise ValueError("matrix is not unitriangular in the order")
+            m ^= _apply(out, rest)
+        out[j] = m
+        done |= bit
+    return out
+
+
 def column_reduce(M: F2SparseMatrix):
     """Left-to-right column reduction.
 
-    Returns (R, V) with R = M*V, V invertible upper-triangular (a
+    Returns (R, V) with R = M*V, V upper unitriangular (a
     product of elementary column additions), and all nonzero columns of
     R having distinct pivot rows (pivot = largest support index).
     """

@@ -50,7 +50,7 @@ from .barcodes import (
     canonical_form,
     from_barcode,
 )
-from .f2linalg import _bits, invert
+from .f2linalg import _back_substitute
 from .tpc import (
     _identity_step,
     _inverse_step,
@@ -70,9 +70,10 @@ from .tpc import (
 
 
 def iso_to_canonical(X: FilteredComplex):
-    """Strictly invertible level-preserving chain iso X -> canonical,
+    """Level-preserving chain iso X -> canonical with a strict inverse,
     read off a canonical form (B, W) of X: the k-th summand of X, in
-    bar order, goes to the k-th summand of from_barcode(B)."""
+    bar order, goes to the k-th summand of from_barcode(B).  The forward
+    map P U^-1 is one back substitution over W's matrix U."""
     B, W = canonical_form(X)
     deg, lev = X._deg, X._lev
 
@@ -87,12 +88,9 @@ def iso_to_canonical(X: FilteredComplex):
         for nb, ci in zip(s, t):
             assign[nb] = ci
             back_cols[ci] = W.matrix.column(nb)
-    cols = []
-    for col in invert(W.matrix).columns:
-        m = 0
-        for nb in _bits(col):
-            m ^= 1 << assign[nb]
-        cols.append(m)
+    # the forward map is P U^-1, P the relabelling e_nb -> e_assign[nb]
+    cols = _back_substitute([1 << a for a in assign], W.matrix.columns,
+                            W._order())
     canon = from_barcode(B)
     return (FilteredChainMap(X, canon, cols, 0),
             FilteredChainMap(canon, X, back_cols, 0))

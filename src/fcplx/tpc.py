@@ -23,16 +23,17 @@ identity phi and psi by x -> t.x, `_inverse_step` a psi read off the
 contraction of cone(phi, 0) by that contraction, and `_reanchored`
 keeps a certificate on new anchors.  For any other witness (a
 hand-made bundle, a rotation output) `_certificate` derives one, c
-from the canonical form of cone(phi, 0) and H by one linear solve.
+from the one reduction of cone(phi, 0) and H by one linear solve.
 
-Inverses of r-isomorphisms are read off canonical forms.  The witness
-maps of rotation and of the octahedron are written down from the input
-witness and its certificate, as in the mapping-cone proofs of those
-axioms.  The rest (triangle morphisms and weight candidates) are
-closed shift-0 maps x with two squares that commute up to bounded
-homotopy, found by `homsolve.fill_map(S, T, pre, post)`: x o a ~ b for
-each (a, b, bound) in pre, a o x ~ b for each in post, each homotopy of
-level <= its bound; None when there is no x.
+Inverses of r-isomorphisms are read off the one reduction of their
+cone (`_contraction`), with no canonical form and no inverse matrix.
+The witness maps of rotation and of the octahedron are written down
+from the input witness and its certificate, as in the mapping-cone
+proofs of those axioms.  The rest (triangle morphisms and weight
+candidates) are closed shift-0 maps x with two squares that commute up
+to bounded homotopy, found by `homsolve.fill_map(S, T, pre, post)`:
+x o a ~ b for each (a, b, bound) in pre, a o x ~ b for each in post,
+each homotopy of level <= its bound; None when there is no x.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .f2linalg import F2SparseMatrix, _apply, _bits, solve_in_span
 from .complexes import (
     FilteredChainMap,
     FilteredComplex,
+    _cone,
     _flat,
     _hom_pairs,
     _hom_slice,
@@ -67,7 +69,7 @@ from .complexes import (
     translate_map,
     zero_complex,
 )
-from .barcodes import barcode, canonical_form, is_r_acyclic
+from .barcodes import _contract, _depth, _reduce, barcode, is_r_acyclic
 from .homsolve import fill_map
 
 
@@ -104,7 +106,7 @@ def is_r_isomorphism(f: FilteredChainMap, r) -> bool:
     """Shift-0 map whose cone has only finite bars of length <= r."""
     r = Fraction(r)
     _require_iso_input(f)
-    return is_r_acyclic(cone(f, 0), r)
+    return is_r_acyclic(_cone(f, 0), r)
 
 
 def contraction_inverse(f: FilteredChainMap, r, rng=None):
@@ -112,25 +114,30 @@ def contraction_inverse(f: FilteredChainMap, r, rng=None):
     f o g ~ id_B, or None when f: A -> B is not an r-isomorphism.
 
     g is the B -> A block of the contraction h of cone(f, 0) = B (+) TA
-    read off its canonical form: the blocks of dh + hd = id say that g
-    is closed and that the two diagonal blocks of h are the homotopies
-    f o g ~ id_B and g o f ~ id_A, all of shift <= r.  An rng first
-    conjugates the cone by a random basis change, which draws another
-    contraction and so another inverse.
+    read off its one reduction (`_contraction`): the blocks of
+    dh + hd = id say that g is closed and that the two diagonal blocks
+    of h are the homotopies f o g ~ id_B and g o f ~ id_A, all of shift
+    <= r.  An rng first conjugates the cone by a random basis change,
+    which draws another contraction and so another inverse.
     """
     found = _contraction_inverse(f, Fraction(r), rng)
     return found and found[0]
 
 
 def _contraction(K, r=None):
-    """(columns, shift) of the contraction of K read off its canonical
-    form, its shift the boundary depth of K; None when K has an
-    infinite bar or, for an r given, a bar longer than r."""
-    _, cf = canonical_form(K)
-    depth = cf.depth()
-    if cf.unpaired or r is not None and depth > r:
+    """(columns, shift) of the contraction h = U h' U^-1 of K, its shift
+    the boundary depth of K; None when K has an infinite bar or, for an
+    r given, a bar longer than r.  U and h' come from the one reduction
+    of K (`barcodes._reduce`) and h from one back substitution over U's
+    columns (`barcodes._contract`): no Barcode, no witness and no
+    inverse of U are formed."""
+    order, basis, pairs, unpaired = _reduce(K)
+    if unpaired:
         return None
-    return cf.contraction().columns, depth
+    depth = _depth(K, pairs)
+    if r is not None and depth > r:
+        return None
+    return tuple(_contract(order, basis, pairs)), depth
 
 
 def _contraction_inverse(f, r=None, rng=None):
@@ -143,7 +150,7 @@ def _contraction_inverse(f, r=None, rng=None):
     _require_iso_input(f)
     if r is not None and r < 0:
         raise ValueError("acyclicity threshold must be >= 0")
-    K = cone(f, 0)
+    K = _cone(f, 0)
     if rng is not None:
         from .verify import random_basis_change  # verify imports tpc
 
@@ -339,10 +346,11 @@ def _is_homotopy(S, T, cols, f, bound):
 
 def _certificate(tri: WeightedTriangle, wit: TriangleWitness, Kphi=None):
     """The certificate (c, H) of wit: its own, or for a bare witness c
-    read off the canonical form of Kphi = cone(phi, 0) (built when not
-    given) and H from one `homotopic` solve for phi o psi ~ eta(C, r).
-    c is None when cone(phi, 0) has no contraction of shift <= r, and H
-    is False when phi o psi ~ eta has no homotopy of level <= 0."""
+    read off the one reduction of Kphi = cone(phi, 0) (`_contraction`;
+    the cone is built when not given) and H from one `homotopic` solve
+    for phi o psi ~ eta(C, r).  c is None when cone(phi, 0) has no
+    contraction of shift <= r, and H is False when phi o psi ~ eta has
+    no homotopy of level <= 0."""
     cert = getattr(wit, "_cert", None)
     if cert is not None:
         return cert
@@ -374,7 +382,7 @@ def verify_triangle(tri: WeightedTriangle, wit: TriangleWitness):
                       _closed_shift0(m, source, target))
     if failures:
         return False, failures
-    K = cone(tri.u, 0)
+    K = _cone(tri.u, 0)
     if not _check_clause(failures, "cprime-is-cone", wit.cprime == K):
         return False, failures
     if not _check_clause(failures, "phi-closed-shift0",
@@ -384,7 +392,7 @@ def verify_triangle(tri: WeightedTriangle, wit: TriangleWitness):
     if not _check_clause(failures, "psi-closed-shift0",
                          _closed_shift0(wit.psi, sC, K)):
         return False, failures
-    Kphi = cone(wit.phi, 0)
+    Kphi = _cone(wit.phi, 0)
     c, H = _certificate(tri, wit, Kphi)
     iso = c is not None and _is_homotopy(
         Kphi, Kphi, c, [1 << j for j in range(Kphi.n)], r)
@@ -441,8 +449,8 @@ def _inverse_step(u, phi, W=None):
     (`_contraction_inverse`), W by default the shift of h; None when
     phi is not a W-isomorphism.  h certifies the step: its shift is at
     most W, and by dh + hd = id its C -> C block is a homotopy
-    phi o psi ~ eta.  One canonical form decides, inverts and
-    certifies."""
+    phi o psi ~ eta.  One reduction of cone(phi, 0) decides, gives the
+    inverse and certifies."""
     found = _contraction_inverse(phi, W)
     if found is None:
         return None
@@ -540,10 +548,10 @@ def rotate(tri: WeightedTriangle, wit: TriangleWitness,
     t.a -> (phi(t.a) + h_v(u(a)), t.u(a)) with h_v the homotopy
     v ~ phi o include (zero when the two are equal), and the new
     triangle is `exact_triangle` of (psibar, phibar), psibar the
-    inverse of phibar read off a canonical form.  Whether 2r is tight
-    is open; with try_improve the level grid is searched for a smaller
-    verified weight and (triangle, witness, improved) is returned, the
-    last entry None when no cheaper witness was found.
+    inverse of phibar read off the one reduction of its cone.  Whether
+    2r is tight is open; with try_improve the level grid is searched for
+    a smaller verified weight and (triangle, witness, improved) is
+    returned, the last entry None when no cheaper witness was found.
     """
     r = Fraction(tri.weight)
     A, B, C = tri.A, tri.B, tri.C

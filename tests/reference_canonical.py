@@ -18,6 +18,14 @@ combination in sorted positions and maps every new basis vector back
 to X's generators one bit at a time.  The tests check the packed
 reduction against it for equal barcodes, matrices, pairs and unpaired
 generators.
+
+`reference_contraction`, `reference_tpc_contraction` and
+`invert_iso_to_canonical` are `CanonicalFormWitness.contraction`,
+`tpc._contraction` and `iso_to_canonical` as they were before U^-1 was
+read by back substitution: each forms `invert(U)` by a second, general
+column reduction, and the contraction multiplies it back with `matmul`
+after a whole canonical form.  The tests check the back substitution
+against them for byte-identical columns and equal None verdicts.
 """
 
 from fractions import Fraction
@@ -254,3 +262,43 @@ def reference_comparison_map(S, T):
             cols[S.index_of(f"x{ksrc}")] = 1 << T.index_of(f"x{ktgt}")
             cols[S.index_of(f"y{ksrc}")] = 1 << T.index_of(f"y{ktgt}")
     return FilteredChainMap(S, T, cols, 0)
+
+
+def reference_contraction(witness):
+    U = witness.matrix
+    Uh = [0] * U.ncols
+    for x, y in witness.pairs:
+        Uh[x] = U.columns[y]
+    return F2SparseMatrix(Uh, U.nrows).matmul(invert(U))
+
+
+def reference_tpc_contraction(K, r=None):
+    _, cf = canonical_form(K)
+    depth = cf.depth()
+    if cf.unpaired or r is not None and depth > r:
+        return None
+    return reference_contraction(cf).columns, depth
+
+
+def invert_iso_to_canonical(X):
+    B, W = canonical_form(X)
+    deg, lev = X._deg, X._lev
+
+    def bar(s):
+        return deg[s[0]], lev[s[0]], not s[1:], lev[s[-1]]
+
+    summands = sorted([*W.pairs, *((g,) for g in W.unpaired)], key=bar)
+    assign, back_cols = [0] * X.n, [None] * X.n
+    for s, t in zip(summands, _summands(B)):
+        for nb, ci in zip(s, t):
+            assign[nb] = ci
+            back_cols[ci] = W.matrix.column(nb)
+    cols = []
+    for col in invert(W.matrix).columns:
+        m = 0
+        for nb in _bits(col):
+            m ^= 1 << assign[nb]
+        cols.append(m)
+    canon = from_barcode(B)
+    return (FilteredChainMap(X, canon, cols, 0),
+            FilteredChainMap(canon, X, back_cols, 0))

@@ -10,9 +10,10 @@ at once instead."""
 
 import importlib
 import importlib.util
+import random
 from pathlib import Path
 
-from fcplx import barcodes, fragmentation
+from fcplx import barcodes, fragmentation, verify
 from fcplx.barcodes import barcode
 from fcplx.complexes import make_complex
 
@@ -67,17 +68,24 @@ def _fill(inp):
     return reference_fill_map(X, X)
 
 
+def _basis_change(inp):
+    X, _ = inp
+    return verify.random_basis_change(X, random.Random(0))
+
+
 def test_every_work_count_hook_reads_its_call():
     """Ops under the installed tracer that call every function of
     `WORK`: a pipeline build and its validation, certified canonical
-    forms with a bottleneck match, and a general hom-complex solve."""
+    forms with a bottleneck match, a general hom-complex solve and a
+    random basis change, whose `invert` (and the `column_reduce` inside
+    it) no other op runs."""
     tr = _load_tracer()
     X = make_complex([("a", 1, 0), ("y", 0, 3), ("x", 1, 1)], {"y": ["x"]})
     Y = make_complex([("a", 1, 0), ("y", 0, 2), ("x", 1, 1)], {"y": ["x"]})
     tracer = tr.Tracer()
     tracer.install()
     try:
-        for op in (_pipeline, _barcodes, _fill):
+        for op in (_pipeline, _barcodes, _fill, _basis_change):
             tracer.run_op(op, (X, Y))
     finally:
         tracer.uninstall()
